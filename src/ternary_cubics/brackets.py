@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from . import linalg
 from .poly import A_EXPS, A_INDEX, Poly, generic_cubic, monomial
 
 GREEK = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
@@ -453,6 +454,7 @@ def evaluate_at_cubic(conc, a_values):
 
 def vanishes_at_cubic(conc, a_values, p):
     """Whether every (x, u, ...)-coefficient of conc vanishes at a_values mod p."""
+    p = linalg.check_prime(p)
     acc = {}
     for mo, c in conc.poly.terms.items():
         val = int(c) % p

@@ -34,6 +34,11 @@ def _default_primes():
     return linalg.DEFAULT_PRIMES
 
 
+def _primes(args):
+    """The --prime values, or the defaults, each validated by check_prime."""
+    return tuple(linalg.check_prime(p) for p in (args.prime or _default_primes()))
+
+
 def _default_seed():
     return int(os.environ.get("TERNARY_CUBICS_SEED", "0"))
 
@@ -117,7 +122,7 @@ def cmd_locus(args):
 
 
 def cmd_ideal(args):
-    primes = tuple(args.prime) if args.prime else _default_primes()
+    primes = _primes(args)
     if args.action == "dim":
         gp = ideals.graded_kernel(args.locus, args.degree, primes)
         print(gp.dimension())
@@ -227,6 +232,26 @@ def _check_syzygy(lid, deg, dim, dec):
         return ("pass" if ok else "fail",
                 f"{dim} = {_fmt_modules(dec)}",
                 f"{got[0]} = {_fmt_modules(got[1])}")
+    return run
+
+
+def _check_weyl_orbits(lid, deg):
+    """Eliminate every block, not only the dominant ones, and compare."""
+    def run(config):
+        expected = "nullity constant on each S3 orbit"
+        piece = ideals.graded_kernel(lid, deg, config["primes"])
+        blocks, _ = ideals.monomials_by_weight(deg)
+        for p in config["primes"]:
+            full = ideals.full_block_nullities(lid, deg, p)
+            for w in sorted(blocks):
+                d = tuple(sorted(w, reverse=True))
+                got = (full.get(w, 0), full.get(d, 0), piece.block_nullities.get(w, 0))
+                if len(set(got)) > 1:
+                    return ("fail", expected,
+                            f"mod {p}: block {w} nullity {got[0]}, dominant block "
+                            f"{d} {got[1]}, orbit-filled {got[2]}")
+        orbits = sum(map(ideals.is_dominant, blocks))
+        return "pass", expected, f"{len(blocks)} blocks in {orbits} orbits agree"
     return run
 
 
@@ -378,6 +403,7 @@ def build_checks():
     checks = [("dimension-formula", _check_dimension_formula)]
     for lid, deg, dim, dec in KERNEL_ANCHORS:
         checks.append((f"kernel-{lid}-{deg}", _check_kernel(lid, deg, dim, dec)))
+    checks.append(("weyl-orbits-delta-5", _check_weyl_orbits("delta", 5)))
     for lid, deg, dim, dec in SYZYGY_ANCHORS:
         checks.append((f"syzygy-{lid}-{deg}", _check_syzygy(lid, deg, dim, dec)))
     checks.append(("ledger-dimensions", _check_ledger))
@@ -453,10 +479,7 @@ def format_report(report, fmt):
 
 
 def cmd_verify_all(args):
-    primes = tuple(args.prime) if args.prime else _default_primes()
-    if len(primes) < 1 or any(p <= 65536 for p in primes):
-        print("error: need at least one prime > 2^16", file=sys.stderr)
-        return 2
+    primes = _primes(args)
     config = {"primes": primes, "seed": args.seed, "threads": args.threads,
               "lmax": args.lmax, "timings": args.timings}
     report = run_verify_all(config)

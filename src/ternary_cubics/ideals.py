@@ -6,34 +6,73 @@ a_r -> phi_r(params).  The map preserves torus weight, so the kernel splits
 into weight blocks; each block is a small exact nullspace mod p, and the block
 nullities assemble into the character of the graded piece.
 
+Every locus is GL3-stable.  Permuting x1, x2, x3 permutes the a_r without
+scalars and maps the block of weight w onto the block of the permuted weight,
+kernel onto kernel.  So only the dominant blocks (w0 >= w1 >= w2) are
+eliminated, and every other block is filled from its S3 orbit: its nullity is
+that of its dominant block, and its kernel basis, when asked for, is the
+dominant basis with the a-indices permuted (basis transport), never a second
+elimination.  The verify-all check weyl-orbits-delta-5 eliminates every block
+of one kernel and confirms that nullity is constant on each orbit.
+
 Monomials in the a-variables are encoded as nondecreasing tuples of indices
 (a0 a0 a3 = (0, 0, 3)); building them by appending indices >= the last one
-makes the monomials of all degrees a tree, and images are computed by a
-depth-first walk that keeps only the current path in memory.
+makes the monomials of all degrees a tree.  One depth-first walk over that
+tree (_walk) serves the monomial lists, the substitution images and the
+Hilbert evaluations; it keeps only the current path in memory and enters only
+prefixes of dominant-weight monomials, so no work is spent on other blocks.
 
 Hilbert function values come from evaluation instead: the rank of the matrix
-of monomial values at random points of the locus, again block by block.
+of monomial values at random points of the locus, on each dominant block,
+counted once per weight of its orbit.
 
 Syzygies among the degree-j generators are the kernel of the multiplication
 map (generators) x (linear forms) -> R_{j+1}; this needs no substitution
-images in degree j+1, only monomial bookkeeping.
+images in degree j+1, only monomial bookkeeping, and again only the dominant
+blocks of R_{j+1} are eliminated.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
 from . import brackets, linalg, loci, tableaux
 from .characters import Character, decompose
-from .poly import A_EXPS, monomial
+from .poly import A_EXPS, A_INDEX, monomial
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
 
 
 # ---------------------------------------------------------------------------
-# a-monomial bookkeeping
+# the monomial tree and its S3 orbits
 # ---------------------------------------------------------------------------
+
+def _walk(degree, root, step, leaf, prune=True):
+    """Depth-first walk over the monomial tree down to `degree`.
+
+    A node is a nondecreasing index tuple with its weight and a state: the
+    root's state is `root`, a child's is step(parent state, r) for the index r
+    it appends.  leaf(mono, weight, state) runs at every degree-`degree`
+    monomial, in the order of monomials_by_weight.  With `prune` the walk
+    enters only prefixes of monomials of dominant weight.
+    """
+    keep = _dominant_prefixes(degree) if prune else None
+    stack = [((), (0, 0, 0), root)]
+    while stack:
+        mono, w, state = stack.pop()
+        if len(mono) == degree:
+            leaf(mono, w, state)
+            continue
+        # push descending so that the smallest index pops first
+        for r in range(9, (mono[-1] if mono else 0) - 1, -1):
+            child = mono + (r,)
+            if keep is None or child in keep:
+                e = A_EXPS[r]
+                stack.append((child, (w[0] + e[0], w[1] + e[1], w[2] + e[2]),
+                              step(state, r)))
+
 
 @lru_cache(maxsize=16)
 def monomials_by_weight(degree):
@@ -43,17 +82,46 @@ def monomials_by_weight(degree):
     Tuples are nondecreasing; order within a block is generation order.
     """
     blocks = {}
-    stack = [((), (0, 0, 0), 0)]
-    while stack:
-        mono, w, lo = stack.pop()
-        if len(mono) == degree:
-            blocks.setdefault(w, []).append(mono)
-            continue
-        for r in range(9, lo - 1, -1):
-            e = A_EXPS[r]
-            stack.append((mono + (r,), (w[0] + e[0], w[1] + e[1], w[2] + e[2]), r))
+    _walk(degree, None, lambda state, r: None,
+          lambda mono, w, state: blocks.setdefault(w, []).append(mono), prune=False)
     index = {w: {m: i for i, m in enumerate(ms)} for w, ms in blocks.items()}
     return blocks, index
+
+
+def is_dominant(w):
+    return w[0] >= w[1] >= w[2]
+
+
+def orbit(w):
+    """The distinct permutations of a weight, sorted."""
+    return sorted(set(permutations(w)))
+
+
+@lru_cache(maxsize=16)
+def _dominant_prefixes(degree):
+    """Every prefix of a degree-`degree` monomial of dominant weight."""
+    blocks, _ = monomials_by_weight(degree)
+    return frozenset(m[:k] for w, ms in blocks.items() if is_dominant(w)
+                     for m in ms for k in range(1, degree + 1))
+
+
+def _fill_orbits(dominant):
+    """Extend {dominant weight: value} to every weight of each orbit."""
+    return {w: v for d, v in dominant.items() for w in orbit(d)}
+
+
+@lru_cache(maxsize=4096)
+def _transport(degree, d, w):
+    """Positions in block w of the images of block d's monomials, in order.
+
+    The permutation of x1, x2, x3 that takes weight d to w permutes the a_r
+    without scalars and maps block d onto block w.
+    """
+    blocks, index = monomials_by_weight(degree)
+    sigma = next(s for s in permutations(range(3)) if tuple(d[i] for i in s) == w)
+    amap = [A_INDEX[tuple(A_EXPS[r][i] for i in sigma)] for r in range(10)]
+    iw = index[w]
+    return [iw[tuple(sorted(amap[r] for r in m))] for m in blocks[d]]
 
 
 def mono_tuple_to_poly_mono(mono):
@@ -103,58 +171,63 @@ def _encoded_phi(locus, p):
     return out
 
 
-def _image_blocks(locus, degree, p):
+def _image_blocks(locus, degree, p, dominant_only=True):
     """Per-weight substitution matrices, transposed for nullspace extraction.
 
-    Returns {weight: (monos, ndarray of shape (n_param_keys, n_monos))}: the
-    column space is indexed by the block's monomials, so nullspace vectors are
-    ideal elements.
+    Returns {weight: (monos, ndarray of shape (n_param_keys, n_monos))} for
+    the dominant weights, or for every weight without `dominant_only`: the
+    column space is indexed by the block's monomials (in the order of
+    monomials_by_weight), so nullspace vectors are ideal elements.
     """
     phi = _encoded_phi(locus, p)
-    rows = {}      # weight -> list of (colkeys dict is shared) sparse rows
+    cols = {}      # weight -> one sparse column [(row, coeff), ...] per monomial
     keyidx = {}    # weight -> {packed param key: row index}
+
+    def step(img, r):
+        child = {}
+        for k1, c1 in img.items():
+            for k2, c2 in phi[r].items():
+                k = k1 + k2
+                child[k] = (child.get(k, 0) + c1 * c2) % p
+        return {k: c for k, c in child.items() if c}
+
+    def leaf(mono, w, img):
+        ki = keyidx.setdefault(w, {})
+        cols.setdefault(w, []).append(
+            [(ki.setdefault(k, len(ki)), c) for k, c in img.items()])
+
+    _walk(degree, {0: 1}, step, leaf, prune=dominant_only)
     blocks, _ = monomials_by_weight(degree)
-
-    # stack entries: (mono, weight, image dict); children append one index
-    stack = [((), (0, 0, 0), {0: 1})]
-    while stack:
-        mono, w, img = stack.pop()
-        if len(mono) == degree:
-            ki = keyidx.setdefault(w, {})
-            cols = rows.setdefault(w, [])
-            entries = []
-            for k, c in img.items():
-                i = ki.setdefault(k, len(ki))
-                entries.append((i, c))
-            cols.append(entries)
-            continue
-        lo = mono[-1] if mono else 0
-        # push descending so monomials pop in the generation order used by
-        # monomials_by_weight, keeping matrix columns aligned with `monos`
-        for r in range(9, lo - 1, -1):
-            e = A_EXPS[r]
-            child = {}
-            for k1, c1 in img.items():
-                for k2, c2 in phi[r].items():
-                    k = k1 + k2
-                    c = child.get(k, 0) + c1 * c2
-                    child[k] = c % p
-            child = {k: c for k, c in child.items() if c}
-            stack.append((mono + (r,),
-                          (w[0] + e[0], w[1] + e[1], w[2] + e[2]), child))
-
     out = {}
-    for w, monos in blocks.items():
-        cols = rows.get(w, [])
-        nk = len(keyidx.get(w, {}))
-        A = np.zeros((nk, len(monos)), dtype=np.int64)
-        # columns were appended in the stack's generation order, which matches
-        # monomials_by_weight (same traversal)
-        for j, entries in enumerate(cols):
-            for i, c in entries:
+    for w, entries in cols.items():
+        A = np.zeros((len(keyidx[w]), len(entries)), dtype=np.int64)
+        for j, col in enumerate(entries):
+            for i, c in col:
                 A[i, j] = c
-        out[w] = (monos, A)
+        out[w] = (blocks[w], A)
     return out
+
+
+def _agree(what, per_prime):
+    """The common {weight: nullity} of every prime's blocks.
+
+    A disagreement raises UnluckyPrimeError naming the first weight block
+    whose nullities differ, with the nullity modulo each prime.
+    """
+    maps = list(per_prime.values())
+    for w in sorted(set().union(*maps)):
+        got = {p: nn.get(w, 0) for p, nn in per_prime.items()}
+        if len(set(got.values())) > 1:
+            raise linalg.UnluckyPrimeError(
+                f"{what}: weight block {w} has nullity {got} by prime")
+    return maps[0]
+
+
+def _piece_character(nullities):
+    ch = Character()
+    for w, n in nullities.items():
+        ch.add(w, n)
+    return ch, decompose(ch) if ch else []
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +252,18 @@ class GradedPiece:
 
     def vanishes_at(self, point, p):
         """Do all kernel basis vectors vanish at the cubic `point` (mod p)?"""
-        basis = self.bases.get(p) or next(iter(self.bases.values()))
+        p = linalg.check_prime(p)
+        if p not in self.bases:
+            raise ValueError(f"no kernel basis modulo {p}; have {sorted(self.bases)}")
+        basis = self.bases[p]
         pv = [x % p for x in point]
+        n = linalg.DOT_TERMS
         for monos, B in basis.values():
             vals = np.array([_mono_value(m, pv, p) for m in monos], dtype=np.int64)
-            if np.any((B @ vals) % p):
+            acc = np.zeros(len(B), dtype=np.int64)
+            for k in range(0, len(monos), n):
+                acc = (acc + B[:, k:k + n] @ vals[k:k + n]) % p
+            if np.any(acc):
                 return False
         return True
 
@@ -208,46 +288,62 @@ def _mono_value(mono, point_vals, p):
     return acc
 
 
-_KERNEL_CACHE = {}
+_KERNEL_CACHE = {}   # (locus, degree) -> {p: {dominant weight: basis rows}}
+
+
+def _orbit_bases(dominant, degree):
+    """{weight: (monos, basis rows)} for every nonzero block of the kernel.
+
+    A non-dominant block's basis is its dominant block's basis with the
+    a-indices permuted (see _transport), not a second elimination.
+    """
+    blocks, _ = monomials_by_weight(degree)
+    out = {}
+    for d, B in dominant.items():
+        if not len(B):
+            continue
+        for w in orbit(d):
+            Bw = np.empty_like(B)
+            Bw[:, _transport(degree, d, w)] = B
+            out[w] = (blocks[w], Bw)
+    return out
 
 
 def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False):
     """The degree-`degree` piece of the ideal of `locus`.
 
-    Block nullities are computed independently modulo every prime in `primes`
-    and must agree; disagreement raises UnluckyPrimeError.
+    Only the dominant weight blocks are eliminated; every other block has the
+    nullity of its dominant block.  Block nullities are computed
+    independently modulo every prime in `primes` and must agree; a
+    disagreement raises UnluckyPrimeError naming the block.
     """
-    primes = tuple(primes)
-    cached = _KERNEL_CACHE.get((locus, degree))
-    if cached is None:
-        cached = _KERNEL_CACHE[(locus, degree)] = {}
-    nullities = None
-    bases = {}
+    primes = tuple(linalg.check_prime(p) for p in primes)
+    cached = _KERNEL_CACHE.setdefault((locus, degree), {})
     for p in primes:
-        if p in cached:
-            blocks = cached[p]
-        else:
-            blocks = {}
-            for w, (monos, A) in _image_blocks(locus, degree, p).items():
-                N = linalg.nullspace_mod(A, p)
-                # basis vectors as rows over the block's monomials
-                blocks[w] = (monos, N.T.copy(), N.shape[1])
-            cached[p] = blocks
-        nn = {w: null for w, (_, _, null) in blocks.items() if null}
-        if nullities is None:
-            nullities = nn
-        elif nullities != nn:
-            raise linalg.UnluckyPrimeError(
-                f"kernel of {locus} degree {degree}: block nullities disagree "
-                f"between primes {primes}")
-        if with_basis:
-            bases[p] = {w: (monos, B) for w, (monos, B, null) in blocks.items() if null}
-    ch = Character()
-    for w, n in nullities.items():
-        ch.add(w, n)
-    dec = decompose(ch) if ch else []
-    return GradedPiece(locus, degree, primes, nullities, ch, dec,
-                       bases if with_basis else None)
+        if p not in cached:
+            # basis vectors as rows over the block's monomials
+            cached[p] = {w: linalg.nullspace_mod(A, p).T.copy()
+                         for w, (_, A) in _image_blocks(locus, degree, p).items()}
+    dominant = _agree(f"kernel of {locus} degree {degree}",
+                      {p: {w: len(B) for w, B in cached[p].items() if len(B)}
+                       for p in primes})
+    nullities = _fill_orbits(dominant)
+    ch, dec = _piece_character(nullities)
+    bases = ({p: _orbit_bases(cached[p], degree) for p in primes}
+             if with_basis else None)
+    return GradedPiece(locus, degree, primes, nullities, ch, dec, bases)
+
+
+def full_block_nullities(locus, degree, p):
+    """{weight: nullity} of every block, dominant or not, each eliminated.
+
+    The cross-check of the orbit reduction: graded_kernel takes the nullity
+    of a non-dominant block from its dominant block instead.
+    """
+    p = linalg.check_prime(p)
+    nn = {w: linalg.nullity_mod(A, p)
+          for w, (_, A) in _image_blocks(locus, degree, p, dominant_only=False).items()}
+    return {w: n for w, n in nn.items() if n}
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +353,13 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False)
 def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0, margin=12):
     """H(locus, degree): rank of the monomial evaluation matrix at random points.
 
-    Monte Carlo (one-sided): the result is a lower bound that equals the true
-    value for generic points; `margin` extra points past the largest block
-    size make undercounts vanishingly unlikely.
+    The rank is taken on each dominant block and counted once for every
+    weight of its orbit.  Monte Carlo (one-sided): the result is a lower
+    bound, equal to the true value when the points are generic for every
+    dominant block; `margin` extra points past the largest block size make
+    an undercount vanishingly unlikely.
     """
+    prime = linalg.check_prime(prime)
     blocks, _ = monomials_by_weight(degree)
     npoints = max(len(ms) for ms in blocks.values()) + margin
     spec = loci.substitution_map(locus)
@@ -270,25 +369,12 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0, margin=
         for k, vals in enumerate(pts):
             phival[r, k] = spec.phi[r].evaluate(vals, prime)
 
-    mats = {w: np.zeros((len(ms), npoints), dtype=np.int64)
-            for w, ms in blocks.items()}
-    fill = {w: 0 for w in blocks}
-    stack = [((), (0, 0, 0), np.ones(npoints, dtype=np.int64))]
-    while stack:
-        mono, w, vals = stack.pop()
-        if len(mono) == degree:
-            mats[w][fill[w]] = vals
-            fill[w] += 1
-            continue
-        lo = mono[-1] if mono else 0
-        for r in range(9, lo - 1, -1):
-            e = A_EXPS[r]
-            stack.append((mono + (r,),
-                          (w[0] + e[0], w[1] + e[1], w[2] + e[2]),
-                          vals * phival[r] % prime))
-    # note: stack order differs from monomials_by_weight here, but rank does
-    # not depend on row order
-    return sum(linalg.rank_mod(A, prime) for A in mats.values())
+    rows = {}
+    _walk(degree, np.ones(npoints, dtype=np.int64),
+          lambda vals, r: vals * phival[r] % prime,
+          lambda mono, w, vals: rows.setdefault(w, []).append(vals))
+    return sum(len(orbit(w)) * linalg.rank_mod(np.array(vs), prime)
+               for w, vs in rows.items())
 
 
 # ---------------------------------------------------------------------------
@@ -313,55 +399,46 @@ def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
     """Linear syzygies among the degree-`degree` generators of the ideal.
 
     The syzygy space is the kernel of (generators) (x) R_1 -> R_{degree+1},
-    xi -> sum xi_{i,r} g_i a_r.  Weight-blocked; checked over every prime.
+    xi -> sum xi_{i,r} g_i a_r.  Weight-blocked: only the dominant blocks
+    are eliminated, each checked over every prime, and the other blocks of
+    an orbit take its nullity.
     """
     if degree is None:
         degree = loci.GENERATOR_DEGREES[locus][0]
-    primes = tuple(primes)
     gp = graded_kernel(locus, degree, primes, with_basis=True)
     _, idx_up = monomials_by_weight(degree + 1)
 
-    nullities = None
-    ngens = gp.dimension()
-    for p in primes:
+    per_prime = {}
+    for p in gp.primes:
         basis = gp.bases[p]
-        # rows of the syzygy system, grouped by weight of g_i * a_r
-        cols = {}           # weight -> list of {row-position: coeff}
+        # columns of the syzygy system: for each g_i and r, the vector of
+        # g_i * a_r in the block of its weight
+        parts = {}          # dominant weight -> [(row positions, generator rows)]
         for w in sorted(basis):
             monos, B = basis[w]
-            for gvec in B:
-                for r in range(10):
-                    e = A_EXPS[r]
-                    wr = (w[0] + e[0], w[1] + e[1], w[2] + e[2])
+            for r in range(10):
+                e = A_EXPS[r]
+                wr = (w[0] + e[0], w[1] + e[1], w[2] + e[2])
+                if is_dominant(wr):
                     up = idx_up[wr]
-                    col = {}
-                    for m, c in zip(monos, gvec):
-                        if c:
-                            child = tuple(sorted(m + (r,)))
-                            i = up[child]
-                            col[i] = (col.get(i, 0) + int(c)) % p
-                    cols.setdefault(wr, []).append(col)
+                    rows = [up[tuple(sorted(m + (r,)))] for m in monos]
+                    parts.setdefault(wr, []).append((rows, B))
         nn = {}
-        for wr, collist in cols.items():
-            nrows = len(idx_up[wr])
-            A = np.zeros((nrows, len(collist)), dtype=np.int64)
-            for j, col in enumerate(collist):
-                for i, c in col.items():
-                    A[i, j] = c
+        for wr, blocks in parts.items():
+            A = np.zeros((len(idx_up[wr]), sum(len(B) for _, B in blocks)),
+                         dtype=np.int64)
+            j = 0
+            for rows, B in blocks:
+                A[rows, j:j + len(B)] = B.T
+                j += len(B)
             null = linalg.nullity_mod(A, p)
             if null:
                 nn[wr] = null
-        if nullities is None:
-            nullities = nn
-        elif nullities != nn:
-            raise linalg.UnluckyPrimeError(
-                f"syzygies of {locus} degree {degree}: block nullities "
-                f"disagree between primes {primes}")
-    ch = Character()
-    for w, n in nullities.items():
-        ch.add(w, n)
-    dec = decompose(ch) if ch else []
-    return SyzygyPiece(locus, degree, primes, ngens, nullities, ch, dec)
+        per_prime[p] = nn
+    dominant = _agree(f"syzygies of {locus} degree {degree}", per_prime)
+    nullities = _fill_orbits(dominant)
+    ch, dec = _piece_character(nullities)
+    return SyzygyPiece(locus, degree, gp.primes, gp.dimension(), nullities, ch, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +459,21 @@ def concomitant_coefficients(name):
 def isotypic_match(name, locus, degree, primes=linalg.DEFAULT_PRIMES):
     """Does the coefficient span of a concomitant lie in the degree-j kernel?
 
-    Each tableau coefficient is reduced to its weight-block vector and tested
-    for membership in the block's kernel row span, over every prime.
+    Each tableau coefficient is reduced to its weight-block vectors, and
+    those of dominant weight are tested for membership in the block's kernel
+    row span, over every prime.  The coefficient span is a GL3-module, so
+    its other blocks are permutations of the dominant ones.
     """
     gp = graded_kernel(locus, degree, primes, with_basis=True)
     coeffs, tabs = concomitant_coefficients(name)
-    for p in primes:
+    for p in gp.primes:
         basis = gp.bases[p]
         for f in coeffs:
             if not f:
                 continue
             for w, vec in poly_to_block_vectors(f, degree).items():
+                if not is_dominant(w):
+                    continue
                 if w not in basis:
                     return False
                 _, B = basis[w]

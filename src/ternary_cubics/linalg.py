@@ -6,48 +6,62 @@ arithmetic, and confirm the nullity with a second prime.  Exact rational
 elimination (via fractions.Fraction) is kept for small systems and as an
 independent cross-check.
 
+Every modular entry point validates its prime with check_prime: a prime in
+the range where the int64 arithmetic is exact, or a ValueError.
+
 Pivoting is deterministic (first nonzero entry scanning columns left to
 right), so reduced bases are reproducible across runs.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_PRIMES = (1000003, 65537)
+
+# Field arithmetic runs on int64 residues in [0, p).  Elimination never holds
+# more than one product of two residues, but a dot product of residue vectors
+# sums many: the longest is GradedPiece.vanishes_at, one product per monomial
+# of a weight block, up to 331 of them at degree 8.  Below PRIME_LIMIT = 2^27
+# each product is under 2^54, so DOT_TERMS = 510 products plus a carried
+# residue stay under 2^63: the degree-8 blocks fit in one dot product, and
+# longer ones are reduced mod p every DOT_TERMS terms.  Below PRIME_MIN, a
+# block is too likely to drop rank by accident (an unlucky prime).
+PRIME_MIN = 2 ** 16
+PRIME_LIMIT = 2 ** 27
+DOT_TERMS = (2 ** 63 - 1) // PRIME_LIMIT ** 2 - 1
+
+# Miller-Rabin with these bases is exact below 3.3e24, far past PRIME_LIMIT
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class UnluckyPrimeError(Exception):
     """Raised when independent primes disagree on a nullity."""
 
 
-class Matrix:
-    """Dense matrix over Q (field=None) or F_p (field=p).
-
-    Entries are a list of row lists; rational entries are Fractions kept in
-    lowest terms (Fraction guarantees this), prime-field entries are reduced
-    representatives in [0, p).
-    """
-
-    def __init__(self, entries, field=None):
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        if any(len(r) != self.cols for r in entries):
-            raise ValueError("ragged matrix")
-        self.field = field
-        if field is None:
-            self.entries = [[Fraction(x) for x in row] for row in entries]
+@lru_cache(maxsize=64, typed=True)
+def check_prime(p):
+    """Return p if it is a prime with PRIME_MIN < p < PRIME_LIMIT, else raise ValueError."""
+    if not isinstance(p, (int, np.integer)):
+        raise ValueError(f"prime must be an integer, got {p!r}")
+    p = int(p)
+    if not PRIME_MIN < p < PRIME_LIMIT:
+        raise ValueError(f"prime {p} is outside the supported range 2^16 < p < 2^27")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
         else:
-            self.entries = [[int(x) % field for x in row] for row in entries]
-
-    def nullspace(self):
-        if self.field is None:
-            return nullspace_frac(self.entries)
-        basis = nullspace_mod(np.array(self.entries, dtype=np.int64), self.field)
-        return [list(map(int, v)) for v in basis.T]
-
-    def rank(self):
-        return self.cols - len(self.nullspace())
+            raise ValueError(f"{p} is not prime")
+    return p
 
 
 def _rref_mod(A, p):
@@ -75,14 +89,8 @@ def _rref_mod(A, p):
     return pivots
 
 
-def rref_mod(A, p):
-    """Reduced row echelon form of an integer matrix mod p."""
-    B = np.array(A, dtype=np.int64) % p
-    pivots = _rref_mod(B, p)
-    return B, pivots
-
-
 def rank_mod(A, p):
+    p = check_prime(p)
     A = np.asarray(A, dtype=np.int64)
     if A.size == 0:
         return 0
@@ -96,6 +104,7 @@ def nullspace_mod(A, p):
     Free columns are processed in increasing order; each basis vector has a 1
     in its free coordinate.
     """
+    p = check_prime(p)
     A = np.asarray(A, dtype=np.int64)
     rows, cols = A.shape if A.ndim == 2 else (0, 0)
     if rows == 0:
@@ -113,6 +122,7 @@ def nullspace_mod(A, p):
 
 
 def nullity_mod(A, p):
+    p = check_prime(p)
     A = np.asarray(A, dtype=np.int64)
     if A.size == 0:
         return A.shape[1] if A.ndim == 2 else 0
@@ -184,14 +194,12 @@ def multi_prime_nullity(build, primes=DEFAULT_PRIMES):
     """Common nullity of build(p) across several primes.
 
     `build` maps a prime to an integer matrix (anything np.asarray accepts).
-    All primes must exceed 2^16 and agree; a disagreement raises
+    All primes must pass check_prime and agree; a disagreement raises
     UnluckyPrimeError naming the outlier(s).
     """
-    primes = list(primes)
+    primes = [check_prime(p) for p in primes]
     if len(primes) < 2:
         raise ValueError("need at least 2 primes")
-    if any(p <= 65536 for p in primes):
-        raise ValueError("primes must exceed 2^16")
     nullities = {p: nullity_mod(np.asarray(build(p), dtype=np.int64), p) for p in primes}
     values = set(nullities.values())
     if len(values) == 1:

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import linalg
 from .poly import (A_EXPS, Poly, Q_EXPS, generic_quadric, linear_form, monomial,
                    mono_weight, x_monomials)
 
@@ -116,6 +117,8 @@ def sample(locus, seed, p=None, max_redraws=50):
     Integer parameters in [-20, 20] (exact mode) or uniform residues mod p.
     Redraws on the zero vector; raises after max_redraws failures.
     """
+    if p is not None:
+        p = linalg.check_prime(p)
     spec = substitution_map(locus)
     rng = random.Random(_seed_key(seed))
     for _ in range(max_redraws):
@@ -131,6 +134,7 @@ def sample(locus, seed, p=None, max_redraws=50):
 
 def sample_params(locus, seed, p):
     """Random parameter values mod p (used by the Hilbert-function sampler)."""
+    p = linalg.check_prime(p)
     spec = substitution_map(locus)
     rng = random.Random(_seed_key(seed))
     return {v: rng.randrange(p) for v in spec.params}

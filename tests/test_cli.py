@@ -143,3 +143,26 @@ def test_run_verify_subset_deterministic():
         results[trial] = out
     assert results[0] == results[1]
     assert all(r[0] == "pass" for _, r in results[0])
+
+
+@pytest.mark.parametrize("action,prime,message", [
+    ("dim", "1000000", "not prime"),
+    ("hilbert", "1000000", "not prime"),
+    ("dim", "4294967311", "outside"),
+    ("hilbert", "4294967311", "outside"),
+    ("dim", str(2 ** 64 - 59), "outside"),
+])
+def test_ideal_bad_primes(capsys, action, prime, message):
+    # each once printed a wrong number with exit code 0, or a traceback
+    rc, out, err = run(capsys, "ideal", action, "--locus", "delta", "--degree", "4",
+                       "--prime", prime)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_weyl_orbit_check():
+    config = {"primes": (1000003, 65537), "seed": 0, "threads": 1, "lmax": 2,
+              "timings": False}
+    assert cli._check_weyl_orbits("delta", 4)(config) == (
+        "pass", "nullity constant on each S3 orbit", "91 blocks in 19 orbits agree")
+    assert "weyl-orbits-delta-5" in dict(cli.build_checks())

@@ -116,3 +116,103 @@ def test_piece_to_dict_round():
     assert d["locus"] == "equiv"
     assert sum(b["nullity"] for b in d["blocks"]) == 27
     assert d["character"] == [{"a": 4, "b": 2, "mult": 1}]
+
+
+# ---------------------------------------------------------------------------
+# the Weyl-orbit reduction
+# ---------------------------------------------------------------------------
+
+from ternary_cubics import cli, resolution  # noqa: E402
+
+SMALL_ANCHORS = [(lid, deg) for lid, deg, _, _ in cli.KERNEL_ANCHORS if deg < 8]
+
+
+@pytest.mark.parametrize("lid,deg", SMALL_ANCHORS,
+                         ids=[f"{l}-{d}" for l, d in SMALL_ANCHORS])
+def test_dominant_nullities_equal_all_block_nullities(lid, deg):
+    gp = ideals.graded_kernel(lid, deg, primes=PRIMES)
+    for p in PRIMES:
+        assert ideals.full_block_nullities(lid, deg, p) == gp.block_nullities
+
+
+@pytest.mark.parametrize("lid", loci.LOCI)
+def test_hilbert_value_matches_numerator(lid):
+    for ell in range(1, 7):
+        assert ideals.hilbert_value(lid, ell) == resolution.hilbert_from_numerator(lid, ell)
+
+
+@pytest.mark.parametrize("lid,deg", [("equiv", 2), ("neq", 3), ("delta", 4), ("tact", 5)])
+def test_transported_bases_are_kernels(lid, deg):
+    p = PRIMES[0]
+    gp = ideals.graded_kernel(lid, deg, primes=(p,), with_basis=True)
+    basis = gp.bases[p]
+    assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
+    images = ideals._image_blocks(lid, deg, p, dominant_only=False)
+    moved = [w for w in basis if not ideals.is_dominant(w)]
+    assert moved
+    for w in moved:
+        monos, B = basis[w]
+        full_monos, A = images[w]
+        assert monos == full_monos
+        assert not np.any((A @ B.T) % p)
+        assert linalg.rank_mod(B, p) == len(B)
+
+
+def test_walk_prunes_to_dominant_blocks():
+    blocks, _ = ideals.monomials_by_weight(5)
+    seen = {}
+    ideals._walk(5, None, lambda s, r: None,
+                 lambda mono, w, s: seen.setdefault(w, []).append(mono))
+    assert seen == {w: ms for w, ms in blocks.items() if ideals.is_dominant(w)}
+    assert len(seen) == 27 and len(blocks) == 136
+
+
+def test_vanishes_at_reduces_long_dot_products(monkeypatch):
+    p = PRIMES[0]
+    gp = ideals.graded_kernel("delta", 4, primes=(p,), with_basis=True)
+    on = loci.sample("delta", seed=3, p=p)
+    off = tuple(range(1, 11))
+    monkeypatch.setattr(linalg, "DOT_TERMS", 2)
+    assert gp.vanishes_at(on, p)
+    assert not gp.vanishes_at(off, p)
+    # a basis mod one prime says nothing about vanishing mod another
+    with pytest.raises(ValueError, match="no kernel basis modulo 65537"):
+        gp.vanishes_at(loci.sample("delta", seed=3, p=65537), 65537)
+
+
+def test_kernel_disagreement_names_the_block(monkeypatch):
+    monkeypatch.setitem(ideals._KERNEL_CACHE, ("equiv", 2), {})
+    nullspace = linalg.nullspace_mod
+
+    def drop_one(A, p):
+        N = nullspace(A, p)
+        return N[:, :-1] if p == 65537 and N.shape[1] else N
+
+    monkeypatch.setattr(linalg, "nullspace_mod", drop_one)
+    with pytest.raises(linalg.UnluckyPrimeError,
+                       match=r"weight block \(\d+, \d+, \d+\) has nullity "
+                             r"\{1000003: (\d+), 65537: (?!\1)\d+\}"):
+        ideals.graded_kernel("equiv", 2, primes=PRIMES)
+
+
+def test_syzygy_disagreement_names_the_block(monkeypatch):
+    ideals.graded_kernel("equiv", 2, primes=PRIMES, with_basis=True)
+    nullity = linalg.nullity_mod
+    monkeypatch.setattr(linalg, "nullity_mod",
+                        lambda A, p: nullity(A, p) + (p == 65537))
+    with pytest.raises(linalg.UnluckyPrimeError,
+                       match=r"syzygies of equiv degree 2: weight block .* "
+                             r"\{1000003: \d+, 65537: \d+\}"):
+        ideals.syzygy_kernel("equiv", 2, primes=PRIMES)
+
+
+def test_entry_points_check_the_prime():
+    with pytest.raises(ValueError, match="not prime"):
+        ideals.graded_kernel("delta", 4, primes=(1000003, 1000000))
+    with pytest.raises(ValueError, match="outside"):
+        ideals.hilbert_value("delta", 4, prime=4294967311)
+    with pytest.raises(ValueError):
+        loci.sample("delta", seed=0, p=1000000)
+    with pytest.raises(ValueError):
+        brackets.vanishes_at_cubic(brackets.catalog_concomitant("Phi222"),
+                                   loci.NAMED_CUBICS["fermat"], 2 ** 64 - 59)

@@ -68,3 +68,62 @@ def test_multi_prime_agreement_and_disagreement():
     B = np.array([[65537, 0], [0, 1]])
     with pytest.raises(linalg.UnluckyPrimeError):
         linalg.multi_prime_nullity(lambda p: B, primes=(1000003, 999983, 65537))
+
+
+def _benchmark_primes():
+    """KERNEL_PRIMES of perfbench/workloads.py, read without importing it."""
+    import ast
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "KERNEL_PRIMES":
+            return ast.literal_eval(node.value)
+    raise LookupError("KERNEL_PRIMES not found")
+
+
+def test_check_prime_accepts_the_primes_in_use():
+    for p in (*linalg.DEFAULT_PRIMES, *_benchmark_primes(), 999983, 786433):
+        assert linalg.check_prime(p) == p
+    assert linalg.check_prime(np.int64(1000003)) == 1000003
+
+
+@pytest.mark.parametrize("n", [
+    1000000, 1000001, 2 ** 20, 65537 * 3, 1000003 * 3,
+    # Carmichael numbers: Fermat liars for every base prime to them
+    75361, 101101, 126217, 172081, 188461, 252601, 294409, 314821, 334153,
+    340561, 399001, 410041, 488881, 512461,
+    # strong pseudoprimes to bases 2, 3 and to bases 2, 3, 5
+    1373653, 25326001,
+])
+def test_check_prime_rejects_composites(n):
+    with pytest.raises(ValueError, match="not prime"):
+        linalg.check_prime(n)
+
+
+def test_check_prime_range_ends():
+    assert linalg.check_prime(65537) == 65537            # least prime > 2^16
+    assert linalg.check_prime(134217689) == 134217689    # greatest prime < 2^27
+    for p in (65521, 65536, 134217757, 2 ** 27, 4294967311, 2 ** 61 - 1,
+              18446744073709551557, 2, 0, -1000003):
+        with pytest.raises(ValueError, match="outside"):
+            linalg.check_prime(p)
+    with pytest.raises(ValueError):
+        linalg.check_prime(1000003.0)
+
+
+def test_dot_terms_fit_int64():
+    p = linalg.PRIME_LIMIT - 1
+    assert linalg.DOT_TERMS * (p - 1) ** 2 + (p - 1) < 2 ** 63
+    assert linalg.DOT_TERMS >= 331       # the largest degree-8 weight block
+
+
+def test_modular_entry_points_check_the_prime():
+    A = np.eye(2, dtype=np.int64)
+    for fn in (linalg.rank_mod, linalg.nullspace_mod, linalg.nullity_mod):
+        with pytest.raises(ValueError):
+            fn(A, 1000000)
+    with pytest.raises(ValueError):
+        linalg.in_rowspan_mod(A, np.array([1, 0]), 4294967311)
+    with pytest.raises(ValueError):
+        linalg.multi_prime_nullity(lambda p: A, primes=(1000003, 1000000))
