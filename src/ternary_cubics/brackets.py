@@ -27,12 +27,13 @@ Grammar (ASCII):
 """
 
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .poly import A_EXPS, A_INDEX, Poly, generic_cubic, monomial
+from .poly import A_INDEX, Poly, generic_cubic, monomial
 
 GREEK = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
 LINE_VARS = ("u", "v")
@@ -83,15 +84,10 @@ class ConcomitantType:
 class Concomitant:
     """Expanded concomitant: primitive integer Poly plus its type."""
 
-    def __init__(self, poly, ctype, source=None):
+    def __init__(self, poly, ctype):
         self.poly = poly
         self.ctype = ctype
-        self.source = source
         self.is_zero = not poly
-
-    def coefficients(self, families=("x", "u", "y", "v")):
-        """Coefficient polynomials in a, collected by the (x,u,y,v) monomial."""
-        return self.poly.collect(families)
 
 
 _TOKEN_RE = re.compile(
@@ -231,123 +227,131 @@ def validate(expr):
 
 
 # ---------------------------------------------------------------------------
-# Expansion.  Terms are dicts keyed by flat exponent tuples over the active
-# slot list (3 per live Greek letter + u, v, x, y slots), with the already-
-# substituted a-part carried as a sorted tuple of a-indices.  Each Greek
-# letter is substituted as soon as all its occurrences are consumed, keeping
-# intermediate term counts bounded.  Coefficients are scaled by 3! per letter
-# so that everything stays integral; primitive normalization removes the
-# global constant at the end.
+# Expansion.  A partial term of one product is keyed by a single int made of
+# fixed-width bit fields, lowest first:
+#
+#     3 fields per Greek letter of the term   (alpha1, alpha2, alpha3, beta1, ...)
+#     3 fields each for u, v, x, y            (exponents of u1..u3, ..., y1..y3)
+#     10 fields counting the a-indices        (exponent of a0, ..., a9)
+#
+# Multiplying a term by one summand of a factor adds a precomputed delta to its
+# key.  A field never exceeds its bound: 3 for a letter field (each letter
+# occurs three times), the total count of u, v, x or y for theirs, and the
+# number of letters for an a-field.  The field width is the bit length of the
+# largest bound, so no add can carry into the next field.
+#
+# A Greek letter is substituted in the same pass as the factor that consumes
+# its last occurrence: its 3-field triple (i1, i2, i3) is read off the key and
+# looked up in a per-letter table giving the key shift (clear the triple, add
+# one to the a_r field with A_INDEX[(i1, i2, i3)] == r) and the weight
+# i1! i2! i3!.  Coefficients thereby carry a global 3! per letter, which
+# primitive normalization removes at the end.  Keys become Poly monomials only
+# once every letter is gone.
 # ---------------------------------------------------------------------------
 
 _SLOT_SYMS = LINE_VARS + POINT_VARS
+_DET_PERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+              ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
 
-def _factor_terms(atom, slot_of):
-    """List of (delta dict slot->exp, coeff) for one factor occurrence."""
-    out = []
-    if isinstance(atom, Pair):
-        for i in range(3):
-            out.append(({slot_of[(atom.left, i)]: 1, slot_of[(atom.right, i)]: 1}, 1))
-    else:
-        r1, r2, r3 = atom.rows
-        for p, sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-            delta = {}
-            for row, comp in zip((r1, r2, r3), p):
-                delta[slot_of[(row, comp)]] = delta.get(slot_of[(row, comp)], 0) + 1
-            out.append((delta, sgn))
-    return out
+def _atom_syms(atom):
+    return (atom.left, atom.right) if isinstance(atom, Pair) else atom.rows
 
 
-def _expand_term(term):
-    """Expand one product term; returns dict {(slots-exps, a-tuple): int coeff}."""
-    greek, _ = _term_counts(term)
-    letters = sorted(greek)
-    # order factor occurrences greedily so letters complete as early as possible
-    occurrences = []
-    for atom, exp in term.factors:
-        occurrences.extend([atom] * exp)
+def _factor_order(term, greek):
+    """Factor occurrences, greedily ordered so letters complete as early as possible."""
+    remaining = [atom for atom, exp in term.factors for _ in range(exp)]
     ordered = []
-    remaining = list(occurrences)
     live = []
     while remaining:
         def score(atom):
-            syms = ([atom.left] if isinstance(atom, Pair) else list(atom.rows))
-            gs = [s for s in syms if s in GREEK]
-            new = sum(1 for s in gs if s not in live)
+            gs = [s for s in _atom_syms(atom) if s in greek]
             # prefer factors that touch letters already live and add few new ones
-            return (new, -len([s for s in gs if s in live]))
+            return (sum(1 for s in gs if s not in live),
+                    -sum(1 for s in gs if s in live))
         best = min(remaining, key=score)
         remaining.remove(best)
         ordered.append(best)
-        for s in ([best.left] if isinstance(best, Pair) else best.rows):
-            if s in GREEK and s not in live:
-                live.append(s)
+        live.extend(s for s in _atom_syms(best) if s in greek and s not in live)
+    return ordered
 
-    # per-letter remaining occurrence counts, updated as factors are consumed
-    remaining_count = dict(greek)
 
-    slot_names = [(g, i) for g in letters for i in range(3)] + \
-                 [(s, i) for s in _SLOT_SYMS for i in range(3)]
-    slot_of = {name: j for j, name in enumerate(slot_names)}
-    nslots = len(slot_names)
-    letter_slots = {g: tuple(slot_of[(g, i)] for i in range(3)) for g in letters}
+def _key_layout(letters, counts):
+    """(field width, {(symbol, component): field index}) for the packed keys."""
+    bounds = [3] * (3 * len(letters))
+    for s in _SLOT_SYMS:
+        bounds += [counts[s]] * 3
+    bounds += [len(letters)] * 10
+    width = max(bounds).bit_length()
+    assert all(b < 1 << width for b in bounds), "packed key field would carry"
+    fields = [(g, i) for g in letters for i in range(3)] + \
+             [(s, i) for s in _SLOT_SYMS for i in range(3)]
+    return width, {name: j for j, name in enumerate(fields)}
 
-    terms = {(tuple([0] * nslots), ()): 1}
-    for atom in ordered:
-        facs = _factor_terms(atom, slot_of)
-        new = {}
-        for (exps, apart), coeff in terms.items():
-            for delta, sgn in facs:
-                e = list(exps)
-                for sl, d in delta.items():
-                    e[sl] += d
-                key = (tuple(e), apart)
-                c = new.get(key, 0) + coeff * sgn
-                if c:
-                    new[key] = c
-                else:
-                    new.pop(key, None)
-        terms = new
-        # decrement letters consumed by this factor
-        syms = [atom.left] if isinstance(atom, Pair) else list(atom.rows)
-        done = []
-        for s in syms:
-            if s in GREEK:
-                remaining_count[s] -= 1
-                if remaining_count[s] == 0:
-                    done.append(s)
-        for g in done:
-            sl = letter_slots[g]
-            new = {}
-            for (exps, apart), coeff in terms.items():
-                i1, i2, i3 = exps[sl[0]], exps[sl[1]], exps[sl[2]]
-                r = A_INDEX[(i1, i2, i3)]
-                mult = factorial(i1) * factorial(i2) * factorial(i3)
-                e = list(exps)
-                e[sl[0]] = e[sl[1]] = e[sl[2]] = 0
-                key = (tuple(e), tuple(sorted(apart + (r,))))
-                c = new.get(key, 0) + coeff * mult
-                if c:
-                    new[key] = c
-                else:
-                    new.pop(key, None)
-            terms = new
-    # convert to Poly monomial keys
-    out = {}
-    base = 3 * len(letters)
-    for (exps, apart), coeff in terms.items():
-        pairs = [(f"a{r}", 1) for r in apart]
-        for j, (s, i) in enumerate(slot_names[base:], start=base):
-            if exps[j]:
-                pairs.append((f"{s}{i + 1}", exps[j]))
-        key = monomial(pairs)
-        c = out.get(key, 0) + coeff
-        if c:
-            out[key] = c
+
+def _expand_term(term):
+    """Expand one product term; returns {Poly monomial: int coeff}."""
+    greek, counts = _term_counts(term)
+    letters = sorted(greek)
+    width, field = _key_layout(letters, counts)
+
+    def bit(sym, comp):
+        return 1 << (width * field[(sym, comp)])
+
+    a_base = width * len(field)
+    triple_mask = (1 << 3 * width) - 1
+    # per letter: triple -> (key shift, i1! i2! i3!)
+    subst = {}
+    for g in letters:
+        low = width * field[(g, 0)]
+        table = {}
+        for (i1, i2, i3), r in A_INDEX.items():
+            t = i1 | i2 << width | i3 << 2 * width
+            table[t] = ((1 << a_base + width * r) - (t << low),
+                        factorial(i1) * factorial(i2) * factorial(i3))
+        subst[g] = (low, table)
+
+    left = dict(greek)
+    terms = {0: 1}
+    for atom in _factor_order(term, greek):
+        if isinstance(atom, Pair):
+            facs = [(bit(atom.left, i) + bit(atom.right, i), 1) for i in range(3)]
         else:
-            out.pop(key, None)
+            facs = [(sum(bit(row, comp) for row, comp in zip(atom.rows, perm)), sgn)
+                    for perm, sgn in _DET_PERMS]
+        done = []
+        for s in _atom_syms(atom):
+            if s in left:
+                left[s] -= 1
+                if not left[s]:
+                    done.append(subst[s])
+        new = {}
+        get = new.get
+        for key, coeff in terms.items():
+            for delta, sgn in facs:
+                k = key + delta
+                c = coeff * sgn
+                for low, table in done:
+                    shift, mult = table[k >> low & triple_mask]
+                    k += shift
+                    c *= mult
+                new[k] = get(k, 0) + c
+        terms = {k: c for k, c in new.items() if c}
+
+    # every letter is substituted: only the u, v, x, y and a fields remain
+    names = [f"{s}{i + 1}" for s in _SLOT_SYMS for i in range(3)] + \
+            [f"a{r}" for r in range(10)]
+    mask = (1 << width) - 1
+    base = 3 * len(letters) * width
+    out = {}
+    for key, coeff in terms.items():
+        key >>= base
+        pairs = []
+        for name in names:
+            if key & mask:
+                pairs.append((name, key & mask))
+            key >>= width
+        out[monomial(pairs)] = coeff
     return out
 
 
@@ -365,7 +369,7 @@ def expand(expr_or_src, normalize=True):
         acc = acc + Poly({m: term.coeff * c for m, c in raw.items()})
     if acc and normalize:
         _, acc = acc.content_and_primitive()
-    return Concomitant(acc, ctype, source=expr)
+    return Concomitant(acc, ctype)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +414,18 @@ def catalog(name):
 
 
 _EXPAND_CACHE = {}
+_EXPAND_LOCK = threading.Lock()
 
 
 def catalog_concomitant(name):
-    if name not in _EXPAND_CACHE:
-        _EXPAND_CACHE[name] = expand(catalog(name))
-    return _EXPAND_CACHE[name]
+    """The expanded catalog entry, computed once per process even from threads."""
+    conc = _EXPAND_CACHE.get(name)
+    if conc is None:
+        with _EXPAND_LOCK:
+            conc = _EXPAND_CACHE.get(name)
+            if conc is None:
+                conc = _EXPAND_CACHE[name] = expand(catalog(name))
+    return conc
 
 
 def hessian_oracle(a_values):

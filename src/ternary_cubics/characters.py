@@ -33,7 +33,9 @@ class Character(dict):
 
     def __init__(self, data=None):
         super().__init__()
-        if data:
+        if isinstance(data, Character):
+            self.update(data)   # already normalized and free of zeros
+        elif data:
             for w, m in (data.items() if isinstance(data, dict) else data):
                 self.add(w, m)
 
@@ -75,10 +77,23 @@ class Character(dict):
 
     def __mul__(self, other):
         """Tensor product: convolution of weight multiplicities."""
+        raw = {}
+        get = raw.get
+        for (a0, a1, a2), m1 in self.items():
+            for (b0, b1, b2), m2 in other.items():
+                w = (a0 + b0, a1 + b1, a2 + b2)
+                raw[w] = get(w, 0) + m1 * m2
+        # sums of normalized weights have min >= 0; distinct sums can still
+        # share a normal form, e.g. (1, 1, 1) and (0, 0, 0)
+        norm = {}
+        get = norm.get
+        for w, m in raw.items():
+            low = min(w)
+            if low:
+                w = (w[0] - low, w[1] - low, w[2] - low)
+            norm[w] = get(w, 0) + m
         out = Character()
-        for w1, m1 in self.items():
-            for w2, m2 in other.items():
-                out.add((w1[0] + w2[0], w1[1] + w2[1], w1[2] + w2[2]), m1 * m2)
+        out.update((w, m) for w, m in norm.items() if m)
         return out
 
     def dual(self):
@@ -93,10 +108,6 @@ class Character(dict):
 
     def is_genuine(self):
         return all(m >= 0 for m in self.values())
-
-
-def char_zero():
-    return Character()
 
 
 def char_trivial():
@@ -245,19 +256,14 @@ def hook_schur(a, b, c):
     """Schur functor of hook shape (a, 1^b): sum_i (-1)^i h_{a+i} e_{b-i}."""
     if a < 1 or b < 0:
         raise ValueError("hook shape needs a >= 1, b >= 0")
-    hs = sym_powers(a + b, c)
-    es = ext_powers(b, c)
+    return _hook(a, b, sym_powers(a + b, c), ext_powers(b, c))
+
+
+def _hook(a, b, hs, es):
+    """Hook (a, 1^b) from the lists hs[k] = Sym^k and es[k] = wedge^k of one character."""
     acc = Character()
     for i in range(b + 1):
         term = hs[a + i] * es[b - i]
         acc = acc + (term if i % 2 == 0 else -term)
     return acc
 
-
-def format_decomposition(c):
-    """Sigma shorthand, e.g. 'sigma(5,4) + 2 sigma(4,2)'."""
-    parts = []
-    for (a, b), m in decompose(c):
-        label = f"sigma({a},{b})"
-        parts.append(label if m == 1 else f"{m} {label}")
-    return " + ".join(parts) if parts else "0"

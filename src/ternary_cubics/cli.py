@@ -123,6 +123,9 @@ def cmd_locus(args):
 
 def cmd_ideal(args):
     primes = _primes(args)
+    if len(set(primes)) == 1:
+        print(f"note: one prime ({primes[0]}); multi-prime agreement was not checked",
+              file=sys.stderr)
     if args.action == "dim":
         gp = ideals.graded_kernel(args.locus, args.degree, primes)
         print(gp.dimension())
@@ -133,8 +136,12 @@ def cmd_ideal(args):
         sp = ideals.syzygy_kernel(args.locus, args.degree, primes)
         print(f"{sp.dimension()} = {_fmt_modules(sp.decomposition)}")
     elif args.action == "hilbert":
-        print(ideals.hilbert_value(args.locus, args.degree,
-                                   prime=primes[0], seed=args.seed))
+        values = {p: ideals.hilbert_value(args.locus, args.degree, prime=p, seed=args.seed)
+                  for p in primes}
+        if len(set(values.values())) > 1:
+            raise linalg.UnluckyPrimeError(
+                f"H({args.locus}, {args.degree}) differs between primes: {values}")
+        print(values[primes[0]])
     elif args.action == "export":
         gp = ideals.graded_kernel(args.locus, args.degree, primes)
         print(json.dumps(ideals.piece_to_dict(gp), indent=2))

@@ -22,12 +22,11 @@ T = T' / b2^2 exactly as polynomials.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .poly import (A_EXPS, Poly, Q_EXPS, generic_quadric, linear_form, monomial,
-                   mono_weight, x_monomials)
+from .poly import A_EXPS, Poly, generic_quadric, linear_form, monomial
 
 LOCI = ("equiv", "neq", "y", "delta", "tact", "empty")
 
@@ -46,7 +45,6 @@ class LocusSpec:
     params: list
     phi: list          # ten Polys, phi[r] = image of a_r
     dim: int
-    families: list = field(default_factory=list)
 
 
 def _coefficients_of_cubic(F):
@@ -96,7 +94,7 @@ def substitution_map(locus):
             params.extend(f"q{i}" for i in range(1, 7))
         else:
             params.extend(f"{fam}{i}" for i in range(1, 4))
-    return LocusSpec(locus, params, phi, LOCUS_DIM[locus], fams)
+    return LocusSpec(locus, params, phi, LOCUS_DIM[locus])
 
 
 def concurrency_det(b, c, d):

@@ -18,15 +18,14 @@ irreducibles identified for each module.  Everything here is a cross-check:
 """
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import comb
 
 from . import ideals
-from .characters import (Character, decompose, dim_irrep, dual_weight,
-                         ext_power, from_modules, hook_schur, multiplicity,
-                         sym_power, weyl_character)
+from .characters import (Character, _hook, decompose, dim_irrep, dual_weight,
+                         ext_power, ext_powers, from_modules, multiplicity,
+                         sym_power, sym_powers, weyl_character)
 
 S3 = (3, 0)   # the cubics S_3 as a dominant weight
 
@@ -201,13 +200,15 @@ IDENTITY_NAMES = ("Z1", "Y1", "Z40", "Y41", "NEG1", "DELTA1",
 def _row_sum(ell):
     """sum_{p=-9}^{-3} (-1)^p dual(sym_{-(2p+3)}V) (x) dual(sym_{-(p+3)}V)
     (x) hook(ell, -p)(char S_3)."""
-    v = weyl_character(1, 0)
+    vs = sym_powers(15, weyl_character(1, 0))
     s3 = weyl_character(*S3)
+    hs = sym_powers(ell + 9, s3)
+    es = ext_powers(9, s3)
     total = Character()
     for p in range(-9, -2):
-        term = (sym_power(-(2 * p + 3), v).dual()
-                * sym_power(-(p + 3), v).dual()
-                * hook_schur(ell, -p, s3))
+        term = (vs[-(2 * p + 3)].dual()
+                * vs[-(p + 3)].dual()
+                * _hook(ell, -p, hs, es))
         total = total + term if (-1) ** p > 0 else total - term
     return total
 

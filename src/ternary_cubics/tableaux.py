@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from . import linalg
-from .poly import Poly, monomial
+from .poly import Poly, mono_mul, monomial
 
 COLUMN_SIGNS = {(2, 3): ("x1", 1), (1, 3): ("x2", -1), (1, 2): ("x3", 1)}
 
@@ -170,19 +170,18 @@ def harmonic_project(p, point="x", line="u"):
         elif (dx, du) != (ddx, ddu):
             raise ValueError("input not bihomogeneous")
     tabs, gamma, rest = _projection_table(dx, du, point, line)
-    coeffs = [Poly() for _ in tabs]
-    remainder = Poly()
-    pref = point
+    coeffs = [{} for _ in tabs]
+    remainder = {}
     for mo, c in p.terms.items():
-        inner = tuple((v, e) for v, e in mo if v.startswith(pref) or v.startswith(line))
-        outer = tuple((v, e) for v, e in mo if not (v.startswith(pref) or v.startswith(line)))
-        outer_p = Poly({outer: c})
-        for i, g in enumerate(gamma[inner]):
+        inner = tuple((v, e) for v, e in mo if v.startswith(point) or v.startswith(line))
+        outer = tuple((v, e) for v, e in mo if not (v.startswith(point) or v.startswith(line)))
+        for acc, g in zip(coeffs, gamma[inner]):
             if g:
-                coeffs[i] = coeffs[i] + outer_p * g
-        if rest[inner]:
-            remainder = remainder + outer_p * rest[inner]
-    return coeffs, tabs, remainder
+                acc[outer] = acc.get(outer, 0) + c * g
+        for sm, r in rest[inner].terms.items():
+            key = mono_mul(outer, sm)
+            remainder[key] = remainder.get(key, 0) + c * r
+    return [Poly(acc) for acc in coeffs], tabs, Poly(remainder)
 
 
 def harmonic_dimension(dx, du):

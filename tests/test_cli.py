@@ -166,3 +166,31 @@ def test_weyl_orbit_check():
     assert cli._check_weyl_orbits("delta", 4)(config) == (
         "pass", "nullity constant on each S3 orbit", "91 blocks in 19 orbits agree")
     assert "weyl-orbits-delta-5" in dict(cli.build_checks())
+
+
+def test_ideal_single_prime_notice(capsys):
+    # one prime leaves the kernel unchecked against a second one: say so
+    rc, out, err = run(capsys, "ideal", "dim", "--locus", "delta", "--degree", "4",
+                       "--prime", "1000003")
+    assert rc == 0 and out.strip() == "35"
+    assert len(err.splitlines()) == 1 and "agreement was not checked" in err
+    rc, out, err = run(capsys, "ideal", "dim", "--locus", "delta", "--degree", "4")
+    assert rc == 0 and out.strip() == "35" and err == ""
+
+
+def test_ideal_hilbert_uses_every_prime(capsys, monkeypatch):
+    rc, out, err = run(capsys, "ideal", "hilbert", "--locus", "equiv", "--degree", "2",
+                       "--prime", "1000003", "--prime", "65537")
+    assert rc == 0 and out.strip() == "28" and err == ""
+    seen = []
+
+    def fake_hilbert(locus, degree, prime, seed):
+        seen.append(prime)
+        return 28 if prime == 1000003 else 27
+
+    monkeypatch.setattr(cli.ideals, "hilbert_value", fake_hilbert)
+    rc, out, err = run(capsys, "ideal", "hilbert", "--locus", "equiv", "--degree", "2",
+                       "--prime", "1000003", "--prime", "65537")
+    assert seen == [1000003, 65537]
+    assert rc == 1 and out == ""
+    assert "computational failure" in err and "65537" in err
