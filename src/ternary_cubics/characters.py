@@ -52,17 +52,27 @@ class Character(dict):
     def dimension(self):
         return sum(self.values())
 
-    def __add__(self, other):
+    def _merged(self, other, sign):
         out = Character(self)
+        if not isinstance(other, Character):
+            for w, m in other.items():
+                out.add(w, sign * m)
+            return out
+        # Character keys are already normalized: merge multiplicities directly
+        get = out.get
         for w, m in other.items():
-            out.add(w, m)
+            m = get(w, 0) + sign * m
+            if m:
+                out[w] = m
+            else:
+                del out[w]
         return out
 
+    def __add__(self, other):
+        return self._merged(other, 1)
+
     def __sub__(self, other):
-        out = Character(self)
-        for w, m in other.items():
-            out.add(w, -m)
-        return out
+        return self._merged(other, -1)
 
     def __neg__(self):
         return Character({w: -m for w, m in self.items()})
@@ -151,10 +161,6 @@ def weyl_character(a, b=0):
     return _h(a) * _h(b) - _h(a + 1) * _h(b - 1)
 
 
-def irrep(a, b=0):
-    return weyl_character(a, b)
-
-
 def decompose(c):
     """Greedy peel into irreducibles: list of ((a, b), multiplicity).
 
@@ -211,18 +217,28 @@ def adams(k, c):
     return Character({(k * w[0], k * w[1], k * w[2]): m for w, m in c.items()})
 
 
+def _newton(kmax, c, alternating):
+    """[x_0, ..., x_kmax] from k x_k = sum_i s_i psi^i(c) x_{k-i}, x_0 = 1.
+
+    With s_i = 1 the x_k are the symmetric powers of c; with the alternating
+    signs s_i = (-1)^(i+1) they are the exterior powers.
+    """
+    xs = [char_trivial()]
+    psums = [None] + [adams(i, c) for i in range(1, kmax + 1)]
+    for k in range(1, kmax + 1):
+        acc = Character()
+        for i in range(1, k + 1):
+            term = psums[i] * xs[k - i]
+            acc = acc - term if alternating and i % 2 == 0 else acc + term
+        xs.append(acc.exact_div(k))
+    return xs
+
+
 def sym_powers(lmax, c):
     """Characters of Sym^0..Sym^lmax of a genuine character, by Newton recurrence."""
     if not c.is_genuine():
         raise ValueError("sym_power needs a genuine (nonvirtual) character")
-    hs = [char_trivial()]
-    psums = [None] + [adams(i, c) for i in range(1, lmax + 1)]
-    for ell in range(1, lmax + 1):
-        acc = Character()
-        for i in range(1, ell + 1):
-            acc = acc + psums[i] * hs[ell - i]
-        hs.append(acc.exact_div(ell))
-    return hs
+    return _newton(lmax, c, alternating=False)
 
 
 def sym_power(ell, c):
@@ -233,15 +249,7 @@ def sym_power(ell, c):
 
 def ext_powers(kmax, c):
     """Characters of wedge^0..wedge^kmax, by the elementary Newton recurrence."""
-    es = [char_trivial()]
-    psums = [None] + [adams(i, c) for i in range(1, kmax + 1)]
-    for k in range(1, kmax + 1):
-        acc = Character()
-        for i in range(1, k + 1):
-            term = psums[i] * es[k - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        es.append(acc.exact_div(k))
-    return es
+    return _newton(kmax, c, alternating=True)
 
 
 def ext_power(k, c):

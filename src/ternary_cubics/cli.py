@@ -220,21 +220,11 @@ def _check_dimension_formula(config):
     return "pass", "formula == SSYT count for m,n <= 8", "all equal"
 
 
-def _check_kernel(lid, deg, dim, dec):
+def _check_piece(compute, lid, deg, dim, dec):
+    """Check that compute(lid, deg, primes) has dimension `dim` and decomposition `dec`."""
     def run(config):
-        gp = ideals.graded_kernel(lid, deg, config["primes"])
-        got = (gp.dimension(), gp.decomposition)
-        ok = got == (dim, dec)
-        return ("pass" if ok else "fail",
-                f"{dim} = {_fmt_modules(dec)}",
-                f"{got[0]} = {_fmt_modules(got[1])}")
-    return run
-
-
-def _check_syzygy(lid, deg, dim, dec):
-    def run(config):
-        sp = ideals.syzygy_kernel(lid, deg, config["primes"])
-        got = (sp.dimension(), sp.decomposition)
+        piece = compute(lid, deg, config["primes"])
+        got = (piece.dimension(), piece.decomposition)
         ok = got == (dim, dec)
         return ("pass" if ok else "fail",
                 f"{dim} = {_fmt_modules(dec)}",
@@ -248,8 +238,7 @@ def _check_weyl_orbits(lid, deg):
         expected = "nullity constant on each S3 orbit"
         piece = ideals.graded_kernel(lid, deg, config["primes"])
         blocks, _ = ideals.monomials_by_weight(deg)
-        for p in config["primes"]:
-            full = ideals.full_block_nullities(lid, deg, p)
+        for p, full in ideals.full_block_nullities(lid, deg, config["primes"]).items():
             for w in sorted(blocks):
                 d = tuple(sorted(w, reverse=True))
                 got = (full.get(w, 0), full.get(d, 0), piece.block_nullities.get(w, 0))
@@ -409,10 +398,12 @@ def _check_syzygy_relations(config):
 def build_checks():
     checks = [("dimension-formula", _check_dimension_formula)]
     for lid, deg, dim, dec in KERNEL_ANCHORS:
-        checks.append((f"kernel-{lid}-{deg}", _check_kernel(lid, deg, dim, dec)))
+        checks.append((f"kernel-{lid}-{deg}",
+                       _check_piece(ideals.graded_kernel, lid, deg, dim, dec)))
     checks.append(("weyl-orbits-delta-5", _check_weyl_orbits("delta", 5)))
     for lid, deg, dim, dec in SYZYGY_ANCHORS:
-        checks.append((f"syzygy-{lid}-{deg}", _check_syzygy(lid, deg, dim, dec)))
+        checks.append((f"syzygy-{lid}-{deg}",
+                       _check_piece(ideals.syzygy_kernel, lid, deg, dim, dec)))
     checks.append(("ledger-dimensions", _check_ledger))
     for lid in loci.LOCI:
         checks.append((f"hilbert-{lid}", _check_hilbert(lid)))

@@ -22,6 +22,11 @@ tree (_walk) serves the monomial lists, the substitution images and the
 Hilbert evaluations; it keeps only the current path in memory and enters only
 prefixes of dominant-weight monomials, so no work is spent on other blocks.
 
+The substitution images are walked once over Z, with exact integer
+coefficients, for all the primes a kernel lacks; each prime then fills its
+int64 blocks from those entries reduced mod p, so no coefficient meets int64
+before it is reduced.
+
 Hilbert function values come from evaluation instead: the rank of the matrix
 of monomial values at random points of the locus, on each dominant block,
 counted once per weight of its orbit.
@@ -43,6 +48,7 @@ from .characters import Character, decompose
 from .poly import A_EXPS, A_INDEX, monomial
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
+HILBERT_MARGIN = 12  # evaluation points past the largest block size
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +161,8 @@ def poly_to_block_vectors(pl, degree):
 # substitution images, depth first
 # ---------------------------------------------------------------------------
 
-def _encoded_phi(locus, p):
-    """phi_r as {packed exponent vector: coeff mod p}, r = 0..9."""
+def _encoded_phi(locus):
+    """phi_r as {packed exponent vector: integer coeff}, r = 0..9."""
     spec = loci.substitution_map(locus)
     pidx = {v: i for i, v in enumerate(spec.params)}
     out = []
@@ -166,46 +172,54 @@ def _encoded_phi(locus, p):
             key = 0
             for v, e in mo:
                 key += e << (_SHIFT * pidx[v])
-            d[key] = int(c) % p
+            d[key] = int(c)
         out.append(d)
     return out
 
 
-def _image_blocks(locus, degree, p, dominant_only=True):
-    """Per-weight substitution matrices, transposed for nullspace extraction.
+def _image_blocks(locus, degree, dominant_only=True):
+    """Per-weight substitution matrices over Z, transposed for nullspace extraction.
 
-    Returns {weight: (monos, ndarray of shape (n_param_keys, n_monos))} for
-    the dominant weights, or for every weight without `dominant_only`: the
-    column space is indexed by the block's monomials (in the order of
+    Returns {weight: (monos, image)} for the dominant weights, or for every
+    weight without `dominant_only`.  An image is the sparse integer matrix
+    (shape, rows, cols, coeffs) of shape (n_param_keys, n_monos), with exact
+    Python-int coefficients; _block_mod reduces it modulo a prime.  The column
+    space is indexed by the block's monomials (in the order of
     monomials_by_weight), so nullspace vectors are ideal elements.
     """
-    phi = _encoded_phi(locus, p)
-    cols = {}      # weight -> one sparse column [(row, coeff), ...] per monomial
+    phi = _encoded_phi(locus)
+    blocks, index = monomials_by_weight(degree)
     keyidx = {}    # weight -> {packed param key: row index}
+    entries = {}   # weight -> (rows, cols, coeffs) of the nonzero entries
 
     def step(img, r):
         child = {}
         for k1, c1 in img.items():
             for k2, c2 in phi[r].items():
                 k = k1 + k2
-                child[k] = (child.get(k, 0) + c1 * c2) % p
+                child[k] = child.get(k, 0) + c1 * c2
         return {k: c for k, c in child.items() if c}
 
     def leaf(mono, w, img):
         ki = keyidx.setdefault(w, {})
-        cols.setdefault(w, []).append(
-            [(ki.setdefault(k, len(ki)), c) for k, c in img.items()])
+        rows, cols, coeffs = entries.setdefault(w, ([], [], []))
+        j = index[w][mono]
+        for k, c in img.items():
+            rows.append(ki.setdefault(k, len(ki)))
+            cols.append(j)
+            coeffs.append(c)
 
     _walk(degree, {0: 1}, step, leaf, prune=dominant_only)
-    blocks, _ = monomials_by_weight(degree)
-    out = {}
-    for w, entries in cols.items():
-        A = np.zeros((len(keyidx[w]), len(entries)), dtype=np.int64)
-        for j, col in enumerate(entries):
-            for i, c in col:
-                A[i, j] = c
-        out[w] = (blocks[w], A)
-    return out
+    return {w: (blocks[w], ((len(keyidx[w]), len(blocks[w])), *e))
+            for w, e in entries.items()}
+
+
+def _block_mod(image, p):
+    """The int64 matrix of an integer image block, reduced mod p."""
+    shape, rows, cols, coeffs = image
+    A = np.zeros(shape, dtype=np.int64)
+    A[rows, cols] = [c % p for c in coeffs]
+    return A
 
 
 def _agree(what, per_prime):
@@ -319,11 +333,14 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False)
     """
     primes = tuple(linalg.check_prime(p) for p in primes)
     cached = _KERNEL_CACHE.setdefault((locus, degree), {})
-    for p in primes:
-        if p not in cached:
-            # basis vectors as rows over the block's monomials
-            cached[p] = {w: linalg.nullspace_mod(A, p).T.copy()
-                         for w, (_, A) in _image_blocks(locus, degree, p).items()}
+    missing = [p for p in primes if p not in cached]
+    if missing:
+        # one walk over Z serves every prime; basis vectors as rows over the
+        # block's monomials
+        images = _image_blocks(locus, degree)
+        for p in missing:
+            cached[p] = {w: linalg.nullspace_mod(_block_mod(img, p), p).T.copy()
+                         for w, (_, img) in images.items()}
     dominant = _agree(f"kernel of {locus} degree {degree}",
                       {p: {w: len(B) for w, B in cached[p].items() if len(B)}
                        for p in primes})
@@ -334,34 +351,38 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False)
     return GradedPiece(locus, degree, primes, nullities, ch, dec, bases)
 
 
-def full_block_nullities(locus, degree, p):
-    """{weight: nullity} of every block, dominant or not, each eliminated.
+def full_block_nullities(locus, degree, primes):
+    """{prime: {weight: nullity}} of every block, dominant or not, each eliminated.
 
     The cross-check of the orbit reduction: graded_kernel takes the nullity
-    of a non-dominant block from its dominant block instead.
+    of a non-dominant block from its dominant block instead.  One walk over
+    Z builds the images for every prime.
     """
-    p = linalg.check_prime(p)
-    nn = {w: linalg.nullity_mod(A, p)
-          for w, (_, A) in _image_blocks(locus, degree, p, dominant_only=False).items()}
-    return {w: n for w, n in nn.items() if n}
+    primes = tuple(linalg.check_prime(p) for p in primes)
+    images = _image_blocks(locus, degree, dominant_only=False)
+    out = {}
+    for p in primes:
+        nn = {w: linalg.nullity_mod(_block_mod(img, p), p) for w, (_, img) in images.items()}
+        out[p] = {w: n for w, n in nn.items() if n}
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Hilbert function values by evaluation
 # ---------------------------------------------------------------------------
 
-def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0, margin=12):
+def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     """H(locus, degree): rank of the monomial evaluation matrix at random points.
 
     The rank is taken on each dominant block and counted once for every
     weight of its orbit.  Monte Carlo (one-sided): the result is a lower
     bound, equal to the true value when the points are generic for every
-    dominant block; `margin` extra points past the largest block size make
-    an undercount vanishingly unlikely.
+    dominant block; HILBERT_MARGIN extra points past the largest block size
+    make an undercount vanishingly unlikely.
     """
     prime = linalg.check_prime(prime)
     blocks, _ = monomials_by_weight(degree)
-    npoints = max(len(ms) for ms in blocks.values()) + margin
+    npoints = max(len(ms) for ms in blocks.values()) + HILBERT_MARGIN
     spec = loci.substitution_map(locus)
     pts = [loci.sample_params(locus, (seed, k), prime) for k in range(npoints)]
     phival = np.zeros((10, npoints), dtype=np.int64)

@@ -2,9 +2,14 @@
 
 Everything downstream reduces to kernels of integer matrices.  The default
 route is modular: reduce mod a large prime, row-reduce with numpy int64
-arithmetic, and confirm the nullity with a second prime.  Exact rational
-elimination (via fractions.Fraction) is kept for small systems and as an
-independent cross-check.
+arithmetic, and confirm the nullity with a second prime (the callers in
+ideals and cli compare the primes).  Exact rational elimination (via
+fractions.Fraction) is kept for small systems and as an independent
+cross-check.
+
+There is one echelon routine per field, each reducing in place and returning
+the pivot columns: _rref_mod over F_p, behind the four modular entry points
+and their shared prologue _residues, and _rref_frac over Q.
 
 Every modular entry point validates its prime with check_prime: a prime in
 the range where the int64 arithmetic is exact, or a ValueError.
@@ -65,8 +70,7 @@ def check_prime(p):
 
 
 def _rref_mod(A, p):
-    """In-place reduced row echelon form mod p.  Returns pivot column list."""
-    A %= p
+    """In-place reduced row echelon form of residues mod p.  Returns pivot column list."""
     rows, cols = A.shape
     pivots = []
     r = 0
@@ -89,12 +93,21 @@ def _rref_mod(A, p):
     return pivots
 
 
-def rank_mod(A, p):
+def _residues(A, p):
+    """Validate p and return (a fresh int64 copy of A reduced mod p, p).
+
+    An input with no entries that is not a matrix is read as 0 x 0.
+    """
     p = check_prime(p)
-    A = np.asarray(A, dtype=np.int64)
-    if A.size == 0:
-        return 0
-    B = A % p
+    B = np.array(A, dtype=np.int64)
+    if B.ndim != 2 and B.size == 0:
+        B = B.reshape(0, 0)
+    B %= p
+    return B, p
+
+
+def rank_mod(A, p):
+    B, p = _residues(A, p)
     return len(_rref_mod(B, p))
 
 
@@ -104,48 +117,38 @@ def nullspace_mod(A, p):
     Free columns are processed in increasing order; each basis vector has a 1
     in its free coordinate.
     """
-    p = check_prime(p)
-    A = np.asarray(A, dtype=np.int64)
-    rows, cols = A.shape if A.ndim == 2 else (0, 0)
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    B = A % p
+    B, p = _residues(A, p)
     pivots = _rref_mod(B, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[c, k] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = (-B[r, c]) % p
+    free = np.setdiff1d(np.arange(B.shape[1]), pivots)
+    basis = np.zeros((B.shape[1], len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -B[:len(pivots), free] % p
     return basis
 
 
 def nullity_mod(A, p):
-    p = check_prime(p)
-    A = np.asarray(A, dtype=np.int64)
-    if A.size == 0:
-        return A.shape[1] if A.ndim == 2 else 0
-    return A.shape[1] - rank_mod(A, p)
+    B, p = _residues(A, p)
+    return B.shape[1] - len(_rref_mod(B, p))
 
 
 def in_rowspan_mod(A, v, p):
     """Whether v lies in the row span of A, mod p."""
-    A = np.asarray(A, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    r0 = rank_mod(A, p)
-    r1 = rank_mod(np.vstack([A, v[None, :]]), p)
-    return r0 == r1
+    B, p = _residues(np.vstack([A, np.asarray(v)[None, :]]), p)
+    return len(_rref_mod(B[:-1].copy(), p)) == len(_rref_mod(B, p))
 
 
-def nullspace_frac(rows):
-    """Exact kernel basis over Q for a list-of-lists of Fractions/ints."""
-    A = [[Fraction(x) for x in row] for row in rows]
+def _rref_frac(A, ncols=None):
+    """In-place reduced row echelon form of Fraction rows; returns pivot columns.
+
+    Pivots are sought in the first `ncols` columns (all by default); the row
+    operations apply to whole rows, so columns past `ncols` ride along as an
+    augmented block.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     pivots = []
     r = 0
-    for c in range(n):
+    for c in range(n if ncols is None else ncols):
         if r == m:
             break
         pr = next((i for i in range(r, m) if A[i][c] != 0), None)
@@ -160,10 +163,19 @@ def nullspace_frac(rows):
                 A[i] = [x - f * y for x, y in zip(A[i], A[r])]
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def nullspace_frac(rows):
+    """Exact kernel basis over Q for a list-of-lists of Fractions/ints."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    n = len(A[0]) if A else 0
+    pivots = _rref_frac(A)
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
     basis = []
-    for c in free:
+    for c in range(n):
+        if c in pivot_set:
+            continue
         v = [Fraction(0)] * n
         v[c] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -176,37 +188,6 @@ def solve_frac(M, rhs):
     """Solve the square exact system M x = rhs over Q; raises if singular."""
     n = len(M)
     A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(M)]
-    for col in range(n):
-        pr = next((i for i in range(col, n) if A[i][col] != 0), None)
-        if pr is None:
-            raise ValueError("singular system")
-        A[col], A[pr] = A[pr], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
+    if len(_rref_frac(A, n)) != n:
+        raise ValueError("singular system")
     return [A[i][n] for i in range(n)]
-
-
-def multi_prime_nullity(build, primes=DEFAULT_PRIMES):
-    """Common nullity of build(p) across several primes.
-
-    `build` maps a prime to an integer matrix (anything np.asarray accepts).
-    All primes must pass check_prime and agree; a disagreement raises
-    UnluckyPrimeError naming the outlier(s).
-    """
-    primes = [check_prime(p) for p in primes]
-    if len(primes) < 2:
-        raise ValueError("need at least 2 primes")
-    nullities = {p: nullity_mod(np.asarray(build(p), dtype=np.int64), p) for p in primes}
-    values = set(nullities.values())
-    if len(values) == 1:
-        return values.pop()
-    counts = {v: sum(1 for x in nullities.values() if x == v) for v in values}
-    majority = max(counts, key=counts.get)
-    outliers = [p for p, v in nullities.items() if v != majority]
-    raise UnluckyPrimeError(
-        f"nullity disagreement {nullities}; suspected unlucky prime(s): {outliers}"
-    )

@@ -32,6 +32,9 @@ LOCI = ("equiv", "neq", "y", "delta", "tact", "empty")
 
 LOCUS_DIM = {"equiv": 2, "neq": 4, "y": 5, "delta": 6, "tact": 6, "empty": 7}
 
+# draws of sample() before it gives up on a zero point
+MAX_REDRAWS = 50
+
 # generator degrees of the defining ideals (column 0 of the Betti tables)
 GENERATOR_DEGREES = {
     "equiv": (2,), "neq": (3,), "y": (3,), "delta": (4,),
@@ -109,17 +112,17 @@ def _seed_key(seed):
     return seed if isinstance(seed, (int, str, bytes, type(None))) else repr(seed)
 
 
-def sample(locus, seed, p=None, max_redraws=50):
+def sample(locus, seed, p=None):
     """A cubic point on the locus: substitute random parameters into phi.
 
     Integer parameters in [-20, 20] (exact mode) or uniform residues mod p.
-    Redraws on the zero vector; raises after max_redraws failures.
+    Redraws on the zero vector; raises after MAX_REDRAWS failures.
     """
     if p is not None:
         p = linalg.check_prime(p)
     spec = substitution_map(locus)
     rng = random.Random(_seed_key(seed))
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         if p is None:
             vals = {v: rng.randint(-20, 20) for v in spec.params}
         else:
@@ -127,7 +130,7 @@ def sample(locus, seed, p=None, max_redraws=50):
         point = tuple(phi.evaluate(vals, p) for phi in spec.phi)
         if any(point):
             return point
-    raise RuntimeError(f"sampler exhausted after {max_redraws} redraws")
+    raise RuntimeError(f"sampler exhausted after {MAX_REDRAWS} redraws")
 
 
 def sample_params(locus, seed, p):

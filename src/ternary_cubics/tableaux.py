@@ -113,27 +113,11 @@ def _projection_table(dx, du, point="x", line="u"):
     # Solve A * coords = e_mono for every monomial at once: row-reduce [A | I].
     A = [[cols[j][i] for j in range(ncols)] + [Fraction(i == k) for k in range(len(monos))]
          for i in range(len(monos))]
-    # Gaussian elimination
-    nrows = len(A)
-    r = 0
-    piv = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if A[i][c] != 0), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(nrows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv.append(c)
-        r += 1
+    piv = linalg._rref_frac(A, ncols)
     if len(piv) != ncols:
         raise RuntimeError("tableau + trace columns are not independent")
     # consistency: rows beyond rank must be zero on the identity part too
-    for i in range(r, nrows):
+    for i in range(ncols, len(A)):
         if any(A[i][ncols + k] != 0 for k in range(len(monos))):
             raise RuntimeError("tableau + trace columns do not span the bidegree space")
     gamma = {}

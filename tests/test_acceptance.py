@@ -34,7 +34,7 @@ def test_criterion_01_dimension_formula():
 def test_criterion_02_kernels(lid, deg, dim, dec):
     budget = 600.0 if (lid, deg) == ("empty", 8) else 30.0
     t0 = time.monotonic()
-    status, expected, actual = cli._check_kernel(lid, deg, dim, dec)(CONFIG)
+    status, expected, actual = cli._check_piece(ideals.graded_kernel, lid, deg, dim, dec)(CONFIG)
     elapsed = time.monotonic() - t0
     report(f"criterion-02 kernel {lid} degree {deg}",
            status == "pass" and elapsed < budget,
@@ -44,7 +44,7 @@ def test_criterion_02_kernels(lid, deg, dim, dec):
 @pytest.mark.parametrize("lid,deg,dim,dec", cli.SYZYGY_ANCHORS,
                          ids=[f"{l}-{d}" for l, d, _, _ in cli.SYZYGY_ANCHORS])
 def test_criterion_03_syzygies(lid, deg, dim, dec):
-    status, expected, actual = cli._check_syzygy(lid, deg, dim, dec)(CONFIG)
+    status, expected, actual = cli._check_piece(ideals.syzygy_kernel, lid, deg, dim, dec)(CONFIG)
     report(f"criterion-03 first syzygies {lid}", status == "pass",
            f"{actual} (expected {expected})")
 

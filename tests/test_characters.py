@@ -130,6 +130,21 @@ def test_adjoint_tensor_square():
     assert dec == {(4, 2): 1, (3, 3): 1, (3, 0): 1, (2, 1): 2, (0, 0): 1}
 
 
+_characters = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                              st.integers(-3, 3)).map(ch.Character)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_characters, _characters)
+def test_character_sum_matches_weightwise_add(c1, c2):
+    # a Character operand is merged directly; a plain dict goes through add()
+    plain = dict(c2)
+    assert c1 + c2 == c1 + plain
+    assert c1 - c2 == c1 - plain
+    assert 0 not in (c1 + c2).values() and 0 not in (c1 - c2).values()
+    assert not c2 - c2
+
+
 def test_sym_powers_of_cubics():
     s3 = ch.weyl_character(3, 0)
     sym = ch.sym_powers(4, s3)

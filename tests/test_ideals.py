@@ -131,8 +131,8 @@ SMALL_ANCHORS = [(lid, deg) for lid, deg, _, _ in cli.KERNEL_ANCHORS if deg < 8]
                          ids=[f"{l}-{d}" for l, d in SMALL_ANCHORS])
 def test_dominant_nullities_equal_all_block_nullities(lid, deg):
     gp = ideals.graded_kernel(lid, deg, primes=PRIMES)
-    for p in PRIMES:
-        assert ideals.full_block_nullities(lid, deg, p) == gp.block_nullities
+    assert ideals.full_block_nullities(lid, deg, PRIMES) == {p: gp.block_nullities
+                                                            for p in PRIMES}
 
 
 @pytest.mark.parametrize("lid", loci.LOCI)
@@ -147,15 +147,32 @@ def test_transported_bases_are_kernels(lid, deg):
     gp = ideals.graded_kernel(lid, deg, primes=(p,), with_basis=True)
     basis = gp.bases[p]
     assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
-    images = ideals._image_blocks(lid, deg, p, dominant_only=False)
+    images = ideals._image_blocks(lid, deg, dominant_only=False)
     moved = [w for w in basis if not ideals.is_dominant(w)]
     assert moved
     for w in moved:
         monos, B = basis[w]
-        full_monos, A = images[w]
+        full_monos, image = images[w]
+        A = ideals._block_mod(image, p)
         assert monos == full_monos
         assert not np.any((A @ B.T) % p)
         assert linalg.rank_mod(B, p) == len(B)
+
+
+def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
+    ideals._dominant_prefixes(4)      # warm the cached monomial lists
+    monkeypatch.setitem(ideals._KERNEL_CACHE, ("delta", 4), {})
+    walk = ideals._walk
+    calls = []
+
+    def counting_walk(degree, *args, **kwargs):
+        calls.append(degree)
+        return walk(degree, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "_walk", counting_walk)
+    gp = ideals.graded_kernel("delta", 4, primes=PRIMES, with_basis=True)
+    assert calls == [4]
+    assert gp.dimension() == 35 and set(gp.bases) == set(PRIMES)
 
 
 def test_walk_prunes_to_dominant_blocks():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import assume, given, settings, strategies as st
 
 from ternary_cubics import linalg
 
@@ -53,21 +54,51 @@ def test_solve_frac():
         linalg.solve_frac([[1, 2], [2, 4]], [1, 1])
 
 
-def test_multi_prime_guard():
-    with pytest.raises(ValueError):
-        linalg.multi_prime_nullity(lambda p: np.eye(2), primes=(1000003,))
-    with pytest.raises(ValueError):
-        linalg.multi_prime_nullity(lambda p: np.eye(2), primes=(101, 1000003))
+# the greatest prime below PRIME_LIMIT
+BIG_PRIME = 134217689
 
 
-def test_multi_prime_agreement_and_disagreement():
-    A = np.array([[1, 2], [2, 4]])
-    assert linalg.multi_prime_nullity(lambda p: A, primes=(1000003, 65537)) == 1
+@st.composite
+def small_matrices(draw, max_size=6, bound=9):
+    m = draw(st.integers(1, max_size))
+    n = draw(st.integers(1, max_size))
+    entry = st.integers(-bound, bound)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
 
-    # a matrix whose rank drops mod one prime only
-    B = np.array([[65537, 0], [0, 1]])
-    with pytest.raises(linalg.UnluckyPrimeError):
-        linalg.multi_prime_nullity(lambda p: B, primes=(1000003, 999983, 65537))
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_modular_nullity_matches_rational(rows):
+    # Hadamard: every minor is at most the product of its row norms, so a
+    # prime above that product cannot divide a nonzero minor
+    bound_sq = 1
+    for row in rows:
+        bound_sq *= max(1, sum(x * x for x in row))
+    assert bound_sq < BIG_PRIME ** 2
+    A = np.array(rows, dtype=np.int64)
+    cols = A.shape[1]
+    nullity = linalg.nullity_mod(A, BIG_PRIME)
+    assert nullity == len(linalg.nullspace_frac(rows))
+    assert linalg.rank_mod(A, BIG_PRIME) == cols - nullity
+    assert linalg.nullspace_mod(A, BIG_PRIME).shape == (cols, nullity)
+
+
+@st.composite
+def square_systems(draw, max_size=5, bound=9):
+    n = draw(st.integers(1, max_size))
+    entry = st.integers(-bound, bound)
+    M = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    x = draw(st.lists(st.fractions(-20, 20, max_denominator=7), min_size=n, max_size=n))
+    return M, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_systems())
+def test_solve_frac_inverts_a_product(case):
+    M, x = case
+    assume(not linalg.nullspace_frac(M))
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in M]
+    assert linalg.solve_frac(M, rhs) == x
 
 
 def _benchmark_primes():
@@ -125,5 +156,3 @@ def test_modular_entry_points_check_the_prime():
             fn(A, 1000000)
     with pytest.raises(ValueError):
         linalg.in_rowspan_mod(A, np.array([1, 0]), 4294967311)
-    with pytest.raises(ValueError):
-        linalg.multi_prime_nullity(lambda p: A, primes=(1000003, 1000000))

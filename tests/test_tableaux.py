@@ -1,9 +1,11 @@
 """Two-row tableaux, harmonic projection, and the invariant pairing."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from ternary_cubics import brackets as br
 from ternary_cubics import characters as ch
 from ternary_cubics import tableaux as tb
 from ternary_cubics.poly import Poly
@@ -139,3 +141,49 @@ def test_invariant_gram_symmetric_nonsingular():
     assert all(G[i][j] == G[j][i] for i in range(n) for j in range(n))
     rows = [[G[i][j] for j in range(n)] for i in range(n)]
     assert not linalg.nullspace_frac(rows)   # nonsingular
+
+
+# SHA-256 of _projection_table(dx, du, point, line) for the bidegrees the
+# catalog projects onto: (order, class) in (x, u), and the (y, v) degrees of
+# the syzygy concomitants
+PROJECTION_TABLE_SHA256 = {
+    (0, 0, "x", "u"): "10148d25abc3112df8b40ed66f4228d5ad4d0658af022e4858cc6d609e42e330",
+    (0, 3, "x", "u"): "53ed8093a1bef5662351f77988997eec2687e45bf4a22f9a4898fb06229e3b4e",
+    (0, 6, "x", "u"): "6467d811af983f58e0e05ca58bf969775486e0303cf6348ad384de013bf6f490",
+    (1, 1, "y", "v"): "4afd5d78d906cb10a1f76d9b96ae8dd95e9b46aaded60be21cd8c5dcab8c8dd9",
+    (1, 4, "x", "u"): "1e629c35d1ce61ba6fe2e7edc5156612619e10b75973b762d5937f101dfca0e1",
+    (1, 4, "y", "v"): "e42f541a9381a1b5d794bc7df577b87e4151c382e302f379c1c5588f28d67f16",
+    (2, 2, "x", "u"): "242e4b4b6e04990f5cbd536494472ce3613c40f290ad6aa0dea24b4a5cacba11",
+    (2, 2, "y", "v"): "84224e31709630c65b9de167f6b094a37bf0aa7f44ea90cab8fe05b59c1e8738",
+    (3, 0, "x", "u"): "3aca5ae10a1c51c24fa99a94f0b7a58cacbbe7e2f150817dfc9873681592d1fa",
+    (4, 1, "x", "u"): "a9db324b8d95cfaab197c742af001999285cc8bffa086f76bcaabff7731ae0ea",
+    (4, 1, "y", "v"): "c668c8f0e321f0ecd3740d2c1b2e384eee79b8af20d7ee1ea50af84c400dfa97",
+}
+
+# SHA-256 of harmonic_representatives(dx, du) for the catalog bidegrees
+# with dx, du >= 1
+HARMONIC_REPRESENTATIVES_SHA256 = {
+    (1, 4): "8e05dbc30fbde3d62ed920d622f8602fa2cabf4695fe5c1da2b24a7c5b959dfb",
+    (2, 2): "ecad111645bee934db3a8455aa4dd441c30f1ab552a050ddc4eaa56b58885f78",
+    (4, 1): "a67acef814f3658a9ecb8076973956318b8040f645426727f940ccd7f81dcc71",
+}
+
+
+def _sha256(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+def test_projection_tables_golden():
+    orders = {t[1:] for t in br.CATALOG_TYPES.values()}
+    assert {k[:2] for k in PROJECTION_TABLE_SHA256 if k[2] == "x"} == orders
+    for (dx, du, point, line), digest in PROJECTION_TABLE_SHA256.items():
+        tabs, gamma, rest = tb._projection_table(dx, du, point, line)
+        got = (tabs, sorted(gamma.items()),
+               sorted((mo, sorted(r.terms.items())) for mo, r in rest.items()))
+        assert _sha256(got) == digest, (dx, du, point, line)
+
+
+def test_harmonic_representatives_golden():
+    for (dx, du), digest in HARMONIC_REPRESENTATIVES_SHA256.items():
+        harm = tb.harmonic_representatives(dx, du)
+        assert _sha256([sorted(h.terms.items()) for h in harm]) == digest, (dx, du)
