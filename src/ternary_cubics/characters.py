@@ -11,10 +11,27 @@ Irreducibles are labelled by dominant pairs (a, b) with a >= b >= 0; the pair
 (m+1)(n+1)(m+n+2)/2 where m = a-b, n = b.  Symmetric/exterior powers of
 arbitrary characters go through Adams operations and Newton recurrences; hook
 shapes (a, 1^b) are the only other plethysms ever needed.
+
+The tensor product is a vectorized convolution.  A normalized weight w is the
+lattice point (w0 - w2, w1 - w2), and lattice points add under the product,
+so each operand's points are packed into one int key, offset so that the sum
+of two keys is the packed key of the sum with no carry between fields.  All
+pair keys come from one broadcast add, all multiplicity products from
+np.outer, and np.add.at sums them into a dense array over the packed key
+range.  Its dtype is int64 when sum|m_a| * sum|m_b| < 2^63, which bounds every
+partial sum; otherwise it is object, with exact Python ints.
+
+decompose peels each irreducible from one working dict in place and checks
+the result by reassembling it in one accumulator.  Cached weyl_character and
+_h results are only read.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
+
+import numpy as np
+
+_INT64_BOUND = 1 << 63
 
 
 def normalize(w):
@@ -28,6 +45,26 @@ def dominant_pair(w):
     return (a - c, b - c)
 
 
+def _axpy(acc, c, k):
+    """acc += k * c in place, for a dict acc and a character c on normalized weights."""
+    if not k:
+        return
+    get = acc.get
+    for w, m in c.items():
+        m = get(w, 0) + k * m
+        if m:
+            acc[w] = m
+        else:
+            del acc[w]
+
+
+def _lattice(c, dtype):
+    """Lattice coordinates (w0 - w2, w1 - w2) and multiplicities of c as arrays."""
+    n = len(c)
+    w = np.fromiter(chain.from_iterable(c), np.int64, 3 * n).reshape(n, 3)
+    return w[:, 0] - w[:, 2], w[:, 1] - w[:, 2], np.fromiter(c.values(), dtype, n)
+
+
 class Character(dict):
     """Weight -> multiplicity map with the arithmetic of virtual characters."""
 
@@ -38,6 +75,13 @@ class Character(dict):
         elif data:
             for w, m in (data.items() if isinstance(data, dict) else data):
                 self.add(w, m)
+
+    @classmethod
+    def _filled(cls, pairs):
+        """A Character from (normalized weight, nonzero multiplicity) pairs, weights distinct."""
+        out = cls()
+        out.update(pairs)
+        return out
 
     def add(self, w, mult):
         if mult == 0:
@@ -54,18 +98,11 @@ class Character(dict):
 
     def _merged(self, other, sign):
         out = Character(self)
-        if not isinstance(other, Character):
+        if isinstance(other, Character):
+            _axpy(out, other, sign)
+        else:
             for w, m in other.items():
                 out.add(w, sign * m)
-            return out
-        # Character keys are already normalized: merge multiplicities directly
-        get = out.get
-        for w, m in other.items():
-            m = get(w, 0) + sign * m
-            if m:
-                out[w] = m
-            else:
-                del out[w]
         return out
 
     def __add__(self, other):
@@ -75,39 +112,43 @@ class Character(dict):
         return self._merged(other, -1)
 
     def __neg__(self):
-        return Character({w: -m for w, m in self.items()})
+        return Character._filled((w, -m) for w, m in self.items())
 
     def scale(self, k):
-        return Character({w: k * m for w, m in self.items()})
+        if not k:
+            return Character()
+        return Character._filled((w, k * m) for w, m in self.items())
 
     def exact_div(self, k):
         if any(m % k for m in self.values()):
             raise ValueError(f"character not divisible by {k}")
-        return Character({w: m // k for w, m in self.items()})
+        return Character._filled((w, m // k) for w, m in self.items())
 
     def __mul__(self, other):
         """Tensor product: convolution of weight multiplicities."""
-        raw = {}
-        get = raw.get
-        for (a0, a1, a2), m1 in self.items():
-            for (b0, b1, b2), m2 in other.items():
-                w = (a0 + b0, a1 + b1, a2 + b2)
-                raw[w] = get(w, 0) + m1 * m2
-        # sums of normalized weights have min >= 0; distinct sums can still
-        # share a normal form, e.g. (1, 1, 1) and (0, 0, 0)
-        norm = {}
-        get = norm.get
-        for w, m in raw.items():
-            low = min(w)
-            if low:
-                w = (w[0] - low, w[1] - low, w[2] - low)
-            norm[w] = get(w, 0) + m
-        out = Character()
-        out.update((w, m) for w, m in norm.items() if m)
-        return out
+        if not self or not other:
+            return Character()
+        bound = sum(map(abs, self.values())) * sum(map(abs, other.values()))
+        dtype = np.int64 if bound < _INT64_BOUND else object
+        xa, ya, ma = _lattice(self, dtype)
+        xb, yb, mb = _lattice(other, dtype)
+        x0a, y0a, x0b, y0b = xa.min(), ya.min(), xb.min(), yb.min()
+        height = int(ya.max() - y0a + yb.max() - y0b + 1)
+        width = int(xa.max() - x0a + xb.max() - x0b + 1)
+        ka = (xa - x0a) * height + (ya - y0a)
+        kb = (xb - x0b) * height + (yb - y0b)
+        acc = np.zeros(width * height, dtype)
+        np.add.at(acc, (ka[:, None] + kb).ravel(), np.outer(ma, mb).ravel())
+        keys = np.flatnonzero(acc)
+        x = keys // height + (x0a + x0b)
+        y = keys % height + (y0a + y0b)
+        low = np.minimum(np.minimum(x, y), 0)
+        weights = zip((x - low).tolist(), (y - low).tolist(), (-low).tolist())
+        return Character._filled(zip(weights, acc[keys].tolist()))
 
     def dual(self):
-        return Character({normalize((-w[0], -w[1], -w[2])): m for w, m in self.items()})
+        return Character._filled((normalize((-w[0], -w[1], -w[2])), m)
+                                 for w, m in self.items())
 
     def is_weyl_symmetric(self):
         for w, m in self.items():
@@ -165,26 +206,27 @@ def decompose(c):
     """Greedy peel into irreducibles: list of ((a, b), multiplicity).
 
     Repeatedly takes the lexicographically greatest support weight on
-    sorted-descending triples (dominant by Weyl symmetry) and subtracts.
-    Raises on non-Weyl-symmetric input; result reassembles exactly.
+    sorted-descending triples (dominant by Weyl symmetry) and subtracts its
+    irreducible in place.  Raises on non-Weyl-symmetric input; result
+    reassembles exactly.
     """
-    rem = Character(c)
+    target = c if isinstance(c, Character) else Character(c)
+    rem = dict(target)
     out = []
     while rem:
-        w = max(rem, key=lambda t: sorted(t, reverse=True))
-        ab = dominant_pair(w)
+        ab = dominant_pair(max(rem, key=lambda t: sorted(t, reverse=True)))
         mult = rem.get((ab[0], ab[1], 0), 0)
         if mult == 0:
             raise ValueError("character is not Weyl-symmetric")
-        rem = rem - weyl_character(*ab).scale(mult)
+        _axpy(rem, weyl_character(*ab), -mult)
         out.append((ab, mult))
         if len(out) > 100000:
             raise ValueError("decomposition does not terminate; input not Weyl-symmetric?")
     # validate Weyl symmetry via exact reassembly
-    check = Character()
+    check = {}
     for ab, m in out:
-        check = check + weyl_character(*ab).scale(m)
-    if check != Character(c):
+        _axpy(check, weyl_character(*ab), m)
+    if check != target:
         raise ValueError("character is not Weyl-symmetric")
     out.sort(key=lambda t: (-t[0][0], -t[0][1]))
     return out
@@ -206,7 +248,7 @@ def from_modules(pairs):
             (a, b), m = item
         else:
             (a, b), m = item, 1
-        c = c + weyl_character(a, b).scale(m)
+        _axpy(c, weyl_character(a, b), m)
     return c
 
 
@@ -214,7 +256,7 @@ def adams(k, c):
     """k-th Adams operation: every weight w scaled to k*w."""
     if k < 1:
         raise ValueError("k >= 1")
-    return Character({(k * w[0], k * w[1], k * w[2]): m for w, m in c.items()})
+    return Character._filled(((k * w[0], k * w[1], k * w[2]), m) for w, m in c.items())
 
 
 def _newton(kmax, c, alternating):
@@ -228,8 +270,7 @@ def _newton(kmax, c, alternating):
     for k in range(1, kmax + 1):
         acc = Character()
         for i in range(1, k + 1):
-            term = psums[i] * xs[k - i]
-            acc = acc - term if alternating and i % 2 == 0 else acc + term
+            _axpy(acc, psums[i] * xs[k - i], -1 if alternating and i % 2 == 0 else 1)
         xs.append(acc.exact_div(k))
     return xs
 
@@ -271,7 +312,6 @@ def _hook(a, b, hs, es):
     """Hook (a, 1^b) from the lists hs[k] = Sym^k and es[k] = wedge^k of one character."""
     acc = Character()
     for i in range(b + 1):
-        term = hs[a + i] * es[b - i]
-        acc = acc + (term if i % 2 == 0 else -term)
+        _axpy(acc, hs[a + i] * es[b - i], (-1) ** i)
     return acc
 

@@ -35,8 +35,16 @@ def _default_primes():
 
 
 def _primes(args):
-    """The --prime values, or the defaults, each validated by check_prime."""
-    return tuple(linalg.check_prime(p) for p in (args.prime or _default_primes()))
+    """The --prime values, or the defaults, each validated by check_prime.
+
+    With a single distinct prime, a one-line note on stderr says that
+    multi-prime agreement is not checked.
+    """
+    primes = tuple(linalg.check_prime(p) for p in (args.prime or _default_primes()))
+    if len(set(primes)) == 1:
+        print(f"note: one prime ({primes[0]}); multi-prime agreement was not checked",
+              file=sys.stderr)
+    return primes
 
 
 def _default_seed():
@@ -123,9 +131,6 @@ def cmd_locus(args):
 
 def cmd_ideal(args):
     primes = _primes(args)
-    if len(set(primes)) == 1:
-        print(f"note: one prime ({primes[0]}); multi-prime agreement was not checked",
-              file=sys.stderr)
     if args.action == "dim":
         gp = ideals.graded_kernel(args.locus, args.degree, primes)
         print(gp.dimension())
@@ -477,6 +482,11 @@ def format_report(report, fmt):
 
 
 def cmd_verify_all(args):
+    # lmax < 1 would run no Hilbert value and still report "pass"
+    if args.lmax < 1:
+        raise ValueError(f"--lmax must be at least 1, got {args.lmax}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     primes = _primes(args)
     config = {"primes": primes, "seed": args.seed, "threads": args.threads,
               "lmax": args.lmax, "timings": args.timings}

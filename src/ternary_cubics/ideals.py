@@ -37,6 +37,7 @@ images in degree j+1, only monomial bookkeeping, and again only the dominant
 blocks of R_{j+1} are eliminated.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -303,6 +304,13 @@ def _mono_value(mono, point_vals, p):
 
 
 _KERNEL_CACHE = {}   # (locus, degree) -> {p: {dominant weight: basis rows}}
+_KERNEL_LOCKS = {}   # (locus, degree) -> the lock held while that entry fills
+_KERNEL_LOCKS_GUARD = threading.Lock()
+
+
+def _kernel_lock(key):
+    with _KERNEL_LOCKS_GUARD:
+        return _KERNEL_LOCKS.setdefault(key, threading.Lock())
 
 
 def _orbit_bases(dominant, degree):
@@ -332,15 +340,21 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False)
     disagreement raises UnluckyPrimeError naming the block.
     """
     primes = tuple(linalg.check_prime(p) for p in primes)
-    cached = _KERNEL_CACHE.setdefault((locus, degree), {})
-    missing = [p for p in primes if p not in cached]
-    if missing:
-        # one walk over Z serves every prime; basis vectors as rows over the
-        # block's monomials
-        images = _image_blocks(locus, degree)
-        for p in missing:
-            cached[p] = {w: linalg.nullspace_mod(_block_mod(img, p), p).T.copy()
-                         for w, (_, img) in images.items()}
+    key = (locus, degree)
+    cached = _KERNEL_CACHE.get(key, {})
+    if any(p not in cached for p in primes):
+        # filled under a per-entry lock, so threads that miss together walk
+        # once; an entry's prime appears only once its blocks are complete
+        with _kernel_lock(key):
+            cached = _KERNEL_CACHE.setdefault(key, {})
+            missing = [p for p in primes if p not in cached]
+            if missing:
+                # one walk over Z serves every prime; basis vectors as rows
+                # over the block's monomials
+                images = _image_blocks(locus, degree)
+                for p in missing:
+                    cached[p] = {w: linalg.nullspace_mod(_block_mod(img, p), p).T.copy()
+                                 for w, (_, img) in images.items()}
     dominant = _agree(f"kernel of {locus} degree {degree}",
                       {p: {w: len(B) for w, B in cached[p].items() if len(B)}
                        for p in primes})

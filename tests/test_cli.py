@@ -194,3 +194,28 @@ def test_ideal_hilbert_uses_every_prime(capsys, monkeypatch):
     assert seen == [1000003, 65537]
     assert rc == 1 and out == ""
     assert "computational failure" in err and "65537" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--lmax", "0"), ("--lmax", "-2"),
+                                        ("--threads", "0"), ("--threads", "-3")])
+def test_verify_all_rejects_empty_ranges(capsys, monkeypatch, flag, value):
+    # --lmax below 1 ran no Hilbert value and still reported "pass"; --threads
+    # below 1 ran serially and wrote the bad value into the report
+    monkeypatch.setattr(cli, "run_verify_all", lambda config: pytest.fail("ran checks"))
+    rc, out, err = run(capsys, "verify-all", flag, value)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be at least 1") and "Traceback" not in err
+
+
+def test_verify_all_single_prime_notice(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_checks",
+                        lambda: [("dimension-formula", cli._check_dimension_formula)])
+    rc, out, err = run(capsys, "verify-all", "--prime", "1000003")
+    assert rc == 0
+    assert err == "note: one prime (1000003); multi-prime agreement was not checked\n"
+    config = {"primes": (1000003,), "seed": cli._default_seed(), "threads": 1,
+              "lmax": 8, "timings": False}
+    assert out == cli.format_report(cli.run_verify_all(config), "json")
+    rc, out, err = run(capsys, "verify-all")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["config"]["primes"] == list(cli.linalg.DEFAULT_PRIMES)
