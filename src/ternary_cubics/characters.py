@@ -21,6 +21,15 @@ np.outer, and np.add.at sums them into a dense array over the packed key
 range.  Its dtype is int64 when sum|m_a| * sum|m_b| < 2^63, which bounds every
 partial sum; otherwise it is object, with exact Python ints.
 
+The accumulator spans the bounding box of the sum's lattice points, so the
+product assumes operands that are dense in their boxes, as every Weyl
+character, symmetric power and hook is, or whose boxes are small, as for
+the Adams images inside the Newton recurrence (the largest box in the
+spectral identities and decompose-sym 20 0 --power 3 has 14,641 entries).
+A product whose box exceeds both _BOX_FLOOR entries and _BOX_PER_PAIR
+entries per weight pair (sparse weights far apart) raises ValueError rather
+than allocating the box.
+
 decompose peels each irreducible from one working dict in place and checks
 the result by reassembling it in one accumulator.  Cached weyl_character and
 _h results are only read.
@@ -32,6 +41,8 @@ from itertools import chain, permutations
 import numpy as np
 
 _INT64_BOUND = 1 << 63
+_BOX_FLOOR = 1 << 22      # accumulator entries always allowed (32 MB of int64)
+_BOX_PER_PAIR = 16        # beyond the floor, entries allowed per weight pair
 
 
 def normalize(w):
@@ -125,7 +136,12 @@ class Character(dict):
         return Character._filled((w, m // k) for w, m in self.items())
 
     def __mul__(self, other):
-        """Tensor product: convolution of weight multiplicities."""
+        """Tensor product: convolution of weight multiplicities.
+
+        Sums into a dense array over the bounding box of the sum's lattice
+        points; raises ValueError when that box is far larger than the
+        number of weight pairs (see the module docstring).
+        """
         if not self or not other:
             return Character()
         bound = sum(map(abs, self.values())) * sum(map(abs, other.values()))
@@ -135,6 +151,9 @@ class Character(dict):
         x0a, y0a, x0b, y0b = xa.min(), ya.min(), xb.min(), yb.min()
         height = int(ya.max() - y0a + yb.max() - y0b + 1)
         width = int(xa.max() - x0a + xb.max() - x0b + 1)
+        if width * height > max(_BOX_FLOOR, _BOX_PER_PAIR * len(self) * len(other)):
+            raise ValueError(f"character product needs a {width} x {height} box for "
+                             f"{len(self) * len(other)} weight pairs; weights too sparse")
         ka = (xa - x0a) * height + (ya - y0a)
         kb = (xb - x0b) * height + (yb - y0b)
         acc = np.zeros(width * height, dtype)

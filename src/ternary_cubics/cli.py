@@ -431,6 +431,10 @@ def build_checks():
 
 
 def run_verify_all(config):
+    # lmax < 1 would run no Hilbert value and still report "pass"
+    for key in ("lmax", "threads"):
+        if config[key] < 1:
+            raise ValueError(f"--{key} must be at least 1, got {config[key]}")
     checks = build_checks()
 
     def run_one(item):
@@ -482,11 +486,6 @@ def format_report(report, fmt):
 
 
 def cmd_verify_all(args):
-    # lmax < 1 would run no Hilbert value and still report "pass"
-    if args.lmax < 1:
-        raise ValueError(f"--lmax must be at least 1, got {args.lmax}")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     primes = _primes(args)
     config = {"primes": primes, "seed": args.seed, "threads": args.threads,
               "lmax": args.lmax, "timings": args.timings}

@@ -304,13 +304,7 @@ def _mono_value(mono, point_vals, p):
 
 
 _KERNEL_CACHE = {}   # (locus, degree) -> {p: {dominant weight: basis rows}}
-_KERNEL_LOCKS = {}   # (locus, degree) -> the lock held while that entry fills
-_KERNEL_LOCKS_GUARD = threading.Lock()
-
-
-def _kernel_lock(key):
-    with _KERNEL_LOCKS_GUARD:
-        return _KERNEL_LOCKS.setdefault(key, threading.Lock())
+_KERNEL_LOCK = threading.Lock()
 
 
 def _orbit_bases(dominant, degree):
@@ -343,9 +337,9 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False)
     key = (locus, degree)
     cached = _KERNEL_CACHE.get(key, {})
     if any(p not in cached for p in primes):
-        # filled under a per-entry lock, so threads that miss together walk
-        # once; an entry's prime appears only once its blocks are complete
-        with _kernel_lock(key):
+        # filled under the lock, so threads that miss together walk once; an
+        # entry's prime appears only once its blocks are complete
+        with _KERNEL_LOCK:
             cached = _KERNEL_CACHE.setdefault(key, {})
             missing = [p for p in primes if p not in cached]
             if missing:

@@ -208,6 +208,16 @@ def test_products_of_irreducibles_match_dict_convolution():
     assert ch.weyl_character(3, 0) * ch.Character() == {}
 
 
+def test_product_of_sparse_weights():
+    # weights 100 apart fill a 201 x 201 box for 9 pairs: under the floor
+    c = ch.Character({(0, 0, 0): 1, (100, 0, 0): 1, (0, 100, 0): -2})
+    _assert_product(c, c)
+    # 30000 apart the box would hold 3.6e9 entries: refused, not allocated
+    c = ch.Character({(0, 0, 0): 1, (30000, 0, 0): 1, (0, 30000, 0): 1})
+    with pytest.raises(ValueError, match="too sparse"):
+        c * c
+
+
 def test_cached_characters_stay_unchanged():
     s3, h4 = ch.weyl_character(3, 0), ch._h(4)
     before = dict(s3), dict(h4)

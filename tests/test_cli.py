@@ -201,10 +201,19 @@ def test_ideal_hilbert_uses_every_prime(capsys, monkeypatch):
 def test_verify_all_rejects_empty_ranges(capsys, monkeypatch, flag, value):
     # --lmax below 1 ran no Hilbert value and still reported "pass"; --threads
     # below 1 ran serially and wrote the bad value into the report
-    monkeypatch.setattr(cli, "run_verify_all", lambda config: pytest.fail("ran checks"))
+    monkeypatch.setattr(cli, "build_checks", lambda: pytest.fail("ran checks"))
     rc, out, err = run(capsys, "verify-all", flag, value)
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {flag} must be at least 1") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["lmax", "threads"])
+def test_run_verify_all_rejects_empty_ranges(monkeypatch, key):
+    monkeypatch.setattr(cli, "build_checks", lambda: pytest.fail("ran checks"))
+    config = {"primes": (1000003, 65537), "seed": 0, "threads": 1, "lmax": 2,
+              "timings": False, key: -2}
+    with pytest.raises(ValueError, match=f"--{key} must be at least 1"):
+        cli.run_verify_all(config)
 
 
 def test_verify_all_single_prime_notice(capsys, monkeypatch):
