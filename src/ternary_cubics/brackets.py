@@ -27,7 +27,6 @@ Grammar (ASCII):
 """
 
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -414,17 +413,13 @@ def catalog(name):
 
 
 _EXPAND_CACHE = {}
-_EXPAND_LOCK = threading.Lock()
 
 
 def catalog_concomitant(name):
-    """The expanded catalog entry, computed once per process even from threads."""
+    """The expanded catalog entry, computed once per process."""
     conc = _EXPAND_CACHE.get(name)
     if conc is None:
-        with _EXPAND_LOCK:
-            conc = _EXPAND_CACHE.get(name)
-            if conc is None:
-                conc = _EXPAND_CACHE[name] = expand(catalog(name))
+        conc = _EXPAND_CACHE[name] = expand(catalog(name))
     return conc
 
 
@@ -448,8 +443,7 @@ def hessian_oracle(a_values):
     xs = ("x1", "x2", "x3")
     H = [[diff(diff(F, xi), xj) for xj in xs] for xi in xs]
     det = Poly()
-    for perm, sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                      ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+    for perm, sgn in _DET_PERMS:
         term = Poly.const(sgn)
         for i in range(3):
             term = term * H[i][perm[i]]

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, brackets, characters, ideals, linalg, loci, resolution, tableaux
 
@@ -431,14 +430,16 @@ def build_checks():
 
 
 def run_verify_all(config):
-    # lmax < 1 would run no Hilbert value and still report "pass"
-    for key in ("lmax", "threads"):
-        if config[key] < 1:
-            raise ValueError(f"--{key} must be at least 1, got {config[key]}")
-    checks = build_checks()
+    """Run every check serially; config holds primes, seed, lmax and timings.
 
-    def run_one(item):
-        cid, fn = item
+    The report's config carries a fixed "threads": 1, so reports keep the
+    format they had when verify-all took --threads.
+    """
+    # lmax < 1 would run no Hilbert value and still report "pass"
+    if config["lmax"] < 1:
+        raise ValueError(f"--lmax must be at least 1, got {config['lmax']}")
+    results = []
+    for cid, fn in build_checks():
         t0 = time.monotonic()
         try:
             status, expected, actual = fn(config)
@@ -447,21 +448,14 @@ def run_verify_all(config):
         except Exception as exc:  # computational failure: report, don't crash
             status, expected, actual = "fail", "no exception", f"{type(exc).__name__}: {exc}"
         ms = int((time.monotonic() - t0) * 1000)
-        return {"id": cid, "status": status, "expected": expected,
-                "actual": actual, "ms": ms if config["timings"] else 0}
-
-    if config["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=config["threads"]) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(c) for c in checks]
-    report = {
+        results.append({"id": cid, "status": status, "expected": expected,
+                        "actual": actual, "ms": ms if config["timings"] else 0})
+    return {
         "version": __version__,
         "config": {"primes": list(config["primes"]), "seed": config["seed"],
-                   "threads": config["threads"], "lmax": config["lmax"]},
+                   "threads": 1, "lmax": config["lmax"]},
         "checks": results,
     }
-    return report
 
 
 def format_report(report, fmt):
@@ -487,8 +481,8 @@ def format_report(report, fmt):
 
 def cmd_verify_all(args):
     primes = _primes(args)
-    config = {"primes": primes, "seed": args.seed, "threads": args.threads,
-              "lmax": args.lmax, "timings": args.timings}
+    config = {"primes": primes, "seed": args.seed, "lmax": args.lmax,
+              "timings": args.timings}
     report = run_verify_all(config)
     text = format_report(report, args.format)
     if args.out:
@@ -565,7 +559,6 @@ def build_parser():
 
     sp = sub.add_parser("verify-all", help="run the whole verification suite")
     common(sp)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--lmax", type=int, default=8)
     sp.add_argument("--format", choices=["json", "csv", "md"], default="json")
     sp.add_argument("--out")

@@ -37,7 +37,6 @@ images in degree j+1, only monomial bookkeeping, and again only the dominant
 blocks of R_{j+1} are eliminated.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -46,10 +45,10 @@ import numpy as np
 
 from . import brackets, linalg, loci, tableaux
 from .characters import Character, decompose
-from .poly import A_EXPS, A_INDEX, monomial
+from .poly import A_EXPS, A_INDEX
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
-HILBERT_MARGIN = 12  # evaluation points past the largest block size
+HILBERT_MARGIN = 12  # evaluation points past each block's size
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +128,6 @@ def _transport(degree, d, w):
     amap = [A_INDEX[tuple(A_EXPS[r][i] for i in sigma)] for r in range(10)]
     iw = index[w]
     return [iw[tuple(sorted(amap[r] for r in m))] for m in blocks[d]]
-
-
-def mono_tuple_to_poly_mono(mono):
-    counts = {}
-    for r in mono:
-        counts[r] = counts.get(r, 0) + 1
-    return monomial([(f"a{r}", e) for r, e in counts.items()])
 
 
 def poly_to_block_vectors(pl, degree):
@@ -262,9 +254,6 @@ class GradedPiece:
     def dimension(self):
         return sum(self.block_nullities.values())
 
-    def has_bases(self):
-        return bool(self.bases)
-
     def vanishes_at(self, point, p):
         """Do all kernel basis vectors vanish at the cubic `point` (mod p)?"""
         p = linalg.check_prime(p)
@@ -282,19 +271,6 @@ class GradedPiece:
                 return False
         return True
 
-    def basis_polynomials(self, p=None):
-        """Kernel basis as integer-coefficient Polys (coefficients mod p)."""
-        from .poly import Poly
-
-        basis = self.bases[p] if p else next(iter(self.bases.values()))
-        out = []
-        for w in sorted(basis):
-            monos, B = basis[w]
-            for row in B:
-                out.append(Poly({mono_tuple_to_poly_mono(m): int(c)
-                                 for m, c in zip(monos, row) if c}))
-        return out
-
 
 def _mono_value(mono, point_vals, p):
     acc = 1
@@ -304,7 +280,6 @@ def _mono_value(mono, point_vals, p):
 
 
 _KERNEL_CACHE = {}   # (locus, degree) -> {p: {dominant weight: basis rows}}
-_KERNEL_LOCK = threading.Lock()
 
 
 def _orbit_bases(dominant, degree):
@@ -334,21 +309,16 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False)
     disagreement raises UnluckyPrimeError naming the block.
     """
     primes = tuple(linalg.check_prime(p) for p in primes)
-    key = (locus, degree)
-    cached = _KERNEL_CACHE.get(key, {})
-    if any(p not in cached for p in primes):
-        # filled under the lock, so threads that miss together walk once; an
-        # entry's prime appears only once its blocks are complete
-        with _KERNEL_LOCK:
-            cached = _KERNEL_CACHE.setdefault(key, {})
-            missing = [p for p in primes if p not in cached]
-            if missing:
-                # one walk over Z serves every prime; basis vectors as rows
-                # over the block's monomials
-                images = _image_blocks(locus, degree)
-                for p in missing:
-                    cached[p] = {w: linalg.nullspace_mod(_block_mod(img, p), p).T.copy()
-                                 for w, (_, img) in images.items()}
+    cached = _KERNEL_CACHE.setdefault((locus, degree), {})
+    missing = [p for p in primes if p not in cached]
+    if missing:
+        # one walk over Z serves every missing prime; basis vectors as rows
+        # over the block's monomials, and a prime is stored only once all
+        # its blocks are complete
+        images = _image_blocks(locus, degree)
+        for p in missing:
+            cached[p] = {w: linalg.nullspace_mod(_block_mod(img, p), p).T.copy()
+                         for w, (_, img) in images.items()}
     dominant = _agree(f"kernel of {locus} degree {degree}",
                       {p: {w: len(B) for w, B in cached[p].items() if len(B)}
                        for p in primes})
@@ -383,10 +353,12 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     """H(locus, degree): rank of the monomial evaluation matrix at random points.
 
     The rank is taken on each dominant block and counted once for every
-    weight of its orbit.  Monte Carlo (one-sided): the result is a lower
-    bound, equal to the true value when the points are generic for every
-    dominant block; HILBERT_MARGIN extra points past the largest block size
-    make an undercount vanishingly unlikely.
+    weight of its orbit.  A block of n monomials is ranked at the first
+    n + HILBERT_MARGIN points of one seeded sequence, so every block has its
+    own margin of HILBERT_MARGIN points past its size.  Monte Carlo
+    (one-sided): the result is a lower bound, equal to the true value when
+    the points are generic for every dominant block; the margin makes an
+    undercount vanishingly unlikely.
     """
     prime = linalg.check_prime(prime)
     blocks, _ = monomials_by_weight(degree)
@@ -402,8 +374,9 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     _walk(degree, np.ones(npoints, dtype=np.int64),
           lambda vals, r: vals * phival[r] % prime,
           lambda mono, w, vals: rows.setdefault(w, []).append(vals))
-    return sum(len(orbit(w)) * linalg.rank_mod(np.array(vs), prime)
-               for w, vs in rows.items())
+    ranks = {w: linalg.rank_mod(np.array(vs)[:, :len(vs) + HILBERT_MARGIN], prime)
+             for w, vs in rows.items()}
+    return sum(len(orbit(w)) * r for w, r in ranks.items())
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,6 @@ def substitution_map(locus):
     return LocusSpec(locus, params, phi, LOCUS_DIM[locus])
 
 
-def concurrency_det(b, c, d):
-    """3x3 determinant with rows b, c, d (the lines-concurrent condition)."""
-    return (b[0] * (c[1] * d[2] - c[2] * d[1])
-            - b[1] * (c[0] * d[2] - c[2] * d[0])
-            + b[2] * (c[0] * d[1] - c[1] * d[0]))
-
-
 def _seed_key(seed):
     """Accept tuples and other structured seeds via a stable repr."""
     return seed if isinstance(seed, (int, str, bytes, type(None))) else repr(seed)
@@ -194,13 +187,6 @@ def tact_polynomial():
     return out
 
 
-def tact_invariant(q, b):
-    """Evaluate the tact invariant at conic coefficients q (6) and line b (3)."""
-    vals = {f"q{i + 1}": q[i] for i in range(6)}
-    vals.update({f"b{i + 1}": b[i] for i in range(3)})
-    return tact_polynomial().evaluate(vals)
-
-
 def tact_printed_formula():
     """The classical explicit 12-term expansion, for cross-checking."""
     q1, q2, q3, q4, q5, q6 = (Poly.var(f"q{i}") for i in range(1, 7))
@@ -209,24 +195,6 @@ def tact_printed_formula():
             - q5 * q5 * b1 * b1 - 4 * q3 * q6 * b1 * b2 + 2 * q4 * q5 * b1 * b2
             + 2 * q3 * q5 * b1 * b3 - q4 * q4 * b2 * b2 - 4 * q1 * q5 * b2 * b3
             + 2 * q3 * q4 * b2 * b3 - q3 * q3 * b3 * b3 + 4 * q1 * q6 * b2 * b2)
-
-
-def on_locus_check(locus, point, p=1000003):
-    """Probabilistic membership: do all degree-0 ideal generators vanish at F?
-
-    Generators come from ideals.graded_kernel; raises if that computation is
-    unavailable for the locus.
-    """
-    from . import ideals
-
-    vanishes = True
-    for j in GENERATOR_DEGREES[locus]:
-        piece = ideals.graded_kernel(locus, j, primes=(p,), with_basis=True)
-        if not piece.has_bases():
-            raise RuntimeError(f"generator set for {locus} degree {j} not computed")
-        if not piece.vanishes_at(point, p):
-            vanishes = False
-    return vanishes
 
 
 NAMED_CUBICS = {

@@ -18,7 +18,6 @@ a0 <-> x1^3, a1 <-> x1^2 x2, ..., a9 <-> x3^3.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd
 
 # Degree-3 exponent triples in graded-lex order; A_EXPS[r] is the x-monomial
@@ -210,20 +209,10 @@ class Poly:
             n >>= 1
         return out
 
-    def variables(self):
-        vs = set()
-        for m in self.terms:
-            vs.update(v for v, _ in m)
-        return vs
-
     def degree(self, families=None):
         if not self.terms:
             return 0
         return max(mono_degree(m, families) for m in self.terms)
-
-    def is_homogeneous(self, families=None):
-        degs = {mono_degree(m, families) for m in self.terms}
-        return len(degs) <= 1
 
     def weight(self):
         """Common torus weight of all terms; raises if mixed."""
@@ -320,27 +309,6 @@ class Poly:
             lines.append(f"{c} * {mono_s}" if mono_s else f"{c}")
         return "\n".join(lines)
 
-    @staticmethod
-    def from_text(text):
-        out = Poly()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if "*" in line:
-                coeff_s, _, mono_s = line.partition(" * ")
-                pairs = []
-                for fac in mono_s.split("*"):
-                    if "^" in fac:
-                        v, e = fac.split("^")
-                        pairs.append((v, int(e)))
-                    else:
-                        pairs.append((fac, 1))
-                out = out + Poly({monomial(pairs): Fraction(coeff_s)})
-            else:
-                out = out + Poly.const(Fraction(line))
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -374,16 +342,3 @@ def generic_quadric():
         m = monomial([(f"q{i + 1}", 1)] + [(f"x{j + 1}", e[j]) for j in range(3)])
         acc = acc + Poly({m: 1})
     return acc
-
-
-def x_monomials(d, fam="x"):
-    """All degree-d monomials in a 3-variable family, graded-lex order."""
-    out = []
-    for combo in combinations_with_replacement(range(3), d):
-        e = [0, 0, 0]
-        for i in combo:
-            e[i] += 1
-        out.append(monomial([(f"{fam}{i + 1}", e[i]) for i in range(3)]))
-    # combinations_with_replacement on sorted indices already yields
-    # graded-lex order on x1 > x2 > x3
-    return out

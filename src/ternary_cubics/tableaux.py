@@ -90,9 +90,7 @@ def _projection_table(dx, du, point="x", line="u"):
     monos = _xu_monomials(dx, du, point, line)
     index = {mo: i for i, mo in enumerate(monos)}
     smaller = _xu_monomials(dx - 1, du - 1, point, line) if dx and du else []
-    trace = Poly()
-    for i in (1, 2, 3):
-        trace = trace + Poly.var(f"{point}{i}") * Poly.var(f"{line}{i}")
+    trace = trace_poly(point, line)
 
     # columns: X_T vectors, then trace * smaller-monomial vectors
     cols = []
@@ -260,17 +258,3 @@ def invariant_gram(dx, du):
     """
     harm = harmonic_representatives(dx, du)
     return tuple(tuple(_apolar(h1, h2) for h2 in harm) for h1 in harm)
-
-
-def tableau_rank(m, n, prime=linalg.DEFAULT_PRIMES[0]):
-    """Rank of the X_T monomial vectors (independence check)."""
-    import numpy as np
-
-    tabs = enumerate_tableaux(m, n)
-    monos = _xu_monomials(n, m)
-    index = {mo: i for i, mo in enumerate(monos)}
-    A = np.zeros((len(tabs), len(monos)), dtype=np.int64)
-    for i, T in enumerate(tabs):
-        mo, sign = tableau_monomial(T)
-        A[i, index[mo]] += sign
-    return linalg.rank_mod(A, prime)

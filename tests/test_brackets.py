@@ -2,8 +2,6 @@
 
 import hashlib
 import random
-import threading
-import time
 from collections import Counter
 from math import factorial
 
@@ -314,32 +312,3 @@ def test_key_field_width_bound():
     for mono in raw:
         for v, e in mono:
             assert e < 1 << width
-
-
-def test_catalog_cache_fills_once_under_threads(monkeypatch):
-    calls = []
-    real_expand = br.expand
-
-    def slow_expand(expr):
-        calls.append(expr)
-        time.sleep(0.05)   # widen the window in which two threads could both miss
-        return real_expand(expr)
-
-    monkeypatch.setattr(br, "expand", slow_expand)
-    monkeypatch.setattr(br, "_EXPAND_CACHE", {})
-    names = ["Phi222", "Phi330", "Psi21"]
-    barrier = threading.Barrier(2)
-    results = [None, None]
-
-    def worker(i):
-        barrier.wait()
-        results[i] = [br.catalog_concomitant(n) for n in names]
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    assert len(calls) == len(names)
-    assert all(a is b for a, b in zip(*results))

@@ -92,7 +92,7 @@ def test_character_dimension_and_symmetry():
     for ab in [(2, 0), (2, 1), (4, 2), (5, 1)]:
         c = ch.weyl_character(*ab)
         assert c.dimension() == ch.dim_irrep(*ab)
-        assert c.is_weyl_symmetric()
+        assert ch.decompose(c) == [(ab, 1)]
 
 
 def test_duality():
@@ -343,6 +343,18 @@ def test_decompose_rejects_non_symmetric():
     c = ch.Character()
     c.add((1, 0, 0), 1)
     with pytest.raises(ValueError):
+        ch.decompose(c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5),
+       st.tuples(*[st.integers(0, 6)] * 3).filter(lambda w: not w[0] >= w[1] >= w[2]),
+       st.integers(1, 3))
+def test_decompose_rejects_one_weight_off_its_orbit(a, b, w, m):
+    # w is not dominant, so its orbit's multiplicity at w no longer matches
+    # the one at its dominant representative
+    c = ch.weyl_character(a, min(a, b)) + ch.Character({w: m})
+    with pytest.raises(ValueError, match="not Weyl-symmetric"):
         ch.decompose(c)
 
 

@@ -196,24 +196,38 @@ def test_ideal_hilbert_uses_every_prime(capsys, monkeypatch):
     assert "computational failure" in err and "65537" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--lmax", "0"), ("--lmax", "-2"),
-                                        ("--threads", "0"), ("--threads", "-3")])
+@pytest.mark.parametrize("flag,value", [("--lmax", "0"), ("--lmax", "-2")])
 def test_verify_all_rejects_empty_ranges(capsys, monkeypatch, flag, value):
-    # --lmax below 1 ran no Hilbert value and still reported "pass"; --threads
-    # below 1 ran serially and wrote the bad value into the report
+    # --lmax below 1 ran no Hilbert value and still reported "pass"
     monkeypatch.setattr(cli, "build_checks", lambda: pytest.fail("ran checks"))
     rc, out, err = run(capsys, "verify-all", flag, value)
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {flag} must be at least 1") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key", ["lmax", "threads"])
+@pytest.mark.parametrize("key", ["lmax"])
 def test_run_verify_all_rejects_empty_ranges(monkeypatch, key):
     monkeypatch.setattr(cli, "build_checks", lambda: pytest.fail("ran checks"))
     config = {"primes": (1000003, 65537), "seed": 0, "threads": 1, "lmax": 2,
               "timings": False, key: -2}
     with pytest.raises(ValueError, match=f"--{key} must be at least 1"):
         cli.run_verify_all(config)
+
+
+def test_verify_all_runs_serially(capsys, monkeypatch):
+    # verify-all takes no --threads, and its report carries a fixed "threads": 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-all", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "build_checks",
+                        lambda: [("dimension-formula", cli._check_dimension_formula)])
+    monkeypatch.delenv("TERNARY_CUBICS_PRIMES", raising=False)
+    monkeypatch.delenv("TERNARY_CUBICS_SEED", raising=False)
+    rc, out, err = run(capsys, "verify-all")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["config"] == {"primes": [1000003, 65537], "seed": 0,
+                                         "threads": 1, "lmax": 8}
 
 
 def test_verify_all_single_prime_notice(capsys, monkeypatch):

@@ -1,8 +1,5 @@
 """Graded kernels, Hilbert values, syzygies, and concomitant membership."""
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -52,15 +49,6 @@ def test_kernel_basis_vanishes_on_samples():
     rng = np.random.default_rng(1)
     off = tuple(int(v) for v in rng.integers(1, 1000003, size=10))
     assert not gp.vanishes_at(off, 1000003)
-
-
-def test_basis_polynomials_annihilate_parameterization():
-    gp = ideals.graded_kernel("equiv", 2, primes=(1000003,), with_basis=True)
-    spec = loci.substitution_map("equiv")
-    sub = {f"a{r}": spec.phi[r] for r in range(10)}
-    for g in gp.basis_polynomials(1000003)[:3]:
-        comp = g.substitute(sub)
-        assert all(c % 1000003 == 0 for c in comp.terms.values())
 
 
 def test_hilbert_values():
@@ -236,32 +224,3 @@ def test_entry_points_check_the_prime():
     with pytest.raises(ValueError):
         brackets.vanishes_at_cubic(brackets.catalog_concomitant("Phi222"),
                                    loci.NAMED_CUBICS["fermat"], 2 ** 64 - 59)
-
-
-def test_kernel_cache_fills_once_under_threads(monkeypatch):
-    ideals._dominant_prefixes(4)      # warm the cached monomial lists
-    monkeypatch.setitem(ideals._KERNEL_CACHE, ("delta", 4), {})
-    image_blocks = ideals._image_blocks
-    calls = []
-
-    def slow_image_blocks(locus, degree, *args, **kwargs):
-        calls.append((locus, degree))
-        time.sleep(0.05)   # widen the window in which two threads could both miss
-        return image_blocks(locus, degree, *args, **kwargs)
-
-    monkeypatch.setattr(ideals, "_image_blocks", slow_image_blocks)
-    barrier = threading.Barrier(2)
-    results = [None, None]
-
-    def worker(i):
-        barrier.wait()
-        results[i] = ideals.graded_kernel("delta", 4, primes=PRIMES)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    assert calls == [("delta", 4)]
-    assert [r.dimension() for r in results] == [35, 35]

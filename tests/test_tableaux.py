@@ -3,10 +3,12 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ternary_cubics import brackets as br
 from ternary_cubics import characters as ch
+from ternary_cubics import linalg
 from ternary_cubics import tableaux as tb
 from ternary_cubics.poly import Poly
 
@@ -52,7 +54,12 @@ def test_tableau_monomial_signs():
 def test_tableau_monomials_independent():
     for m, n in [(1, 1), (2, 2), (1, 3)]:
         tabs = tb.enumerate_tableaux(m, n)
-        assert tb.tableau_rank(m, n) == len(tabs)
+        monos = tb._xu_monomials(n, m)
+        A = np.zeros((len(tabs), len(monos)), dtype=np.int64)
+        for i, T in enumerate(tabs):
+            mo, sign = tb.tableau_monomial(T)
+            A[i, monos.index(mo)] = sign
+        assert linalg.rank_mod(A, linalg.DEFAULT_PRIMES[0]) == len(tabs)
 
 
 def test_harmonic_dimension_matches_character():
@@ -101,7 +108,7 @@ def test_harmonic_project_carries_outer_variables():
     for c, T in zip(coeffs, tabs):
         rebuilt = rebuilt + c * tb.tableau_poly(T)
     assert rebuilt == p
-    assert all((not c) or c.variables() == {"a0"} for c in coeffs)
+    assert all((not c) or {v for m in c.terms for v, _ in m} == {"a0"} for c in coeffs)
 
 
 def test_harmonic_project_rejects_inhomogeneous():
@@ -133,8 +140,6 @@ def test_harmonic_representatives_trace_free():
 
 
 def test_invariant_gram_symmetric_nonsingular():
-    from ternary_cubics import linalg
-
     G = tb.invariant_gram(2, 2)
     n = len(G)
     assert n == 27
