@@ -354,19 +354,18 @@ def _expand_term(term):
     return out
 
 
-def expand(expr_or_src, normalize=True):
-    """Expand a (parsed or source) bracket expression into a Concomitant.
+def expand(expr):
+    """Expand a parsed bracket expression into a primitive Concomitant.
 
     A zero result is legal (the expression "vanishes identically after
     substitution") and is flagged on the Concomitant.
     """
-    expr = parse(expr_or_src) if isinstance(expr_or_src, str) else expr_or_src
     ctype = validate(expr)
     acc = Poly()
     for term in expr.terms:
         raw = _expand_term(term)
         acc = acc + Poly({m: term.coeff * c for m, c in raw.items()})
-    if acc and normalize:
+    if acc:
         _, acc = acc.content_and_primitive()
     return Concomitant(acc, ctype)
 
@@ -451,23 +450,31 @@ def hessian_oracle(a_values):
     return det
 
 
+_A_VARS = {f"a{r}": r for r in range(10)}
+
+
 def evaluate_at_cubic(conc, a_values):
-    """Substitute numeric a-values into a concomitant; Poly in the rest."""
-    return conc.poly.substitute({f"a{r}": Poly.const(a_values[r]) for r in range(10)})
+    """Substitute numeric a-values into a concomitant; Poly in the rest.
+
+    One pass over the terms: each term's a-part becomes a number, and the
+    numbers are summed per remaining (x, u, ...) monomial, exactly.
+    """
+    acc = {}
+    for mo, c in conc.poly.terms.items():
+        rest = []
+        for v, e in mo:
+            r = _A_VARS.get(v)
+            if r is None:
+                rest.append((v, e))
+            else:
+                c *= a_values[r] ** e
+        key = tuple(rest)
+        acc[key] = acc.get(key, 0) + c
+    return Poly(acc)
 
 
 def vanishes_at_cubic(conc, a_values, p):
     """Whether every (x, u, ...)-coefficient of conc vanishes at a_values mod p."""
     p = linalg.check_prime(p)
-    acc = {}
-    for mo, c in conc.poly.terms.items():
-        val = int(c) % p
-        rest = []
-        for v, e in mo:
-            if v.startswith("a"):
-                val = val * pow(a_values[int(v[1:])] % p, e, p) % p
-            else:
-                rest.append((v, e))
-        key = tuple(rest)
-        acc[key] = (acc.get(key, 0) + val) % p
-    return not any(acc.values())
+    value = evaluate_at_cubic(conc, [a % p for a in a_values])
+    return all(c % p == 0 for c in value.terms.values())

@@ -49,12 +49,6 @@ def normalize(w):
     return (w[0] - m, w[1] - m, w[2] - m)
 
 
-def dominant_pair(w):
-    """The (a, b) label of the dominant representative of a weight orbit."""
-    a, b, c = sorted(normalize(w), reverse=True)
-    return (a - c, b - c)
-
-
 def _axpy(acc, c, k):
     """acc += k * c in place, for a dict acc and a character c on normalized weights."""
     if not k:
@@ -83,7 +77,7 @@ class Character(dict):
         if isinstance(data, Character):
             self.update(data)   # already normalized and free of zeros
         elif data:
-            for w, m in (data.items() if isinstance(data, dict) else data):
+            for w, m in data.items():
                 self.add(w, m)
 
     @classmethod
@@ -176,20 +170,16 @@ def char_trivial():
     return Character({(0, 0, 0): 1})
 
 
-def dim_irrep(a, b=None):
+def dim_irrep(a, b):
     """Dimension of the irreducible labelled (a, b): (m+1)(n+1)(m+n+2)/2."""
-    if b is None:
-        a, b = a
     if not (a >= b >= 0):
         raise ValueError("need a >= b >= 0")
     m, n = a - b, b
     return (m + 1) * (n + 1) * (m + n + 2) // 2
 
 
-def dual_weight(a, b=None):
+def dual_weight(a, b):
     """Dual irreducible label: (a, b) -> (a, a-b)."""
-    if b is None:
-        a, b = a
     return (a, a - b)
 
 
@@ -216,20 +206,21 @@ def weyl_character(a, b=0):
 def decompose(c):
     """Greedy peel into irreducibles: list of ((a, b), multiplicity).
 
-    Repeatedly takes the lexicographically greatest support weight on
-    sorted-descending triples (dominant by Weyl symmetry) and subtracts its
-    irreducible in place.  Once nothing remains, c is by construction the
-    sum of the peeled irreducibles.  Input that is not Weyl-symmetric
-    raises ValueError: some step finds multiplicity 0 at the dominant
-    representative of the greatest remaining weight.
+    Repeatedly takes the lexicographically greatest dominant weight
+    (a, b, 0) of the remainder, a highest weight by Weyl symmetry, and
+    subtracts its irreducible in place.  Every other dominant weight of that
+    irreducible is lexicographically smaller, so the top strictly decreases.
+    Once nothing remains, c is by construction the sum of the peeled
+    irreducibles.  Input that is not Weyl-symmetric raises ValueError: some
+    step finds a nonzero remainder with no dominant weight.
     """
     rem = dict(c if isinstance(c, Character) else Character(c))
     out = []
     while rem:
-        ab = dominant_pair(max(rem, key=lambda t: sorted(t, reverse=True)))
-        mult = rem.get((ab[0], ab[1], 0), 0)
-        if mult == 0:
+        top = max((w for w in rem if w[0] >= w[1] >= w[2]), default=None)
+        if top is None:
             raise ValueError("character is not Weyl-symmetric")
+        ab, mult = top[:2], rem[top]
         _axpy(rem, weyl_character(*ab), -mult)
         out.append((ab, mult))
         if len(out) > 100000:
@@ -247,14 +238,10 @@ def multiplicity(c, ab):
 
 
 def from_modules(pairs):
-    """Character of a direct sum given as [(a, b), ...] or [((a, b), mult), ...]."""
+    """Character of a direct sum given as [(a, b), ...], one pair per summand."""
     c = Character()
-    for item in pairs:
-        if len(item) == 2 and isinstance(item[0], tuple):
-            (a, b), m = item
-        else:
-            (a, b), m = item, 1
-        _axpy(c, weyl_character(a, b), m)
+    for a, b in pairs:
+        _axpy(c, weyl_character(a, b), 1)
     return c
 
 

@@ -37,8 +37,8 @@ images in degree j+1, only monomial bookkeeping, and again only the dominant
 blocks of R_{j+1} are eliminated.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -231,10 +231,11 @@ def _agree(what, per_prime):
 
 
 def _piece_character(nullities):
+    """The decomposition of the character with these block nullities."""
     ch = Character()
     for w, n in nullities.items():
         ch.add(w, n)
-    return ch, decompose(ch) if ch else []
+    return decompose(ch) if ch else []
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +248,21 @@ class GradedPiece:
     degree: int
     primes: tuple
     block_nullities: dict            # weight -> nullity
-    character: Character
     decomposition: list              # [((a, b), mult)]
-    bases: dict = None               # prime -> {weight: (monos, basis ndarray)}
+    # prime -> {dominant weight: basis rows}, as cached by graded_kernel
+    dominant_bases: dict = field(repr=False, compare=False)
 
     def dimension(self):
         return sum(self.block_nullities.values())
+
+    @cached_property
+    def bases(self):
+        """prime -> {weight: (monos, basis ndarray)} for every nonzero block.
+
+        Built on first read from the dominant bases by basis transport, so a
+        piece whose bases nobody reads pays nothing for them.
+        """
+        return {p: _orbit_bases(B, self.degree) for p, B in self.dominant_bases.items()}
 
     def vanishes_at(self, point, p):
         """Do all kernel basis vectors vanish at the cubic `point` (mod p)?"""
@@ -300,7 +310,7 @@ def _orbit_bases(dominant, degree):
     return out
 
 
-def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False):
+def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     """The degree-`degree` piece of the ideal of `locus`.
 
     Only the dominant weight blocks are eliminated; every other block has the
@@ -323,10 +333,8 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES, with_basis=False)
                       {p: {w: len(B) for w, B in cached[p].items() if len(B)}
                        for p in primes})
     nullities = _fill_orbits(dominant)
-    ch, dec = _piece_character(nullities)
-    bases = ({p: _orbit_bases(cached[p], degree) for p in primes}
-             if with_basis else None)
-    return GradedPiece(locus, degree, primes, nullities, ch, dec, bases)
+    return GradedPiece(locus, degree, primes, nullities, _piece_character(nullities),
+                       {p: cached[p] for p in primes})
 
 
 def full_block_nullities(locus, degree, primes):
@@ -390,7 +398,6 @@ class SyzygyPiece:
     primes: tuple
     n_generators: int
     block_nullities: dict
-    character: Character
     decomposition: list
 
     def dimension(self):
@@ -407,7 +414,7 @@ def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
     """
     if degree is None:
         degree = loci.GENERATOR_DEGREES[locus][0]
-    gp = graded_kernel(locus, degree, primes, with_basis=True)
+    gp = graded_kernel(locus, degree, primes)
     _, idx_up = monomials_by_weight(degree + 1)
 
     per_prime = {}
@@ -439,8 +446,8 @@ def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
         per_prime[p] = nn
     dominant = _agree(f"syzygies of {locus} degree {degree}", per_prime)
     nullities = _fill_orbits(dominant)
-    ch, dec = _piece_character(nullities)
-    return SyzygyPiece(locus, degree, gp.primes, gp.dimension(), nullities, ch, dec)
+    return SyzygyPiece(locus, degree, gp.primes, gp.dimension(), nullities,
+                       _piece_character(nullities))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +473,7 @@ def isotypic_match(name, locus, degree, primes=linalg.DEFAULT_PRIMES):
     row span, over every prime.  The coefficient span is a GL3-module, so
     its other blocks are permutations of the dominant ones.
     """
-    gp = graded_kernel(locus, degree, primes, with_basis=True)
+    gp = graded_kernel(locus, degree, primes)
     coeffs, tabs = concomitant_coefficients(name)
     for p in gp.primes:
         basis = gp.bases[p]

@@ -319,7 +319,7 @@ class Poly:
 
 
 def linear_form(fam, xs=("x1", "x2", "x3")):
-    """b1*x1 + b2*x2 + b3*x3 for a 3-variable family name."""
+    """fam1*xs[0] + fam2*xs[1] + fam3*xs[2], e.g. b1*x1 + b2*x2 + b3*x3."""
     acc = Poly()
     for i, xv in enumerate(xs):
         acc = acc + Poly.var(f"{fam}{i + 1}") * Poly.var(xv)

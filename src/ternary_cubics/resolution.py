@@ -22,7 +22,7 @@ from functools import lru_cache
 from importlib import resources
 from math import comb
 
-from . import ideals
+from . import ideals, linalg
 from .characters import (Character, _hook, decompose, dim_irrep, dual_weight,
                          ext_power, ext_powers, from_modules, multiplicity,
                          sym_power, sym_powers, weyl_character)
@@ -112,13 +112,12 @@ def numerator_multiplicity(locus):
             return mult
 
 
-def hilbert_consistency(locus, lmax=8, prime=None, seed=0):
+def hilbert_consistency(locus, lmax=8, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     """Compare numerator coefficients with evaluation ranks for l = 1..lmax."""
-    kwargs = {} if prime is None else {"prime": prime}
     report = []
     for ell in range(1, lmax + 1):
         expected = hilbert_from_numerator(locus, ell)
-        actual = ideals.hilbert_value(locus, ell, seed=seed, **kwargs)
+        actual = ideals.hilbert_value(locus, ell, prime=prime, seed=seed)
         report.append({"locus": locus, "degree": ell,
                        "expected": expected, "actual": actual,
                        "ok": expected == actual})

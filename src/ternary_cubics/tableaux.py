@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from . import linalg
-from .poly import Poly, mono_mul, monomial
+from .poly import Poly, linear_form, mono_mul, monomial
 
 COLUMN_SIGNS = {(2, 3): ("x1", 1), (1, 3): ("x2", -1), (1, 2): ("x3", 1)}
 
@@ -172,19 +172,17 @@ def harmonic_dimension(dx, du):
 
 
 def trace_poly(point="x", line="u"):
-    acc = Poly()
-    for i in (1, 2, 3):
-        acc = acc + Poly.var(f"{point}{i}") * Poly.var(f"{line}{i}")
-    return acc
+    """point1 line1 + point2 line2 + point3 line3."""
+    return linear_form(line, tuple(f"{point}{i}" for i in (1, 2, 3)))
 
 
-def omega(p, point="x", line="u"):
-    """The trace contraction sum_i d/d(point_i) d/d(line_i)."""
+def omega(p):
+    """The trace contraction sum_i d/dx_i d/du_i."""
     out = Poly()
     for mo, c in p.terms.items():
         d = dict(mo)
         for i in (1, 2, 3):
-            xv, uv = f"{point}{i}", f"{line}{i}"
+            xv, uv = f"x{i}", f"u{i}"
             ex, eu = d.get(xv, 0), d.get(uv, 0)
             if ex and eu:
                 dd = dict(d)

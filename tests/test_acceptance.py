@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ternary_cubics import brackets, characters, cli, ideals, linalg, loci, resolution, tableaux
+from ternary_cubics import cli, ideals, linalg, loci, resolution
 
 CONFIG = {"primes": linalg.DEFAULT_PRIMES, "seed": 0, "threads": 1,
           "lmax": 8, "timings": False}

@@ -142,6 +142,20 @@ def test_phi400_times_phi441_type():
     assert p
 
 
+def substituted(conc, a):
+    """The concomitant at the cubic a by Poly.substitute: the evaluator's oracle."""
+    return conc.poly.substitute({f"a{r}": Poly.const(a[r]) for r in range(10)})
+
+
+@pytest.mark.parametrize("name", sorted(br.CATALOG))
+def test_evaluate_at_cubic_matches_substitution(name):
+    conc = br.catalog_concomitant(name)
+    rng = random.Random(name)
+    for a in ([rng.randint(-9, 9) for _ in range(10)], [0] * 10,
+              cube_coefficients([1, -2, 3])):
+        assert br.evaluate_at_cubic(conc, a) == substituted(conc, a)
+
+
 def test_vanishes_at_cubic_matches_substitution():
     conc = br.catalog_concomitant("Phi222")
     p = 1000003
@@ -151,6 +165,13 @@ def test_vanishes_at_cubic_matches_substitution():
     rng = random.Random(13)
     a2 = [rng.randint(1, 20) for _ in range(10)]
     assert not br.vanishes_at_cubic(conc, a2, p)
+    # agreement with the exact value reduced mod q, also at a point whose
+    # value is nonzero over Z but vanishes mod q, and at negative entries
+    for q in (p, 65537):
+        for pt in (a, a2, [q * x for x in a2], [x - q for x in a2]):
+            exact = substituted(conc, pt)
+            assert br.vanishes_at_cubic(conc, pt, q) == all(
+                c % q == 0 for c in exact.terms.values())
 
 
 def test_catalog_unknown_name():

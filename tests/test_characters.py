@@ -226,7 +226,7 @@ def test_cached_characters_stay_unchanged():
     assert s3.dimension() == 10
     ch.decompose(ch.sym_power(4, s3))
     ch.decompose(s3 * h4 - h4.scale(2))
-    ch.decompose(ch.from_modules([((3, 0), 2), (4, 2)]))
+    ch.decompose(ch.from_modules([(3, 0), (3, 0), (4, 2)]))
     ch.hook_schur(2, 1, s3)
     assert (dict(ch.weyl_character(3, 0)), dict(ch._h(4))) == before
     assert ch.weyl_character(3, 0) is s3
@@ -373,5 +373,5 @@ def test_decompose_reassembles(a, b):
     b = min(a, b)
     prod = ch.weyl_character(a, b) * ch.weyl_character(2, 1)
     dec = ch.decompose(prod)
-    rebuilt = ch.from_modules(dec)
+    rebuilt = ch.from_modules([ab for ab, m in dec for _ in range(m)])
     assert rebuilt == prod

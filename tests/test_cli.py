@@ -222,8 +222,6 @@ def test_verify_all_runs_serially(capsys, monkeypatch):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     monkeypatch.setattr(cli, "build_checks",
                         lambda: [("dimension-formula", cli._check_dimension_formula)])
-    monkeypatch.delenv("TERNARY_CUBICS_PRIMES", raising=False)
-    monkeypatch.delenv("TERNARY_CUBICS_SEED", raising=False)
     rc, out, err = run(capsys, "verify-all")
     assert rc == 0 and err == ""
     assert json.loads(out)["config"] == {"primes": [1000003, 65537], "seed": 0,
@@ -236,7 +234,7 @@ def test_verify_all_single_prime_notice(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify-all", "--prime", "1000003")
     assert rc == 0
     assert err == "note: one prime (1000003); multi-prime agreement was not checked\n"
-    config = {"primes": (1000003,), "seed": cli._default_seed(), "threads": 1,
+    config = {"primes": (1000003,), "seed": 0, "threads": 1,
               "lmax": 8, "timings": False}
     assert out == cli.format_report(cli.run_verify_all(config), "json")
     rc, out, err = run(capsys, "verify-all")

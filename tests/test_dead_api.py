@@ -1,4 +1,5 @@
-"""No dead public API: every public function and method has a caller.
+"""No dead public API: every public function and method has a caller, and
+every optional parameter has a caller that sets it.
 
 A caller is a reference in the package, the demos or the benchmark, not in
 the tests.  Only the test oracles below may go without one.
@@ -28,18 +29,33 @@ TEST_ORACLES = {
     "weight",
 }
 
+UNSET_OPTIONS = {
+    # the tests drive the CLI in-process; the console script passes nothing
+    ("main", "argv"),
+}
 
-def public_definitions():
-    """(module, qualified name) of every public module-level function and method."""
+
+def public_functions():
+    """(module, qualified name, ast.FunctionDef, bound leading parameters) of every
+    public module-level function and method."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef):
-                out += [(path.stem, f"{node.name}.{sub.name}") for sub in node.body
-                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in sub.decorator_list)
+                        out.append((path.stem, f"{node.name}.{sub.name}", sub,
+                                    0 if static else 1))
             elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                out.append((path.stem, node.name))
+                out.append((path.stem, node.name, node, 0))
     return out
+
+
+def public_definitions():
+    """(module, qualified name) of every public module-level function and method."""
+    return [(mod, qual) for mod, qual, _, _ in public_functions()]
 
 
 def referenced_names():
@@ -65,3 +81,44 @@ def test_test_oracles_exist_and_have_no_caller():
     defined = {qual.split(".")[-1] for _, qual in public_definitions()}
     assert TEST_ORACLES <= defined
     assert sorted(TEST_ORACLES & referenced_names()) == []
+
+
+def calls_by_name():
+    """{called name: [(positional count, keywords passed, has * or **)]}."""
+    calls = {}
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                          or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, spread))
+    return calls
+
+
+def unset_options():
+    """(qualified name, parameter) of every default that no call overrides."""
+    calls = calls_by_name()
+    unset = []
+    for _, qual, node, bound in public_functions():
+        name, args = node.name, node.args
+        positional = (args.posonlyargs + args.args)[bound:]
+        optional = [(a.arg, i) for i, a in enumerate(positional)
+                    if i >= len(positional) - len(args.defaults)]
+        optional += [(a.arg, None) for a, dflt in zip(args.kwonlyargs, args.kw_defaults)
+                     if dflt is not None]
+        for param, pos in optional:
+            if not any(spread or param in kws or (pos is not None and npos > pos)
+                       for npos, kws, spread in calls.get(name, [])):
+                unset.append((qual, param))
+    return unset
+
+
+def test_every_optional_parameter_has_a_setter():
+    # a default that every caller keeps is a constant, not an option; an
+    # allowlisted option that gains a setter, or is deleted, leaves the list
+    assert sorted(set(unset_options()) ^ UNSET_OPTIONS) == []

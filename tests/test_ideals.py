@@ -41,7 +41,7 @@ def test_graded_kernel_tact_degree4():
 
 
 def test_kernel_basis_vanishes_on_samples():
-    gp = ideals.graded_kernel("equiv", 2, primes=(1000003,), with_basis=True)
+    gp = ideals.graded_kernel("equiv", 2, primes=(1000003,))
     for k in range(5):
         pt = loci.sample("equiv", seed=k, p=1000003)
         assert gp.vanishes_at(pt, 1000003)
@@ -135,7 +135,7 @@ def test_hilbert_value_matches_numerator(lid):
 @pytest.mark.parametrize("lid,deg", [("equiv", 2), ("neq", 3), ("delta", 4), ("tact", 5)])
 def test_transported_bases_are_kernels(lid, deg):
     p = PRIMES[0]
-    gp = ideals.graded_kernel(lid, deg, primes=(p,), with_basis=True)
+    gp = ideals.graded_kernel(lid, deg, primes=(p,))
     basis = gp.bases[p]
     assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
     images = ideals._image_blocks(lid, deg, dominant_only=False)
@@ -161,7 +161,7 @@ def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
         return walk(degree, *args, **kwargs)
 
     monkeypatch.setattr(ideals, "_walk", counting_walk)
-    gp = ideals.graded_kernel("delta", 4, primes=PRIMES, with_basis=True)
+    gp = ideals.graded_kernel("delta", 4, primes=PRIMES)
     assert calls == [4]
     assert gp.dimension() == 35 and set(gp.bases) == set(PRIMES)
 
@@ -177,7 +177,7 @@ def test_walk_prunes_to_dominant_blocks():
 
 def test_vanishes_at_reduces_long_dot_products(monkeypatch):
     p = PRIMES[0]
-    gp = ideals.graded_kernel("delta", 4, primes=(p,), with_basis=True)
+    gp = ideals.graded_kernel("delta", 4, primes=(p,))
     on = loci.sample("delta", seed=3, p=p)
     off = tuple(range(1, 11))
     monkeypatch.setattr(linalg, "DOT_TERMS", 2)
@@ -204,7 +204,7 @@ def test_kernel_disagreement_names_the_block(monkeypatch):
 
 
 def test_syzygy_disagreement_names_the_block(monkeypatch):
-    ideals.graded_kernel("equiv", 2, primes=PRIMES, with_basis=True)
+    ideals.graded_kernel("equiv", 2, primes=PRIMES)
     nullity = linalg.nullity_mod
     monkeypatch.setattr(linalg, "nullity_mod",
                         lambda A, p: nullity(A, p) + (p == 65537))
