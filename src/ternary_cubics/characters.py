@@ -102,11 +102,7 @@ class Character(dict):
 
     def _merged(self, other, sign):
         out = Character(self)
-        if isinstance(other, Character):
-            _axpy(out, other, sign)
-        else:
-            for w, m in other.items():
-                out.add(w, sign * m)
+        _axpy(out, other, sign)
         return out
 
     def __add__(self, other):
@@ -214,7 +210,7 @@ def decompose(c):
     irreducibles.  Input that is not Weyl-symmetric raises ValueError: some
     step finds a nonzero remainder with no dominant weight.
     """
-    rem = dict(c if isinstance(c, Character) else Character(c))
+    rem = dict(c)
     out = []
     while rem:
         top = max((w for w in rem if w[0] >= w[1] >= w[2]), default=None)

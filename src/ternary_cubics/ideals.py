@@ -45,7 +45,7 @@ import numpy as np
 
 from . import brackets, linalg, loci, tableaux
 from .characters import Character, decompose
-from .poly import A_EXPS, A_INDEX
+from .poly import A_EXPS, A_INDEX, Poly, monomial
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
 HILBERT_MARGIN = 12  # evaluation points past each block's size
@@ -62,8 +62,11 @@ def _walk(degree, root, step, leaf, prune=True):
     root's state is `root`, a child's is step(parent state, r) for the index r
     it appends.  leaf(mono, weight, state) runs at every degree-`degree`
     monomial, in the order of monomials_by_weight.  With `prune` the walk
-    enters only prefixes of monomials of dominant weight.
+    enters only prefixes of monomials of dominant weight.  A negative degree
+    raises ValueError: no node reaches it, so the walk would never end.
     """
+    if degree < 0:
+        raise ValueError(f"degree must be at least 0, got {degree}")
     keep = _dominant_prefixes(degree) if prune else None
     stack = [((), (0, 0, 0), root)]
     while stack:
@@ -502,28 +505,28 @@ def syzygy_relation_check():
     not equivariant: the pairing needs the Gram matrix of the trace-free
     representatives), yields a bihomogeneous polynomial in (y, v) whose
     harmonic coefficients all vanish identically -- one relation per tableau
-    of the (y, v) shape.  Returns {name: number of relations}; raises
-    AssertionError on a nonzero coefficient.
+    of the (y, v) shape.  The projection works in (x, u), so y and v are
+    renamed to x and u first.  Returns {name: number of relations}; raises
+    AssertionError on a nonzero coefficient, also under python -O.
     """
-    from .poly import Poly
-
     f, tabs = concomitant_coefficients("Phi222")
     G = tableaux.invariant_gram(2, 2)
+    n = len(tabs)
+    # F_i = sum_j G_ij f_j, so that sum_i c_i F_i pairs c with f
+    F = [sum((f[j] * G[i][j] for j in range(n) if G[i][j]), Poly()) for i in range(n)]
+    rename = {"y": "x", "v": "u"}
     counts = {}
     for name in ("Psi54", "Psi51", "Psi42", "Psi21"):
         c, tabs2 = concomitant_coefficients(name)
         if tabs2 != tabs:
             raise RuntimeError(f"{name} does not share the (x,u) shape of Phi222")
-        R = Poly()
-        for i in range(len(tabs)):
-            if not c[i]:
-                continue
-            for j in range(len(tabs)):
-                if G[i][j]:
-                    R = R + (c[i] * f[j]) * G[i][j]
-        h, _, _ = tableaux.harmonic_project(R, point="y", line="v")
+        R = sum((c[i] * F[i] for i in range(n) if c[i]), Poly())
+        R = Poly({monomial([(rename.get(v[0], v[0]) + v[1:], e) for v, e in mo]): coef
+                  for mo, coef in R.terms.items()})
+        h, _, _ = tableaux.harmonic_project(R)
         for hS in h:
-            assert not hS, f"{name}: nonzero syzygy coefficient {hS!r}"
+            if hS:
+                raise AssertionError(f"{name}: nonzero syzygy coefficient {hS!r}")
         dy, dv = brackets.catalog_concomitant(name).ctype.extra
         counts[name] = len(tableaux.enumerate_tableaux(dv, dy))
     return counts

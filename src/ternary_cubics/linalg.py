@@ -183,11 +183,3 @@ def nullspace_frac(rows):
         basis.append(v)
     return basis
 
-
-def solve_frac(M, rhs):
-    """Solve the square exact system M x = rhs over Q; raises if singular."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(M)]
-    if len(_rref_frac(A, n)) != n:
-        raise ValueError("singular system")
-    return [A[i][n] for i in range(n)]

@@ -44,10 +44,8 @@ GENERATOR_DEGREES = {
 
 @dataclass
 class LocusSpec:
-    id: str
     params: list
     phi: list          # ten Polys, phi[r] = image of a_r
-    dim: int
 
 
 def _coefficients_of_cubic(F):
@@ -97,7 +95,7 @@ def substitution_map(locus):
             params.extend(f"q{i}" for i in range(1, 7))
         else:
             params.extend(f"{fam}{i}" for i in range(1, 4))
-    return LocusSpec(locus, params, phi, LOCUS_DIM[locus])
+    return LocusSpec(params, phi)
 
 
 def _seed_key(seed):

@@ -318,11 +318,15 @@ class Poly:
         ) + ("..." if len(self.terms) > 8 else "") + ")"
 
 
-def linear_form(fam, xs=("x1", "x2", "x3")):
-    """fam1*xs[0] + fam2*xs[1] + fam3*xs[2], e.g. b1*x1 + b2*x2 + b3*x3."""
+def linear_form(fam):
+    """fam1*x1 + fam2*x2 + fam3*x3, e.g. b1*x1 + b2*x2 + b3*x3.
+
+    Always in x; a caller that needs a form in other point variables (y)
+    renames this one.
+    """
     acc = Poly()
-    for i, xv in enumerate(xs):
-        acc = acc + Poly.var(f"{fam}{i + 1}") * Poly.var(xv)
+    for i in (1, 2, 3):
+        acc = acc + Poly.var(f"{fam}{i}") * Poly.var(f"x{i}")
     return acc
 
 

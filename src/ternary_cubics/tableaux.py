@@ -11,6 +11,12 @@ harmonic + trace * remainder, where trace = x1 u1 + x2 u2 + x3 u3 and the
 harmonic part lies in the span of the X_T for the shape (dx+du, dx).  This
 linear-algebra projection plays the role of the straightening law: it lands
 arbitrary monomials on the tableau basis.
+
+The module works in x and u only.  A caller whose polynomial lives in other
+copies of the point and line variables (the y and v of the syzygy
+concomitants) renames them to x and u before projecting.  Every Fraction
+system here is built by _as_columns and solved by one linalg._rref_frac call
+per bidegree, right-hand sides riding along as an augmented block.
 """
 
 from fractions import Fraction
@@ -59,65 +65,54 @@ def tableau_monomial(T):
     return monomial(pairs), sign
 
 
-def tableau_poly(T, point="x", line="u"):
-    """X_T as a Poly, optionally in the (y, v) copies of the variables."""
+def tableau_poly(T):
+    """X_T as a Poly."""
     mono, sign = tableau_monomial(T)
-    if (point, line) != ("x", "u"):
-        mono = monomial([
-            (v.replace("x", point) if v.startswith("x") else v.replace("u", line), e)
-            for v, e in mono
-        ])
     return Poly({mono: sign})
 
 
-def _xu_monomials(dx, du, point="x", line="u"):
+def _xu_monomials(dx, du):
     out = []
     for cx in combinations_with_replacement((1, 2, 3), dx):
         for cu in combinations_with_replacement((1, 2, 3), du):
-            out.append(monomial([(f"{point}{i}", 1) for i in cx] +
-                                [(f"{line}{i}", 1) for i in cu]))
+            out.append(monomial([(f"x{i}", 1) for i in cx] + [(f"u{i}", 1) for i in cu]))
     return out
 
 
+def _as_columns(polys, monos):
+    """Rows of the Fraction matrix whose column j holds the coefficients of polys[j] on monos."""
+    index = {mo: i for i, mo in enumerate(monos)}
+    A = [[Fraction(0)] * len(polys) for _ in monos]
+    for j, p in enumerate(polys):
+        for mo, c in p.terms.items():
+            A[index[mo]][j] = Fraction(c)
+    return A
+
+
 @lru_cache(maxsize=None)
-def _projection_table(dx, du, point="x", line="u"):
+def _projection_table(dx, du):
     """For each bidegree-(dx, du) monomial, its coordinates on the X_T basis.
 
     Solves mono = sum_T gamma_T X_T + trace * rest exactly over Q.  Returns
     (tableaux, {monomial: tuple of gamma}, {monomial: rest as Poly}).
     """
     tabs = enumerate_tableaux(du, dx)
-    monos = _xu_monomials(dx, du, point, line)
-    index = {mo: i for i, mo in enumerate(monos)}
-    smaller = _xu_monomials(dx - 1, du - 1, point, line) if dx and du else []
-    trace = trace_poly(point, line)
+    monos = _xu_monomials(dx, du)
+    smaller = _xu_monomials(dx - 1, du - 1) if dx and du else []
+    trace = trace_poly()
 
-    # columns: X_T vectors, then trace * smaller-monomial vectors
-    cols = []
-    for T in tabs:
-        p = tableau_poly(T, point, line)
-        v = [Fraction(0)] * len(monos)
-        for mo, c in p.terms.items():
-            v[index[mo]] = Fraction(c)
-        cols.append(v)
-    for sm in smaller:
-        p = trace * Poly({sm: 1})
-        v = [Fraction(0)] * len(monos)
-        for mo, c in p.terms.items():
-            v[index[mo]] = Fraction(c)
-        cols.append(v)
-
-    ncols = len(cols)
-    # Solve A * coords = e_mono for every monomial at once: row-reduce [A | I].
-    A = [[cols[j][i] for j in range(ncols)] + [Fraction(i == k) for k in range(len(monos))]
-         for i in range(len(monos))]
+    # Solve [X_T | trace * smaller] * coords = mono for every monomial at
+    # once: row-reduce it augmented by the monomials themselves (the identity).
+    ncols = len(tabs) + len(smaller)
+    A = _as_columns([tableau_poly(T) for T in tabs]
+                    + [trace * Poly({sm: 1}) for sm in smaller]
+                    + [Poly({mo: 1}) for mo in monos], monos)
     piv = linalg._rref_frac(A, ncols)
     if len(piv) != ncols:
         raise RuntimeError("tableau + trace columns are not independent")
     # consistency: rows beyond rank must be zero on the identity part too
-    for i in range(ncols, len(A)):
-        if any(A[i][ncols + k] != 0 for k in range(len(monos))):
-            raise RuntimeError("tableau + trace columns do not span the bidegree space")
+    if any(x != 0 for row in A[ncols:] for x in row[ncols:]):
+        raise RuntimeError("tableau + trace columns do not span the bidegree space")
     gamma = {}
     rest = {}
     ntabs = len(tabs)
@@ -126,37 +121,35 @@ def _projection_table(dx, du, point="x", line="u"):
         for i, c in enumerate(piv):
             coords[c] = A[i][ncols + kk]
         gamma[mo] = tuple(coords[:ntabs])
-        rp = Poly()
-        for j, sm in enumerate(smaller):
-            if coords[ntabs + j]:
-                rp = rp + Poly({sm: coords[ntabs + j]})
-        rest[mo] = rp
+        rest[mo] = Poly(zip(smaller, coords[ntabs:]))
     return tabs, gamma, rest
 
 
-def harmonic_project(p, point="x", line="u"):
+def harmonic_project(p):
     """Split p = (harmonic on the X_T basis) + trace * remainder.
 
-    p must be bihomogeneous in (point, line) variables; other variables ride
-    along as coefficients.  Returns (coeffs, tableaux, remainder) where
-    coeffs[i] is the Poly coefficient of X_{T_i}.
+    p must be bihomogeneous in the x and u variables; other variables ride
+    along as coefficients.  A polynomial in other copies of the point and
+    line variables (y and v) is renamed to x and u by its caller first.
+    Returns (coeffs, tableaux, remainder) where coeffs[i] is the Poly
+    coefficient of X_{T_i}.
     """
     if not p:
         return [], (), Poly()
     dx = du = None
     for mo in p.terms:
-        ddx = sum(e for v, e in mo if v.startswith(point))
-        ddu = sum(e for v, e in mo if v.startswith(line))
+        ddx = sum(e for v, e in mo if v[0] == "x")
+        ddu = sum(e for v, e in mo if v[0] == "u")
         if dx is None:
             dx, du = ddx, ddu
         elif (dx, du) != (ddx, ddu):
             raise ValueError("input not bihomogeneous")
-    tabs, gamma, rest = _projection_table(dx, du, point, line)
+    tabs, gamma, rest = _projection_table(dx, du)
     coeffs = [{} for _ in tabs]
     remainder = {}
     for mo, c in p.terms.items():
-        inner = tuple((v, e) for v, e in mo if v.startswith(point) or v.startswith(line))
-        outer = tuple((v, e) for v, e in mo if not (v.startswith(point) or v.startswith(line)))
+        inner = tuple((v, e) for v, e in mo if v[0] in ("x", "u"))
+        outer = tuple((v, e) for v, e in mo if v[0] not in ("x", "u"))
         for acc, g in zip(coeffs, gamma[inner]):
             if g:
                 acc[outer] = acc.get(outer, 0) + c * g
@@ -171,9 +164,9 @@ def harmonic_dimension(dx, du):
     return len(enumerate_tableaux(du, dx))
 
 
-def trace_poly(point="x", line="u"):
-    """point1 line1 + point2 line2 + point3 line3."""
-    return linear_form(line, tuple(f"{point}{i}" for i in (1, 2, 3)))
+def trace_poly():
+    """x1 u1 + x2 u2 + x3 u3."""
+    return linear_form("u")
 
 
 def omega(p):
@@ -202,30 +195,18 @@ def harmonic_representatives(dx, du):
     """
     tabs = enumerate_tableaux(du, dx)
     monos = _xu_monomials(dx - 1, du - 1)
-    idx = {m: i for i, m in enumerate(monos)}
     trace = trace_poly()
-    rows = []
-    for m in monos:
-        img = omega(trace * Poly({m: 1}))
-        row = [Fraction(0)] * len(monos)
-        for mo, c in img.terms.items():
-            row[idx[mo]] = Fraction(c)
-        rows.append(row)
-    # transpose: column j is the image of monos[j]
-    M = [[rows[j][i] for j in range(len(monos))] for i in range(len(monos))]
+    X = [tableau_poly(T) for T in tabs]
+    # Solve M g_T = omega(X_T) for every T at once, where column j of M is
+    # omega(trace * monos[j]): row-reduce [M | omega(X_T) for every T].
+    n = len(monos)
+    A = _as_columns([omega(trace * Poly({m: 1})) for m in monos]
+                    + [omega(x) for x in X], monos)
+    if len(linalg._rref_frac(A, n)) != n:
+        raise RuntimeError("the trace contraction is singular")
     out = []
-    for T in tabs:
-        X = tableau_poly(T)
-        w = omega(X)
-        rhs = [Fraction(0)] * len(monos)
-        for mo, c in w.terms.items():
-            rhs[idx[mo]] = Fraction(c)
-        g = linalg.solve_frac(M, rhs)
-        gp = Poly()
-        for val, m in zip(g, monos):
-            if val:
-                gp = gp + Poly({m: val})
-        h = X - trace * gp
+    for k, x in enumerate(X):
+        h = x - trace * Poly((m, A[i][n + k]) for i, m in enumerate(monos))
         if omega(h):
             raise RuntimeError("harmonic representative still has trace part")
         out.append(h)

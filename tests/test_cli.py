@@ -1,10 +1,18 @@
 """CLI subcommands: outputs, exit codes, and report formats."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ternary_cubics import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_MEMORY = 2 ** 30
 
 
 def run(capsys, *argv):
@@ -158,6 +166,26 @@ def test_ideal_bad_primes(capsys, action, prime, message):
                        "--prime", prime)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def run_capped(*argv):
+    """The CLI in a child process capped at CHILD_MEMORY of address space and
+    120 s, so that a computation that never ends fails fast instead of
+    filling the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    return subprocess.run([sys.executable, "-m", "ternary_cubics.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("action", ["dim", "syzygy", "hilbert"])
+def test_ideal_negative_degree(action):
+    # the monomial walk once never reached degree -1 and ran out of memory
+    proc = run_capped("ideal", action, "--locus", "equiv", "--degree", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: degree must be at least 0, got -1\n"
 
 
 def test_weyl_orbit_check():

@@ -1,5 +1,6 @@
-"""No dead public API: every public function and method has a caller, and
-every optional parameter has a caller that sets it.
+"""No dead public API: every public function and method has a caller, every
+optional parameter has a caller that sets it, and every dataclass field has a
+reader.
 
 A caller is a reference in the package, the demos or the benchmark, not in
 the tests.  Only the test oracles below may go without one.
@@ -122,3 +123,36 @@ def test_every_optional_parameter_has_a_setter():
     # a default that every caller keeps is a constant, not an option; an
     # allowlisted option that gains a setter, or is deleted, leaves the list
     assert sorted(set(unset_options()) ^ UNSET_OPTIONS) == []
+
+
+def dataclass_fields():
+    """(module, class.field) of every annotated field of a @dataclass in the package."""
+    def is_dataclass(d):
+        d = d.func if isinstance(d, ast.Call) else d
+        return getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+                out += [(path.stem, f"{node.name}.{sub.target.id}") for sub in node.body
+                        if isinstance(sub, ast.AnnAssign)]
+    return out
+
+
+def read_attributes():
+    """Every attribute name read (`obj.name` in load context) in the callers."""
+    names = set()
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            names.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    # a field that is built and carried but never read is dead data
+    read = read_attributes()
+    unread = [f"{mod}.{qual}" for mod, qual in dataclass_fields()
+              if qual.split(".")[-1] not in read]
+    assert unread == []

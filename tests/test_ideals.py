@@ -1,5 +1,10 @@
 """Graded kernels, Hilbert values, syzygies, and concomitant membership."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from ternary_cubics import brackets, ideals, linalg, loci
 from ternary_cubics.characters import dim_irrep
 
 PRIMES = (1000003, 65537)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_monomials_by_weight():
@@ -93,6 +99,33 @@ def test_syzygy_relation_check():
     counts = ideals.syzygy_relation_check()
     assert counts == {"Psi54": 35, "Psi51": 35, "Psi42": 27, "Psi21": 8}
     assert sum(counts.values()) == 105
+
+
+def test_syzygy_relation_check_fails_under_python_O():
+    # Phi222's own coefficients in place of every Psi pair to a nonzero
+    # invariant; the check must say so even with assert statements stripped
+    script = "\n".join([
+        "from ternary_cubics import ideals",
+        "own = ideals.concomitant_coefficients",
+        "ideals.concomitant_coefficients = lambda name: own('Phi222')",
+        "try:",
+        "    print(ideals.syzygy_relation_check())",
+        "except AssertionError as exc:",
+        "    print('AssertionError', exc)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("AssertionError Psi54: nonzero syzygy coefficient")
+
+
+def test_negative_degree_raises():
+    # no node of the monomial tree has length -1, so the walk never ended
+    with pytest.raises(ValueError, match="degree must be at least 0"):
+        ideals.graded_kernel("equiv", -1, primes=PRIMES)
+    with pytest.raises(ValueError, match="degree must be at least 0"):
+        ideals.hilbert_value("equiv", -1)
 
 
 def test_unlucky_prime_guard():

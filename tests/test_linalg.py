@@ -46,14 +46,6 @@ def test_nullspace_frac():
         assert sum(Fraction(a) * x for a, x in zip(row, v)) == 0
 
 
-def test_solve_frac():
-    M = [[2, 1], [1, 3]]
-    x = linalg.solve_frac(M, [5, 10])
-    assert [2 * x[0] + x[1], x[0] + 3 * x[1]] == [5, 10]
-    with pytest.raises(ValueError):
-        linalg.solve_frac([[1, 2], [2, 4]], [1, 1])
-
-
 # the greatest prime below PRIME_LIMIT
 BIG_PRIME = 134217689
 
@@ -94,11 +86,14 @@ def square_systems(draw, max_size=5, bound=9):
 
 @settings(max_examples=100, deadline=None)
 @given(square_systems())
-def test_solve_frac_inverts_a_product(case):
+def test_rref_frac_augmented_solve_inverts_a_product(case):
+    # [M | rhs] reduced on M's columns leaves the solution in the last column
     M, x = case
     assume(not linalg.nullspace_frac(M))
-    rhs = [sum(a * b for a, b in zip(row, x)) for row in M]
-    assert linalg.solve_frac(M, rhs) == x
+    n = len(M)
+    A = [[Fraction(a) for a in row] + [sum(a * b for a, b in zip(row, x))] for row in M]
+    assert linalg._rref_frac(A, n) == list(range(n))
+    assert [row[n] for row in A] == x
 
 
 def _benchmark_primes():

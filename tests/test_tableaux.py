@@ -10,7 +10,7 @@ from ternary_cubics import brackets as br
 from ternary_cubics import characters as ch
 from ternary_cubics import linalg
 from ternary_cubics import tableaux as tb
-from ternary_cubics.poly import Poly
+from ternary_cubics.poly import Poly, monomial
 
 
 def ssyt_count(m, n):
@@ -148,9 +148,10 @@ def test_invariant_gram_symmetric_nonsingular():
     assert not linalg.nullspace_frac(rows)   # nonsingular
 
 
-# SHA-256 of _projection_table(dx, du, point, line) for the bidegrees the
-# catalog projects onto: (order, class) in (x, u), and the (y, v) degrees of
-# the syzygy concomitants
+# SHA-256 of the projection table of (dx, du) in the (point, line) variables
+# for the bidegrees the catalog projects onto: (order, class) in (x, u), and
+# the (y, v) degrees of the syzygy concomitants.  The module works in (x, u);
+# a (y, v) table is the (x, u) table renamed, as syzygy_relation_check does.
 PROJECTION_TABLE_SHA256 = {
     (0, 0, "x", "u"): "10148d25abc3112df8b40ed66f4228d5ad4d0658af022e4858cc6d609e42e330",
     (0, 3, "x", "u"): "53ed8093a1bef5662351f77988997eec2687e45bf4a22f9a4898fb06229e3b4e",
@@ -182,9 +183,15 @@ def test_projection_tables_golden():
     orders = {t[1:] for t in br.CATALOG_TYPES.values()}
     assert {k[:2] for k in PROJECTION_TABLE_SHA256 if k[2] == "x"} == orders
     for (dx, du, point, line), digest in PROJECTION_TABLE_SHA256.items():
-        tabs, gamma, rest = tb._projection_table(dx, du, point, line)
-        got = (tabs, sorted(gamma.items()),
-               sorted((mo, sorted(r.terms.items())) for mo, r in rest.items()))
+        tabs, gamma, rest = tb._projection_table(dx, du)
+        names = {"x": point, "u": line}
+
+        def renamed(mo):
+            return monomial([(names[v[0]] + v[1:], e) for v, e in mo])
+
+        got = (tabs, sorted((renamed(mo), g) for mo, g in gamma.items()),
+               sorted((renamed(mo), sorted((renamed(m), c) for m, c in r.terms.items()))
+                      for mo, r in rest.items()))
         assert _sha256(got) == digest, (dx, du, point, line)
 
 
