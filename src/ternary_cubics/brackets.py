@@ -18,7 +18,7 @@ coefficients with positive leading term.
 
 Grammar (ASCII):
 
-    expr   := term (('+'|'-') term)* ;
+    expr   := ['+'|'-'] term (('+'|'-') term)* ;
     term   := [rational] factor+ ;
     factor := atom ['^' uint] ;
     atom   := '(' sym sym sym ')' | sym '_' pvar ;
@@ -89,104 +89,54 @@ class Concomitant:
         self.is_zero = not poly
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<caret>\^)|(?P<plus>\+)|(?P<minus>-)"
-    r"|(?P<rat>\d+(?:/\d+)?)|(?P<pair>[a-z]+_[a-z])|(?P<sym>[a-z]+))"
-)
+# Each is matched where the last match ended, after optional whitespace.  A
+# factor is a determinant (s s s) or a pairing sym_pvar, with an optional ^uint.
+_SIGN_RE = re.compile(r"\s*([+-])")
+_COEFF_RE = re.compile(r"\s*(\d+(?:/\d+)?)")
+_FACTOR_RE = re.compile(r"\s*(?:\(\s*([a-z]+)\s+([a-z]+)\s+([a-z]+)\s*\)|([a-z]+)_([a-z]+))"
+                        r"(?:\s*\^\s*(\d+))?")
 
 
-def _tokenize(src):
-    pos = 0
-    tokens = []
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == pos:
-            raise BracketSyntaxError(f"syntax error at position {pos}: {src[pos:pos+10]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    return tokens
+def _syntax_error(src, pos, what):
+    pos += len(src[pos:]) - len(src[pos:].lstrip())
+    return BracketSyntaxError(f"{what} at position {pos}: {src[pos:pos + 10]!r}")
+
+
+def _atom(src, m):
+    """The Det3 or Pair spelled by a _FACTOR_RE match, its symbols checked."""
+    for g in (1, 2, 3, 4):
+        if m[g] is not None and m[g] not in GREEK + LINE_VARS:
+            raise _syntax_error(src, m.start(g), f"unknown symbol {m[g]!r}")
+    if m[1] is None:
+        if m[5] not in POINT_VARS:
+            raise _syntax_error(src, m.start(5), f"unknown point variable {m[5]!r}")
+        return Pair(m[4], m[5])
+    if len({m[1], m[2], m[3]}) < 3:
+        raise _syntax_error(src, m.start(), "determinant rows must be distinct")
+    return Det3(m.group(1, 2, 3))
 
 
 def parse(src):
     """Parse a bracket expression in the DSL grammar."""
-    tokens = _tokenize(src)
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None, len(src))
-
-    def parse_sym(tok):
-        kind, val, at = tok
-        if kind != "sym":
-            raise BracketSyntaxError(f"expected symbol at position {at}, got {val!r}")
-        if val not in GREEK and val not in LINE_VARS:
-            raise BracketSyntaxError(f"unknown symbol {val!r} at position {at}")
-        return val
-
     terms = []
-    sign = 1
-    while i < len(tokens):
-        kind, val, at = peek()
-        if kind == "plus":
-            sign = 1
-            i += 1
-            continue
-        if kind == "minus":
-            sign = -1
-            i += 1
-            continue
-        coeff = Fraction(sign)
-        sign = 1
-        if kind == "rat":
-            coeff *= Fraction(val)
-            i += 1
+    pos = 0
+    while not terms or src[pos:].strip():
+        sign = _SIGN_RE.match(src, pos)
+        if sign:
+            pos = sign.end()
+        elif terms:
+            raise _syntax_error(src, pos, "expected '+' or '-'")
+        coeff = Fraction(-1 if sign and sign[1] == "-" else 1)
+        if m := _COEFF_RE.match(src, pos):
+            coeff *= Fraction(m[1])
+            pos = m.end()
         factors = []
-        while i < len(tokens):
-            kind, val, at = peek()
-            if kind in ("plus", "minus"):
-                break
-            if kind == "lpar":
-                i += 1
-                rows = []
-                for _ in range(3):
-                    rows.append(parse_sym(peek()))
-                    i += 1
-                kind, val, at = peek()
-                if kind != "rpar":
-                    raise BracketSyntaxError(f"expected ')' at position {at}")
-                i += 1
-                if len(set(rows)) != 3:
-                    raise BracketSyntaxError(f"determinant rows must be distinct: {rows}")
-                atom = Det3(tuple(rows))
-            elif kind == "pair":
-                left, _, right = val.partition("_")
-                if left not in GREEK and left not in LINE_VARS:
-                    raise BracketSyntaxError(f"unknown symbol {left!r} at position {at}")
-                if right not in POINT_VARS:
-                    raise BracketSyntaxError(
-                        f"unknown point-variable {right!r} at position {at}")
-                i += 1
-                atom = Pair(left, right)
-            elif kind == "rat":
-                raise BracketSyntaxError(f"unexpected number at position {at}")
-            else:
-                raise BracketSyntaxError(f"unexpected token {val!r} at position {at}")
-            exp = 1
-            kind, val, at = peek()
-            if kind == "caret":
-                i += 1
-                kind, val, at = peek()
-                if kind != "rat" or "/" in val:
-                    raise BracketSyntaxError(f"expected integer exponent at position {at}")
-                exp = int(val)
-                i += 1
-            factors.append((atom, exp))
+        while m := _FACTOR_RE.match(src, pos):
+            factors.append((_atom(src, m), int(m[6] or 1)))
+            pos = m.end()
         if not factors:
-            raise BracketSyntaxError("empty term")
+            raise _syntax_error(src, pos, "expected a factor")
         terms.append(Term(coeff, tuple(factors)))
-    if not terms:
-        raise BracketSyntaxError("empty expression")
     return BracketExpr(tuple(terms))
 
 

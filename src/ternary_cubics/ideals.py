@@ -37,6 +37,7 @@ images in degree j+1, only monomial bookkeeping, and again only the dominant
 blocks of R_{j+1} are eliminated.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -272,24 +273,13 @@ class GradedPiece:
         p = linalg.check_prime(p)
         if p not in self.bases:
             raise ValueError(f"no kernel basis modulo {p}; have {sorted(self.bases)}")
-        basis = self.bases[p]
-        pv = [x % p for x in point]
-        n = linalg.DOT_TERMS
-        for monos, B in basis.values():
-            vals = np.array([_mono_value(m, pv, p) for m in monos], dtype=np.int64)
-            acc = np.zeros(len(B), dtype=np.int64)
-            for k in range(0, len(monos), n):
-                acc = (acc + B[:, k:k + n] @ vals[k:k + n]) % p
-            if np.any(acc):
+        pv = [int(x) % p for x in point]
+        # Python ints: the dot products are exact, whatever their length
+        for monos, B in self.bases[p].values():
+            vals = np.array([math.prod(pv[r] for r in m) for m in monos], dtype=object)
+            if np.any(B.astype(object) @ vals % p):
                 return False
         return True
-
-
-def _mono_value(mono, point_vals, p):
-    acc = 1
-    for r in mono:
-        acc = acc * point_vals[r] % p
-    return acc
 
 
 _KERNEL_CACHE = {}   # (locus, degree) -> {p: {dominant weight: basis rows}}
@@ -322,13 +312,15 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     disagreement raises UnluckyPrimeError naming the block.
     """
     primes = tuple(linalg.check_prime(p) for p in primes)
-    cached = _KERNEL_CACHE.setdefault((locus, degree), {})
+    cached = _KERNEL_CACHE.get((locus, degree), {})
     missing = [p for p in primes if p not in cached]
     if missing:
         # one walk over Z serves every missing prime; basis vectors as rows
         # over the block's monomials, and a prime is stored only once all
-        # its blocks are complete
+        # its blocks are complete.  A bad locus or degree raises in the walk,
+        # before anything is stored.
         images = _image_blocks(locus, degree)
+        cached = _KERNEL_CACHE.setdefault((locus, degree), cached)
         for p in missing:
             cached[p] = {w: linalg.nullspace_mod(_block_mod(img, p), p).T.copy()
                          for w, (_, img) in images.items()}

@@ -25,17 +25,12 @@ import numpy as np
 
 DEFAULT_PRIMES = (1000003, 65537)
 
-# Field arithmetic runs on int64 residues in [0, p).  Elimination never holds
-# more than one product of two residues, but a dot product of residue vectors
-# sums many: the longest is GradedPiece.vanishes_at, one product per monomial
-# of a weight block, up to 331 of them at degree 8.  Below PRIME_LIMIT = 2^27
-# each product is under 2^54, so DOT_TERMS = 510 products plus a carried
-# residue stay under 2^63: the degree-8 blocks fit in one dot product, and
-# longer ones are reduced mod p every DOT_TERMS terms.  Below PRIME_MIN, a
-# block is too likely to drop rank by accident (an unlucky prime).
+# Field arithmetic runs on int64 residues in [0, p).  No int64 step holds more
+# than one product of two residues plus a residue; below PRIME_LIMIT = 2^27
+# that is under 2^55, far inside int64.  Below PRIME_MIN, a block is too
+# likely to drop rank by accident (an unlucky prime).
 PRIME_MIN = 2 ** 16
 PRIME_LIMIT = 2 ** 27
-DOT_TERMS = (2 ** 63 - 1) // PRIME_LIMIT ** 2 - 1
 
 # Miller-Rabin with these bases is exact below 3.3e24, far past PRIME_LIMIT
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

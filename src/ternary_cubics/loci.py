@@ -1,7 +1,8 @@
 """The six decomposability loci in P^9 and their parameterizations.
 
 Each locus is the image of a polynomial family F = (product of forms); forcing
-F = sum a_r x^r gives the substitution map a_r = phi_r(params).  The families:
+F = sum a_r x^r gives the substitution map a_r = phi_r(params).  One table,
+_FAMILIES, gives each locus its families and their product:
 
     equiv   F = L^3                      params b
     neq     F = L1^2 L2                  params b, c
@@ -58,44 +59,34 @@ def _coefficients_of_cubic(F):
     return out
 
 
+def _family(fam):
+    """(parameter names, form) of one family: a linear form, the conic q or a scalar."""
+    if fam in ("s", "t"):
+        return [fam], Poly.var(fam)
+    if fam == "q":
+        return [f"q{i}" for i in range(1, 7)], generic_quadric()
+    return [f"{fam}{i}" for i in range(1, 4)], linear_form(fam)
+
+
+# locus -> (its families in parameter order, the product F of their forms)
+_FAMILIES = {
+    "equiv": (("b",), lambda b: b * b * b),
+    "neq": (("b", "c"), lambda b, c: b * b * c),
+    "y": (("b", "c", "s", "t"), lambda b, c, s, t: b * c * (s * b + t * c)),
+    "delta": (("b", "c", "d"), lambda b, c, d: b * c * d),
+    "tact": (("b", "m", "k"), lambda b, m, k: b * (b * m + k * k)),
+    "empty": (("q", "b"), lambda q, b: q * b),
+}
+
+
 @lru_cache(maxsize=None)
 def substitution_map(locus):
     """The LocusSpec with its ten substitution polynomials."""
     if locus not in LOCI:
         raise ValueError(f"unknown locus {locus!r}; have {LOCI}")
-    L1 = linear_form("b")
-    if locus == "equiv":
-        F = L1 * L1 * L1
-        fams = ["b"]
-    elif locus == "neq":
-        F = L1 * L1 * linear_form("c")
-        fams = ["b", "c"]
-    elif locus == "y":
-        L2 = linear_form("c")
-        L3 = Poly.var("s") * L1 + Poly.var("t") * L2
-        F = L1 * L2 * L3
-        fams = ["b", "c", "s", "t"]
-    elif locus == "delta":
-        F = L1 * linear_form("c") * linear_form("d")
-        fams = ["b", "c", "d"]
-    elif locus == "tact":
-        M = linear_form("m")
-        K = linear_form("k")
-        F = L1 * (L1 * M + K * K)
-        fams = ["b", "m", "k"]
-    else:  # empty
-        F = generic_quadric() * L1
-        fams = ["q", "b"]
-    phi = _coefficients_of_cubic(F)
-    params = []
-    for fam in fams:
-        if fam in ("s", "t"):
-            params.append(fam)
-        elif fam == "q":
-            params.extend(f"q{i}" for i in range(1, 7))
-        else:
-            params.extend(f"{fam}{i}" for i in range(1, 4))
-    return LocusSpec(params, phi)
+    fams, product = _FAMILIES[locus]
+    names, forms = zip(*map(_family, fams))
+    return LocusSpec([v for ns in names for v in ns], _coefficients_of_cubic(product(*forms)))
 
 
 def _seed_key(seed):

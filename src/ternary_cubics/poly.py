@@ -31,7 +31,6 @@ A_INDEX = {e: r for r, e in enumerate(A_EXPS)}
 # q1..q6 index the conic Q = q1 x1^2 + q2 x2^2 + q3 x1x2 + q4 x1x3
 # + q5 x2x3 + q6 x3^2 (its affine form sets x3 = 1).
 Q_EXPS = [(2, 0, 0), (0, 2, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
-Q_INDEX = {e: i for i, e in enumerate(Q_EXPS)}
 
 _E = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 

@@ -192,10 +192,6 @@ def eagon_northcott_check():
 # spectral-sequence character identities
 # ---------------------------------------------------------------------------
 
-IDENTITY_NAMES = ("Z1", "Y1", "Z40", "Y41", "NEG1", "DELTA1",
-                  "VER2", "VER3", "DELTAH", "TACT61", "EMPTY82")
-
-
 def _row_sum(ell):
     """sum_{p=-9}^{-3} (-1)^p dual(sym_{-(2p+3)}V) (x) dual(sym_{-(p+3)}V)
     (x) hook(ell, -p)(char S_3)."""
@@ -216,75 +212,78 @@ def _sigma(*pairs):
     return from_modules(list(pairs))
 
 
+def _equal(left, right):
+    """The report of the identity left == right, with the difference if it fails."""
+    if left == right:
+        return {"ok": True}
+    return {"ok": False, "difference": {w: m for w, m in (left - right).items() if m}}
+
+
+def _deltah():
+    """sym_l(S_3) - sym_3(S_l) is a genuine representation for l = 3..6."""
+    s3 = weyl_character(*S3)
+    detail = {ell: decompose(sym_power(ell, s3) - sym_power(3, weyl_character(ell, 0)))
+              for ell in range(3, 7)}
+    return {"ok": all(m >= 0 for dec in detail.values() for _, m in dec), "detail": detail}
+
+
+def _tact61():
+    """Sigma_21 (x) Sigma_33 has a 10-dimensional summand, and each one is Sigma_33."""
+    dec = decompose(weyl_character(2, 1) * weyl_character(3, 3))
+    tens = [ab for ab, _ in dec if dim_irrep(*ab) == 10]
+    return {"ok": bool(tens) and all(ab == (3, 3) for ab in tens), "detail": dec}
+
+
+def _empty82():
+    """(Sigma_54 + Sigma_33) (x) sym_2(S_3) has no invariant; with Sigma_42 + Sigma_33
+    + Sigma_21 in place of the first factor it has one."""
+    sym2 = sym_power(2, weyl_character(*S3))
+    m0 = multiplicity(_sigma((5, 4), (3, 3)) * sym2, (0, 0))
+    m1 = multiplicity(_sigma((4, 2), (3, 3), (2, 1)) * sym2, (0, 0))
+    return {"ok": m0 == 0 and m1 >= 1, "detail": {"m0": m0, "m1": m1}}
+
+
+# name -> a function returning the identity's report; the order is IDENTITY_NAMES
+_IDENTITIES = {
+    "Z1": lambda: _equal(
+        _row_sum(4),
+        _sigma((11, 1)) - _sigma((6, 6), (6, 3), (6, 0), (5, 1), (4, 2), (0, 0))),
+    "Y1": lambda: _equal(
+        _row_sum(5),
+        _sigma((14, 1)) - (_sigma((9, 6), (9, 3), (9, 0), (8, 1), (7, 5), (6, 3),
+                                  (5, 4), (5, 1), (3, 3), (3, 0))
+                           + _sigma((7, 2)).scale(2))),
+    "Z40": lambda: _equal(
+        module_character("neq", 4, 0) - module_character("neq", 3, 1),
+        _sigma((6, 6)) - _sigma((4, 2), (3, 3), (2, 1))),
+    "Y41": lambda: _equal(
+        module_character("neq", 3, 2) + _sigma((7, 5), (5, 4), (3, 3)),
+        module_character("neq", 4, 1) + _sigma((4, 2), (2, 1), (0, 0))),
+    "NEG1": lambda: _equal(
+        _sigma((2, 1)),
+        module_character("neq", 4, 5)
+        - module_character("neq", 4, 6) * weyl_character(*S3).dual()),
+    "DELTA1": lambda: _equal(
+        module_character("delta", 4, 8) * weyl_character(*S3).dual(),
+        module_character("delta", 4, 7)),
+    "VER2": lambda: _equal(
+        sym_power(2, weyl_character(*S3)) - weyl_character(6, 0), _sigma((4, 2))),
+    "VER3": lambda: _equal(
+        sym_power(3, weyl_character(*S3)) - weyl_character(9, 0),
+        _sigma((7, 2), (6, 3), (3, 3), (3, 0))),
+    "DELTAH": _deltah,
+    "TACT61": _tact61,
+    "EMPTY82": _empty82,
+}
+
+IDENTITY_NAMES = tuple(_IDENTITIES)
+
+
 def spectral_identity(name):
     """Evaluate one catalog identity; returns a report dict with ok flag."""
-    if name == "Z1":
-        left = _row_sum(4)
-        right = _sigma((11, 1)) - _sigma((6, 6), (6, 3), (6, 0), (5, 1),
-                                         (4, 2), (0, 0))
-        ok = left == right
-    elif name == "Y1":
-        left = _row_sum(5)
-        right = _sigma((14, 1)) - (_sigma((9, 6), (9, 3), (9, 0), (8, 1),
-                                          (7, 5), (6, 3), (5, 4), (5, 1),
-                                          (3, 3), (3, 0))
-                                   + _sigma((7, 2)).scale(2))
-        ok = left == right
-    elif name == "Z40":
-        left = module_character("neq", 4, 0) - module_character("neq", 3, 1)
-        right = _sigma((6, 6)) - _sigma((4, 2), (3, 3), (2, 1))
-        ok = left == right
-    elif name == "Y41":
-        left = module_character("neq", 3, 2) + _sigma((7, 5), (5, 4), (3, 3))
-        right = module_character("neq", 4, 1) + _sigma((4, 2), (2, 1), (0, 0))
-        ok = left == right
-    elif name == "NEG1":
-        left = _sigma((2, 1))
-        right = (module_character("neq", 4, 5)
-                 - module_character("neq", 4, 6) * weyl_character(*S3).dual())
-        ok = left == right
-    elif name == "DELTA1":
-        left = module_character("delta", 4, 8) * weyl_character(*S3).dual()
-        right = module_character("delta", 4, 7)
-        ok = left == right
-    elif name in ("VER2", "VER3"):
-        ell = 2 if name == "VER2" else 3
-        s3 = weyl_character(*S3)
-        left = sym_power(ell, s3) - weyl_character(3 * ell, 0)
-        right = (_sigma((4, 2)) if ell == 2
-                 else _sigma((7, 2), (6, 3), (3, 3), (3, 0)))
-        ok = left == right
-    elif name == "DELTAH":
-        s3 = weyl_character(*S3)
-        ok = True
-        detail = {}
-        for ell in range(3, 7):
-            diff = sym_power(ell, s3) - sym_power(3, weyl_character(ell, 0))
-            dec = decompose(diff)
-            detail[ell] = dec
-            if any(m < 0 for _, m in dec):
-                ok = False
-        return {"name": name, "ok": ok, "detail": {k: v for k, v in detail.items()}}
-    elif name == "TACT61":
-        prod = weyl_character(2, 1) * weyl_character(3, 3)
-        dec = decompose(prod)
-        tens = [(ab, m) for ab, m in dec if dim_irrep(*ab) == 10]
-        ok = tens and all(ab == (3, 3) for ab, _ in tens)
-        return {"name": name, "ok": bool(ok), "detail": dec}
-    elif name == "EMPTY82":
-        s3 = weyl_character(*S3)
-        sym2 = sym_power(2, s3)
-        m0 = multiplicity(_sigma((5, 4), (3, 3)) * sym2, (0, 0))
-        m1 = multiplicity(_sigma((4, 2), (3, 3), (2, 1)) * sym2, (0, 0))
-        ok = m0 == 0 and m1 >= 1
-        return {"name": name, "ok": ok, "detail": {"m0": m0, "m1": m1}}
-    else:
+    if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}; have {IDENTITY_NAMES}")
-    report = {"name": name, "ok": ok}
-    if not ok:
-        diff = left - right
-        report["difference"] = {w: m for w, m in diff.items() if m}
-    return report
+    return {"name": name, **_IDENTITIES[name]()}
 
 
 def all_identities():

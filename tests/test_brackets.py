@@ -50,6 +50,16 @@ def test_syntax_errors_carry_position():
         br.parse("(alpha alpha u) alpha_x")   # repeated row
     with pytest.raises(br.BracketSyntaxError):
         br.parse("")
+    # a sign must be followed by a term
+    for src in ("alpha_x^3 +", "alpha_x^3 + + beta_x^3"):
+        with pytest.raises(br.BracketSyntaxError, match="position"):
+            br.parse(src)
+
+
+def test_catalog_parses_unchanged():
+    text = "".join(repr(br.parse(src)) for src in br.CATALOG.values())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "163debb87c85bee243afe2ad5be2a74e3ed4c3434f43d138f69ab3262bffabd4"
 
 
 def test_type_errors():

@@ -7,6 +7,7 @@ the tests.  Only the test oracles below may go without one.
 """
 
 import ast
+import importlib
 import io
 import tokenize
 from pathlib import Path
@@ -23,7 +24,7 @@ TEST_ORACLES = {
     # resolution call directly: tests/test_characters.py checks it
     "hook_schur",
     # kernels checked by evaluation at locus points, independently of the
-    # substitution images; DOT_TERMS and PRIME_LIMIT are sized for it
+    # substitution images, with exact integer dot products
     "vanishes_at",
     # torus weight of a Poly: the check that every substitution map
     # preserves weight, which the weight-block split rests on
@@ -156,3 +157,17 @@ def test_every_dataclass_field_is_read():
     unread = [f"{mod}.{qual}" for mod, qual in dataclass_fields()
               if qual.split(".")[-1] not in read]
     assert unread == []
+
+
+def test_traced_names_exist():
+    # perfbench/tracer.py wraps these by name; one that is renamed or deleted
+    # breaks the traced benchmark run, which no other test runs
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (targets,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    names = [(elt.elts[0].value, elt.elts[1].value) for elt in targets.elts]
+    assert names
+    missing = [f"{mod}.{fn}" for mod, fn in names
+               if not callable(getattr(importlib.import_module(f"ternary_cubics.{mod}"),
+                                       fn, None))]
+    assert missing == []

@@ -128,6 +128,14 @@ def test_negative_degree_raises():
         ideals.hilbert_value("equiv", -1)
 
 
+def test_rejected_kernel_calls_leave_no_cache_entry(monkeypatch):
+    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
+    for locus, degree in (("bogus", 2), ("equiv", -1)):
+        with pytest.raises(ValueError):
+            ideals.graded_kernel(locus, degree, primes=PRIMES)
+    assert ideals._KERNEL_CACHE == {}
+
+
 def test_unlucky_prime_guard():
     with pytest.raises(linalg.UnluckyPrimeError):
         raise linalg.UnluckyPrimeError("synthetic")
@@ -208,12 +216,11 @@ def test_walk_prunes_to_dominant_blocks():
     assert len(seen) == 27 and len(blocks) == 136
 
 
-def test_vanishes_at_reduces_long_dot_products(monkeypatch):
+def test_vanishes_at_separates_points_modulo_its_prime():
     p = PRIMES[0]
     gp = ideals.graded_kernel("delta", 4, primes=(p,))
     on = loci.sample("delta", seed=3, p=p)
     off = tuple(range(1, 11))
-    monkeypatch.setattr(linalg, "DOT_TERMS", 2)
     assert gp.vanishes_at(on, p)
     assert not gp.vanishes_at(off, p)
     # a basis mod one prime says nothing about vanishing mod another

@@ -138,12 +138,6 @@ def test_check_prime_range_ends():
         linalg.check_prime(1000003.0)
 
 
-def test_dot_terms_fit_int64():
-    p = linalg.PRIME_LIMIT - 1
-    assert linalg.DOT_TERMS * (p - 1) ** 2 + (p - 1) < 2 ** 63
-    assert linalg.DOT_TERMS >= 331       # the largest degree-8 weight block
-
-
 def test_modular_entry_points_check_the_prime():
     A = np.eye(2, dtype=np.int64)
     for fn in (linalg.rank_mod, linalg.nullspace_mod, linalg.nullity_mod):
