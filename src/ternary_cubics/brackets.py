@@ -311,10 +311,8 @@ def expand(expr):
     substitution") and is flagged on the Concomitant.
     """
     ctype = validate(expr)
-    acc = Poly()
-    for term in expr.terms:
-        raw = _expand_term(term)
-        acc = acc + Poly({m: term.coeff * c for m, c in raw.items()})
+    acc = Poly((m, term.coeff * c)
+               for term in expr.terms for m, c in _expand_term(term).items())
     if acc:
         _, acc = acc.content_and_primitive()
     return Concomitant(acc, ctype)
@@ -380,14 +378,8 @@ def hessian_oracle(a_values):
     F = generic_cubic().substitute({f"a{r}": Poly.const(a_values[r]) for r in range(10)})
 
     def diff(p, xv):
-        out = Poly()
-        for mo, c in p.terms.items():
-            d = dict(mo)
-            e = d.get(xv, 0)
-            if e:
-                d[xv] = e - 1
-                out = out + Poly({monomial(d.items()): c * e})
-        return out
+        return Poly((monomial(mo + ((xv, -1),)), c * e)
+                    for mo, c in p.terms.items() for v, e in mo if v == xv)
 
     xs = ("x1", "x2", "x3")
     H = [[diff(diff(F, xi), xj) for xj in xs] for xi in xs]
@@ -409,7 +401,7 @@ def evaluate_at_cubic(conc, a_values):
     One pass over the terms: each term's a-part becomes a number, and the
     numbers are summed per remaining (x, u, ...) monomial, exactly.
     """
-    acc = {}
+    terms = []
     for mo, c in conc.poly.terms.items():
         rest = []
         for v, e in mo:
@@ -418,9 +410,8 @@ def evaluate_at_cubic(conc, a_values):
                 rest.append((v, e))
             else:
                 c *= a_values[r] ** e
-        key = tuple(rest)
-        acc[key] = acc.get(key, 0) + c
-    return Poly(acc)
+        terms.append((tuple(rest), c))
+    return Poly(terms)
 
 
 def vanishes_at_cubic(conc, a_values, p):

@@ -13,6 +13,7 @@ Subcommands:
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -466,13 +467,10 @@ def cmd_verify_all(args):
     primes = _primes(args)
     config = {"primes": primes, "seed": args.seed, "lmax": args.lmax,
               "timings": args.timings}
-    report = run_verify_all(config)
-    text = format_report(report, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # open --out first, so a path that cannot be written fails before any check runs
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        report = run_verify_all(config)
+        fh.write(format_report(report, args.format))
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     for c in failed:
         print(f"FAIL {c['id']}: expected {c['expected']}, got {c['actual']}",
@@ -556,7 +554,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except linalg.UnluckyPrimeError as exc:

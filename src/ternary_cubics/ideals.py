@@ -39,6 +39,7 @@ blocks of R_{j+1} are eliminated.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
 
@@ -467,24 +468,31 @@ def isotypic_match(name, locus, degree, primes=linalg.DEFAULT_PRIMES):
     those of dominant weight are tested for membership in the block's kernel
     row span, over every prime.  The coefficient span is a GL3-module, so
     its other blocks are permutations of the dominant ones.
+    The vectors are reduced exactly mod p; a prime that divides a
+    coefficient's denominator raises ValueError.
     """
     gp = graded_kernel(locus, degree, primes)
     coeffs, tabs = concomitant_coefficients(name)
+    vectors = [(w, vec) for f in coeffs if f
+               for w, vec in poly_to_block_vectors(f, degree).items() if is_dominant(w)]
     for p in gp.primes:
         basis = gp.bases[p]
-        for f in coeffs:
-            if not f:
-                continue
-            for w, vec in poly_to_block_vectors(f, degree).items():
-                if not is_dominant(w):
-                    continue
-                if w not in basis:
-                    return False
-                _, B = basis[w]
-                v = np.array([int(x) % p for x in vec], dtype=np.int64)
-                if not linalg.in_rowspan_mod(B, v, p):
-                    return False
+        for w, vec in vectors:
+            if w not in basis:
+                return False
+            _, B = basis[w]
+            v = np.array([_residue(x, p) for x in vec], dtype=np.int64)
+            if not linalg.in_rowspan_mod(B, v, p):
+                return False
     return True
+
+
+def _residue(x, p):
+    """The rational x reduced mod p; ValueError if p divides its denominator."""
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ValueError(f"coefficient {x} has no residue mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def syzygy_relation_check():
@@ -505,16 +513,19 @@ def syzygy_relation_check():
     G = tableaux.invariant_gram(2, 2)
     n = len(tabs)
     # F_i = sum_j G_ij f_j, so that sum_i c_i F_i pairs c with f
-    F = [sum((f[j] * G[i][j] for j in range(n) if G[i][j]), Poly()) for i in range(n)]
+    F = [Poly((mo, coef * G[i][j]) for j in range(n) if G[i][j]
+              for mo, coef in f[j].terms.items()) for i in range(n)]
     rename = {"y": "x", "v": "u"}
     counts = {}
     for name in ("Psi54", "Psi51", "Psi42", "Psi21"):
         c, tabs2 = concomitant_coefficients(name)
         if tabs2 != tabs:
             raise RuntimeError(f"{name} does not share the (x,u) shape of Phi222")
-        R = sum((c[i] * F[i] for i in range(n) if c[i]), Poly())
-        R = Poly({monomial([(rename.get(v[0], v[0]) + v[1:], e) for v, e in mo]): coef
-                  for mo, coef in R.terms.items()})
+        # R = sum_i c_i F_i, with y, v renamed to x, u in each product monomial
+        R = Poly((monomial([(rename.get(v[0], v[0]) + v[1:], e) for v, e in m1 + m2]),
+                  c1 * c2)
+                 for i in range(n) if c[i]
+                 for m1, c1 in c[i].terms.items() for m2, c2 in F[i].terms.items())
         h, _, _ = tableaux.harmonic_project(R)
         for hS in h:
             if hS:

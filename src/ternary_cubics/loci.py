@@ -141,12 +141,11 @@ def _affine_line():
 
 
 def _coeffs_in(pl, var, maxdeg):
-    out = [Poly() for _ in range(maxdeg + 1)]
+    out = [[] for _ in range(maxdeg + 1)]
     for mo, c in pl.terms.items():
-        d = dict(mo)
-        e = d.pop(var, 0)
-        out[e] = out[e] + Poly({monomial(d.items()): c})
-    return out
+        e = dict(mo).get(var, 0)
+        out[e].append((monomial(mo + ((var, -e),)), c))
+    return [Poly(pairs) for pairs in out]
 
 
 @lru_cache(maxsize=None)
@@ -166,14 +165,12 @@ def tact_polynomial():
     # same signs as the classical 12-term expansion
     disc = 4 * C[2] * C[0] - C[1] * C[1]
     # exact division by b2^2
-    out = Poly()
+    out = []
     for mo, c in disc.terms.items():
-        d = dict(mo)
-        if d.get("b2", 0) < 2:
+        if dict(mo).get("b2", 0) < 2:
             raise ArithmeticError("discriminant not divisible by b2^2")
-        d["b2"] -= 2
-        out = out + Poly({monomial(d.items()): c})
-    return out
+        out.append((monomial(mo + (("b2", -2),)), c))
+    return Poly(out)
 
 
 def tact_printed_formula():

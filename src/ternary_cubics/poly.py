@@ -13,11 +13,18 @@ Each variable carries a torus weight; monomial weights are the exponent-
 weighted sums, and every locus substitution map is weight-preserving.
 
 Monomials are stored as sorted tuples of (variable, exponent); coefficients
-are ints or Fractions.  The a-index convention is graded-lex on x1 > x2 > x3:
-a0 <-> x1^3, a1 <-> x1^2 x2, ..., a9 <-> x3^3.
+are ints or Fractions.  monomial() owns exponent arithmetic: it takes signed
+exponents and drops the variables whose exponents sum to zero, so a
+derivative or a division rewrites each term as one (monomial, coefficient)
+pair.  The Poly constructor is the one place that merges such pairs into
+canonical terms (equal monomials summed, zero coefficients dropped).
+
+The a-index convention is graded-lex on x1 > x2 > x3: a0 <-> x1^3,
+a1 <-> x1^2 x2, ..., a9 <-> x3^3.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 # Degree-3 exponent triples in graded-lex order; A_EXPS[r] is the x-monomial
@@ -71,12 +78,15 @@ def var_family(v):
 
 
 def monomial(pairs):
-    """Canonical monomial from (var, exp) pairs: merged, sorted, no zeros."""
+    """Canonical monomial from (var, exp) pairs: summed, sorted, zero sums dropped.
+
+    Exponents may be negative: (x1, -1) divides by x1.
+    """
     acc = {}
     for v, e in pairs:
-        if e:
-            acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items(), key=lambda t: VAR_RANK[t[0]]))
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(((v, e) for v, e in acc.items() if e),
+                        key=lambda t: VAR_RANK[t[0]]))
 
 
 def mono_mul(m1, m2):
@@ -112,25 +122,35 @@ def _mono_sort_key(m):
     return (-sum(vec), [-x for x in vec])
 
 
+def _poly(x):
+    """x itself if a Poly; an int or Fraction as a constant Poly."""
+    return Poly.const(x) if isinstance(x, (int, Fraction)) else x
+
+
 class Poly:
-    """Sparse polynomial: dict monomial -> nonzero coefficient."""
+    """Sparse polynomial: dict monomial -> nonzero coefficient.
+
+    The constructor is the one place that merges terms: every result, from
+    arithmetic or from a rewrite of the terms, is built by passing it
+    (monomial, coefficient) pairs, which it sums per monomial, dropping
+    the zeros.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in (terms.items() if isinstance(terms, dict) else terms):
+    def __init__(self, terms=()):
+        merged = self.terms = {}
+        for m, c in (terms.items() if isinstance(terms, dict) else terms):
+            if c:
+                c += merged.get(m, 0)
                 if c:
-                    c0 = self.terms.get(m, 0) + c
-                    if c0:
-                        self.terms[m] = c0
-                    else:
-                        self.terms.pop(m, None)
+                    merged[m] = c
+                else:
+                    del merged[m]
 
     @staticmethod
     def const(c):
-        return Poly({(): c} if c else {})
+        return Poly({(): c})
 
     @staticmethod
     def var(v, e=1):
@@ -140,72 +160,38 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        return self.terms == other.terms
+        return self.terms == _poly(other).terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c0 = out.get(m, 0) + c
-            if c0:
-                out[m] = c0
-            else:
-                out.pop(m, None)
-        p = Poly()
-        p.terms = out
-        return p
+        return Poly(chain(self.terms.items(), _poly(other).terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        return self + (-other)
+        return self + -_poly(other)
 
     def __rsub__(self, other):
-        return Poly.const(other) - self
+        return _poly(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly()
-            p = Poly()
-            p.terms = {m: c * other for m, c in self.terms.items()}
-            return p
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = out.get(m, 0) + c1 * c2
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
-        p = Poly()
-        p.terms = out
-        return p
+        other = _poly(other)
+        return Poly((mono_mul(m1, m2), c1 * c2)
+                    for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError(f"negative power {n} of a polynomial")
         out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def degree(self, families=None):
@@ -226,23 +212,13 @@ class Poly:
         `assignment` maps variable name -> Poly | int | Fraction; unassigned
         variables stay.
         """
-        out = Poly()
-        cache = {}
+        out = []
         for m, c in self.terms.items():
             term = Poly.const(c)
             for v, e in m:
-                if v in assignment:
-                    key = (v, e)
-                    if key not in cache:
-                        rep = assignment[v]
-                        if not isinstance(rep, Poly):
-                            rep = Poly.const(rep)
-                        cache[key] = rep ** e
-                    term = term * cache[key]
-                else:
-                    term = term * Poly.var(v, e)
-            out = out + term
-        return out
+                term = term * (_poly(assignment[v]) ** e if v in assignment else Poly.var(v, e))
+            out.extend(term.terms.items())
+        return Poly(out)
 
     def evaluate(self, values, p=None):
         """Evaluate at scalar values (variable -> number); mod p if given."""
@@ -271,9 +247,8 @@ class Poly:
         for m, c in self.terms.items():
             inner = tuple((v, e) for v, e in m if var_family(v) in fams)
             outer = tuple((v, e) for v, e in m if var_family(v) not in fams)
-            out.setdefault(inner, Poly())
-            out[inner] = out[inner] + Poly({outer: c})
-        return out
+            out.setdefault(inner, []).append((outer, c))
+        return {inner: Poly(pairs) for inner, pairs in out.items()}
 
     def content_and_primitive(self):
         """(content, primitive part) for integer polynomials.
@@ -323,25 +298,16 @@ def linear_form(fam):
     Always in x; a caller that needs a form in other point variables (y)
     renames this one.
     """
-    acc = Poly()
-    for i in (1, 2, 3):
-        acc = acc + Poly.var(f"{fam}{i}") * Poly.var(f"x{i}")
-    return acc
+    return Poly((monomial([(f"{fam}{i}", 1), (f"x{i}", 1)]), 1) for i in (1, 2, 3))
 
 
 def generic_cubic():
     """The trace form: sum a_r x^(exponent of r)."""
-    acc = Poly()
-    for r, e in enumerate(A_EXPS):
-        m = monomial([(f"a{r}", 1)] + [(f"x{i + 1}", e[i]) for i in range(3)])
-        acc = acc + Poly({m: 1})
-    return acc
+    return Poly((monomial([(f"a{r}", 1)] + [(f"x{i + 1}", e[i]) for i in range(3)]), 1)
+                for r, e in enumerate(A_EXPS))
 
 
 def generic_quadric():
     """sum q_alpha x^alpha over the six degree-2 monomials."""
-    acc = Poly()
-    for i, e in enumerate(Q_EXPS):
-        m = monomial([(f"q{i + 1}", 1)] + [(f"x{j + 1}", e[j]) for j in range(3)])
-        acc = acc + Poly({m: 1})
-    return acc
+    return Poly((monomial([(f"q{i + 1}", 1)] + [(f"x{j + 1}", e[j]) for j in range(3)]), 1)
+                for i, e in enumerate(Q_EXPS))

@@ -145,17 +145,15 @@ def harmonic_project(p):
         elif (dx, du) != (ddx, ddu):
             raise ValueError("input not bihomogeneous")
     tabs, gamma, rest = _projection_table(dx, du)
-    coeffs = [{} for _ in tabs]
-    remainder = {}
+    coeffs = [[] for _ in tabs]
+    remainder = []
     for mo, c in p.terms.items():
         inner = tuple((v, e) for v, e in mo if v[0] in ("x", "u"))
         outer = tuple((v, e) for v, e in mo if v[0] not in ("x", "u"))
         for acc, g in zip(coeffs, gamma[inner]):
             if g:
-                acc[outer] = acc.get(outer, 0) + c * g
-        for sm, r in rest[inner].terms.items():
-            key = mono_mul(outer, sm)
-            remainder[key] = remainder.get(key, 0) + c * r
+                acc.append((outer, c * g))
+        remainder.extend((mono_mul(outer, sm), c * r) for sm, r in rest[inner].terms.items())
     return [Poly(acc) for acc in coeffs], tabs, Poly(remainder)
 
 
@@ -171,18 +169,15 @@ def trace_poly():
 
 def omega(p):
     """The trace contraction sum_i d/dx_i d/du_i."""
-    out = Poly()
+    out = []
     for mo, c in p.terms.items():
         d = dict(mo)
         for i in (1, 2, 3):
             xv, uv = f"x{i}", f"u{i}"
             ex, eu = d.get(xv, 0), d.get(uv, 0)
             if ex and eu:
-                dd = dict(d)
-                dd[xv] -= 1
-                dd[uv] -= 1
-                out = out + Poly({monomial(dd.items()): c * ex * eu})
-    return out
+                out.append((monomial(mo + ((xv, -1), (uv, -1))), c * ex * eu))
+    return Poly(out)
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,13 @@ import os
 import resource
 import subprocess
 import sys
+from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from ternary_cubics import cli
+from ternary_cubics import cli, loci, resolution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 2 ** 30
@@ -254,6 +256,33 @@ def test_verify_all_runs_serially(capsys, monkeypatch):
     assert rc == 0 and err == ""
     assert json.loads(out)["config"] == {"primes": [1000003, 65537], "seed": 0,
                                          "threads": 1, "lmax": 8}
+
+
+def test_verify_all_anchors_agree_with_published_ledger():
+    ledger = resolution.tables()
+    for locus, dim in loci.LOCUS_DIM.items():
+        assert ledger[locus]["dim"] == dim, locus
+    later = []
+    for locus, j, dim, dec in cli.KERNEL_ANCHORS:
+        assert dim == comb(j + 9, 9) - resolution.hilbert_from_numerator(locus, j), (locus, j)
+        # at the first generator degree the kernel is the generators; later
+        # degrees also hold multiples of them (tact-5 contains T * R_1)
+        if j == min(jj for jj, p in ledger[locus]["modules"] if p == 0):
+            assert Counter(dict(dec)) == Counter(resolution.module_list(locus, j, 0)), (locus, j)
+        else:
+            later.append((locus, j))
+    assert later == [("tact", 5)]
+    for locus, j, dim, dec in cli.SYZYGY_ANCHORS:
+        assert Counter(dict(dec)) == Counter(resolution.module_list(locus, j, 1)), (locus, j)
+
+
+def test_verify_all_unwritable_out_fails_before_any_check(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "build_checks", lambda: pytest.fail("ran checks"))
+    target = tmp_path / "missing" / "r.json"
+    rc, out, err = run(capsys, "verify-all", "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_verify_all_single_prime_notice(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,20 @@ def test_isotypic_match():
     # negative control: the (5,1)-isotypic triangle concomitant cannot lie in
     # the one-dimensional invariant kernel of the tangency locus
     assert not ideals.isotypic_match("Phi441", "tact", 4, primes=(1000003,))
+
+
+def test_isotypic_match_reduces_fractions_exactly(monkeypatch):
+    # scaling the coefficients keeps their span over Q; a residue taken by
+    # truncating each Fraction to an int would not
+    coeffs, tabs = ideals.concomitant_coefficients("Phi222")
+    for scale in (Fraction(1, 3), Fraction(1, 2)):
+        monkeypatch.setattr(ideals, "concomitant_coefficients",
+                            lambda name, s=scale: ([f * s for f in coeffs], tabs))
+        assert ideals.isotypic_match("Phi222", "equiv", 2, primes=(1000003,))
+    monkeypatch.setattr(ideals, "concomitant_coefficients",
+                        lambda name: ([f * Fraction(1, 1000003) for f in coeffs], tabs))
+    with pytest.raises(ValueError, match="mod 1000003"):
+        ideals.isotypic_match("Phi222", "equiv", 2, primes=(1000003,))
 
 
 def test_concomitant_coefficients_shape():

@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic: ring axioms, substitution, serialization."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,19 @@ def test_monomial_canonical_form():
     m = poly.monomial([("x2", 1), ("x1", 2), ("x2", 1), ("a0", 0)])
     assert m == (("x1", 2), ("x2", 2))
     assert poly.mono_mul(m, (("x1", 1),)) == (("x1", 3), ("x2", 2))
+
+
+def test_monomial_signed_exponents():
+    # exponents summing to zero drop out, and a negative exponent divides
+    m = (("x1", 2), ("x2", 2))
+    assert poly.monomial(m + (("x2", -2), ("u1", 1))) == (("x1", 2), ("u1", 1))
+    assert poly.monomial([("x1", 1), ("x1", -1)]) == ()
+    assert poly.monomial([("x1", -1)]) == (("x1", -1),)
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="negative power"):
+        v("x1") ** -1
 
 
 def test_weights():
@@ -154,3 +169,38 @@ def test_ring_axioms(p, q, r):
 @given(poly_strategy())
 def test_text_round_trip_property(p):
     assert from_text(p.to_text()) == p
+
+
+def _terms_assignments(path):
+    """(enclosing function qualname, line) of each assignment to a .terms attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+            elif isinstance(t, ast.Starred):
+                targets.append(t.value)
+            elif isinstance(t, ast.Attribute) and t.attr == "terms":
+                found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_only_the_constructor_assigns_terms():
+    # every Poly is built by Poly.__init__, the one place that merges terms
+    src = Path(__file__).resolve().parents[1] / "src"
+    found = [(path.name, scope) for path in sorted(src.rglob("*.py"))
+             for scope, _ in _terms_assignments(path)]
+    assert found == [("poly.py", "Poly.__init__")]
