@@ -9,7 +9,19 @@ cross-check.
 
 There is one echelon routine per field, each reducing in place and returning
 the pivot columns: _rref_mod over F_p, behind the four modular entry points
-and their shared prologue _residues, and _rref_frac over Q.
+and their shared prologue _residues, and _rref_frac over Q.  The rank,
+nullity and row-span tests ask _rref_mod for forward elimination only; the
+kernel basis needs the reduced form.
+
+_rref_mod delays its modular reductions.  A pivot step reduces the pivot
+column and the pivot row, then subtracts multiplier times pivot row from the
+columns it touches without reducing: each entry of the trailing block falls
+by at most one product of two residues, (p - 1)^2.  An entry reduced into
+[0, p) therefore stays inside int64 for _headroom(p) unreduced steps, the
+largest h with p + h (p - 1)^2 < 2^63; the trailing block is reduced again
+only after that many steps (512 at the greatest allowed prime, millions at
+the default primes), and a reduced run ends with one reduction of the whole
+matrix.
 
 Every modular entry point validates its prime with check_prime: a prime in
 the range where the int64 arithmetic is exact, or a ValueError.
@@ -25,10 +37,11 @@ import numpy as np
 
 DEFAULT_PRIMES = (1000003, 65537)
 
-# Field arithmetic runs on int64 residues in [0, p).  No int64 step holds more
-# than one product of two residues plus a residue; below PRIME_LIMIT = 2^27
-# that is under 2^55, far inside int64.  Below PRIME_MIN, a block is too
-# likely to drop rank by accident (an unlucky prime).
+# Field arithmetic runs on int64 residues in [0, p), reduced lazily: between
+# reductions an entry accumulates up to _headroom(p) products of two
+# residues.  Below PRIME_LIMIT = 2^27 a product is under 2^54, so the
+# headroom is at least 512 steps.  Below PRIME_MIN, a block is too likely to
+# drop rank by accident (an unlucky prime).
 PRIME_MIN = 2 ** 16
 PRIME_LIMIT = 2 ** 27
 
@@ -64,27 +77,48 @@ def check_prime(p):
     return p
 
 
-def _rref_mod(A, p):
-    """In-place reduced row echelon form of residues mod p.  Returns pivot column list."""
+def _headroom(p):
+    """Pivot steps an entry in [0, p) can take unreduced: the largest h with
+    p + h (p - 1)^2 < 2^63."""
+    return (2 ** 63 - 1 - p) // (p - 1) ** 2
+
+
+def _rref_mod(A, p, *, reduced):
+    """Row echelon form of residues mod p, in place.  Returns the pivot columns.
+
+    With `reduced`, A ends in reduced row echelon form with entries in
+    [0, p).  Without it, elimination only clears the entries below each
+    pivot: the pivots are the whole result, and A is left unreduced.
+    """
     rows, cols = A.shape
+    headroom = _headroom(p)
     pivots = []
-    r = 0
+    r = steps = 0
     for c in range(cols):
         if r == rows:
             break
-        hits = np.nonzero(A[r:, c])[0]
+        lo = 0 if reduced else r
+        A[lo:, c] %= p
+        hits = A[r:, c].nonzero()[0]
         if hits.size == 0:
             continue
         i = r + int(hits[0])
         if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), p - 2, p)) % p
-        nz = np.nonzero(A[:, c])[0]
-        nz = nz[nz != r]
-        if nz.size:
-            A[nz] = (A[nz] - np.outer(A[nz, c], A[r])) % p
+            # columns left of c are zero in both rows
+            A[[r, i], c:] = A[[i, r], c:]
+        A[r, c:] = A[r, c:] % p * pow(int(A[r, c]), p - 2, p) % p
+        f = A[lo:, c].copy()
+        f[r - lo] = 0
+        if f.any():
+            A[lo:, c:] -= f[:, None] * A[r, c:]
+            steps += 1
+            if steps == headroom:
+                A[lo:, c + 1:] %= p
+                steps = 0
         pivots.append(c)
         r += 1
+    if reduced:
+        A %= p
     return pivots
 
 
@@ -103,7 +137,7 @@ def _residues(A, p):
 
 def rank_mod(A, p):
     B, p = _residues(A, p)
-    return len(_rref_mod(B, p))
+    return len(_rref_mod(B, p, reduced=False))
 
 
 def nullspace_mod(A, p):
@@ -113,7 +147,7 @@ def nullspace_mod(A, p):
     in its free coordinate.
     """
     B, p = _residues(A, p)
-    pivots = _rref_mod(B, p)
+    pivots = _rref_mod(B, p, reduced=True)
     free = np.setdiff1d(np.arange(B.shape[1]), pivots)
     basis = np.zeros((B.shape[1], len(free)), dtype=np.int64)
     basis[free, np.arange(len(free))] = 1
@@ -123,13 +157,14 @@ def nullspace_mod(A, p):
 
 def nullity_mod(A, p):
     B, p = _residues(A, p)
-    return B.shape[1] - len(_rref_mod(B, p))
+    return B.shape[1] - len(_rref_mod(B, p, reduced=False))
 
 
 def in_rowspan_mod(A, v, p):
     """Whether v lies in the row span of A, mod p."""
     B, p = _residues(np.vstack([A, np.asarray(v)[None, :]]), p)
-    return len(_rref_mod(B[:-1].copy(), p)) == len(_rref_mod(B, p))
+    return (len(_rref_mod(B[:-1].copy(), p, reduced=False))
+            == len(_rref_mod(B, p, reduced=False)))
 
 
 def _rref_frac(A, ncols=None):

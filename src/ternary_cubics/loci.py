@@ -36,9 +36,10 @@ LOCUS_DIM = {"equiv": 2, "neq": 4, "y": 5, "delta": 6, "tact": 6, "empty": 7}
 # draws of sample() before it gives up on a zero point
 MAX_REDRAWS = 50
 
-# generator degrees of the defining ideals (column 0 of the Betti tables)
+# generator degrees of the defining ideals: the degrees j with b_{j,0} > 0 in
+# the Betti tables (neq has 28 quartic generators beyond R_1 I_3)
 GENERATOR_DEGREES = {
-    "equiv": (2,), "neq": (3,), "y": (3,), "delta": (4,),
+    "equiv": (2,), "neq": (3, 4), "y": (3,), "delta": (4,),
     "tact": (4, 5), "empty": (8,),
 }
 

@@ -1,5 +1,6 @@
 """Graded kernels, Hilbert values, syzygies, and concomitant membership."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -204,6 +205,28 @@ def test_transported_bases_are_kernels(lid, deg):
         assert monos == full_monos
         assert not np.any((A @ B.T) % p)
         assert linalg.rank_mod(B, p) == len(B)
+
+
+# SHA-256 over the kernel basis bytes, primes and weights in sorted order.
+# A reduced echelon basis is unique for a fixed column order, so a change to
+# the elimination must leave these digests as they are.
+KERNEL_BASIS_DIGESTS = {
+    ("tact", 5): "9e7c235897c517912413438cb18d73aca006d02f737948cef088181fe19c7b14",
+    ("delta", 4): "b6259d8da99ac7c6c4ddda72ffec2678263ee9e0f729180823a394d8d2505c41",
+    ("neq", 4): "a492d7d7e5f7dbab7a45fea5c7aad6ae72743e9addf8e3453dc00cf13cf36898",
+}
+
+
+@pytest.mark.parametrize("lid,deg", sorted(KERNEL_BASIS_DIGESTS))
+def test_kernel_bases_are_pinned(lid, deg, monkeypatch):
+    monkeypatch.setitem(ideals._KERNEL_CACHE, (lid, deg), {})
+    gp = ideals.graded_kernel(lid, deg)
+    assert sorted(gp.bases) == sorted(linalg.DEFAULT_PRIMES)
+    h = hashlib.sha256()
+    for p in sorted(gp.bases):
+        for w in sorted(gp.bases[p]):
+            h.update(gp.bases[p][w][1].tobytes())
+    assert h.hexdigest() == KERNEL_BASIS_DIGESTS[(lid, deg)]
 
 
 def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):

@@ -75,6 +75,53 @@ def test_modular_nullity_matches_rational(rows):
     assert linalg.nullspace_mod(A, BIG_PRIME).shape == (cols, nullity)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_modular_nullspace_is_the_rational_nullspace_mod_p(rows):
+    # under the Hadamard bound no nonzero minor vanishes mod p, so both
+    # fields pick the same pivots and the reduced kernel bases agree entry
+    # by entry
+    p = BIG_PRIME
+    bound_sq = 1
+    for row in rows:
+        bound_sq *= max(1, sum(x * x for x in row))
+    assert bound_sq < p ** 2
+    A = np.array(rows, dtype=np.int64)
+    expected = [[x.numerator * pow(x.denominator, -1, p) % p for x in v]
+                for v in linalg.nullspace_frac(rows)]
+    N = linalg.nullspace_mod(A, p)
+    assert N.T.tolist() == expected
+    assert linalg.rank_mod(A, p) == len(linalg._rref_mod(A % p, p, reduced=True))
+
+
+def test_elimination_past_the_int64_headroom():
+    # 530 pivot steps at the greatest allowed prime run past the headroom,
+    # so the trailing block must be reduced mid-run.  A = L U with
+    # L = I - (strictly lower ones) and U = I - (strictly upper ones) mod p
+    # is the worst case: every multiplier and every pivot-row entry is
+    # p - 1, so each step lowers each trailing entry by (p - 1)^2.  A random
+    # matrix stays far from the bound.  The kernel of [A | A X] is [-X; I].
+    p = BIG_PRIME
+    n = 530
+    assert linalg._headroom(p) < n
+    i = np.arange(n)
+    A = (np.minimum.outer(i, i) - 1 + 2 * np.eye(n, dtype=np.int64)) % p
+    X = np.random.default_rng(7).integers(0, p, size=(n, 3))
+    AX = (A.astype(object) @ X.astype(object) % p).astype(np.int64)
+    B = np.hstack([A, AX])
+    assert np.array_equal(linalg.nullspace_mod(B, p),
+                          np.vstack([-X % p, np.eye(3, dtype=np.int64)]))
+    assert linalg.rank_mod(B, p) == n
+    assert linalg.nullity_mod(B, p) == 3
+
+
+@pytest.mark.parametrize("p", [65537, BIG_PRIME])
+def test_headroom_keeps_entries_inside_int64(p):
+    # the least and the greatest allowed prime; h is the largest safe count
+    h = linalg._headroom(p)
+    assert p + h * (p - 1) ** 2 < 2 ** 63 <= p + (h + 1) * (p - 1) ** 2
+
+
 @st.composite
 def square_systems(draw, max_size=5, bound=9):
     n = draw(st.integers(1, max_size))

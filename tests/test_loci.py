@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ternary_cubics import loci
+from ternary_cubics import loci, resolution
 from ternary_cubics.poly import Poly, mono_degree, mono_weight
 
 
@@ -126,3 +126,11 @@ def test_named_cubics():
     t = generic_cubic().substitute(
         {f"a{r}": Poly.const(v) for r, v in enumerate(loci.NAMED_CUBICS["triangle"])})
     assert t == Poly.var("x1") * Poly.var("x2") * Poly.var("x3")
+
+
+def test_generator_degrees_match_the_betti_tables():
+    # a minimal generator of degree j is a Betti number b_{j,0} > 0
+    for locus in loci.LOCI:
+        betti = resolution.betti_table(locus)
+        assert loci.GENERATOR_DEGREES[locus] == tuple(
+            sorted(j for (j, i), b in betti.items() if i == 0 and b > 0)), locus
