@@ -227,15 +227,14 @@ def _check_weyl_orbits(lid, deg):
     def run(config):
         expected = "nullity constant on each S3 orbit"
         piece = ideals.graded_kernel(lid, deg, config["primes"])
+        full = ideals.full_block_nullities(lid, deg, config["primes"])
         blocks, _ = ideals.monomials_by_weight(deg)
-        for p, full in ideals.full_block_nullities(lid, deg, config["primes"]).items():
-            for w in sorted(blocks):
-                d = tuple(sorted(w, reverse=True))
-                got = (full.get(w, 0), full.get(d, 0), piece.block_nullities.get(w, 0))
-                if len(set(got)) > 1:
-                    return ("fail", expected,
-                            f"mod {p}: block {w} nullity {got[0]}, dominant block "
-                            f"{d} {got[1]}, orbit-filled {got[2]}")
+        for w in sorted(blocks):
+            d = tuple(sorted(w, reverse=True))
+            got = (full.get(w, 0), full.get(d, 0), piece.block_nullities.get(w, 0))
+            if len(set(got)) > 1:
+                return ("fail", expected, f"block {w} nullity {got[0]}, dominant block "
+                                          f"{d} {got[1]}, orbit-filled {got[2]}")
         orbits = sum(map(ideals.is_dominant, blocks))
         return "pass", expected, f"{len(blocks)} blocks in {orbits} orbits agree"
     return run
@@ -419,9 +418,12 @@ def run_verify_all(config):
     The report's config carries a fixed "threads": 1, so reports keep the
     format they had when verify-all took --threads.
     """
-    # lmax < 1 would run no Hilbert value and still report "pass"
+    # lmax < 1 would run no Hilbert value and still report "pass", and no
+    # prime would fail every modular check
     if config["lmax"] < 1:
         raise ValueError(f"--lmax must be at least 1, got {config['lmax']}")
+    if not config["primes"]:
+        raise ValueError("at least one prime is needed")
     results = []
     for cid, fn in build_checks():
         t0 = time.monotonic()
@@ -555,7 +557,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except linalg.UnluckyPrimeError as exc:
         print(f"computational failure: {exc}", file=sys.stderr)

@@ -23,9 +23,13 @@ Hilbert evaluations; it keeps only the current path in memory and enters only
 prefixes of dominant-weight monomials, so no work is spent on other blocks.
 
 The substitution images are walked once over Z, with exact integer
-coefficients, for all the primes a kernel lacks; each prime then fills its
-int64 blocks from those entries reduced mod p, so no coefficient meets int64
-before it is reduced.
+coefficients, for all the primes of a kernel, so no coefficient meets int64
+before it is reduced mod p.  Every weight-blocked elimination (kernels,
+syzygies, the all-block cross-check, Hilbert values) takes one path,
+_solve_blocks: for each prime it builds the blocks one at a time and hands
+each to one linalg entry, then compares the primes.  It is the one place here
+that compares primes; a disagreement raises UnluckyPrimeError naming the
+weight block and its count modulo each prime.
 
 Hilbert function values come from evaluation instead: the rank of the matrix
 of monomial values at random points of the locus, on each dominant block,
@@ -181,7 +185,7 @@ def _image_blocks(locus, degree, dominant_only=True):
     Returns {weight: (monos, image)} for the dominant weights, or for every
     weight without `dominant_only`.  An image is the sparse integer matrix
     (shape, rows, cols, coeffs) of shape (n_param_keys, n_monos), with exact
-    Python-int coefficients; _block_mod reduces it modulo a prime.  The column
+    Python-int coefficients; _blocks_mod reduces it modulo a prime.  The column
     space is indexed by the block's monomials (in the order of
     monomials_by_weight), so nullspace vectors are ideal elements.
     """
@@ -212,35 +216,47 @@ def _image_blocks(locus, degree, dominant_only=True):
             for w, e in entries.items()}
 
 
-def _block_mod(image, p):
-    """The int64 matrix of an integer image block, reduced mod p."""
-    shape, rows, cols, coeffs = image
-    A = np.zeros(shape, dtype=np.int64)
-    A[rows, cols] = [c % p for c in coeffs]
-    return A
+def _blocks_mod(images, p):
+    """Yield (weight, int64 matrix) of each integer image block, reduced mod p."""
+    for w, (_, (shape, rows, cols, coeffs)) in images.items():
+        A = np.zeros(shape, dtype=np.int64)
+        A[rows, cols] = [c % p for c in coeffs]
+        yield w, A
 
 
-def _agree(what, per_prime):
-    """The common {weight: nullity} of every prime's blocks.
+# ---------------------------------------------------------------------------
+# the one solve path
+# ---------------------------------------------------------------------------
 
-    A disagreement raises UnluckyPrimeError naming the first weight block
-    whose nullities differ, with the nullity modulo each prime.
+def _check_primes(primes):
+    """The primes as a tuple, each validated by check_prime; at least one."""
+    primes = tuple(linalg.check_prime(p) for p in primes)
+    if not primes:
+        raise ValueError("at least one prime is needed")
+    return primes
+
+
+def _solve_blocks(what, primes, blocks, solve):
+    """Solve every block modulo every prime, and check that the primes agree.
+
+    blocks(p) yields (weight, int64 matrix mod p), one block at a time, and
+    solve(A, p) is the linalg entry for the job.  Returns
+    ({p: {weight: result}}, {weight: count}), where a count is the result
+    itself (a rank or a nullity) or its number of rows (a kernel basis), and
+    zero counts are left out.  Primes that disagree raise UnluckyPrimeError
+    naming the first weight block whose counts differ.
     """
-    maps = list(per_prime.values())
-    for w in sorted(set().union(*maps)):
-        got = {p: nn.get(w, 0) for p, nn in per_prime.items()}
+    results, counts = {}, {}
+    for p in primes:
+        results[p] = {w: solve(A, p) for w, A in blocks(p)}
+        n = {w: len(r) if isinstance(r, np.ndarray) else r for w, r in results[p].items()}
+        counts[p] = {w: k for w, k in n.items() if k}
+    for w in sorted(set().union(*counts.values())):
+        got = {p: c.get(w, 0) for p, c in counts.items()}
         if len(set(got.values())) > 1:
             raise linalg.UnluckyPrimeError(
                 f"{what}: weight block {w} has nullity {got} by prime")
-    return maps[0]
-
-
-def _piece_character(nullities):
-    """The decomposition of the character with these block nullities."""
-    ch = Character()
-    for w, n in nullities.items():
-        ch.add(w, n)
-    return decompose(ch) if ch else []
+    return results, counts[primes[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +264,47 @@ def _piece_character(nullities):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GradedPiece:
+class _Piece:
+    """A graded piece: its block nullities, filled over every S3 orbit."""
     locus: str
     degree: int
     primes: tuple
     block_nullities: dict            # weight -> nullity
-    decomposition: list              # [((a, b), mult)]
-    # prime -> {dominant weight: basis rows}, as cached by graded_kernel
-    dominant_bases: dict = field(repr=False, compare=False)
+    decomposition: list = field(init=False)      # [((a, b), mult)]
+
+    def __post_init__(self):
+        self.decomposition = decompose(Character(self.block_nullities))
 
     def dimension(self):
         return sum(self.block_nullities.values())
+
+
+@dataclass
+class GradedPiece(_Piece):
+    # prime -> {dominant weight: basis rows}, as cached by graded_kernel
+    dominant_bases: dict = field(repr=False, compare=False)
 
     @cached_property
     def bases(self):
         """prime -> {weight: (monos, basis ndarray)} for every nonzero block.
 
-        Built on first read from the dominant bases by basis transport, so a
+        Built on first read from the dominant bases by basis transport: a
+        non-dominant block's basis is its dominant block's basis with the
+        a-indices permuted (see _transport), not a second elimination.  So a
         piece whose bases nobody reads pays nothing for them.
         """
-        return {p: _orbit_bases(B, self.degree) for p, B in self.dominant_bases.items()}
+        blocks, _ = monomials_by_weight(self.degree)
+        out = {}
+        for p, dominant in self.dominant_bases.items():
+            out[p] = {}
+            for d, B in dominant.items():
+                if not len(B):
+                    continue
+                for w in orbit(d):
+                    Bw = np.empty_like(B)
+                    Bw[:, _transport(self.degree, d, w)] = B
+                    out[p][w] = (blocks[w], Bw)
+        return out
 
     def vanishes_at(self, point, p):
         """Do all kernel basis vectors vanish at the cubic `point` (mod p)?"""
@@ -283,25 +320,7 @@ class GradedPiece:
         return True
 
 
-_KERNEL_CACHE = {}   # (locus, degree) -> {p: {dominant weight: basis rows}}
-
-
-def _orbit_bases(dominant, degree):
-    """{weight: (monos, basis rows)} for every nonzero block of the kernel.
-
-    A non-dominant block's basis is its dominant block's basis with the
-    a-indices permuted (see _transport), not a second elimination.
-    """
-    blocks, _ = monomials_by_weight(degree)
-    out = {}
-    for d, B in dominant.items():
-        if not len(B):
-            continue
-        for w in orbit(d):
-            Bw = np.empty_like(B)
-            Bw[:, _transport(degree, d, w)] = B
-            out[w] = (blocks[w], Bw)
-    return out
+_KERNEL_CACHE = {}   # (locus, degree, primes) -> the result of _solve_blocks
 
 
 def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
@@ -312,41 +331,31 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     independently modulo every prime in `primes` and must agree; a
     disagreement raises UnluckyPrimeError naming the block.
     """
-    primes = tuple(linalg.check_prime(p) for p in primes)
-    cached = _KERNEL_CACHE.get((locus, degree), {})
-    missing = [p for p in primes if p not in cached]
-    if missing:
-        # one walk over Z serves every missing prime; basis vectors as rows
-        # over the block's monomials, and a prime is stored only once all
-        # its blocks are complete.  A bad locus or degree raises in the walk,
-        # before anything is stored.
+    primes = _check_primes(primes)
+    key = (locus, degree, primes)
+    if key not in _KERNEL_CACHE:
+        # one walk over Z serves every prime; basis vectors as rows over the
+        # block's monomials.  A bad locus or degree raises in the walk, and a
+        # disagreement in the solve, before anything is stored.
         images = _image_blocks(locus, degree)
-        cached = _KERNEL_CACHE.setdefault((locus, degree), cached)
-        for p in missing:
-            cached[p] = {w: linalg.nullspace_mod(_block_mod(img, p), p).T.copy()
-                         for w, (_, img) in images.items()}
-    dominant = _agree(f"kernel of {locus} degree {degree}",
-                      {p: {w: len(B) for w, B in cached[p].items() if len(B)}
-                       for p in primes})
-    nullities = _fill_orbits(dominant)
-    return GradedPiece(locus, degree, primes, nullities, _piece_character(nullities),
-                       {p: cached[p] for p in primes})
+        _KERNEL_CACHE[key] = _solve_blocks(
+            f"kernel of {locus} degree {degree}", primes, lambda p: _blocks_mod(images, p),
+            lambda A, p: linalg.nullspace_mod(A, p).T.copy())
+    bases, dominant = _KERNEL_CACHE[key]
+    return GradedPiece(locus, degree, primes, _fill_orbits(dominant), bases)
 
 
 def full_block_nullities(locus, degree, primes):
-    """{prime: {weight: nullity}} of every block, dominant or not, each eliminated.
+    """{weight: nullity} of every block, dominant or not, each eliminated.
 
     The cross-check of the orbit reduction: graded_kernel takes the nullity
     of a non-dominant block from its dominant block instead.  One walk over
-    Z builds the images for every prime.
+    Z builds the images for every prime, and the primes must agree.
     """
-    primes = tuple(linalg.check_prime(p) for p in primes)
+    primes = _check_primes(primes)
     images = _image_blocks(locus, degree, dominant_only=False)
-    out = {}
-    for p in primes:
-        nn = {w: linalg.nullity_mod(_block_mod(img, p), p) for w, (_, img) in images.items()}
-        out[p] = {w: n for w, n in nn.items() if n}
-    return out
+    return _solve_blocks(f"all blocks of {locus} degree {degree}", primes,
+                         lambda p: _blocks_mod(images, p), linalg.nullity_mod)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +387,11 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     _walk(degree, np.ones(npoints, dtype=np.int64),
           lambda vals, r: vals * phival[r] % prime,
           lambda mono, w, vals: rows.setdefault(w, []).append(vals))
-    ranks = {w: linalg.rank_mod(np.array(vs)[:, :len(vs) + HILBERT_MARGIN], prime)
-             for w, vs in rows.items()}
-    return sum(len(orbit(w)) * r for w, r in ranks.items())
+    _, ranks = _solve_blocks(
+        f"H({locus}, {degree})", (prime,),
+        lambda p: ((w, np.array(vs)[:, :len(vs) + HILBERT_MARGIN]) for w, vs in rows.items()),
+        linalg.rank_mod)
+    return sum(_fill_orbits(ranks).values())
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +399,9 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SyzygyPiece:
-    locus: str
-    degree: int                      # degree of the generators
-    primes: tuple
+class SyzygyPiece(_Piece):
+    """The linear syzygies among the generators of degree `degree`."""
     n_generators: int
-    block_nullities: dict
-    decomposition: list
-
-    def dimension(self):
-        return sum(self.block_nullities.values())
 
 
 def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
@@ -413,11 +417,10 @@ def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
     gp = graded_kernel(locus, degree, primes)
     _, idx_up = monomials_by_weight(degree + 1)
 
-    per_prime = {}
-    for p in gp.primes:
-        basis = gp.bases[p]
+    def blocks(p):
         # columns of the syzygy system: for each g_i and r, the vector of
         # g_i * a_r in the block of its weight
+        basis = gp.bases[p]
         parts = {}          # dominant weight -> [(row positions, generator rows)]
         for w in sorted(basis):
             monos, B = basis[w]
@@ -428,22 +431,17 @@ def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
                     up = idx_up[wr]
                     rows = [up[tuple(sorted(m + (r,)))] for m in monos]
                     parts.setdefault(wr, []).append((rows, B))
-        nn = {}
-        for wr, blocks in parts.items():
-            A = np.zeros((len(idx_up[wr]), sum(len(B) for _, B in blocks)),
-                         dtype=np.int64)
+        for wr, cols in parts.items():
+            A = np.zeros((len(idx_up[wr]), sum(len(B) for _, B in cols)), dtype=np.int64)
             j = 0
-            for rows, B in blocks:
+            for rows, B in cols:
                 A[rows, j:j + len(B)] = B.T
                 j += len(B)
-            null = linalg.nullity_mod(A, p)
-            if null:
-                nn[wr] = null
-        per_prime[p] = nn
-    dominant = _agree(f"syzygies of {locus} degree {degree}", per_prime)
-    nullities = _fill_orbits(dominant)
-    return SyzygyPiece(locus, degree, gp.primes, gp.dimension(), nullities,
-                       _piece_character(nullities))
+            yield wr, A
+
+    _, dominant = _solve_blocks(f"syzygies of {locus} degree {degree}", gp.primes,
+                                blocks, linalg.nullity_mod)
+    return SyzygyPiece(locus, degree, gp.primes, _fill_orbits(dominant), gp.dimension())
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +474,9 @@ def isotypic_match(name, locus, degree, primes=linalg.DEFAULT_PRIMES):
     vectors = [(w, vec) for f in coeffs if f
                for w, vec in poly_to_block_vectors(f, degree).items() if is_dominant(w)]
     for p in gp.primes:
-        basis = gp.bases[p]
         for w, vec in vectors:
-            if w not in basis:
-                return False
-            _, B = basis[w]
             v = np.array([_residue(x, p) for x in vec], dtype=np.int64)
-            if not linalg.in_rowspan_mod(B, v, p):
+            if not linalg.in_rowspan_mod(gp.dominant_bases[p][w], v, p):
                 return False
     return True
 

@@ -2,8 +2,9 @@
 
 Everything downstream reduces to kernels of integer matrices.  The default
 route is modular: reduce mod a large prime, row-reduce with numpy int64
-arithmetic, and confirm the nullity with a second prime (the callers in
-ideals and cli compare the primes).  Exact rational elimination (via
+arithmetic, and confirm the nullity with a second prime.  The primes are
+compared by the callers: ideals._solve_blocks for every weight-blocked
+elimination, and the cli's `ideal hilbert` (cmd_ideal) for Hilbert values.  Exact rational elimination (via
 fractions.Fraction) is kept for small systems and as an independent
 cross-check.
 

@@ -122,6 +122,16 @@ def test_usage_errors(capsys):
     assert rc == 2 and "error" in err
 
 
+@pytest.mark.parametrize("action", ["type", "terms", "eval"])
+@pytest.mark.parametrize("name", [None, "Phi999"])
+def test_concomitant_unknown_name(capsys, action, name):
+    # the message once carried the quotes that str(KeyError) adds
+    rc, out, err = run(capsys, "concomitant", action, *([name] if name else []))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: unknown concomitant {name!r}; have [")
+    assert err.endswith("]\n") and "Traceback" not in err
+
+
 def test_verify_all_bad_primes(capsys):
     rc, _, err = run(capsys, "verify-all", "--prime", "101")
     assert rc == 2 and "2^16" in err
@@ -241,6 +251,14 @@ def test_run_verify_all_rejects_empty_ranges(monkeypatch, key):
     config = {"primes": (1000003, 65537), "seed": 0, "threads": 1, "lmax": 2,
               "timings": False, key: -2}
     with pytest.raises(ValueError, match=f"--{key} must be at least 1"):
+        cli.run_verify_all(config)
+
+
+def test_run_verify_all_rejects_no_primes(monkeypatch):
+    # no prime once ran every check and failed the modular ones with IndexError
+    monkeypatch.setattr(cli, "build_checks", lambda: pytest.fail("ran checks"))
+    config = {"primes": (), "seed": 0, "lmax": 1, "timings": False}
+    with pytest.raises(ValueError, match="at least one prime"):
         cli.run_verify_all(config)
 
 

@@ -1,7 +1,9 @@
 """Graded kernels, Hilbert values, syzygies, and concomitant membership."""
 
+import ast
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -179,8 +181,7 @@ SMALL_ANCHORS = [(lid, deg) for lid, deg, _, _ in cli.KERNEL_ANCHORS if deg < 8]
                          ids=[f"{l}-{d}" for l, d in SMALL_ANCHORS])
 def test_dominant_nullities_equal_all_block_nullities(lid, deg):
     gp = ideals.graded_kernel(lid, deg, primes=PRIMES)
-    assert ideals.full_block_nullities(lid, deg, PRIMES) == {p: gp.block_nullities
-                                                            for p in PRIMES}
+    assert ideals.full_block_nullities(lid, deg, PRIMES) == gp.block_nullities
 
 
 @pytest.mark.parametrize("lid", loci.LOCI)
@@ -196,13 +197,13 @@ def test_transported_bases_are_kernels(lid, deg):
     basis = gp.bases[p]
     assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
     images = ideals._image_blocks(lid, deg, dominant_only=False)
+    matrices = dict(ideals._blocks_mod(images, p))
     moved = [w for w in basis if not ideals.is_dominant(w)]
     assert moved
     for w in moved:
         monos, B = basis[w]
-        full_monos, image = images[w]
-        A = ideals._block_mod(image, p)
-        assert monos == full_monos
+        A = matrices[w]
+        assert monos == images[w][0]
         assert not np.any((A @ B.T) % p)
         assert linalg.rank_mod(B, p) == len(B)
 
@@ -219,7 +220,7 @@ KERNEL_BASIS_DIGESTS = {
 
 @pytest.mark.parametrize("lid,deg", sorted(KERNEL_BASIS_DIGESTS))
 def test_kernel_bases_are_pinned(lid, deg, monkeypatch):
-    monkeypatch.setitem(ideals._KERNEL_CACHE, (lid, deg), {})
+    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
     gp = ideals.graded_kernel(lid, deg)
     assert sorted(gp.bases) == sorted(linalg.DEFAULT_PRIMES)
     h = hashlib.sha256()
@@ -231,7 +232,7 @@ def test_kernel_bases_are_pinned(lid, deg, monkeypatch):
 
 def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
     ideals._dominant_prefixes(4)      # warm the cached monomial lists
-    monkeypatch.setitem(ideals._KERNEL_CACHE, ("delta", 4), {})
+    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
     walk = ideals._walk
     calls = []
 
@@ -267,7 +268,7 @@ def test_vanishes_at_separates_points_modulo_its_prime():
 
 
 def test_kernel_disagreement_names_the_block(monkeypatch):
-    monkeypatch.setitem(ideals._KERNEL_CACHE, ("equiv", 2), {})
+    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
     nullspace = linalg.nullspace_mod
 
     def drop_one(A, p):
@@ -286,10 +287,62 @@ def test_syzygy_disagreement_names_the_block(monkeypatch):
     nullity = linalg.nullity_mod
     monkeypatch.setattr(linalg, "nullity_mod",
                         lambda A, p: nullity(A, p) + (p == 65537))
-    with pytest.raises(linalg.UnluckyPrimeError,
-                       match=r"syzygies of equiv degree 2: weight block .* "
-                             r"\{1000003: \d+, 65537: \d+\}"):
-        ideals.syzygy_kernel("equiv", 2, primes=PRIMES)
+    for compute, what in ((ideals.syzygy_kernel, "syzygies"),
+                          (ideals.full_block_nullities, "all blocks")):
+        with pytest.raises(linalg.UnluckyPrimeError,
+                           match=rf"{what} of equiv degree 2: weight block "
+                                 r"\(\d+, \d+, \d+\) has nullity \{1000003: \d+, 65537: \d+\}"):
+            compute("equiv", 2, PRIMES)
+
+
+def test_weyl_orbit_check_reports_the_disagreeing_block(monkeypatch):
+    nullity = linalg.nullity_mod
+    monkeypatch.setattr(linalg, "nullity_mod",
+                        lambda A, p: nullity(A, p) + (p == 65537))
+    monkeypatch.setattr(cli, "build_checks",
+                        lambda: [("weyl-orbits-delta-5", cli._check_weyl_orbits("delta", 5))])
+    config = {"primes": PRIMES, "seed": 0, "lmax": 1, "timings": False}
+    (check,) = cli.run_verify_all(config)["checks"]
+    assert check["status"] == "fail"
+    assert re.fullmatch(r"unlucky prime: all blocks of delta degree 5: weight block "
+                        r"\(\d+, \d+, \d+\) has nullity \{1000003: \d+, 65537: \d+\} "
+                        r"by prime", check["actual"])
+
+
+@pytest.mark.parametrize("compute", [
+    ideals.graded_kernel, ideals.syzygy_kernel, ideals.full_block_nullities,
+    lambda locus, degree, primes: ideals.isotypic_match("Phi222", locus, degree, primes),
+], ids=["graded_kernel", "syzygy_kernel", "full_block_nullities", "isotypic_match"])
+def test_empty_prime_sets_are_rejected(compute, monkeypatch):
+    # no prime used to fail on an empty list index, or to agree vacuously
+    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(ideals, "_walk", lambda *a, **k: pytest.fail("walked"))
+    with pytest.raises(ValueError, match="at least one prime"):
+        compute("equiv", 2, ())
+    with pytest.raises(ValueError, match="not prime"):
+        compute("equiv", 2, (1000003, 1000000))
+
+
+def test_weight_blocks_are_solved_in_one_place():
+    # every block elimination in ideals goes through _solve_blocks, and only
+    # _solve_blocks compares primes
+    tree = ast.parse((SRC / "ternary_cubics" / "ideals.py").read_text())
+    in_args = {id(node) for call in ast.walk(tree) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "_solve_blocks"
+               for arg in call.args + [k.value for k in call.keywords]
+               for node in ast.walk(arg)}
+    solves = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and getattr(node.value, "id", None) == "linalg"
+              and node.attr in ("nullspace_mod", "nullity_mod", "rank_mod")]
+    assert {node.attr for node in solves} == {"nullspace_mod", "nullity_mod", "rank_mod"}
+    assert [ast.unparse(node) for node in solves if id(node) not in in_args] == []
+    helper = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_solve_blocks"]
+    inside = {id(node) for fn in helper for node in ast.walk(fn)}
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and node.exc is not None and "UnluckyPrimeError" in ast.unparse(node.exc)]
+    assert helper and raises
+    assert [node.lineno for node in raises if id(node) not in inside] == []
 
 
 def test_entry_points_check_the_prime():
