@@ -128,6 +128,8 @@ def parse(src):
             raise _syntax_error(src, pos, "expected '+' or '-'")
         coeff = Fraction(-1 if sign and sign[1] == "-" else 1)
         if m := _COEFF_RE.match(src, pos):
+            if re.search(r"/0+$", m[1]):
+                raise _syntax_error(src, pos, "zero denominator")
             coeff *= Fraction(m[1])
             pos = m.end()
         factors = []

@@ -127,7 +127,7 @@ def cmd_ideal(args):
         print(f"{sp.dimension()} = {_fmt_modules(sp.decomposition)}")
     elif args.action == "hilbert":
         values = {p: ideals.hilbert_value(args.locus, args.degree, prime=p, seed=args.seed)
-                  for p in primes}
+                  for p in dict.fromkeys(primes)}
         if len(set(values.values())) > 1:
             raise linalg.UnluckyPrimeError(
                 f"H({args.locus}, {args.degree}) differs between primes: {values}")

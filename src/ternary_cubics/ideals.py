@@ -15,25 +15,27 @@ dominant basis with the a-indices permuted (basis transport), never a second
 elimination.  The verify-all check weyl-orbits-delta-5 eliminates every block
 of one kernel and confirms that nullity is constant on each orbit.
 
-Monomials in the a-variables are encoded as nondecreasing tuples of indices
-(a0 a0 a3 = (0, 0, 3)); building them by appending indices >= the last one
-makes the monomials of all degrees a tree.  One depth-first walk over that
-tree (_walk) serves the monomial lists, the substitution images and the
-Hilbert evaluations; it keeps only the current path in memory and enters only
-prefixes of dominant-weight monomials, so no work is spent on other blocks.
+Monomials in the a-variables are nondecreasing index tuples (a0 a0 a3 =
+(0, 0, 3)), listed once per degree by monomials_by_weight; every block of
+every kind is indexed by those cached lists.  Only the substitution images
+share work along the tree of monomials (a child appends an index >= the last
+one and multiplies its parent's image by one phi_r): _image_blocks builds
+them depth first, entering only prefixes of dominant-weight monomials.  They
+are exact integers, built once for all the primes of a kernel, so no
+coefficient meets int64 before it is reduced mod p.
 
-The substitution images are walked once over Z, with exact integer
-coefficients, for all the primes of a kernel, so no coefficient meets int64
-before it is reduced mod p.  Every weight-blocked elimination (kernels,
-syzygies, the all-block cross-check, Hilbert values) takes one path,
-_solve_blocks: for each prime it builds the blocks one at a time and hands
-each to one linalg entry, then compares the primes.  It is the one place here
-that compares primes; a disagreement raises UnluckyPrimeError naming the
-weight block and its count modulo each prime.
+Every weight-blocked elimination (kernels, syzygies, the all-block
+cross-check, Hilbert values) takes one path, _solve_blocks: for each prime it
+builds the blocks one at a time and hands each to one linalg entry, then
+compares the primes.  It is the one place here that compares primes; a
+disagreement raises UnluckyPrimeError naming the weight block and its count
+modulo each prime.
 
 Hilbert function values come from evaluation instead: the rank of the matrix
 of monomial values at random points of the locus, on each dominant block,
-counted once per weight of its orbit.
+counted once per weight of its orbit.  Each block's matrix is built from its
+monomial list at its own n + HILBERT_MARGIN points, so no value is computed
+that the rank does not read.
 
 Syzygies among the degree-j generators are the kernel of the multiplication
 map (generators) x (linear forms) -> R_{j+1}; this needs no substitution
@@ -45,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -61,44 +63,24 @@ HILBERT_MARGIN = 12  # evaluation points past each block's size
 # the monomial tree and its S3 orbits
 # ---------------------------------------------------------------------------
 
-def _walk(degree, root, step, leaf, prune=True):
-    """Depth-first walk over the monomial tree down to `degree`.
-
-    A node is a nondecreasing index tuple with its weight and a state: the
-    root's state is `root`, a child's is step(parent state, r) for the index r
-    it appends.  leaf(mono, weight, state) runs at every degree-`degree`
-    monomial, in the order of monomials_by_weight.  With `prune` the walk
-    enters only prefixes of monomials of dominant weight.  A negative degree
-    raises ValueError: no node reaches it, so the walk would never end.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be at least 0, got {degree}")
-    keep = _dominant_prefixes(degree) if prune else None
-    stack = [((), (0, 0, 0), root)]
-    while stack:
-        mono, w, state = stack.pop()
-        if len(mono) == degree:
-            leaf(mono, w, state)
-            continue
-        # push descending so that the smallest index pops first
-        for r in range(9, (mono[-1] if mono else 0) - 1, -1):
-            child = mono + (r,)
-            if keep is None or child in keep:
-                e = A_EXPS[r]
-                stack.append((child, (w[0] + e[0], w[1] + e[1], w[2] + e[2]),
-                              step(state, r)))
-
-
 @lru_cache(maxsize=16)
 def monomials_by_weight(degree):
     """Degree-`degree` monomials in a0..a9 grouped by weight.
 
     Returns ({weight: [index-tuple, ...]}, {weight: {index-tuple: position}}).
-    Tuples are nondecreasing; order within a block is generation order.
+    Tuples are nondecreasing and, within and across blocks, in lexicographic order.
     """
-    blocks = {}
-    _walk(degree, None, lambda state, r: None,
-          lambda mono, w, state: blocks.setdefault(w, []).append(mono), prune=False)
+    if degree < 0:
+        raise ValueError(f"degree must be at least 0, got {degree}")
+    # the weights (w0, w1, 3 degree - w0 - w1) of the monomials, packed as
+    # w0 * base + w1 and summed in the same order as the index tuples
+    base = 3 * degree + 1
+    packed = map(sum, combinations_with_replacement([e[0] * base + e[1] for e in A_EXPS], degree))
+    by_key = {}
+    for m, k in zip(combinations_with_replacement(range(10), degree), packed):
+        by_key.setdefault(k, []).append(m)
+    blocks = {(k // base, k % base, 3 * degree - k // base - k % base): ms
+              for k, ms in by_key.items()}
     index = {w: {m: i for i, m in enumerate(ms)} for w, ms in blocks.items()}
     return blocks, index
 
@@ -182,43 +164,48 @@ def _encoded_phi(locus):
 def _image_blocks(locus, degree, dominant_only=True):
     """Per-weight substitution matrices over Z, transposed for nullspace extraction.
 
-    Returns {weight: (monos, image)} for the dominant weights, or for every
-    weight without `dominant_only`.  An image is the sparse integer matrix
-    (shape, rows, cols, coeffs) of shape (n_param_keys, n_monos), with exact
-    Python-int coefficients; _blocks_mod reduces it modulo a prime.  The column
-    space is indexed by the block's monomials (in the order of
-    monomials_by_weight), so nullspace vectors are ideal elements.
+    Returns {weight: (shape, rows, cols, coeffs)} for the dominant weights, or
+    for every weight without `dominant_only`: the sparse integer matrix of
+    shape (n_param_keys, n_monos), with exact Python-int coefficients, which
+    _blocks_mod reduces modulo a prime.  The column space is indexed by the
+    block's monomials (in the order of monomials_by_weight), so nullspace
+    vectors are ideal elements.  Built depth first, one path in memory.
     """
     phi = _encoded_phi(locus)
     blocks, index = monomials_by_weight(degree)
+    keep = _dominant_prefixes(degree) if dominant_only else None
     keyidx = {}    # weight -> {packed param key: row index}
     entries = {}   # weight -> (rows, cols, coeffs) of the nonzero entries
-
-    def step(img, r):
-        child = {}
-        for k1, c1 in img.items():
-            for k2, c2 in phi[r].items():
-                k = k1 + k2
-                child[k] = child.get(k, 0) + c1 * c2
-        return {k: c for k, c in child.items() if c}
-
-    def leaf(mono, w, img):
-        ki = keyidx.setdefault(w, {})
-        rows, cols, coeffs = entries.setdefault(w, ([], [], []))
-        j = index[w][mono]
-        for k, c in img.items():
-            rows.append(ki.setdefault(k, len(ki)))
-            cols.append(j)
-            coeffs.append(c)
-
-    _walk(degree, {0: 1}, step, leaf, prune=dominant_only)
-    return {w: (blocks[w], ((len(keyidx[w]), len(blocks[w])), *e))
-            for w, e in entries.items()}
+    stack = [((), (0, 0, 0), {0: 1})]
+    while stack:
+        mono, w, img = stack.pop()
+        if len(mono) == degree:
+            ki = keyidx.setdefault(w, {})
+            rows, cols, coeffs = entries.setdefault(w, ([], [], []))
+            j = index[w][mono]
+            for k, c in img.items():
+                rows.append(ki.setdefault(k, len(ki)))
+                cols.append(j)
+                coeffs.append(c)
+            continue
+        # push descending so that the smallest index pops first
+        for r in range(9, (mono[-1] if mono else 0) - 1, -1):
+            child = mono + (r,)
+            if keep is None or child in keep:
+                prod = {}
+                for k1, c1 in img.items():
+                    for k2, c2 in phi[r].items():
+                        k = k1 + k2
+                        prod[k] = prod.get(k, 0) + c1 * c2
+                e = A_EXPS[r]
+                stack.append((child, (w[0] + e[0], w[1] + e[1], w[2] + e[2]),
+                              {k: c for k, c in prod.items() if c}))
+    return {w: ((len(keyidx[w]), len(blocks[w])), *e) for w, e in entries.items()}
 
 
 def _blocks_mod(images, p):
     """Yield (weight, int64 matrix) of each integer image block, reduced mod p."""
-    for w, (_, (shape, rows, cols, coeffs)) in images.items():
+    for w, (shape, rows, cols, coeffs) in images.items():
         A = np.zeros(shape, dtype=np.int64)
         A[rows, cols] = [c % p for c in coeffs]
         yield w, A
@@ -229,8 +216,11 @@ def _blocks_mod(images, p):
 # ---------------------------------------------------------------------------
 
 def _check_primes(primes):
-    """The primes as a tuple, each validated by check_prime; at least one."""
-    primes = tuple(linalg.check_prime(p) for p in primes)
+    """The distinct primes in their given order, each validated by check_prime.
+
+    At least one is needed; a repeated prime would only repeat its work.
+    """
+    primes = tuple(dict.fromkeys(linalg.check_prime(p) for p in primes))
     if not primes:
         raise ValueError("at least one prime is needed")
     return primes
@@ -334,9 +324,9 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     primes = _check_primes(primes)
     key = (locus, degree, primes)
     if key not in _KERNEL_CACHE:
-        # one walk over Z serves every prime; basis vectors as rows over the
-        # block's monomials.  A bad locus or degree raises in the walk, and a
-        # disagreement in the solve, before anything is stored.
+        # one image build over Z serves every prime; basis vectors as rows
+        # over the block's monomials.  A bad locus or degree raises in the
+        # build, and a disagreement in the solve, before anything is stored.
         images = _image_blocks(locus, degree)
         _KERNEL_CACHE[key] = _solve_blocks(
             f"kernel of {locus} degree {degree}", primes, lambda p: _blocks_mod(images, p),
@@ -349,8 +339,8 @@ def full_block_nullities(locus, degree, primes):
     """{weight: nullity} of every block, dominant or not, each eliminated.
 
     The cross-check of the orbit reduction: graded_kernel takes the nullity
-    of a non-dominant block from its dominant block instead.  One walk over
-    Z builds the images for every prime, and the primes must agree.
+    of a non-dominant block from its dominant block instead.  One image
+    build over Z serves every prime, and the primes must agree.
     """
     primes = _check_primes(primes)
     images = _image_blocks(locus, degree, dominant_only=False)
@@ -366,9 +356,10 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     """H(locus, degree): rank of the monomial evaluation matrix at random points.
 
     The rank is taken on each dominant block and counted once for every
-    weight of its orbit.  A block of n monomials is ranked at the first
-    n + HILBERT_MARGIN points of one seeded sequence, so every block has its
-    own margin of HILBERT_MARGIN points past its size.  Monte Carlo
+    weight of its orbit.  A block of n monomials is evaluated, from its list
+    in monomials_by_weight, at the first n + HILBERT_MARGIN points of one
+    seeded sequence and at no others, so every block has its own margin of
+    HILBERT_MARGIN points past its size.  Monte Carlo
     (one-sided): the result is a lower bound, equal to the true value when
     the points are generic for every dominant block; the margin makes an
     undercount vanishingly unlikely.
@@ -383,14 +374,17 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
         for k, vals in enumerate(pts):
             phival[r, k] = spec.phi[r].evaluate(vals, prime)
 
-    rows = {}
-    _walk(degree, np.ones(npoints, dtype=np.int64),
-          lambda vals, r: vals * phival[r] % prime,
-          lambda mono, w, vals: rows.setdefault(w, []).append(vals))
-    _, ranks = _solve_blocks(
-        f"H({locus}, {degree})", (prime,),
-        lambda p: ((w, np.array(vs)[:, :len(vs) + HILBERT_MARGIN]) for w, vs in rows.items()),
-        linalg.rank_mod)
+    def evaluations(p):
+        # row i, column k: the block's i-th monomial at the k-th point
+        for w, ms in blocks.items():
+            if is_dominant(w):
+                vals = phival[:, :len(ms) + HILBERT_MARGIN]
+                A = np.ones((len(ms), vals.shape[1]), dtype=np.int64)
+                for col in np.array(ms, dtype=np.intp).reshape(len(ms), degree).T:
+                    A = A * vals[col] % p
+                yield w, A
+
+    _, ranks = _solve_blocks(f"H({locus}, {degree})", (prime,), evaluations, linalg.rank_mod)
     return sum(_fill_orbits(ranks).values())
 
 

@@ -54,6 +54,10 @@ def test_syntax_errors_carry_position():
     for src in ("alpha_x^3 +", "alpha_x^3 + + beta_x^3"):
         with pytest.raises(br.BracketSyntaxError, match="position"):
             br.parse(src)
+    # a zero denominator raised ZeroDivisionError from Fraction
+    for src, pos in (("1/0 alpha_x^3", 0), ("alpha_x^3 + 2/00 beta_x^3", 12)):
+        with pytest.raises(br.BracketSyntaxError, match=f"zero denominator at position {pos}"):
+            br.parse(src)
 
 
 def test_catalog_parses_unchanged():

@@ -236,6 +236,29 @@ def test_ideal_hilbert_uses_every_prime(capsys, monkeypatch):
     assert "computational failure" in err and "65537" in err
 
 
+def test_ideal_hilbert_evaluates_each_prime_once(capsys, monkeypatch):
+    seen = []
+
+    def fake_hilbert(locus, degree, prime, seed):
+        seen.append(prime)
+        return 28
+
+    monkeypatch.setattr(cli.ideals, "hilbert_value", fake_hilbert)
+    rc, out, _ = run(capsys, "ideal", "hilbert", "--locus", "equiv", "--degree", "2",
+                     "--prime", "65537", "--prime", "1000003", "--prime", "65537")
+    assert rc == 0 and out.strip() == "28"
+    assert seen == [65537, 1000003]
+
+
+def test_verify_all_report_echoes_repeated_primes(monkeypatch):
+    check = cli._check_piece(cli.ideals.graded_kernel, "equiv", 2, 27, [((4, 2), 1)])
+    monkeypatch.setattr(cli, "build_checks", lambda: [("kernel-equiv-2", check)])
+    config = {"primes": (65537, 65537), "seed": 0, "lmax": 1, "timings": False}
+    report = cli.run_verify_all(config)
+    assert report["config"]["primes"] == [65537, 65537]
+    assert [c["status"] for c in report["checks"]] == ["pass"]
+
+
 @pytest.mark.parametrize("flag,value", [("--lmax", "0"), ("--lmax", "-2")])
 def test_verify_all_rejects_empty_ranges(capsys, monkeypatch, flag, value):
     # --lmax below 1 ran no Hilbert value and still reported "pass"

@@ -2,6 +2,8 @@
 
 import ast
 import hashlib
+import itertools
+import math
 import os
 import re
 import subprocess
@@ -30,6 +32,13 @@ def test_monomials_by_weight():
             got = tuple(sum(A_EXPS[r][i] for r in m) for i in range(3))
             assert got == w
         assert idx[w] == {m: i for i, m in enumerate(ms)}
+    # the packed weights against weights summed one monomial at a time, with
+    # the blocks and their monomials in lexicographic order
+    for degree in range(10):
+        ref = {}
+        for m in itertools.combinations_with_replacement(range(10), degree):
+            ref.setdefault(tuple(sum(A_EXPS[r][i] for r in m) for i in range(3)), []).append(m)
+        assert list(ideals.monomials_by_weight(degree)[0].items()) == list(ref.items())
 
 
 def test_graded_kernel_equiv_degree2():
@@ -196,14 +205,13 @@ def test_transported_bases_are_kernels(lid, deg):
     gp = ideals.graded_kernel(lid, deg, primes=(p,))
     basis = gp.bases[p]
     assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
-    images = ideals._image_blocks(lid, deg, dominant_only=False)
-    matrices = dict(ideals._blocks_mod(images, p))
+    matrices = dict(ideals._blocks_mod(ideals._image_blocks(lid, deg, dominant_only=False), p))
     moved = [w for w in basis if not ideals.is_dominant(w)]
     assert moved
     for w in moved:
         monos, B = basis[w]
         A = matrices[w]
-        assert monos == images[w][0]
+        assert monos == ideals.monomials_by_weight(deg)[0][w]
         assert not np.any((A @ B.T) % p)
         assert linalg.rank_mod(B, p) == len(B)
 
@@ -233,14 +241,14 @@ def test_kernel_bases_are_pinned(lid, deg, monkeypatch):
 def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
     ideals._dominant_prefixes(4)      # warm the cached monomial lists
     monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
-    walk = ideals._walk
+    image_blocks = ideals._image_blocks
     calls = []
 
-    def counting_walk(degree, *args, **kwargs):
+    def counting_walk(locus, degree, *args, **kwargs):
         calls.append(degree)
-        return walk(degree, *args, **kwargs)
+        return image_blocks(locus, degree, *args, **kwargs)
 
-    monkeypatch.setattr(ideals, "_walk", counting_walk)
+    monkeypatch.setattr(ideals, "_image_blocks", counting_walk)
     gp = ideals.graded_kernel("delta", 4, primes=PRIMES)
     assert calls == [4]
     assert gp.dimension() == 35 and set(gp.bases) == set(PRIMES)
@@ -248,11 +256,10 @@ def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
 
 def test_walk_prunes_to_dominant_blocks():
     blocks, _ = ideals.monomials_by_weight(5)
-    seen = {}
-    ideals._walk(5, None, lambda s, r: None,
-                 lambda mono, w, s: seen.setdefault(w, []).append(mono))
-    assert seen == {w: ms for w, ms in blocks.items() if ideals.is_dominant(w)}
-    assert len(seen) == 27 and len(blocks) == 136
+    dominant = [w for w in blocks if ideals.is_dominant(w)]
+    assert list(ideals._image_blocks("delta", 5)) == dominant and len(dominant) == 27
+    assert list(ideals._image_blocks("delta", 5, dominant_only=False)) == list(blocks)
+    assert len(blocks) == 136
 
 
 def test_vanishes_at_separates_points_modulo_its_prime():
@@ -316,7 +323,7 @@ def test_weyl_orbit_check_reports_the_disagreeing_block(monkeypatch):
 def test_empty_prime_sets_are_rejected(compute, monkeypatch):
     # no prime used to fail on an empty list index, or to agree vacuously
     monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
-    monkeypatch.setattr(ideals, "_walk", lambda *a, **k: pytest.fail("walked"))
+    monkeypatch.setattr(ideals, "_image_blocks", lambda *a, **k: pytest.fail("walked"))
     with pytest.raises(ValueError, match="at least one prime"):
         compute("equiv", 2, ())
     with pytest.raises(ValueError, match="not prime"):
@@ -343,6 +350,62 @@ def test_weight_blocks_are_solved_in_one_place():
               and node.exc is not None and "UnluckyPrimeError" in ast.unparse(node.exc)]
     assert helper and raises
     assert [node.lineno for node in raises if id(node) not in inside] == []
+
+
+def test_repeated_primes_are_eliminated_once(monkeypatch):
+    # (65537, 65537) used to eliminate every block twice
+    nullspace = linalg.nullspace_mod
+    calls = []
+    monkeypatch.setattr(linalg, "nullspace_mod",
+                        lambda A, p: calls.append(p) or nullspace(A, p))
+    counts = {}
+    for primes in ((65537,), (65537, 65537), (1000003, 65537, 1000003)):
+        monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
+        calls.clear()
+        gp = ideals.graded_kernel("delta", 4, primes)
+        counts[primes] = len(calls)
+        assert gp.primes == tuple(dict.fromkeys(primes))
+    assert counts == {(65537,): 19, (65537, 65537): 19, (1000003, 65537, 1000003): 38}
+
+
+@pytest.mark.parametrize("lid", loci.LOCI)
+def test_hilbert_blocks_are_point_evaluations(lid, monkeypatch):
+    # row i, column k of a block is its i-th monomial at the k-th sample point
+    p, deg = linalg.DEFAULT_PRIMES[0], 3
+    rank = linalg.rank_mod
+    seen = []
+    monkeypatch.setattr(linalg, "rank_mod", lambda A, q: seen.append(A.copy()) or rank(A, q))
+    ideals.hilbert_value(lid, deg, seed=0)
+    blocks, _ = ideals.monomials_by_weight(deg)
+    dominant = [w for w in blocks if ideals.is_dominant(w)]
+    assert len(seen) == len(dominant)
+    phi = loci.substitution_map(lid).phi
+    points = {}
+    for w, A in zip(dominant, seen):
+        monos = blocks[w]
+        assert A.shape == (len(monos), len(monos) + ideals.HILBERT_MARGIN)
+        for k in range(A.shape[1]):
+            if k not in points:
+                params = loci.sample_params(lid, (0, k), p)
+                points[k] = [phi_r.evaluate(params, p) for phi_r in phi]
+            assert A[:, k].tolist() == [math.prod(points[k][r] for r in m) % p for m in monos]
+
+
+def test_one_walk_over_the_monomial_tree():
+    # the monomial lists come from one enumeration, and only the image build
+    # walks the tree, pruned to dominant prefixes
+    tree = ast.parse((SRC / "ternary_cubics" / "ideals.py").read_text())
+
+    def owners(match):
+        return {getattr(top, "name", "<module>") for top in tree.body
+                for node in ast.walk(top) if match(node)}
+
+    assert owners(lambda n: isinstance(n, ast.Call)
+                  and "combinations_with_replacement" in ast.unparse(n.func)) \
+        == {"monomials_by_weight"}
+    assert owners(lambda n: isinstance(n, ast.Name) and n.id == "_dominant_prefixes"
+                  and isinstance(n.ctx, ast.Load)) == {"_image_blocks"}
+    assert owners(lambda n: isinstance(n, ast.While)) == {"_image_blocks"}
 
 
 def test_entry_points_check_the_prime():
