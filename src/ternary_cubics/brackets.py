@@ -29,6 +29,7 @@ Grammar (ASCII):
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import linalg
@@ -361,15 +362,10 @@ def catalog(name):
     return parse(CATALOG[name])
 
 
-_EXPAND_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def catalog_concomitant(name):
     """The expanded catalog entry, computed once per process."""
-    conc = _EXPAND_CACHE.get(name)
-    if conc is None:
-        conc = _EXPAND_CACHE[name] = expand(catalog(name))
-    return conc
+    return expand(catalog(name))
 
 
 def hessian_oracle(a_values):

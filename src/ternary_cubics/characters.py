@@ -219,8 +219,6 @@ def decompose(c):
         ab, mult = top[:2], rem[top]
         _axpy(rem, weyl_character(*ab), -mult)
         out.append((ab, mult))
-        if len(out) > 100000:
-            raise ValueError("decomposition does not terminate; input not Weyl-symmetric?")
     out.sort(key=lambda t: (-t[0][0], -t[0][1]))
     return out
 

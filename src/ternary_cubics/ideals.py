@@ -33,9 +33,11 @@ modulo each prime.
 
 Hilbert function values come from evaluation instead: the rank of the matrix
 of monomial values at random points of the locus, on each dominant block,
-counted once per weight of its orbit.  Each block's matrix is built from its
-monomial list at its own n + HILBERT_MARGIN points, so no value is computed
-that the rank does not read.
+counted once per weight of its orbit.  The points are the cubics of the
+memoized loci.sample, so one seeded point sequence is drawn once and shared
+by every degree.  Each block's matrix is built from its monomial list at its
+own n + HILBERT_MARGIN points, so no value is computed that the rank does
+not read.
 
 Syzygies among the degree-j generators are the kernel of the multiplication
 map (generators) x (linear forms) -> R_{j+1}; this needs no substitution
@@ -356,23 +358,20 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     """H(locus, degree): rank of the monomial evaluation matrix at random points.
 
     The rank is taken on each dominant block and counted once for every
-    weight of its orbit.  A block of n monomials is evaluated, from its list
-    in monomials_by_weight, at the first n + HILBERT_MARGIN points of one
-    seeded sequence and at no others, so every block has its own margin of
-    HILBERT_MARGIN points past its size.  Monte Carlo
-    (one-sided): the result is a lower bound, equal to the true value when
-    the points are generic for every dominant block; the margin makes an
-    undercount vanishingly unlikely.
+    weight of its orbit.  The k-th point is the cubic loci.sample(locus,
+    (seed, k), prime); sample is memoized, so every degree shares one drawn
+    sequence.  A block of n monomials is evaluated, from its list in
+    monomials_by_weight, at the first n + HILBERT_MARGIN points and at no
+    others, so every block has its own margin of HILBERT_MARGIN points past
+    its size.  Monte Carlo (one-sided): the result is a lower bound, equal to
+    the true value when the points are generic for every dominant block; the
+    margin makes an undercount vanishingly unlikely.
     """
     prime = linalg.check_prime(prime)
     blocks, _ = monomials_by_weight(degree)
     npoints = max(len(ms) for ms in blocks.values()) + HILBERT_MARGIN
-    spec = loci.substitution_map(locus)
-    pts = [loci.sample_params(locus, (seed, k), prime) for k in range(npoints)]
-    phival = np.zeros((10, npoints), dtype=np.int64)
-    for r in range(10):
-        for k, vals in enumerate(pts):
-            phival[r, k] = spec.phi[r].evaluate(vals, prime)
+    phival = np.array([loci.sample(locus, (seed, k), prime) for k in range(npoints)],
+                      dtype=np.int64).T
 
     def evaluations(p):
         # row i, column k: the block's i-th monomial at the k-th point

@@ -95,33 +95,39 @@ def _seed_key(seed):
     return seed if isinstance(seed, (int, str, bytes, type(None))) else repr(seed)
 
 
+@lru_cache(maxsize=None)
 def sample(locus, seed, p=None):
     """A cubic point on the locus: substitute random parameters into phi.
 
-    Integer parameters in [-20, 20] (exact mode) or uniform residues mod p.
-    Redraws on the zero vector; raises after MAX_REDRAWS failures.
+    The only source of locus points: Hilbert values evaluate at these cubics.
+    Redraws on the zero vector; raises after MAX_REDRAWS failures.  Memoized,
+    so a point sequence (seed, 0), (seed, 1), ... is drawn and evaluated once
+    for every degree; the seed must therefore be hashable (a list raises
+    TypeError).  A call that raises caches nothing.
     """
     if p is not None:
         p = linalg.check_prime(p)
     spec = substitution_map(locus)
     rng = random.Random(_seed_key(seed))
     for _ in range(MAX_REDRAWS):
-        if p is None:
-            vals = {v: rng.randint(-20, 20) for v in spec.params}
-        else:
-            vals = {v: rng.randrange(p) for v in spec.params}
+        vals = sample_params(locus, rng, p)
         point = tuple(phi.evaluate(vals, p) for phi in spec.phi)
         if any(point):
             return point
     raise RuntimeError(f"sampler exhausted after {MAX_REDRAWS} redraws")
 
 
-def sample_params(locus, seed, p):
-    """Random parameter values mod p (used by the Hilbert-function sampler)."""
-    p = linalg.check_prime(p)
-    spec = substitution_map(locus)
-    rng = random.Random(_seed_key(seed))
-    return {v: rng.randrange(p) for v in spec.params}
+def sample_params(locus, rng, p):
+    """One draw of the locus parameters for sample: integers in [-20, 20]
+    when p is None (exact mode), uniform residues mod p otherwise.
+
+    A named function of its own because the benchmark tracer
+    (perfbench/tracer.py) records each draw under this name.
+    """
+    params = substitution_map(locus).params
+    if p is None:
+        return {v: rng.randint(-20, 20) for v in params}
+    return {v: rng.randrange(p) for v in params}
 
 
 # ---------------------------------------------------------------------------

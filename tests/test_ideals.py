@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ternary_cubics import brackets, ideals, linalg, loci
+from ternary_cubics import brackets, ideals, linalg, loci, resolution
 from ternary_cubics.characters import dim_irrep
 
 PRIMES = (1000003, 65537)
@@ -386,9 +387,38 @@ def test_hilbert_blocks_are_point_evaluations(lid, monkeypatch):
         assert A.shape == (len(monos), len(monos) + ideals.HILBERT_MARGIN)
         for k in range(A.shape[1]):
             if k not in points:
-                params = loci.sample_params(lid, (0, k), p)
+                params = loci.sample_params(lid, random.Random(repr((0, k))), p)
                 points[k] = [phi_r.evaluate(params, p) for phi_r in phi]
             assert A[:, k].tolist() == [math.prod(points[k][r] for r in m) % p for m in monos]
+
+
+def test_hilbert_points_are_drawn_once(monkeypatch):
+    # H(locus, 1..6) reads the first 103 + HILBERT_MARGIN points of one
+    # sequence; every degree shares them, so each is drawn once
+    draw = loci.sample_params
+    draws = []
+    monkeypatch.setattr(loci, "sample_params", lambda *a: draws.append(a[0]) or draw(*a))
+    loci.sample.cache_clear()
+    for lid in loci.LOCI:
+        assert all(r["ok"] for r in resolution.hilbert_consistency(lid, 6, seed=0))
+    assert [draws.count(lid) for lid in loci.LOCI] == [115] * len(loci.LOCI)
+
+
+def test_one_sampler_of_locus_points():
+    # locus points come from loci.sample alone: only it draws parameters, and
+    # ideals evaluates no polynomial at a point of its own
+    def calls(path):
+        tree = ast.parse(path.read_text())
+        return [(getattr(top, "name", "<module>"), node) for top in tree.body
+                for node in ast.walk(top) if isinstance(node, ast.Call)]
+
+    package = SRC / "ternary_cubics"
+    drawers = {(path.stem, owner) for path in package.glob("*.py")
+               for owner, call in calls(path)
+               if ast.unparse(call.func).split(".")[-1] == "sample_params"}
+    assert drawers == {("loci", "sample")}
+    assert [ast.unparse(call) for _, call in calls(package / "ideals.py")
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "evaluate"] == []
 
 
 def test_one_walk_over_the_monomial_tree():

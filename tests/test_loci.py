@@ -1,5 +1,6 @@
 """Locus parameterizations, samplers, and the tact invariant."""
 
+import hashlib
 import random
 
 import pytest
@@ -41,6 +42,7 @@ def test_unknown_locus():
 def test_sampler_deterministic_and_nonzero():
     for locus in loci.LOCI:
         pt1 = loci.sample(locus, seed=5)
+        loci.sample.cache_clear()
         pt2 = loci.sample(locus, seed=5)
         assert pt1 == pt2
         assert any(pt1)
@@ -49,6 +51,20 @@ def test_sampler_deterministic_and_nonzero():
         assert all(0 <= v < 1000003 for v in ptp)
     assert loci.sample("equiv", seed=(1, "equiv", 2)) == loci.sample(
         "equiv", seed=(1, "equiv", 2))
+
+
+def test_sampler_streams_are_pinned():
+    # one digest over the exact and the modular point streams of every locus
+    points = [loci.sample(locus, seed, p) for locus in loci.LOCI for seed in range(5)
+              for p in (None, 1000003)]
+    assert hashlib.sha256(repr(points).encode()).hexdigest() == (
+        "8a28d3f2b684d79f7eac4218136b19bffd6dd7af4ef65b46e5bcd25386f51df0")
+
+
+def test_sample_is_memoized_and_needs_a_hashable_seed():
+    assert loci.sample("delta", (0, 3), 65537) is loci.sample("delta", (0, 3), 65537)
+    with pytest.raises(TypeError):
+        loci.sample("delta", [0, 3], 65537)
 
 
 def test_equiv_sample_is_a_cube():
