@@ -147,18 +147,11 @@ def _term_counts(term):
     greek = {}
     counts = {"x": 0, "y": 0, "u": 0, "v": 0}
     for atom, exp in term.factors:
-        if isinstance(atom, Pair):
-            if atom.left in GREEK:
-                greek[atom.left] = greek.get(atom.left, 0) + exp
+        for s in _atom_syms(atom):
+            if s in GREEK:
+                greek[s] = greek.get(s, 0) + exp
             else:
-                counts[atom.left] += exp
-            counts[atom.right] += exp
-        else:
-            for r in atom.rows:
-                if r in GREEK:
-                    greek[r] = greek.get(r, 0) + exp
-                else:
-                    counts[r] += exp
+                counts[s] += exp
     return greek, counts
 
 

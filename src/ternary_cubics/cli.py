@@ -10,6 +10,12 @@ Subcommands:
     betti        published tables and their internal consistency
     specseq      spectral-sequence character identities
     verify-all   the whole verification suite with a machine-readable report
+
+A verify-all check is a function check(config) -> (ok, expected, actual):
+ok is a bool, expected and actual are the report's strings. A check's own
+parameters come first and `build_checks` binds them with functools.partial.
+`run_verify_all` alone spells the verdict "pass" or "fail", and it turns an
+exception a check raises into a failed row.
 """
 
 import argparse
@@ -17,8 +23,11 @@ import contextlib
 import csv
 import io
 import json
+import random
 import sys
 import time
+from fractions import Fraction
+from functools import partial
 
 from . import __version__, brackets, characters, ideals, linalg, loci, resolution, tableaux
 
@@ -206,74 +215,52 @@ def _check_dimension_formula(config):
             formula = characters.dim_irrep(m + n, n)
             count = len(tableaux.enumerate_tableaux(m, n))
             if formula != count:
-                return "fail", "formula == SSYT count", f"mismatch at ({m},{n})"
-    return "pass", "formula == SSYT count for m,n <= 8", "all equal"
+                return False, "formula == SSYT count", f"mismatch at ({m},{n})"
+    return True, "formula == SSYT count for m,n <= 8", "all equal"
 
 
-def _check_piece(compute, lid, deg, dim, dec):
+def _check_piece(compute, lid, deg, dim, dec, config):
     """Check that compute(lid, deg, primes) has dimension `dim` and decomposition `dec`."""
-    def run(config):
-        piece = compute(lid, deg, config["primes"])
-        got = (piece.dimension(), piece.decomposition)
-        ok = got == (dim, dec)
-        return ("pass" if ok else "fail",
-                f"{dim} = {_fmt_modules(dec)}",
-                f"{got[0]} = {_fmt_modules(got[1])}")
-    return run
+    piece = compute(lid, deg, config["primes"])
+    got = (piece.dimension(), piece.decomposition)
+    return (got == (dim, dec), f"{dim} = {_fmt_modules(dec)}",
+            f"{got[0]} = {_fmt_modules(got[1])}")
 
 
-def _check_weyl_orbits(lid, deg):
+def _check_weyl_orbits(lid, deg, config):
     """Eliminate every block, not only the dominant ones, and compare."""
-    def run(config):
-        expected = "nullity constant on each S3 orbit"
-        piece = ideals.graded_kernel(lid, deg, config["primes"])
-        full = ideals.full_block_nullities(lid, deg, config["primes"])
-        blocks, _ = ideals.monomials_by_weight(deg)
-        for w in sorted(blocks):
-            d = tuple(sorted(w, reverse=True))
-            got = (full.get(w, 0), full.get(d, 0), piece.block_nullities.get(w, 0))
-            if len(set(got)) > 1:
-                return ("fail", expected, f"block {w} nullity {got[0]}, dominant block "
-                                          f"{d} {got[1]}, orbit-filled {got[2]}")
-        orbits = sum(map(ideals.is_dominant, blocks))
-        return "pass", expected, f"{len(blocks)} blocks in {orbits} orbits agree"
-    return run
+    expected = "nullity constant on each S3 orbit"
+    piece = ideals.graded_kernel(lid, deg, config["primes"])
+    full = ideals.full_block_nullities(lid, deg, config["primes"])
+    blocks, _ = ideals.monomials_by_weight(deg)
+    for w in sorted(blocks):
+        d = tuple(sorted(w, reverse=True))
+        got = (full.get(w, 0), full.get(d, 0), piece.block_nullities.get(w, 0))
+        if len(set(got)) > 1:
+            return (False, expected, f"block {w} nullity {got[0]}, dominant block "
+                                     f"{d} {got[1]}, orbit-filled {got[2]}")
+    orbits = sum(map(ideals.is_dominant, blocks))
+    return True, expected, f"{len(blocks)} blocks in {orbits} orbits agree"
 
 
-def _check_ledger(config):
-    bad = [r for r in resolution.ledger_dim_check() if not r["ok"]]
-    return ("pass" if not bad else "fail", "all cells match", str(bad or "all cells match"))
+def _check_rows(rows, expected, passed, config):
+    """Check that every row of the report rows() has "ok"; actual lists the bad rows."""
+    bad = [r for r in rows() if not r["ok"]]
+    return not bad, expected, str(bad or passed)
 
 
-def _check_hilbert(lid):
-    def run(config):
-        for seed in (config["seed"], config["seed"] + 1):
-            for r in resolution.hilbert_consistency(lid, config["lmax"],
-                                                    prime=config["primes"][0], seed=seed):
-                if not r["ok"]:
-                    return "fail", f"H({r['degree']}) = {r['expected']}", str(r["actual"])
-        return "pass", f"numerator coefficients to degree {config['lmax']}", "all equal"
-    return run
+def _check_hilbert(lid, config):
+    for seed in (config["seed"], config["seed"] + 1):
+        for r in resolution.hilbert_consistency(lid, config["lmax"],
+                                                prime=config["primes"][0], seed=seed):
+            if not r["ok"]:
+                return False, f"H({r['degree']}) = {r['expected']}", str(r["actual"])
+    return True, f"numerator coefficients to degree {config['lmax']}", "all equal"
 
 
-def _check_identity(name):
-    def run(config):
-        r = resolution.spectral_identity(name)
-        return ("pass" if r["ok"] else "fail", "exact character identity",
-                "equal" if r["ok"] else str(r))
-    return run
-
-
-def _check_eagon_northcott(config):
-    bad = [r for r in resolution.eagon_northcott_check() if not r["ok"]]
-    return ("pass" if not bad else "fail", "four terms match the ledger",
-            str(bad or "all match"))
-
-
-def _check_duality(config):
-    bad = [c for c in resolution.duality_check() if not c["ok"]]
-    return ("pass" if not bad else "fail", "published dual symmetries",
-            str(bad or "all match"))
+def _check_identity(name, config):
+    r = resolution.spectral_identity(name)
+    return r["ok"], "exact character identity", "equal" if r["ok"] else str(r)
 
 
 def _check_codim(config):
@@ -281,8 +268,8 @@ def _check_codim(config):
         mult = resolution.numerator_multiplicity(lid)
         codim = 9 - loci.LOCUS_DIM[lid]
         if mult != codim:
-            return "fail", f"{lid}: multiplicity {codim}", str(mult)
-    return "pass", "(1-t)-multiplicity equals codimension", "all six agree"
+            return False, f"{lid}: multiplicity {codim}", str(mult)
+    return True, "(1-t)-multiplicity equals codimension", "all six agree"
 
 
 def _check_concomitant_types(config):
@@ -290,35 +277,28 @@ def _check_concomitant_types(config):
         conc = brackets.catalog_concomitant(name)
         declared = brackets.CATALOG_TYPES[name]
         if conc.is_zero:
-            return "fail", f"{name} nonzero", "zero after expansion"
+            return False, f"{name} nonzero", "zero after expansion"
         if conc.ctype.as_tuple()[:3] != declared:
-            return "fail", f"{name} type {declared}", str(conc.ctype.as_tuple())
-    return "pass", "all catalog entries nonzero of declared type", "all ok"
+            return False, f"{name} type {declared}", str(conc.ctype.as_tuple())
+    return True, "all catalog entries nonzero of declared type", "all ok"
 
 
-def _check_isotypic(name, lid, deg):
-    def run(config):
-        ok = ideals.isotypic_match(name, lid, deg, config["primes"])
-        return ("pass" if ok else "fail",
-                f"{name} inside kernel({lid},{deg})", "member" if ok else "not a member")
-    return run
+def _check_isotypic(name, lid, deg, config):
+    ok = ideals.isotypic_match(name, lid, deg, config["primes"])
+    return ok, f"{name} inside kernel({lid},{deg})", "member" if ok else "not a member"
 
 
-def _check_vanishing(name, lid):
-    def run(config):
-        p = config["primes"][0]
-        conc = brackets.catalog_concomitant(name)
-        for k in range(50):
-            pt = loci.sample(lid, seed=(config["seed"], name, k), p=p)
-            if not brackets.vanishes_at_cubic(conc, pt, p):
-                return "fail", f"{name} = 0 on {lid}", f"nonzero at sample {k}"
-        return "pass", f"{name} = 0 on 50 samples of {lid}", "vanishes"
-    return run
+def _check_vanishing(name, lid, config):
+    p = config["primes"][0]
+    conc = brackets.catalog_concomitant(name)
+    for k in range(50):
+        pt = loci.sample(lid, seed=(config["seed"], name, k), p=p)
+        if not brackets.vanishes_at_cubic(conc, pt, p):
+            return False, f"{name} = 0 on {lid}", f"nonzero at sample {k}"
+    return True, f"{name} = 0 on 50 samples of {lid}", "vanishes"
 
 
 def _check_hessian(config):
-    import random
-    from fractions import Fraction
     conc = brackets.catalog_concomitant("Phi330")
     rng = random.Random(config["seed"])
     ratios = set()
@@ -328,26 +308,24 @@ def _check_hessian(config):
         rhs = brackets.hessian_oracle(a)
         if not rhs:
             if lhs:
-                return "fail", "proportional", "oracle zero, bracket nonzero"
+                return False, "proportional", "oracle zero, bracket nonzero"
             continue
         mo, c = next(iter(rhs.terms.items()))
         r = Fraction(lhs.terms.get(mo, 0), c)
         if lhs != rhs * r:
-            return "fail", "proportional", "not proportional"
+            return False, "proportional", "not proportional"
         ratios.add(r)
     if len(ratios) != 1:
-        return "fail", "single global constant", f"ratios {sorted(ratios)}"
-    return "pass", "bracket Hessian = c * partials determinant", f"c = {ratios.pop()}"
+        return False, "single global constant", f"ratios {sorted(ratios)}"
+    return True, "bracket Hessian = c * partials determinant", f"c = {ratios.pop()}"
 
 
 def _check_tact_formula(config):
     ok = loci.tact_polynomial() == loci.tact_printed_formula()
-    return ("pass" if ok else "fail", "resultant route == 12-term polynomial",
-            "identical" if ok else "differ")
+    return ok, "resultant route == 12-term polynomial", "identical" if ok else "differ"
 
 
 def _check_aronhold(config):
-    import random
     conc = brackets.catalog_concomitant("Phi400")
     z1 = brackets.evaluate_at_cubic(conc, loci.NAMED_CUBICS["fermat"])
     cube = tuple(1 if r == 0 else 0 for r in range(10))
@@ -355,7 +333,7 @@ def _check_aronhold(config):
     rng = random.Random(config["seed"] + 7)
     z3 = brackets.evaluate_at_cubic(conc, [rng.randint(-9, 9) for _ in range(10)])
     ok = (not z1) and (not z2) and bool(z3)
-    return ("pass" if ok else "fail", "0 at Fermat and cube, nonzero generically",
+    return (ok, "0 at Fermat and cube, nonzero generically",
             f"fermat={bool(z1)} cube={bool(z2)} random={bool(z3)}")
 
 
@@ -370,8 +348,7 @@ def _check_sym8_product(config):
     dx = prod.degree({"x"})
     du = prod.degree({"u"})
     ok = m54 == 1 and m51 == 1 and bool(prod) and (deg, dx, du) == (8, 4, 1)
-    return ("pass" if ok else "fail",
-            "mult(5,4)=mult(5,1)=1 in sym8; product of type (8,4,1)",
+    return (ok, "mult(5,4)=mult(5,1)=1 in sym8; product of type (8,4,1)",
             f"mults=({m54},{m51}) product type ({deg},{dx},{du})")
 
 
@@ -379,31 +356,34 @@ def _check_syzygy_relations(config):
     counts = ideals.syzygy_relation_check()
     expected = {"Psi54": 35, "Psi51": 35, "Psi42": 27, "Psi21": 8}
     ok = counts == expected and sum(counts.values()) == 105
-    return ("pass" if ok else "fail", "35/35/27/8 relations totaling 105", str(counts))
+    return ok, "35/35/27/8 relations totaling 105", str(counts)
 
 
 def build_checks():
     checks = [("dimension-formula", _check_dimension_formula)]
     for lid, deg, dim, dec in KERNEL_ANCHORS:
         checks.append((f"kernel-{lid}-{deg}",
-                       _check_piece(ideals.graded_kernel, lid, deg, dim, dec)))
-    checks.append(("weyl-orbits-delta-5", _check_weyl_orbits("delta", 5)))
+                       partial(_check_piece, ideals.graded_kernel, lid, deg, dim, dec)))
+    checks.append(("weyl-orbits-delta-5", partial(_check_weyl_orbits, "delta", 5)))
     for lid, deg, dim, dec in SYZYGY_ANCHORS:
         checks.append((f"syzygy-{lid}-{deg}",
-                       _check_piece(ideals.syzygy_kernel, lid, deg, dim, dec)))
-    checks.append(("ledger-dimensions", _check_ledger))
+                       partial(_check_piece, ideals.syzygy_kernel, lid, deg, dim, dec)))
+    checks.append(("ledger-dimensions", partial(_check_rows, resolution.ledger_dim_check,
+                                                "all cells match", "all cells match")))
     for lid in loci.LOCI:
-        checks.append((f"hilbert-{lid}", _check_hilbert(lid)))
+        checks.append((f"hilbert-{lid}", partial(_check_hilbert, lid)))
     for name in resolution.IDENTITY_NAMES:
-        checks.append((f"identity-{name}", _check_identity(name)))
-    checks.append(("eagon-northcott", _check_eagon_northcott))
-    checks.append(("duality", _check_duality))
+        checks.append((f"identity-{name}", partial(_check_identity, name)))
+    checks.append(("eagon-northcott", partial(_check_rows, resolution.eagon_northcott_check,
+                                              "four terms match the ledger", "all match")))
+    checks.append(("duality", partial(_check_rows, resolution.duality_check,
+                                      "published dual symmetries", "all match")))
     checks.append(("numerator-codimension", _check_codim))
     checks.append(("concomitant-types", _check_concomitant_types))
     for name, lid, deg in CONCOMITANT_LOCI:
-        checks.append((f"isotypic-{name}-{lid}", _check_isotypic(name, lid, deg)))
+        checks.append((f"isotypic-{name}-{lid}", partial(_check_isotypic, name, lid, deg)))
     for name, lid, _deg in CONCOMITANT_LOCI:
-        checks.append((f"vanishing-{name}-{lid}", _check_vanishing(name, lid)))
+        checks.append((f"vanishing-{name}-{lid}", partial(_check_vanishing, name, lid)))
     checks.append(("hessian-oracle", _check_hessian))
     checks.append(("tact-formula", _check_tact_formula))
     checks.append(("aronhold-vanishing", _check_aronhold))
@@ -428,13 +408,13 @@ def run_verify_all(config):
     for cid, fn in build_checks():
         t0 = time.monotonic()
         try:
-            status, expected, actual = fn(config)
+            ok, expected, actual = fn(config)
         except linalg.UnluckyPrimeError as exc:
-            status, expected, actual = "fail", "consistent primes", f"unlucky prime: {exc}"
+            ok, expected, actual = False, "consistent primes", f"unlucky prime: {exc}"
         except Exception as exc:  # computational failure: report, don't crash
-            status, expected, actual = "fail", "no exception", f"{type(exc).__name__}: {exc}"
+            ok, expected, actual = False, "no exception", f"{type(exc).__name__}: {exc}"
         ms = int((time.monotonic() - t0) * 1000)
-        results.append({"id": cid, "status": status, "expected": expected,
+        results.append({"id": cid, "status": "pass" if ok else "fail", "expected": expected,
                         "actual": actual, "ms": ms if config["timings"] else 0})
     return {
         "version": __version__,

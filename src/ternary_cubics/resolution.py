@@ -96,20 +96,9 @@ def hilbert_from_numerator(locus, degree):
 
 def numerator_multiplicity(locus):
     """Vanishing order of N(t) at t = 1; equals the codimension 9 - dim."""
-    coeffs = numerator(locus)
-    mult = 0
-    while True:
-        if any(coeffs) and sum(coeffs) == 0:
-            # divide by (1 - t): quotient q with coeffs[k] = q[k] - q[k-1]
-            q = []
-            acc = 0
-            for c in coeffs[:-1]:
-                acc += c
-                q.append(acc)
-            coeffs = q
-            mult += 1
-        else:
-            return mult
+    c = numerator(locus)
+    # N(t) = sum_k (sum_i c_i C(i, k)) (t - 1)^k, and N is not zero because c_0 = 1
+    return next(k for k in range(len(c)) if sum(x * comb(i, k) for i, x in enumerate(c)))
 
 
 def hilbert_consistency(locus, lmax=8, prime=linalg.DEFAULT_PRIMES[0], seed=0):

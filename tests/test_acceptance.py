@@ -9,10 +9,12 @@ import time
 
 import pytest
 
-from ternary_cubics import cli, ideals, linalg, loci, resolution
+from ternary_cubics import cli, linalg, loci, resolution
 
 CONFIG = {"primes": linalg.DEFAULT_PRIMES, "seed": 0, "threads": 1,
           "lmax": 8, "timings": False}
+# the checks exactly as verify-all runs them, by id
+CHECKS = dict(cli.build_checks())
 
 
 def report(cid, ok, detail=""):
@@ -23,45 +25,45 @@ def report(cid, ok, detail=""):
 
 def test_criterion_01_dimension_formula():
     t0 = time.monotonic()
-    status, _, detail = cli._check_dimension_formula(CONFIG)
+    ok, _, detail = CHECKS["dimension-formula"](CONFIG)
     elapsed = time.monotonic() - t0
     report("criterion-01 dimension formula vs tableau count",
-           status == "pass" and elapsed < 1.0, f"{detail}, {elapsed:.2f}s")
+           ok and elapsed < 1.0, f"{detail}, {elapsed:.2f}s")
 
 
-@pytest.mark.parametrize("lid,deg,dim,dec", cli.KERNEL_ANCHORS,
+@pytest.mark.parametrize("lid,deg", [a[:2] for a in cli.KERNEL_ANCHORS],
                          ids=[f"{l}-{d}" for l, d, _, _ in cli.KERNEL_ANCHORS])
-def test_criterion_02_kernels(lid, deg, dim, dec):
+def test_criterion_02_kernels(lid, deg):
     budget = 600.0 if (lid, deg) == ("empty", 8) else 30.0
     t0 = time.monotonic()
-    status, expected, actual = cli._check_piece(ideals.graded_kernel, lid, deg, dim, dec)(CONFIG)
+    ok, expected, actual = CHECKS[f"kernel-{lid}-{deg}"](CONFIG)
     elapsed = time.monotonic() - t0
     report(f"criterion-02 kernel {lid} degree {deg}",
-           status == "pass" and elapsed < budget,
+           ok and elapsed < budget,
            f"{actual} (expected {expected}), {elapsed:.1f}s")
 
 
-@pytest.mark.parametrize("lid,deg,dim,dec", cli.SYZYGY_ANCHORS,
+@pytest.mark.parametrize("lid,deg", [a[:2] for a in cli.SYZYGY_ANCHORS],
                          ids=[f"{l}-{d}" for l, d, _, _ in cli.SYZYGY_ANCHORS])
-def test_criterion_03_syzygies(lid, deg, dim, dec):
-    status, expected, actual = cli._check_piece(ideals.syzygy_kernel, lid, deg, dim, dec)(CONFIG)
-    report(f"criterion-03 first syzygies {lid}", status == "pass",
+def test_criterion_03_syzygies(lid, deg):
+    ok, expected, actual = CHECKS[f"syzygy-{lid}-{deg}"](CONFIG)
+    report(f"criterion-03 first syzygies {lid}", ok,
            f"{actual} (expected {expected})")
 
 
 def test_criterion_04_ledger_dimensions():
     t0 = time.monotonic()
-    status, _, detail = cli._check_ledger(CONFIG)
+    ok, _, detail = CHECKS["ledger-dimensions"](CONFIG)
     elapsed = time.monotonic() - t0
     report("criterion-04 ledger dimensions",
-           status == "pass" and elapsed < 1.0, f"{detail}, {elapsed:.2f}s")
+           ok and elapsed < 1.0, f"{detail}, {elapsed:.2f}s")
 
 
 @pytest.mark.parametrize("lid", loci.LOCI)
 def test_criterion_05_hilbert_consistency(lid):
     assert CONFIG["primes"][0] > 2 ** 16
-    status, expected, actual = cli._check_hilbert(lid)(CONFIG)
-    report(f"criterion-05 Hilbert consistency {lid}", status == "pass",
+    ok, expected, actual = CHECKS[f"hilbert-{lid}"](CONFIG)
+    report(f"criterion-05 Hilbert consistency {lid}", ok,
            f"{actual}")
     if lid == "equiv":
         assert resolution.hilbert_from_numerator("equiv", 2) == 28
@@ -83,46 +85,43 @@ def test_criterion_06_identities():
 
 
 def test_criterion_07_eagon_northcott():
-    status, _, detail = cli._check_eagon_northcott(CONFIG)
-    report("criterion-07 Eagon-Northcott terms", status == "pass", detail)
+    ok, _, detail = CHECKS["eagon-northcott"](CONFIG)
+    report("criterion-07 Eagon-Northcott terms", ok, detail)
 
 
 def test_criterion_08_dualities():
-    status, _, detail = cli._check_duality(CONFIG)
-    report("criterion-08 dual symmetries", status == "pass", detail)
+    ok, _, detail = CHECKS["duality"](CONFIG)
+    report("criterion-08 dual symmetries", ok, detail)
 
 
 def test_criterion_09_catalog():
-    status, _, detail = cli._check_concomitant_types(CONFIG)
-    report("criterion-09a catalog types", status == "pass", detail)
+    ok, _, detail = CHECKS["concomitant-types"](CONFIG)
+    report("criterion-09a catalog types", ok, detail)
     t0 = time.monotonic()
     for name, lid, deg in cli.CONCOMITANT_LOCI:
-        status, expected, actual = cli._check_isotypic(name, lid, deg)(CONFIG)
-        report(f"criterion-09b isotypic {name} in ({lid},{deg})",
-               status == "pass", actual)
+        ok, expected, actual = CHECKS[f"isotypic-{name}-{lid}"](CONFIG)
+        report(f"criterion-09b isotypic {name} in ({lid},{deg})", ok, actual)
     for name, lid, _deg in cli.CONCOMITANT_LOCI:
-        status, expected, actual = cli._check_vanishing(name, lid)(CONFIG)
-        report(f"criterion-09c vanishing {name} on {lid}", status == "pass", actual)
+        ok, expected, actual = CHECKS[f"vanishing-{name}-{lid}"](CONFIG)
+        report(f"criterion-09c vanishing {name} on {lid}", ok, actual)
     elapsed = time.monotonic() - t0
     report("criterion-09d Phi814 within budget", elapsed < 300.0, f"{elapsed:.1f}s")
 
 
 def test_criterion_10_oracles():
-    status, _, detail = cli._check_hessian(CONFIG)
-    report("criterion-10a Hessian oracle", status == "pass", detail)
-    status, _, detail = cli._check_tact_formula(CONFIG)
-    report("criterion-10b tact invariant formula", status == "pass", detail)
-    status, _, detail = cli._check_aronhold(CONFIG)
-    report("criterion-10c degree-4 invariant vanishing pattern",
-           status == "pass", detail)
-    status, _, detail = cli._check_sym8_product(CONFIG)
-    report("criterion-10d sym8 multiplicities and product type",
-           status == "pass", detail)
+    ok, _, detail = CHECKS["hessian-oracle"](CONFIG)
+    report("criterion-10a Hessian oracle", ok, detail)
+    ok, _, detail = CHECKS["tact-formula"](CONFIG)
+    report("criterion-10b tact invariant formula", ok, detail)
+    ok, _, detail = CHECKS["aronhold-vanishing"](CONFIG)
+    report("criterion-10c degree-4 invariant vanishing pattern", ok, detail)
+    ok, _, detail = CHECKS["sym8-product"](CONFIG)
+    report("criterion-10d sym8 multiplicities and product type", ok, detail)
 
 
 def test_criterion_11_syzygy_relations():
-    status, _, detail = cli._check_syzygy_relations(CONFIG)
-    report("criterion-11 explicit syzygy relations", status == "pass", detail)
+    ok, _, detail = CHECKS["syzygy-relations"](CONFIG)
+    report("criterion-11 explicit syzygy relations", ok, detail)
 
 
 def test_criterion_12_verify_all_deterministic():

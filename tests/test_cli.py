@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, and report formats."""
 
+import ast
 import json
 import os
 import resource
@@ -162,7 +163,9 @@ def test_run_verify_subset_deterministic():
                 out.append((cid, fn(config)))
         results[trial] = out
     assert results[0] == results[1]
-    assert all(r[0] == "pass" for _, r in results[0])
+    assert {cid for cid, _ in results[0]} == fast
+    for _, r in results[0]:
+        assert tuple(map(type, r)) == (bool, str, str) and r[0] is True
 
 
 @pytest.mark.parametrize("action,prime,message", [
@@ -203,8 +206,9 @@ def test_ideal_negative_degree(action):
 def test_weyl_orbit_check():
     config = {"primes": (1000003, 65537), "seed": 0, "threads": 1, "lmax": 2,
               "timings": False}
-    assert cli._check_weyl_orbits("delta", 4)(config) == (
-        "pass", "nullity constant on each S3 orbit", "91 blocks in 19 orbits agree")
+    # ("delta", 4) is not in the table: call the plain function
+    assert cli._check_weyl_orbits("delta", 4, config) == (
+        True, "nullity constant on each S3 orbit", "91 blocks in 19 orbits agree")
     assert "weyl-orbits-delta-5" in dict(cli.build_checks())
 
 
@@ -251,7 +255,7 @@ def test_ideal_hilbert_evaluates_each_prime_once(capsys, monkeypatch):
 
 
 def test_verify_all_report_echoes_repeated_primes(monkeypatch):
-    check = cli._check_piece(cli.ideals.graded_kernel, "equiv", 2, 27, [((4, 2), 1)])
+    check = dict(cli.build_checks())["kernel-equiv-2"]
     monkeypatch.setattr(cli, "build_checks", lambda: [("kernel-equiv-2", check)])
     config = {"primes": (65537, 65537), "seed": 0, "lmax": 1, "timings": False}
     report = cli.run_verify_all(config)
@@ -338,3 +342,21 @@ def test_verify_all_single_prime_notice(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify-all")
     assert rc == 0 and err == ""
     assert json.loads(out)["config"]["primes"] == list(cli.linalg.DEFAULT_PRIMES)
+
+
+def test_verdict_is_spelled_once():
+    # a check returns (ok, expected, actual); only run_verify_all writes "pass"
+    # or "fail", and cmd_verify_all reads "fail" back; checks are plain functions
+    tree = ast.parse((SRC / "ternary_cubics" / "cli.py").read_text())
+    spelled = {"pass": set(), "fail": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value in spelled:
+                spelled[node.value].add(getattr(top, "name", "<module>"))
+    assert spelled == {"pass": {"run_verify_all"},
+                       "fail": {"run_verify_all", "cmd_verify_all"}}
+    nested = [(top.name, node.name) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name.startswith("_check_")
+              for node in ast.walk(top)
+              if node is not top and isinstance(node, ast.FunctionDef)]
+    assert nested == []

@@ -307,8 +307,8 @@ def test_weyl_orbit_check_reports_the_disagreeing_block(monkeypatch):
     nullity = linalg.nullity_mod
     monkeypatch.setattr(linalg, "nullity_mod",
                         lambda A, p: nullity(A, p) + (p == 65537))
-    monkeypatch.setattr(cli, "build_checks",
-                        lambda: [("weyl-orbits-delta-5", cli._check_weyl_orbits("delta", 5))])
+    orbits = dict(cli.build_checks())["weyl-orbits-delta-5"]
+    monkeypatch.setattr(cli, "build_checks", lambda: [("weyl-orbits-delta-5", orbits)])
     config = {"primes": PRIMES, "seed": 0, "lmax": 1, "timings": False}
     (check,) = cli.run_verify_all(config)["checks"]
     assert check["status"] == "fail"

@@ -1,6 +1,9 @@
 """Betti-table ledger, K-polynomials, dualities, and character identities."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ternary_cubics import ideals, resolution as rs
 
@@ -48,6 +51,20 @@ def test_numerator_multiplicity_is_codimension():
     for locus, dim in [("equiv", 2), ("neq", 4), ("y", 5), ("delta", 6),
                        ("tact", 6), ("empty", 7)]:
         assert rs.numerator_multiplicity(locus) == 9 - dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=8).filter(sum))
+def test_numerator_multiplicity_is_the_vanishing_order(k, q):
+    # N = (1 - t)^k q(t) with q(1) != 0 vanishes to order exactly k at t = 1
+    n = [0] * (k + len(q))
+    for j in range(k + 1):
+        for i, x in enumerate(q):
+            n[i + j] += (-1) ** j * comb(k, j) * x
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rs, "numerator", lambda locus: n)
+        assert rs.numerator_multiplicity("equiv") == k
 
 
 def test_hilbert_consistency_small():
