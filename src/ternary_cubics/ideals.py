@@ -16,13 +16,13 @@ elimination.  The verify-all check weyl-orbits-delta-5 eliminates every block
 of one kernel and confirms that nullity is constant on each orbit.
 
 Monomials in the a-variables are nondecreasing index tuples (a0 a0 a3 =
-(0, 0, 3)), listed once per degree by monomials_by_weight; every block of
-every kind is indexed by those cached lists.  Only the substitution images
-share work along the tree of monomials (a child appends an index >= the last
-one and multiplies its parent's image by one phi_r): _image_blocks builds
-them depth first, entering only prefixes of dominant-weight monomials.  They
-are exact integers, built once for all the primes of a kernel, so no
-coefficient meets int64 before it is reduced mod p.
+(0, 0, 3)), listed once per degree in lexicographic order by
+monomials_by_weight; every block of every kind is built from those cached
+lists.  A monomial's substitution image is its prefix's image times one
+phi_r: _image_blocks reads the monomials in order and keeps the prefix images
+shared with the one before, so each is computed once.  They are exact
+integers, built once for all the primes of a kernel, so no coefficient meets
+int64 before it is reduced mod p.
 
 Every weight-blocked elimination (kernels, syzygies, the all-block
 cross-check, Hilbert values) takes one path, _solve_blocks: for each prime it
@@ -59,10 +59,15 @@ from .poly import A_EXPS, A_INDEX, Poly, monomial
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
 HILBERT_MARGIN = 12  # evaluation points past each block's size
+# The most monomials, C(d + 9, 9), listed for one degree: degrees up to 14
+# pass, 12 among them (293,930, for the Koszul cells of the Betti ledger), and
+# 15 on fail before listing.  Degree 20 would list 10,015,005, and from degree
+# 22 on equiv's L^3 (exponents up to 3d) could carry out of the 6-bit fields.
+_MAX_MONOMIALS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# the monomial tree and its S3 orbits
+# monomial lists and their S3 orbits
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -71,9 +76,14 @@ def monomials_by_weight(degree):
 
     Returns ({weight: [index-tuple, ...]}, {weight: {index-tuple: position}}).
     Tuples are nondecreasing and, within and across blocks, in lexicographic order.
+    A negative degree, or one of more than _MAX_MONOMIALS monomials, raises ValueError.
     """
     if degree < 0:
         raise ValueError(f"degree must be at least 0, got {degree}")
+    n = math.comb(degree + 9, 9)
+    if n > _MAX_MONOMIALS:
+        raise ValueError(f"degree {degree} has C({degree + 9}, 9) = {n:,} monomials, "
+                         f"more than the bound of {_MAX_MONOMIALS:,}")
     # the weights (w0, w1, 3 degree - w0 - w1) of the monomials, packed as
     # w0 * base + w1 and summed in the same order as the index tuples
     base = 3 * degree + 1
@@ -94,14 +104,6 @@ def is_dominant(w):
 def orbit(w):
     """The distinct permutations of a weight, sorted."""
     return sorted(set(permutations(w)))
-
-
-@lru_cache(maxsize=16)
-def _dominant_prefixes(degree):
-    """Every prefix of a degree-`degree` monomial of dominant weight."""
-    blocks, _ = monomials_by_weight(degree)
-    return frozenset(m[:k] for w, ms in blocks.items() if is_dominant(w)
-                     for m in ms for k in range(1, degree + 1))
 
 
 def _fill_orbits(dominant):
@@ -144,7 +146,7 @@ def poly_to_block_vectors(pl, degree):
 
 
 # ---------------------------------------------------------------------------
-# substitution images, depth first
+# substitution images
 # ---------------------------------------------------------------------------
 
 def _encoded_phi(locus):
@@ -171,38 +173,32 @@ def _image_blocks(locus, degree, dominant_only=True):
     shape (n_param_keys, n_monos), with exact Python-int coefficients, which
     _blocks_mod reduces modulo a prime.  The column space is indexed by the
     block's monomials (in the order of monomials_by_weight), so nullspace
-    vectors are ideal elements.  Built depth first, one path in memory.
+    vectors are ideal elements.  The monomials are visited in lexicographic
+    order, keeping the prefix images shared with the previous one.
     """
     phi = _encoded_phi(locus)
-    blocks, index = monomials_by_weight(degree)
-    keep = _dominant_prefixes(degree) if dominant_only else None
-    keyidx = {}    # weight -> {packed param key: row index}
-    entries = {}   # weight -> (rows, cols, coeffs) of the nonzero entries
-    stack = [((), (0, 0, 0), {0: 1})]
-    while stack:
-        mono, w, img = stack.pop()
-        if len(mono) == degree:
-            ki = keyidx.setdefault(w, {})
-            rows, cols, coeffs = entries.setdefault(w, ([], [], []))
-            j = index[w][mono]
-            for k, c in img.items():
-                rows.append(ki.setdefault(k, len(ki)))
-                cols.append(j)
-                coeffs.append(c)
-            continue
-        # push descending so that the smallest index pops first
-        for r in range(9, (mono[-1] if mono else 0) - 1, -1):
-            child = mono + (r,)
-            if keep is None or child in keep:
-                prod = {}
-                for k1, c1 in img.items():
-                    for k2, c2 in phi[r].items():
-                        k = k1 + k2
-                        prod[k] = prod.get(k, 0) + c1 * c2
-                e = A_EXPS[r]
-                stack.append((child, (w[0] + e[0], w[1] + e[1], w[2] + e[2]),
-                              {k: c for k, c in prod.items() if c}))
-    return {w: ((len(keyidx[w]), len(blocks[w])), *e) for w, e in entries.items()}
+    blocks, _ = monomials_by_weight(degree)
+    # weight -> ({packed param key: row index}, rows, cols, coeffs)
+    built = {w: ({}, [], [], []) for w in blocks if is_dominant(w) or not dominant_only}
+    path, prev = [{0: 1}], ()    # path[i]: the image of the first i indices
+    for mono, w, j in sorted((m, w, j) for w in built for j, m in enumerate(blocks[w])):
+        shared = next((i for i, (r, q) in enumerate(zip(mono, prev)) if r != q), 0)
+        del path[shared + 1:]
+        for r in mono[shared:]:
+            prod = {}
+            for k1, c1 in path[-1].items():
+                for k2, c2 in phi[r].items():
+                    k = k1 + k2
+                    prod[k] = prod.get(k, 0) + c1 * c2
+            path.append({k: c for k, c in prod.items() if c})
+        ki, rows, cols, coeffs = built[w]
+        for k, c in path[-1].items():
+            rows.append(ki.setdefault(k, len(ki)))
+            cols.append(j)
+            coeffs.append(c)
+        prev = mono
+    return {w: ((len(ki), len(blocks[w])), rows, cols, coeffs)
+            for w, (ki, rows, cols, coeffs) in built.items()}
 
 
 def _blocks_mod(images, p):
@@ -407,8 +403,9 @@ def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
     """
     if degree is None:
         degree = loci.GENERATOR_DEGREES[locus][0]
-    gp = graded_kernel(locus, degree, primes)
+    # listed first, so a degree past the bound fails before any kernel
     _, idx_up = monomials_by_weight(degree + 1)
+    gp = graded_kernel(locus, degree, primes)
 
     def blocks(p):
         # columns of the syzygy system: for each g_i and r, the vector of

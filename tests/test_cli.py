@@ -1,6 +1,8 @@
 """CLI subcommands: outputs, exit codes, and report formats."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import resource
@@ -11,6 +13,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ternary_cubics import cli, loci, resolution
 
@@ -195,12 +198,53 @@ def run_capped(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("action", ["dim", "syzygy", "hilbert"])
-def test_ideal_negative_degree(action):
+BOUND = "more than the bound of 1,000,000"
+
+
+@pytest.mark.parametrize("argv,message", [
     # the monomial walk once never reached degree -1 and ran out of memory
-    proc = run_capped("ideal", action, "--locus", "equiv", "--degree", "-1")
+    *[pytest.param((action, "--locus", "equiv", "--degree", "-1"),
+                   "degree must be at least 0, got -1", id=action)
+      for action in ("dim", "syzygy", "hilbert")],
+    # and a large degree listed its monomials until memory ran out
+    pytest.param(("dim", "--locus", "delta", "--degree", "30"),
+                 f"degree 30 has C(39, 9) = 211,915,132 monomials, {BOUND}", id="dim-30"),
+    pytest.param(("hilbert", "--locus", "delta", "--degree", "20"),
+                 f"degree 20 has C(29, 9) = 10,015,005 monomials, {BOUND}", id="hilbert-20"),
+    # the syzygies of degree 14 need the monomials of degree 15
+    pytest.param(("syzygy", "--locus", "delta", "--degree", "14"),
+                 f"degree 15 has C(24, 9) = 1,307,504 monomials, {BOUND}", id="syzygy-14"),
+])
+def test_ideal_negative_degree(argv, message):
+    proc = run_capped("ideal", *argv)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: degree must be at least 0, got -1\n"
+    assert proc.stderr == f"error: {message}\n"
+
+
+IDEAL_DEGREES = st.one_of(st.integers(-5, -1), st.integers(0, 3), st.integers(20, 10 ** 9),
+                          st.sampled_from(["x", "", "2.5", "1e3"])).map(str)
+# valid, composite, below 2^16, at least 2^27; lists of them repeat primes too
+IDEAL_PRIMES = st.sampled_from(["1000003", "65537", "134217689", "1000001", "65535",
+                                "65521", "2", "134217728", "4294967311"])
+
+
+@settings(max_examples=100, deadline=2000)
+@given(action=st.sampled_from(["dim", "character", "syzygy", "hilbert", "export"]),
+       locus=st.sampled_from([*loci.LOCI, "bogus", ""]), degree=IDEAL_DEGREES,
+       primes=st.lists(IDEAL_PRIMES, max_size=3))
+def test_ideal_fuzz(action, locus, degree, primes):
+    # every input either answers or exits 2 with a message, never a traceback
+    argv = ["ideal", action, "--locus", locus, "--degree", degree]
+    for p in primes:
+        argv += ["--prime", p]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:     # argparse rejects the usage
+            rc = exc.code
+    assert rc in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_weyl_orbit_check():

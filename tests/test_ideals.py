@@ -156,6 +156,22 @@ def test_negative_degree_raises():
         ideals.hilbert_value("equiv", -1)
 
 
+def test_large_degree_raises_before_listing(monkeypatch):
+    # degree 12 (the Koszul cells of the Betti ledger) is admitted, degree 20
+    # refused before a single monomial is listed
+    assert math.comb(12 + 9, 9) <= ideals._MAX_MONOMIALS < math.comb(20 + 9, 9)
+    monkeypatch.setattr(ideals, "combinations_with_replacement",
+                        lambda *a: pytest.fail("listed"))
+    with pytest.raises(ValueError, match=r"degree 20 has C\(29, 9\) = 10,015,005 mono"):
+        ideals.monomials_by_weight(20)
+
+
+def test_syzygy_bound_fails_before_any_kernel(monkeypatch):
+    monkeypatch.setattr(ideals, "graded_kernel", lambda *a: pytest.fail("kernel"))
+    with pytest.raises(ValueError, match="degree 15 has"):
+        ideals.syzygy_kernel("delta", 14)
+
+
 def test_rejected_kernel_calls_leave_no_cache_entry(monkeypatch):
     monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
     for locus, degree in (("bogus", 2), ("equiv", -1)):
@@ -240,7 +256,7 @@ def test_kernel_bases_are_pinned(lid, deg, monkeypatch):
 
 
 def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
-    ideals._dominant_prefixes(4)      # warm the cached monomial lists
+    ideals.monomials_by_weight(4)     # warm the cached monomial lists
     monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
     image_blocks = ideals._image_blocks
     calls = []
@@ -253,6 +269,33 @@ def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
     gp = ideals.graded_kernel("delta", 4, primes=PRIMES)
     assert calls == [4]
     assert gp.dimension() == 35 and set(gp.bases) == set(PRIMES)
+
+
+# SHA-256 over the image blocks of each case, in order: weight, then shape,
+# rows, cols and coeffs.  The kernel-basis digests pin the bases, not the row
+# order of the images they come from.
+IMAGE_CASES = {
+    "delta-5-all": [("delta", 5, False)],
+    "tact-5": [("tact", 5, True)],
+    "empty-6": [("empty", 6, True)],
+    "degrees-0-1": [(lid, deg, dominant_only) for lid in loci.LOCI for deg in (0, 1)
+                    for dominant_only in (True, False)],
+}
+IMAGE_DIGESTS = {
+    "delta-5-all": "f0aa6b4fb73eebf9fd44f03a9c85c7dc0cce3fcffa00c6b50f5d1fbc4279e23c",
+    "tact-5": "3e6a7a7ca038f53c050985240ee6161dab9c185057f663bbd600fd0f5e6d8c01",
+    "empty-6": "de842f4c0d64057f86238273ec79f3601708796458676b027147f34a80a7aa96",
+    "degrees-0-1": "29862e12f5ed55882ad68295b9babd1418eeee07fc0a22b4baebbb67ad25fb26",
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMAGE_CASES))
+def test_image_blocks_are_pinned(case):
+    h = hashlib.sha256()
+    for lid, deg, dominant_only in IMAGE_CASES[case]:
+        for w, (shape, rows, cols, coeffs) in ideals._image_blocks(lid, deg, dominant_only).items():
+            h.update(repr((w, shape, rows, cols, coeffs)).encode())
+    assert h.hexdigest() == IMAGE_DIGESTS[case]
 
 
 def test_walk_prunes_to_dominant_blocks():
@@ -422,8 +465,8 @@ def test_one_sampler_of_locus_points():
 
 
 def test_one_walk_over_the_monomial_tree():
-    # the monomial lists come from one enumeration, and only the image build
-    # walks the tree, pruned to dominant prefixes
+    # the monomial lists come from one enumeration, and the image build reads
+    # them instead of walking the tree a second time
     tree = ast.parse((SRC / "ternary_cubics" / "ideals.py").read_text())
 
     def owners(match):
@@ -433,9 +476,9 @@ def test_one_walk_over_the_monomial_tree():
     assert owners(lambda n: isinstance(n, ast.Call)
                   and "combinations_with_replacement" in ast.unparse(n.func)) \
         == {"monomials_by_weight"}
-    assert owners(lambda n: isinstance(n, ast.Name) and n.id == "_dominant_prefixes"
-                  and isinstance(n.ctx, ast.Load)) == {"_image_blocks"}
-    assert owners(lambda n: isinstance(n, ast.While)) == {"_image_blocks"}
+    assert "_image_blocks" in owners(lambda n: isinstance(n, ast.Name)
+                                     and n.id == "monomials_by_weight")
+    assert not hasattr(ideals, "_dominant_prefixes")
 
 
 def test_entry_points_check_the_prime():
