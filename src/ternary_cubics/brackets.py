@@ -30,10 +30,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import compress
+from math import factorial, gcd, lcm
+
+import numpy as np
 
 from . import linalg
-from .poly import A_INDEX, Poly, generic_cubic, monomial
+from .poly import A_INDEX, Poly, _mono_sort_key, generic_cubic, monomial
 
 GREEK = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
 LINE_VARS = ("u", "v")
@@ -172,31 +175,51 @@ def validate(expr):
 
 
 # ---------------------------------------------------------------------------
-# Expansion.  A partial term of one product is keyed by a single int made of
-# fixed-width bit fields, lowest first:
+# Expansion.  The partial terms of one product are the rows of an (N, W)
+# int64 key array, beside a vector of their coefficients.  A key row is a
+# sequence of bit fields, lowest first:
 #
 #     3 fields per Greek letter of the term   (alpha1, alpha2, alpha3, beta1, ...)
 #     3 fields each for u, v, x, y            (exponents of u1..u3, ..., y1..y3)
 #     10 fields counting the a-indices        (exponent of a0, ..., a9)
 #
-# Multiplying a term by one summand of a factor adds a precomputed delta to its
-# key.  A field never exceeds its bound: 3 for a letter field (each letter
-# occurs three times), the total count of u, v, x or y for theirs, and the
-# number of letters for an a-field.  The field width is the bit length of the
-# largest bound, so no add can carry into the next field.
+# A field is as wide as the bit length of its bound: 3 for a letter field
+# (each letter occurs three times), the total count of u, v, x or y for
+# theirs, and the number of letters for an a-field.  A field whose bound is 0
+# is dropped.  The fields fill 63-bit words in this order, and a field that
+# would not fit in the current word starts the next one, so no field
+# straddles a word and no add can carry into a neighbour.  The letter fields
+# come first and take at most 8 x 6 bits, so they all lie in word 0.  Phi814
+# packs into two words: 60 bits, then the 40 bits of the a-fields.
+#
+# The factors are taken in _factor_order.  A factor's summands (3 for a
+# pairing, 6 for a determinant) are folded into a sorted accumulator one at
+# a time: the summand's delta is added to every key row, and the new rows
+# are merged with the accumulator by np.lexsort and np.add.reduceat, zero
+# sums dropped.  So at most the accumulator and N new rows are live, not all
+# 6 N rows of the factor at once.
 #
 # A Greek letter is substituted in the same pass as the factor that consumes
-# its last occurrence: its 3-field triple (i1, i2, i3) is read off the key and
-# looked up in a per-letter table giving the key shift (clear the triple, add
-# one to the a_r field with A_INDEX[(i1, i2, i3)] == r) and the weight
-# i1! i2! i3!.  Coefficients thereby carry a global 3! per letter, which
-# primitive normalization removes at the end.  Keys become Poly monomials only
-# once every letter is gone.
+# its last occurrence: its triple (i1, i2, i3), 2 bits each, is read off the
+# key as a 6-bit code that indexes a 64-row table of key shifts (clear the
+# triple, add one to the a_r field with A_INDEX[(i1, i2, i3)] == r) and of
+# weights i1! i2! i3!.  Coefficients thereby carry a global 3! per letter,
+# which the normalization in expand removes.
+#
+# Coefficients are exact.  They are int64 while the L1 bound of a factor's
+# result, sum |c| x summands x 6^k for k letters completed by it, stays below
+# _INT64_BOUND, and Python ints in an object array from the first factor
+# past it on.
 # ---------------------------------------------------------------------------
 
 _SLOT_SYMS = LINE_VARS + POINT_VARS
 _DET_PERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
               ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+_WORD_BITS = 63           # a key word stays a nonnegative int64
+_INT64_BOUND = 1 << 63
+# the monomial variables of a key, in poly.VAR_ORDER
+_MONO_FIELDS = [(("a", r), f"a{r}") for r in range(10)] + \
+               [((s, i), f"{s}{i + 1}") for s in ("x", "y", "u", "v") for i in range(3)]
 
 
 def _atom_syms(atom):
@@ -221,96 +244,125 @@ def _factor_order(term, greek):
     return ordered
 
 
-def _key_layout(letters, counts):
-    """(field width, {(symbol, component): field index}) for the packed keys."""
-    bounds = [3] * (3 * len(letters))
-    for s in _SLOT_SYMS:
-        bounds += [counts[s]] * 3
-    bounds += [len(letters)] * 10
-    width = max(bounds).bit_length()
-    assert all(b < 1 << width for b in bounds), "packed key field would carry"
-    fields = [(g, i) for g in letters for i in range(3)] + \
-             [(s, i) for s in _SLOT_SYMS for i in range(3)]
-    return width, {name: j for j, name in enumerate(fields)}
+def _layout(letters, counts):
+    """({field: (word, shift, width)}, word count) of the packed keys.
+
+    A field is (letter, component), (u|v|x|y, component) or ("a", r).
+    """
+    bounds = [((g, i), 3) for g in letters for i in range(3)]
+    bounds += [((s, i), counts[s]) for s in _SLOT_SYMS for i in range(3)]
+    bounds += [(("a", r), len(letters)) for r in range(10)]
+    fields = {}
+    word = used = 0
+    for name, bound in bounds:
+        width = bound.bit_length()
+        if not width:
+            continue
+        if used + width > _WORD_BITS:
+            word, used = word + 1, 0
+        fields[name] = (word, used, width)
+        used += width
+    return fields, word + 1
+
+
+def _merge(keys, coeffs):
+    """The rows sorted, equal keys summed into one row, zero sums dropped."""
+    order = np.lexsort(keys.T)
+    keys, coeffs = keys[order], coeffs[order]
+    first = np.ones(len(keys), bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    if not len(starts):
+        return keys, coeffs
+    coeffs = np.add.reduceat(coeffs, starts)
+    keep = coeffs != 0
+    return keys[starts[keep]], coeffs[keep]
 
 
 def _expand_term(term):
     """Expand one product term; returns {Poly monomial: int coeff}."""
     greek, counts = _term_counts(term)
-    letters = sorted(greek)
-    width, field = _key_layout(letters, counts)
+    fields, words = _layout(sorted(greek), counts)
 
-    def bit(sym, comp):
-        return 1 << (width * field[(sym, comp)])
+    def delta(names):
+        d = np.zeros(words, np.int64)
+        for name in names:
+            word, shift, _ = fields[name]
+            d[word] += 1 << shift
+        return d
 
-    a_base = width * len(field)
-    triple_mask = (1 << 3 * width) - 1
-    # per letter: triple -> (key shift, i1! i2! i3!)
-    subst = {}
-    for g in letters:
-        low = width * field[(g, 0)]
-        table = {}
+    def substitution(g):
+        """(word, low bit, key shifts, weights) for the completed letter g."""
+        word, low, _ = fields[(g, 0)]
+        shifts = np.zeros((64, words), np.int64)
+        weights = np.zeros(64, np.int64)
         for (i1, i2, i3), r in A_INDEX.items():
-            t = i1 | i2 << width | i3 << 2 * width
-            table[t] = ((1 << a_base + width * r) - (t << low),
-                        factorial(i1) * factorial(i2) * factorial(i3))
-        subst[g] = (low, table)
+            code = i1 | i2 << 2 | i3 << 4
+            shifts[code, word] -= code << low
+            a_word, a_shift, _ = fields[("a", r)]
+            shifts[code, a_word] += 1 << a_shift
+            weights[code] = factorial(i1) * factorial(i2) * factorial(i3)
+        return word, low, shifts, weights
 
     left = dict(greek)
-    terms = {0: 1}
+    keys = np.zeros((1, words), np.int64)
+    coeffs = np.ones(1, np.int64)
     for atom in _factor_order(term, greek):
         if isinstance(atom, Pair):
-            facs = [(bit(atom.left, i) + bit(atom.right, i), 1) for i in range(3)]
+            summands = [(delta([(atom.left, i), (atom.right, i)]), 1) for i in range(3)]
         else:
-            facs = [(sum(bit(row, comp) for row, comp in zip(atom.rows, perm)), sgn)
-                    for perm, sgn in _DET_PERMS]
+            summands = [(delta(zip(atom.rows, perm)), sgn) for perm, sgn in _DET_PERMS]
         done = []
         for s in _atom_syms(atom):
             if s in left:
                 left[s] -= 1
                 if not left[s]:
-                    done.append(subst[s])
-        new = {}
-        get = new.get
-        for key, coeff in terms.items():
-            for delta, sgn in facs:
-                k = key + delta
-                c = coeff * sgn
-                for low, table in done:
-                    shift, mult = table[k >> low & triple_mask]
-                    k += shift
-                    c *= mult
-                new[k] = get(k, 0) + c
-        terms = {k: c for k, c in new.items() if c}
+                    done.append(substitution(s))
+        bound = int(np.abs(coeffs).sum()) * len(summands) * 6 ** len(done)
+        if coeffs.dtype != object and bound >= _INT64_BOUND:
+            coeffs = coeffs.astype(object)
+        acc_keys, acc_coeffs = keys[:0], coeffs[:0]
+        for d, sgn in summands:
+            k = keys + d
+            c = coeffs if sgn > 0 else -coeffs
+            for word, low, shifts, weights in done:
+                code = k[:, word] >> low & 63
+                k += shifts[code]
+                c = c * weights[code]
+            acc_keys, acc_coeffs = _merge(np.concatenate((acc_keys, k)),
+                                          np.concatenate((acc_coeffs, c)))
+        keys, coeffs = acc_keys, acc_coeffs
 
-    # every letter is substituted: only the u, v, x, y and a fields remain
-    names = [f"{s}{i + 1}" for s in _SLOT_SYMS for i in range(3)] + \
-            [f"a{r}" for r in range(10)]
-    mask = (1 << width) - 1
-    base = 3 * len(letters) * width
-    out = {}
-    for key, coeff in terms.items():
-        key >>= base
-        pairs = []
-        for name in names:
-            if key & mask:
-                pairs.append((name, key & mask))
-            key >>= width
-        out[monomial(pairs)] = coeff
-    return out
+    # every letter is substituted: only the a, x, y, u and v fields remain
+    present = [(var, fields[f]) for f, var in _MONO_FIELDS if f in fields]
+    names = [var for var, _ in present]
+    exps = np.stack([keys[:, word] >> shift & (1 << width) - 1
+                     for _, (word, shift, width) in present], axis=1)
+    monos = [tuple(compress(zip(names, row), row)) for row in exps.tolist()]
+    return dict(zip(monos, coeffs.tolist()))
 
 
 def expand(expr):
     """Expand a parsed bracket expression into a primitive Concomitant.
 
-    A zero result is legal (the expression "vanishes identically after
-    substitution") and is flagged on the Concomitant.
+    The terms are scaled to integers by the common denominator of their
+    coefficients, summed, and divided by the gcd, signed so that the leading
+    term in graded-lex order is positive.  A zero result is legal (the
+    expression "vanishes identically after substitution") and is flagged on
+    the Concomitant.
     """
     ctype = validate(expr)
-    acc = Poly((m, term.coeff * c)
-               for term in expr.terms for m, c in _expand_term(term).items())
+    denom = lcm(*(t.coeff.denominator for t in expr.terms))
+    pairs = []
+    for t in expr.terms:
+        scale = (t.coeff * denom).numerator
+        pairs += ((m, c * scale) for m, c in _expand_term(t).items())
+    acc = Poly(pairs)
     if acc:
-        _, acc = acc.content_and_primitive()
+        g = gcd(*acc.terms.values())
+        if acc.terms[min(acc.terms, key=_mono_sort_key)] < 0:
+            g = -g
+        acc = Poly((m, c // g) for m, c in acc.terms.items())
     return Concomitant(acc, ctype)
 
 

@@ -96,6 +96,9 @@ def cmd_concomitant(args):
             t = brackets.validate(brackets.catalog(name))
             print(f"{name:18s} {t.as_tuple()}")
         return 0
+    if args.name is None:
+        raise ValueError(f"concomitant {args.action} requires a NAME; "
+                         f"have {sorted(brackets.CATALOG)}")
     conc = brackets.catalog_concomitant(args.name)
     if args.action == "type":
         print(conc.ctype.as_tuple())
@@ -116,6 +119,8 @@ def cmd_locus(args):
             print(f"{lid:6s} dim {loci.LOCUS_DIM[lid]}  generators in degree "
                   f"{loci.GENERATOR_DEGREES[lid]}")
     elif args.action == "sample":
+        if args.locus is None:
+            raise ValueError("locus sample requires --locus")
         pt = loci.sample(args.locus, seed=args.seed)
         print(",".join(map(str, pt)))
     elif args.action == "tact-invariant":

@@ -25,7 +25,6 @@ a1 <-> x1^2 x2, ..., a9 <-> x3^3.
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 
 # Degree-3 exponent triples in graded-lex order; A_EXPS[r] is the x-monomial
 # (and u-monomial weight) of a_r.
@@ -249,28 +248,6 @@ class Poly:
             outer = tuple((v, e) for v, e in m if var_family(v) not in fams)
             out.setdefault(inner, []).append((outer, c))
         return {inner: Poly(pairs) for inner, pairs in out.items()}
-
-    def content_and_primitive(self):
-        """(content, primitive part) for integer polynomials.
-
-        Clears Fraction denominators first; the primitive part has integer
-        coefficients with gcd 1 and positive leading coefficient in
-        graded-lex order.
-        """
-        if not self.terms:
-            return Fraction(0), Poly()
-        coeffs = [Fraction(c) for c in self.terms.values()]
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = {m: int(c * denom) for m, c in self.terms.items()}
-        g = 0
-        for c in ints.values():
-            g = gcd(g, c)
-        lead = min(ints, key=_mono_sort_key)
-        sign = 1 if ints[lead] > 0 else -1
-        prim = Poly({m: sign * c // g for m, c in ints.items()})
-        return Fraction(sign * g, denom), prim
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _mono_sort_key(t[0]))

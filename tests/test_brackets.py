@@ -1,10 +1,16 @@
 """Bracket parser, expansion engine, and catalog oracles."""
 
+import ast
 import hashlib
 import random
+import string
 from collections import Counter
-from math import factorial
+from fractions import Fraction
+from itertools import product
+from math import factorial, gcd
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -292,6 +298,27 @@ def _reference_expand_term(term):
     return {k: c for k, c in out.items() if c}
 
 
+def test_expand_normalizes_rational_sums():
+    """A sum with rational coefficients expands to its primitive integer
+    multiple, with a positive leading term in graded-lex order."""
+    src = "alpha_x^3 beta_y^3 - 3/2 alpha_x^2 alpha_y beta_x beta_y^2"
+    expr = br.parse(src)
+    want = Poly((m, t.coeff * c) for t in expr.terms
+                for m, c in _reference_expand_term(t).items())
+    got = br.expand(expr).poly
+    assert all(isinstance(c, int) for c in got.terms.values())
+    assert gcd(*got.terms.values()) == 1
+    assert got.sorted_terms()[0][1] > 0
+    mono = next(iter(want.terms))
+    assert got * (want.terms[mono] / Fraction(got.terms[mono])) == want
+    # a negative rational multiple of the sum expands to the same polynomial
+    scaled = "-5/3 alpha_x^3 beta_y^3 + 5/2 alpha_x^2 alpha_y beta_x beta_y^2"
+    assert br.expand(br.parse(scaled)).poly == got
+    # a sum that cancels is the flagged zero
+    zero = br.expand(br.parse(br.CATALOG["Phi406"] + " - " + br.CATALOG["Phi406_dualcurve"]))
+    assert zero.is_zero and zero.poly == Poly()
+
+
 @st.composite
 def bracket_products(draw):
     """Source of one valid product term: every Greek letter occurs three times."""
@@ -327,23 +354,194 @@ def test_packed_expansion_matches_reference(src):
     assert br._expand_term(term) == _reference_expand_term(term)
 
 
-def test_key_field_width_bound():
-    """No field of the largest catalog term can carry into its neighbour."""
+def test_key_layout_fits_every_field():
+    """No field of the largest catalog term can carry or straddle a word."""
     terms = [t for src in br.CATALOG.values() for t in br.parse(src).terms]
     term = max(terms, key=lambda t: len(br._term_counts(t)[0]))
     greek, counts = br._term_counts(term)
     assert len(greek) == 8   # Phi814
-    width, field = br._key_layout(sorted(greek), counts)
+    fields, words = br._layout(sorted(greek), counts)
     # a letter field holds at most 3, a u/v/x/y field the symbol's count,
-    # an a-field the number of letters
-    bounds = [3] * (3 * len(greek)) + \
-             [counts[s] for s in ("u", "v", "x", "y") for _ in range(3)] + \
-             [len(greek)] * 10
-    assert len(field) + 10 == len(bounds)
-    assert max(bounds) < 1 << width
-    assert max(bounds) >= 1 << (width - 1)   # and no wider than needed
+    # an a-field the number of letters; a field with bound 0 is dropped
+    bounds = {(g, i): 3 for g in greek for i in range(3)}
+    bounds.update({(s, i): counts[s] for s in ("u", "v", "x", "y") for i in range(3)})
+    bounds.update({("a", r): len(greek) for r in range(10)})
+    assert set(fields) == {name for name, b in bounds.items() if b}
+    used = [0] * words
+    for name, (word, shift, width) in fields.items():
+        assert bounds[name] < 1 << width and bounds[name] >= 1 << (width - 1), name
+        assert 0 <= shift and shift + width <= 63, name
+        used[word] += width
+    assert used == [60, 40]
+    # the fields of a word do not overlap
+    for w in range(words):
+        spans = sorted((shift, width) for word, shift, width in fields.values() if word == w)
+        assert all(a + n <= b for (a, n), (b, _) in zip(spans, spans[1:]))
     # every exponent of the expansion fits its field
     raw = br._expand_term(term)
     for mono in raw:
         for v, e in mono:
-            assert e < 1 << width
+            field = ("a", int(v[1:])) if v[0] == "a" else (v[0], int(v[1:]) - 1)
+            assert e < 1 << fields[field][2]
+
+
+def test_object_coefficients_keep_every_digest(monkeypatch):
+    """With the int64 guard at 0 every coefficient is a Python int from the
+    first factor on, and every catalog expansion is unchanged."""
+    dtypes = set()
+    merge = br._merge
+
+    def spy(keys, coeffs):
+        dtypes.add(coeffs.dtype)
+        return merge(keys, coeffs)
+
+    monkeypatch.setattr(br, "_merge", spy)
+    for name in br.CATALOG:
+        br.expand(br.catalog(name))
+    assert dtypes == {np.dtype(np.int64)}   # the catalog fits int64
+    dtypes.clear()
+    monkeypatch.setattr(br, "_INT64_BOUND", 0)
+    for name, digest in CATALOG_SHA256.items():
+        items = sorted(br.expand(br.catalog(name)).poly.terms.items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == digest, name
+    assert dtypes == {np.dtype(object)}
+
+
+def test_coefficients_past_int64_are_exact():
+    # (u_x)^45 has multinomial coefficients up to 45! / 15!^3 > 2^63
+    (term,) = br.parse("alpha_x^3 u_x^45").terms
+    got = br._expand_term(term)
+    assert max(map(abs, got.values())) >= 1 << 63
+    assert got == _reference_expand_term(term)
+
+
+def test_expand_has_one_path():
+    """_expand_term is called only from expand, and no dict of partial terms
+    is looped over: the array fold replaced the dict loop, it did not fork it."""
+    src = Path(br.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_expand_term":
+                    callers.add((path.stem, getattr(top, "name", "<module>")))
+    assert callers == {("brackets", "expand")}
+    tree = ast.parse(Path(br.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_key_layout" not in names
+    fold = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name in ("_expand_term", "_merge")]
+    assert len(fold) == 2
+    for fn in fold:
+        for node in ast.walk(fn):
+            # the old loop built {key: coeff} dicts with .get and a comprehension
+            assert not isinstance(node, (ast.Dict, ast.DictComp)), fn.name
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("get", "setdefault"), fn.name
+            # the one dict iterated is A_INDEX, to build the substitution tables
+            if isinstance(node, ast.For) and isinstance(node.iter, ast.Call) \
+                    and getattr(node.iter.func, "attr", None) == "items":
+                assert getattr(node.iter.func.value, "id", None) == "A_INDEX", fn.name
+
+
+# --- tensor-network oracle --------------------------------------------------
+
+def contract(term, a, vecs):
+    """The product term as an exact tensor-network contraction, times 6^ell.
+
+    Each Greek letter is the symmetric tensor 6 T of the cubic a, with
+    6 T_ijk = a_r i1! i2! i3! for the exponent triple (i1, i2, i3) of ijk;
+    each determinant is the Levi-Civita tensor; each pairing contracts an
+    index with the vector of its point variable, and a pairing of two
+    vectors (u_y) is their dot product.  Independent of the expansion: no
+    monomial is ever formed.
+    """
+    t6 = np.empty((3, 3, 3), object)
+    eps = np.zeros((3, 3, 3), object)
+    for idx in product(range(3), repeat=3):
+        e = tuple(idx.count(i) for i in range(3))
+        t6[idx] = a[A_INDEX[e]] * factorial(e[0]) * factorial(e[1]) * factorial(e[2])
+        if e == (1, 1, 1):
+            eps[idx] = 1 if idx in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
+    labels = iter(string.ascii_letters.replace("Z", ""))   # Z is the output axis
+    operands, subscripts, letters = [], [], {}
+    scalar = 1
+
+    def leg(sym, label):
+        if sym in br.GREEK:
+            letters.setdefault(sym, []).append(label)
+        else:
+            operands.append(np.array(vecs[sym], object))
+            subscripts.append(label)
+
+    for atom, exp in term.factors:
+        for _ in range(exp):
+            if isinstance(atom, br.Det3):
+                rows = [next(labels) for _ in range(3)]
+                operands.append(eps)
+                subscripts.append("".join(rows))
+                for sym, label in zip(atom.rows, rows):
+                    leg(sym, label)
+            elif atom.left in br.GREEK:
+                label = next(labels)
+                leg(atom.left, label)
+                leg(atom.right, label)
+            else:
+                scalar *= sum(p * q for p, q in zip(vecs[atom.left], vecs[atom.right]))
+    for legs in letters.values():
+        operands.append(t6)
+        subscripts.append("".join(legs))
+    # every operand carries a size-1 output axis Z, so that contracting a
+    # connected piece yields an array, not an object scalar einsum cannot
+    # pair again; greedy pairwise order, with room for the intermediates that
+    # the default limit (the largest input) refuses, which would leave
+    # determinant-only networks such as Phi600 as one 3^k loop
+    eq = ",".join(sub + "Z" for sub in subscripts) + "->Z"
+    operands = [op[..., None] for op in operands]
+    path, _ = np.einsum_path(eq, *operands, optimize=("greedy", 3 ** 6))
+    (value,) = np.einsum(eq, *operands, optimize=path)
+    return scalar * value
+
+
+def random_point(rng):
+    a = [rng.randint(-9, 9) for _ in range(10)]
+    vecs = {s: [rng.randint(-9, 9) for _ in range(3)] for s in br.LINE_VARS + br.POINT_VARS}
+    values = {f"a{r}": a[r] for r in range(10)}
+    values.update({f"{s}{i + 1}": vecs[s][i] for s in vecs for i in range(3)})
+    return a, vecs, values
+
+
+# contraction / (6^ell x evaluated primitive expansion), one constant per entry
+CONTRACTION_RATIOS = {
+    "Phi222": Fraction(1, 18), "Phi303": Fraction(1, 9), "Phi330": Fraction(1, 18),
+    "Phi400": Fraction(1, 54), "Phi406": Fraction(-2, 27),
+    "Phi406_dualcurve": Fraction(-2, 27), "Phi441": Fraction(1, 27),
+    "Phi503": Fraction(-1, 162), "Phi600": Fraction(-1, 972), "Phi814": Fraction(-2, 729),
+    "Psi21": Fraction(1, 3), "Psi42": Fraction(1, 6), "Psi51": Fraction(1, 3),
+    "Psi54": Fraction(1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(br.CATALOG))
+def test_catalog_matches_tensor_contraction(name):
+    assert set(CONTRACTION_RATIOS) == set(br.CATALOG)
+    conc = br.catalog_concomitant(name)
+    (term,) = br.catalog(name).terms
+    rng = random.Random(f"contract-{name}")
+    for _ in range(3):
+        a, vecs, values = random_point(rng)
+        value = conc.poly.evaluate(values)
+        assert value, name
+        ratio = Fraction(contract(term, a, vecs), 6 ** conc.ctype.degree * value)
+        assert ratio == CONTRACTION_RATIOS[name], name
+
+
+@settings(max_examples=40, deadline=None)
+@given(bracket_products(), st.randoms(use_true_random=False))
+def test_expansion_matches_tensor_contraction(src, rng):
+    # the unnormalized expansion carries 3! per letter, as 6 T does
+    (term,) = br.parse(src).terms
+    a, vecs, values = random_point(rng)
+    raw = Poly(br._expand_term(term))
+    assert raw.evaluate(values) == contract(term, a, vecs)

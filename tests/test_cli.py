@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternary_cubics import cli, loci, resolution
+from ternary_cubics import brackets, cli, loci, resolution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 2 ** 30
@@ -129,11 +129,21 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("action", ["type", "terms", "eval"])
 @pytest.mark.parametrize("name", [None, "Phi999"])
 def test_concomitant_unknown_name(capsys, action, name):
-    # the message once carried the quotes that str(KeyError) adds
+    # the message once carried the quotes that str(KeyError) adds, and a
+    # missing name was reported as the unknown concomitant None
     rc, out, err = run(capsys, "concomitant", action, *([name] if name else []))
     assert rc == 2 and out == ""
-    assert err.startswith(f"error: unknown concomitant {name!r}; have [")
+    if name is None:
+        assert err.startswith(f"error: concomitant {action} requires a NAME; have [")
+    else:
+        assert err.startswith(f"error: unknown concomitant {name!r}; have [")
     assert err.endswith("]\n") and "Traceback" not in err
+
+
+def test_locus_sample_without_locus(capsys):
+    # once "error: unknown locus None"
+    rc, out, err = run(capsys, "locus", "sample")
+    assert (rc, out, err) == (2, "", "error: locus sample requires --locus\n")
 
 
 def test_verify_all_bad_primes(capsys):
@@ -221,6 +231,18 @@ def test_ideal_negative_degree(argv, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+def fuzz_main(argv):
+    """(exit code, stderr) of cli.main(argv), stdout discarded; argparse's
+    usage errors count by their SystemExit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
 IDEAL_DEGREES = st.one_of(st.integers(-5, -1), st.integers(0, 3), st.integers(20, 10 ** 9),
                           st.sampled_from(["x", "", "2.5", "1e3"])).map(str)
 # valid, composite, below 2^16, at least 2^27; lists of them repeat primes too
@@ -237,14 +259,36 @@ def test_ideal_fuzz(action, locus, degree, primes):
     argv = ["ideal", action, "--locus", locus, "--degree", degree]
     for p in primes:
         argv += ["--prime", p]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:     # argparse rejects the usage
-            rc = exc.code
-    assert rc in (0, 2), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    rc, err = fuzz_main(argv)
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def expanded_catalog():
+    # the first expansion of Phi814 is not what the deadline should time
+    for name in brackets.CATALOG:
+        brackets.catalog_concomitant(name)
+
+
+# named, valid, empty, short, long, non-numeric, fractional, unknown named
+CUBICS = st.sampled_from(["fermat", ",".join(map(str, range(1, 11))),
+                          "-3,0,1,0,0,2,0,0,0,7", "", "1,2,3", ",".join(["1"] * 11),
+                          "a,b,c,d,e,f,g,h,i,j", "1.5", "bogus"])
+
+
+@settings(max_examples=100, deadline=2000)
+@given(action=st.sampled_from(["list", "type", "terms", "eval"]),
+       name=st.one_of(st.none(), st.sampled_from([*brackets.CATALOG, "Phi999", ""])),
+       cubic=st.one_of(st.none(), CUBICS))
+def test_concomitant_fuzz(expanded_catalog, action, name, cubic):
+    # every input either answers or exits 2 with a message, never a traceback
+    argv = ["concomitant", action, *([] if name is None else [name])]
+    if cubic is not None:
+        argv.append(f"--cubic={cubic}")
+    rc, err = fuzz_main(argv)
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err and "None" not in err
 
 
 def test_weyl_orbit_check():

@@ -129,15 +129,6 @@ def test_collect_reassembles():
     assert len(parts) == 10    # one bucket per cubic monomial
 
 
-def test_content_and_primitive():
-    p = 6 * v("x1") + Fraction(9, 2) * v("x2")
-    c, prim = p.content_and_primitive()
-    assert c * prim == p
-    assert prim.terms == {(("x1", 1),): 4, (("x2", 1),): 3}
-    c2, prim2 = (-p).content_and_primitive()
-    assert prim2 == prim and c2 == -c
-
-
 def test_text_round_trip():
     p = 3 * v("x1", 2) * v("u3") - Fraction(1, 2) * v("a9") + 7
     assert from_text(p.to_text()) == p
