@@ -46,11 +46,16 @@ def _primes(args):
 
 
 def _parse_cubic(text):
+    """A named cubic, or the cubic of 10 comma-separated integer coefficients."""
     if text in loci.NAMED_CUBICS:
         return loci.NAMED_CUBICS[text]
-    vals = tuple(int(x) for x in text.split(","))
+    try:
+        vals = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        vals = ()
     if len(vals) != 10:
-        raise ValueError("cubic needs 10 comma-separated coefficients")
+        raise ValueError(f"cubic {text!r} is neither a named cubic {sorted(loci.NAMED_CUBICS)} "
+                         "nor 10 comma-separated integers")
     return vals
 
 

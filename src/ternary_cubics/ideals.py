@@ -19,10 +19,17 @@ Monomials in the a-variables are nondecreasing index tuples (a0 a0 a3 =
 (0, 0, 3)), listed once per degree in lexicographic order by
 monomials_by_weight; every block of every kind is built from those cached
 lists.  A monomial's substitution image is its prefix's image times one
-phi_r: _image_blocks reads the monomials in order and keeps the prefix images
-shared with the one before, so each is computed once.  They are exact
-integers, built once for all the primes of a kernel, so no coefficient meets
-int64 before it is reduced mod p.
+phi_r.  _image_blocks builds the images of the distinct prefixes of the
+chosen monomials level by level, prefix length 1, 2, ..., in lexicographic
+order, so each is computed once: a level is one batched numpy product of its
+parents' terms with phi, merged by a sort on packed (prefix, parameter key)
+and np.add.reduceat.  The last level is the monomials' own images, and each
+block's rows are its parameter keys in increasing order.  The images are
+built once over Z for all the primes of a kernel, with int64 coefficients
+under one guard: a coefficient is at most L^degree in absolute value, L the
+largest sum of |coefficients| of one phi_r, and a build where that bound
+reaches 2^63 raises ValueError.  Below _MAX_MONOMIALS none does (L <= 12 and
+degree <= 14: 12^14 < 2^51).
 
 Every weight-blocked elimination (kernels, syzygies, the all-block
 cross-check, Hilbert values) takes one path, _solve_blocks: for each prime it
@@ -59,6 +66,7 @@ from .poly import A_EXPS, A_INDEX, Poly, monomial
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
 HILBERT_MARGIN = 12  # evaluation points past each block's size
+_CHUNK = 1 << 14  # products per batch in _times_phi
 # The most monomials, C(d + 9, 9), listed for one degree: degrees up to 14
 # pass, 12 among them (293,930, for the Koszul cells of the Betti ledger), and
 # 15 on fail before listing.  Degree 20 would list 10,015,005, and from degree
@@ -150,19 +158,58 @@ def poly_to_block_vectors(pl, degree):
 # ---------------------------------------------------------------------------
 
 def _encoded_phi(locus):
-    """phi_r as {packed exponent vector: integer coeff}, r = 0..9."""
+    """phi_r as zero-padded (10, T) int64 tables, one of packed exponent
+    vectors and one of integer coefficients; row r holds phi_r's T or fewer terms."""
     spec = loci.substitution_map(locus)
     pidx = {v: i for i, v in enumerate(spec.params)}
+    width = max(len(phi.terms) for phi in spec.phi)
+    keys = np.zeros((10, width), dtype=np.int64)
+    coeffs = np.zeros((10, width), dtype=np.int64)
+    for r, phi in enumerate(spec.phi):
+        for t, (mo, c) in enumerate(phi.terms.items()):
+            keys[r, t] = sum(e << (_SHIFT * pidx[v]) for v, e in mo)
+            coeffs[r, t] = int(c)
+    return keys, coeffs
+
+
+def _times_phi(image, parents, lasts, phi):
+    """The products image[parents[i]] * phi_{lasts[i]}, one for each owner i.
+
+    `image` is (starts, keys, coeffs), owner j's terms being keys and coeffs
+    [starts[j]:starts[j + 1]].  Returns (owner, key, coeff) arrays sorted by
+    owner, then key, with equal keys merged and zero sums dropped.  The
+    owners are taken in chunks of about _CHUNK products, so the live arrays
+    stay small, and of few enough owners that a chunk-local owner and a key
+    pack into one int64 sort key.
+    """
+    starts, keys, coeffs = image
+    phikey, phicoef = phi
+    # keys fill the 6-bit fields up to the highest parameter in phi
+    width = -(-int(phikey.max()).bit_length() // _SHIFT) * _SHIFT
+    counts = starts[parents + 1] - starts[parents]
+    sizes = counts * phikey.shape[1]
+    ids = np.arange(len(parents))
+    chunk = (np.cumsum(sizes) - sizes) // _CHUNK
+    cut = (np.diff(chunk) != 0) | (np.diff(ids >> (63 - width)) != 0)
+    bounds = [0, *(np.flatnonzero(cut) + 1), len(parents)]
     out = []
-    for phi in spec.phi:
-        d = {}
-        for mo, c in phi.terms.items():
-            key = 0
-            for v, e in mo:
-                key += e << (_SHIFT * pidx[v])
-            d[key] = int(c)
-        out.append(d)
-    return out
+    for lo, hi in zip(bounds, bounds[1:]):
+        n = counts[lo:hi]
+        owner = np.repeat(ids[:hi - lo], n)
+        # the parent terms of owner i: a run of n[i] from starts[parents[i]]
+        term = np.arange(len(owner)) + np.repeat(starts[parents[lo:hi]] - np.cumsum(n) + n, n)
+        r = lasts[lo:hi][owner]
+        c = coeffs[term, None] * phicoef[r]
+        live = c != 0       # drops the padding of the phi table
+        packed = ((owner[:, None] << width) + keys[term, None] + phikey[r])[live]
+        order = np.argsort(packed)
+        packed, c = packed[order], c[live][order]
+        first = np.flatnonzero(np.diff(packed, prepend=-1))
+        c = np.add.reduceat(c, first)
+        nz = c != 0
+        packed = packed[first[nz]]
+        out.append((lo + (packed >> width), packed & ((1 << width) - 1), c[nz]))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def _image_blocks(locus, degree, dominant_only=True):
@@ -170,42 +217,63 @@ def _image_blocks(locus, degree, dominant_only=True):
 
     Returns {weight: (shape, rows, cols, coeffs)} for the dominant weights, or
     for every weight without `dominant_only`: the sparse integer matrix of
-    shape (n_param_keys, n_monos), with exact Python-int coefficients, which
-    _blocks_mod reduces modulo a prime.  The column space is indexed by the
-    block's monomials (in the order of monomials_by_weight), so nullspace
-    vectors are ideal elements.  The monomials are visited in lexicographic
-    order, keeping the prefix images shared with the previous one.
+    shape (n_param_keys, n_monos) as int64 arrays, which _blocks_mod reduces
+    modulo a prime.  The columns are the block's monomials (in the order of
+    monomials_by_weight), so nullspace vectors are ideal elements; the rows
+    are the block's packed parameter keys in increasing order.  Entries come
+    sorted by column, then row.
+
+    The images of the distinct prefixes of the chosen monomials are built
+    level by level, each level one batched product with phi (_times_phi);
+    the last level is the monomials' own images.  Every coefficient is at
+    most L^degree in absolute value, L the largest sum of |coefficients| of
+    one phi_r; a bound past int64 raises ValueError.
     """
     phi = _encoded_phi(locus)
     blocks, _ = monomials_by_weight(degree)
-    # weight -> ({packed param key: row index}, rows, cols, coeffs)
-    built = {w: ({}, [], [], []) for w in blocks if is_dominant(w) or not dominant_only}
-    path, prev = [{0: 1}], ()    # path[i]: the image of the first i indices
-    for mono, w, j in sorted((m, w, j) for w in built for j, m in enumerate(blocks[w])):
-        shared = next((i for i, (r, q) in enumerate(zip(mono, prev)) if r != q), 0)
-        del path[shared + 1:]
-        for r in mono[shared:]:
-            prod = {}
-            for k1, c1 in path[-1].items():
-                for k2, c2 in phi[r].items():
-                    k = k1 + k2
-                    prod[k] = prod.get(k, 0) + c1 * c2
-            path.append({k: c for k, c in prod.items() if c})
-        ki, rows, cols, coeffs = built[w]
-        for k, c in path[-1].items():
-            rows.append(ki.setdefault(k, len(ki)))
-            cols.append(j)
-            coeffs.append(c)
-        prev = mono
-    return {w: ((len(ki), len(blocks[w])), rows, cols, coeffs)
-            for w, (ki, rows, cols, coeffs) in built.items()}
+    bound = int(np.abs(phi[1]).sum(axis=1).max()) ** degree
+    if bound >= 2 ** 63:
+        raise ValueError(f"images of {locus} in degree {degree} have coefficients up to "
+                         f"{bound:,}, past int64")
+    chosen = [w for w in blocks if is_dominant(w) or not dominant_only]
+    if degree == 0:
+        zero = np.zeros(1, dtype=np.intp)
+        return {w: ((1, 1), zero, zero, np.ones(1, dtype=np.int64)) for w in chosen}
+    mono = np.array([m for w in chosen for m in blocks[w]], dtype=np.int8)
+    lex = np.lexsort(mono.T[::-1])
+    ordered = mono[lex]
+    # image: the level's images, owner j the j-th distinct prefix in
+    # lexicographic order; prefix: the owner of each ordered monomial's prefix
+    image = (np.array([0, 1]), np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    prefix = np.zeros(len(mono), dtype=np.intp)
+    new = np.zeros(len(mono), dtype=bool)
+    new[0] = True
+    for level in range(degree - 1):
+        new[1:] |= ordered[1:, level] != ordered[:-1, level]
+        first = np.flatnonzero(new)
+        owner, keys, coeffs = _times_phi(image, prefix[first], ordered[first, level], phi)
+        image = (np.searchsorted(owner, np.arange(len(first) + 1)), keys, coeffs)
+        prefix = np.cumsum(new) - 1
+    parent = np.empty_like(prefix)
+    parent[lex] = prefix
+    # the last level: the monomials themselves, in the chosen order, so a
+    # block's columns are a run of owners; rows are ranked block by block
+    owner, keys, coeffs = _times_phi(image, parent, mono[:, -1], phi)
+    sizes = [len(blocks[w]) for w in chosen]
+    starts = np.cumsum([0] + sizes)
+    cuts = np.searchsorted(owner, starts)
+    out = {}
+    for w, n, at, lo, hi in zip(chosen, sizes, starts, cuts, cuts[1:]):
+        uniq, rows = np.unique(keys[lo:hi], return_inverse=True)
+        out[w] = ((len(uniq), n), rows, owner[lo:hi] - at, coeffs[lo:hi])
+    return out
 
 
 def _blocks_mod(images, p):
     """Yield (weight, int64 matrix) of each integer image block, reduced mod p."""
     for w, (shape, rows, cols, coeffs) in images.items():
         A = np.zeros(shape, dtype=np.int64)
-        A[rows, cols] = [c % p for c in coeffs]
+        A[rows, cols] = coeffs % p
         yield w, A
 
 

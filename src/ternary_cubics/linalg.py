@@ -149,7 +149,9 @@ def nullspace_mod(A, p):
     """
     B, p = _residues(A, p)
     pivots = _rref_mod(B, p, reduced=True)
-    free = np.setdiff1d(np.arange(B.shape[1]), pivots)
+    is_free = np.ones(B.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((B.shape[1], len(free)), dtype=np.int64)
     basis[free, np.arange(len(free))] = 1
     basis[pivots] = -B[:len(pivots), free] % p

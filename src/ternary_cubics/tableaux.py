@@ -38,13 +38,13 @@ def enumerate_tableaux(m, n):
     """
     if m < 0 or n < 0:
         raise ValueError("m, n >= 0")
-    out = []
-    for row1 in combinations_with_replacement((1, 2, 3), m + n):
-        for row2 in combinations_with_replacement((1, 2, 3), n):
-            if all(row1[i] < row2[i] for i in range(n)):
-                out.append((row1, row2))
-    out.sort()
-    return tuple(out)
+    # row1 = 1^a 2^b 3^c and row2 = 2^d 3^(n-d): the columns increase
+    # strictly exactly when d <= a and n <= a + b.  Descending a, b, d is
+    # lexicographic order.
+    k = m + n
+    return tuple([((1,) * a + (2,) * b + (3,) * (k - a - b), (2,) * d + (3,) * (n - d))
+                  for a in range(k, -1, -1) for b in range(k - a, -1, -1) if n <= a + b
+                  for d in range(min(a, n), -1, -1)])
 
 
 def tableau_monomial(T):

@@ -67,6 +67,14 @@ def test_concomitant_eval_fermat(capsys):
     assert rc == 0 and out.strip() != "0"
 
 
+@pytest.mark.parametrize("cubic", ["bogus", "1,2,x", "1.5"])
+def test_concomitant_eval_names_the_cubics_it_takes(capsys, cubic):
+    rc, out, err = run(capsys, "concomitant", "eval", "Phi400", "--cubic", cubic)
+    assert rc == 2 and out == ""
+    assert err == (f"error: cubic {cubic!r} is neither a named cubic "
+                   f"{sorted(loci.NAMED_CUBICS)} nor 10 comma-separated integers\n")
+
+
 def test_locus_dims_and_sample(capsys):
     rc, out, _ = run(capsys, "locus", "dims")
     assert rc == 0 and "equiv" in out and "dim 2" in out

@@ -272,8 +272,8 @@ def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
 
 
 # SHA-256 over the image blocks of each case, in order: weight, then shape,
-# rows, cols and coeffs.  The kernel-basis digests pin the bases, not the row
-# order of the images they come from.
+# rows, cols and coeffs as lists.  The kernel-basis digests pin the bases, not
+# the row order of the images they come from.
 IMAGE_CASES = {
     "delta-5-all": [("delta", 5, False)],
     "tact-5": [("tact", 5, True)],
@@ -282,10 +282,10 @@ IMAGE_CASES = {
                     for dominant_only in (True, False)],
 }
 IMAGE_DIGESTS = {
-    "delta-5-all": "f0aa6b4fb73eebf9fd44f03a9c85c7dc0cce3fcffa00c6b50f5d1fbc4279e23c",
-    "tact-5": "3e6a7a7ca038f53c050985240ee6161dab9c185057f663bbd600fd0f5e6d8c01",
-    "empty-6": "de842f4c0d64057f86238273ec79f3601708796458676b027147f34a80a7aa96",
-    "degrees-0-1": "29862e12f5ed55882ad68295b9babd1418eeee07fc0a22b4baebbb67ad25fb26",
+    "delta-5-all": "d2fda4bc6979bcc1a345ae6dacf6695a3ff74b6724a05741f4acdded17afa872",
+    "tact-5": "1e869359094bba9956028e0faed3767cb32ae206843819d50ddd678450691354",
+    "empty-6": "f427cc12b5e9a849e0f76406194348d603d932ed4456aeded1d0081e23ebd8ad",
+    "degrees-0-1": "cc006e2a37a501aab6ef7ba0bc01ec3da29ce020ba6444ea84aaec33129882a1",
 }
 
 
@@ -294,8 +294,92 @@ def test_image_blocks_are_pinned(case):
     h = hashlib.sha256()
     for lid, deg, dominant_only in IMAGE_CASES[case]:
         for w, (shape, rows, cols, coeffs) in ideals._image_blocks(lid, deg, dominant_only).items():
-            h.update(repr((w, shape, rows, cols, coeffs)).encode())
+            h.update(repr((w, shape, rows.tolist(), cols.tolist(), coeffs.tolist())).encode())
     assert h.hexdigest() == IMAGE_DIGESTS[case]
+
+
+def _reference_phi(locus):
+    """phi_r as {packed exponent vector: integer coeff}, r = 0..9."""
+    spec = loci.substitution_map(locus)
+    pidx = {v: i for i, v in enumerate(spec.params)}
+    out = []
+    for phi in spec.phi:
+        d = {}
+        for mo, c in phi.terms.items():
+            key = 0
+            for v, e in mo:
+                key += e << (ideals._SHIFT * pidx[v])
+            d[key] = int(c)
+        out.append(d)
+    return out
+
+
+def _reference_image_blocks(locus, degree, dominant_only=True):
+    """The images by a dict loop over Python ints, rows by first appearance.
+
+    Returns {weight: (shape, rows, cols, coeffs, {packed key: row})}.
+    """
+    phi = _reference_phi(locus)
+    blocks, _ = ideals.monomials_by_weight(degree)
+    # weight -> ({packed param key: row index}, rows, cols, coeffs)
+    built = {w: ({}, [], [], []) for w in blocks if ideals.is_dominant(w) or not dominant_only}
+    path, prev = [{0: 1}], ()    # path[i]: the image of the first i indices
+    for mono, w, j in sorted((m, w, j) for w in built for j, m in enumerate(blocks[w])):
+        shared = next((i for i, (r, q) in enumerate(zip(mono, prev)) if r != q), 0)
+        del path[shared + 1:]
+        for r in mono[shared:]:
+            prod = {}
+            for k1, c1 in path[-1].items():
+                for k2, c2 in phi[r].items():
+                    k = k1 + k2
+                    prod[k] = prod.get(k, 0) + c1 * c2
+            path.append({k: c for k, c in prod.items() if c})
+        ki, rows, cols, coeffs = built[w]
+        for k, c in path[-1].items():
+            rows.append(ki.setdefault(k, len(ki)))
+            cols.append(j)
+            coeffs.append(c)
+        prev = mono
+    return {w: ((len(ki), len(blocks[w])), rows, cols, coeffs, ki)
+            for w, (ki, rows, cols, coeffs) in built.items()}
+
+
+REFERENCE_CASES = {
+    **{lid: [(lid, deg, dominant_only) for deg in range(6) for dominant_only in (True, False)]
+       for lid in loci.LOCI},
+    "empty-8-dominant": [("empty", 8, True)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_image_blocks_match_the_dict_reference(case):
+    for lid, deg, dominant_only in REFERENCE_CASES[case]:
+        got = ideals._image_blocks(lid, deg, dominant_only)
+        ref = _reference_image_blocks(lid, deg, dominant_only)
+        assert list(got) == list(ref)
+        for w, (shape, rows, cols, coeffs) in got.items():
+            ref_shape, ref_rows, ref_cols, ref_coeffs, keys = ref[w]
+            # the reference numbers its rows by first appearance; renumber
+            # them by sorted key
+            rank = {row: i for i, (_, row) in enumerate(sorted(keys.items()))}
+            assert shape == ref_shape
+            assert len(rows) == len(cols) == len(coeffs) == len(ref_rows)
+            assert set(zip(rows.tolist(), cols.tolist(), coeffs.tolist())) \
+                == {(rank[r], c, x) for r, c, x in zip(ref_rows, ref_cols, ref_coeffs)}
+            # entries come sorted by column, then row
+            assert np.array_equal(np.lexsort((rows, cols)), np.arange(len(rows)))
+
+
+def test_image_coefficients_past_int64_raise(monkeypatch):
+    keys, coeffs = ideals._encoded_phi("delta")
+    coeffs = coeffs.copy()
+    coeffs[0, 0] = 2 ** 40
+    monkeypatch.setattr(ideals, "_encoded_phi", lambda locus: (keys, coeffs))
+    # (2^40)^2 would wrap in int64
+    with pytest.raises(ValueError, match="past int64"):
+        ideals._image_blocks("delta", 2)
+    # degree 1 stays inside, and keeps the coefficient exactly
+    assert 2 ** 40 in ideals._image_blocks("delta", 1)[(3, 0, 0)][3].tolist()
 
 
 def test_walk_prunes_to_dominant_blocks():

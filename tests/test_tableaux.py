@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -39,6 +40,26 @@ def test_enumeration_against_brute_force(m, n):
     for row1, row2 in tabs:
         assert all(row1[i] <= row1[i + 1] for i in range(len(row1) - 1))
         assert all(row1[i] < row2[i] for i in range(len(row2)))
+
+
+def _reference_tableaux(m, n):
+    """The tableaux by filtering all pairs of nondecreasing rows."""
+    out = []
+    for row1 in combinations_with_replacement((1, 2, 3), m + n):
+        for row2 in combinations_with_replacement((1, 2, 3), n):
+            if all(row1[i] < row2[i] for i in range(n)):
+                out.append((row1, row2))
+    out.sort()
+    return tuple(out)
+
+
+def test_enumeration_matches_the_filtered_reference():
+    for m in range(9):
+        for n in range(9):
+            assert tb.enumerate_tableaux(m, n) == _reference_tableaux(m, n), (m, n)
+    for m, n in [(-1, 0), (0, -1), (-2, -3)]:
+        with pytest.raises(ValueError):
+            tb.enumerate_tableaux(m, n)
 
 
 def test_tableau_monomial_signs():
