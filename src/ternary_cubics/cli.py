@@ -68,27 +68,56 @@ def _fmt_modules(dec):
 # simple subcommands
 # ---------------------------------------------------------------------------
 
+# decompose peels the dominant weights (a, b) with a <= A, where (A, B) is the
+# highest weight of the character it decomposes: (A+1)(A+2)/2 candidates.
+# decompose-sym 20 0 --power 3 and 3 0 --power 20 (A = 60, 1,891) pass, and
+# A = 62 (2,016) and above fail before any character is built.
+_MAX_CANDIDATE_WEIGHTS = 2000
+
+# tableau list prints at most this many tableaux; count has a closed form
+_MAX_LISTED_TABLEAUX = 10 ** 4
+
+
 def cmd_char(args):
+    dim = characters.dim_irrep(args.a, args.b)
     if args.action == "dim":
-        print(characters.dim_irrep(args.a, args.b))
-    elif args.action == "decompose-sym":
+        print(dim)
+        return 0
+    if args.action == "tensor":
+        characters.dim_irrep(args.a2, args.b2)
+        top = args.a + args.a2
+    elif args.action == "decompose-ext" and args.power > dim:
+        top = args.a    # the exterior power is zero
+    else:
+        # Sym^k (a, b) has highest weight (ka, kb), and wedge^k's is no
+        # greater; the Newton recurrence takes k steps even for a = 0
+        top = max(args.a, args.power * max(args.a, 1))
+    candidates = (top + 1) * (top + 2) // 2
+    if candidates > _MAX_CANDIDATE_WEIGHTS:
+        raise ValueError(f"char {args.action}: a highest weight (A, B) with A up to {top:,} "
+                         f"gives {candidates:,} candidate weights, more than the bound of "
+                         f"{_MAX_CANDIDATE_WEIGHTS:,}")
+    if args.action == "decompose-sym":
         c = characters.sym_power(args.power, characters.weyl_character(args.a, args.b))
-        print(_fmt_modules(characters.decompose(c)))
     elif args.action == "decompose-ext":
         c = characters.ext_power(args.power, characters.weyl_character(args.a, args.b))
-        print(_fmt_modules(characters.decompose(c)))
-    elif args.action == "tensor":
+    else:
         c = characters.weyl_character(args.a, args.b) * characters.weyl_character(args.a2, args.b2)
-        print(_fmt_modules(characters.decompose(c)))
+    print(_fmt_modules(characters.decompose(c)))
     return 0
 
 
 def cmd_tableau(args):
-    tabs = tableaux.enumerate_tableaux(args.m, args.n)
+    if args.m < 0 or args.n < 0:
+        raise ValueError(f"tableau needs m, n >= 0, got {args.m}, {args.n}")
+    count = characters.dim_irrep(args.m + args.n, args.n)
     if args.action == "count":
-        print(len(tabs))
+        print(count)
+    elif count > _MAX_LISTED_TABLEAUX:
+        raise ValueError(f"shape ({args.m + args.n}, {args.n}) has {count:,} tableaux, "
+                         f"more than the bound of {_MAX_LISTED_TABLEAUX:,} for a listing")
     else:
-        for t in tabs:
+        for t in tableaux.enumerate_tableaux(args.m, args.n):
             row1 = " ".join(map(str, t[0]))
             row2 = " ".join(map(str, t[1]))
             print(f"[{row1} | {row2}]")

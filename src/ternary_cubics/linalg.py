@@ -175,7 +175,8 @@ def _rref_frac(A, ncols=None):
 
     Pivots are sought in the first `ncols` columns (all by default); the row
     operations apply to whole rows, so columns past `ncols` ride along as an
-    augmented block.
+    augmented block.  A row update skips the zero entries of the pivot row:
+    the projection and trace systems are sparse.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -193,7 +194,7 @@ def _rref_frac(A, ncols=None):
         for i in range(m):
             if i != r and A[i][c] != 0:
                 f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+                A[i] = [x - f * y if y else x for x, y in zip(A[i], A[r])]
         pivots.append(c)
         r += 1
     return pivots

@@ -132,7 +132,7 @@ class Poly:
     The constructor is the one place that merges terms: every result, from
     arithmetic or from a rewrite of the terms, is built by passing it
     (monomial, coefficient) pairs, which it sums per monomial, dropping
-    the zeros.
+    the zeros.  A monomial's first coefficient is stored as it is.
     """
 
     __slots__ = ("terms",)
@@ -141,7 +141,9 @@ class Poly:
         merged = self.terms = {}
         for m, c in (terms.items() if isinstance(terms, dict) else terms):
             if c:
-                c += merged.get(m, 0)
+                old = merged.get(m)
+                if old is not None:
+                    c += old
                 if c:
                     merged[m] = c
                 else:

@@ -16,18 +16,24 @@ The module works in x and u only.  A caller whose polynomial lives in other
 copies of the point and line variables (the y and v of the syzygy
 concomitants) renames them to x and u before projecting.  Every Fraction
 system here is built by _as_columns and solved by one linalg._rref_frac call
-per bidegree, right-hand sides riding along as an augmented block.
+per bidegree, right-hand sides riding along as an augmented block.  The
+projection itself does no Fraction arithmetic per term: _integer_table turns
+each bidegree's solved table into one integer matrix over one denominator,
+and harmonic_project is one integer array product with it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
+
+import numpy as np
 
 from . import linalg
 from .poly import Poly, linear_form, mono_mul, monomial
 
 COLUMN_SIGNS = {(2, 3): ("x1", 1), (1, 3): ("x2", -1), (1, 2): ("x3", 1)}
+_INT64_BOUND = 1 << 63
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +131,23 @@ def _projection_table(dx, du):
     return tabs, gamma, rest
 
 
+@lru_cache(maxsize=None)
+def _integer_table(dx, du):
+    """_projection_table(dx, du) as one integer matrix T over one denominator D.
+
+    Returns (tableaux, smaller monomials, {monomial: row}, T, D).
+    Row i of T is D times the coordinates of the i-th monomial of bidegree
+    (dx, du): its gamma on the tableaux, then its remainder on the smaller
+    monomials of bidegree (dx - 1, du - 1).
+    """
+    tabs, gamma, rest = _projection_table(dx, du)
+    smaller = _xu_monomials(dx - 1, du - 1) if dx and du else []
+    rows = [gamma[mo] + tuple(rest[mo].terms.get(sm, 0) for sm in smaller) for mo in gamma]
+    D = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    T = np.array([[int(x * D) for x in row] for row in rows], dtype=np.int64)
+    return tabs, smaller, {mo: i for i, mo in enumerate(gamma)}, T, D
+
+
 def harmonic_project(p):
     """Split p = (harmonic on the X_T basis) + trace * remainder.
 
@@ -132,29 +155,48 @@ def harmonic_project(p):
     along as coefficients.  A polynomial in other copies of the point and
     line variables (y and v) is renamed to x and u by its caller first.
     Returns (coeffs, tableaux, remainder) where coeffs[i] is the Poly
-    coefficient of X_{T_i}.
+    coefficient of X_{T_i}; every coefficient is a Fraction.
+
+    Each term splits once into its (x, u) monomial, a row of the integer
+    table T, and its outer monomial in the other variables.  The terms,
+    scaled to integers by the lcm of their denominators, fill a matrix C of
+    (outer, row) coefficients, and the single product C @ T holds every
+    outer monomial's coordinates on the tableaux and the remainder.  It is
+    int64 while sum |c| * max |T| < 2^63, which bounds every partial sum,
+    and exact Python ints in object arrays past that.
     """
     if not p:
         return [], (), Poly()
-    dx = du = None
+    first = next(iter(p.terms))
+    dx = sum(e for v, e in first if v[0] == "x")
+    du = sum(e for v, e in first if v[0] == "u")
+    tabs, smaller, row_of, T, D = _integer_table(dx, du)
+    outer_of = {}
+    rows, outer_ids = [], []
     for mo in p.terms:
-        ddx = sum(e for v, e in mo if v[0] == "x")
-        ddu = sum(e for v, e in mo if v[0] == "u")
-        if dx is None:
-            dx, du = ddx, ddu
-        elif (dx, du) != (ddx, ddu):
+        row = row_of.get(tuple(ve for ve in mo if ve[0][0] in "xu"))
+        if row is None:
             raise ValueError("input not bihomogeneous")
-    tabs, gamma, rest = _projection_table(dx, du)
-    coeffs = [[] for _ in tabs]
-    remainder = []
-    for mo, c in p.terms.items():
-        inner = tuple((v, e) for v, e in mo if v[0] in ("x", "u"))
-        outer = tuple((v, e) for v, e in mo if v[0] not in ("x", "u"))
-        for acc, g in zip(coeffs, gamma[inner]):
-            if g:
-                acc.append((outer, c * g))
-        remainder.extend((mono_mul(outer, sm), c * r) for sm, r in rest[inner].terms.items())
-    return [Poly(acc) for acc in coeffs], tabs, Poly(remainder)
+        rows.append(row)
+        outer_ids.append(outer_of.setdefault(tuple(ve for ve in mo if ve[0][0] not in "xu"),
+                                             len(outer_of)))
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    nums = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+    dtype = np.int64 if sum(map(abs, nums)) * int(np.abs(T).max()) < _INT64_BOUND else object
+    C = np.zeros((len(outer_of), len(row_of)), dtype)
+    C[outer_ids, rows] = nums
+    acc = C @ T.astype(dtype, copy=False)
+
+    outers = list(outer_of)
+    scale = D * den
+    cols = [[] for _ in range(acc.shape[1])]
+    o, j = acc.nonzero()
+    for oi, ji, v in zip(o.tolist(), j.tolist(), acc[o, j].tolist()):
+        cols[ji].append((outers[oi], Fraction(v, scale)))
+    ntabs = len(tabs)
+    remainder = ((mono_mul(outer, sm), c) for sm, col in zip(smaller, cols[ntabs:])
+                 for outer, c in col)
+    return [Poly(col) for col in cols[:ntabs]], tabs, Poly(remainder)
 
 
 def harmonic_dimension(dx, du):

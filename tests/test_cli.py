@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternary_cubics import brackets, cli, loci, resolution
+from ternary_cubics import brackets, cli, loci, resolution, tableaux
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 2 ** 30
@@ -50,6 +50,52 @@ def test_tableau_count_and_list(capsys):
     rc, out, _ = run(capsys, "tableau", "list", "0", "1")
     assert rc == 0
     assert out.splitlines() == ["[1 | 2]", "[1 | 3]", "[2 | 3]"]
+
+
+def test_tableau_count_is_the_number_listed(capsys):
+    for m in range(9):
+        for n in range(9):
+            rc, out, _ = run(capsys, "tableau", "count", str(m), str(n))
+            assert rc == 0 and int(out) == len(tableaux.enumerate_tableaux(m, n)), (m, n)
+
+
+def test_tableau_count_and_list_past_the_bound(capsys):
+    # count once listed every tableau: 3000 3000 died of a MemoryError under a memory cap
+    rc, out, _ = run(capsys, "tableau", "count", "3000", "3000")
+    assert (rc, out) == (0, "27027009001\n")
+    rc, out, err = run(capsys, "tableau", "list", "3000", "3000")
+    assert (rc, out) == (2, "")
+    assert err == ("error: shape (6000, 3000) has 27,027,009,001 tableaux, "
+                   "more than the bound of 10,000 for a listing\n")
+    rc, out, err = run(capsys, "tableau", "count", "-1", "2")
+    assert (rc, out, err) == (2, "", "error: tableau needs m, n >= 0, got -1, 2\n")
+
+
+@pytest.mark.parametrize("argv,top", [
+    # the first three once ran out of time or memory before answering
+    (("tensor", "60", "30", "60", "30"), 120),
+    (("decompose-sym", "3", "0", "--power", "200"), 600),
+    (("tensor", "120", "60", "120", "60"), 240),
+    # A = 62 is the first past the bound, also for the trivial module
+    (("decompose-sym", "1", "0", "--power", "62"), 62),
+    (("decompose-sym", "0", "0", "--power", "62"), 62),
+    (("decompose-ext", "20", "10", "--power", "4"), 80),
+])
+def test_char_refuses_past_the_work_bound(capsys, argv, top):
+    rc, out, err = run(capsys, "char", *argv)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: char {argv[0]}: a highest weight (A, B) with A up to {top} gives "
+                   f"{(top + 1) * (top + 2) // 2:,} candidate weights, more than the bound "
+                   f"of 2,000\n")
+
+
+def test_char_work_bound_admits_highest_weight_60(capsys):
+    # A = 60, 1,891 candidate weights; 20 0 --power 3 has its own golden test
+    rc, out, _ = run(capsys, "char", "decompose-sym", "3", "0", "--power", "20")
+    assert rc == 0 and out.startswith("(60,0) + (58,2) + (57,3) + ")
+    # an exterior power past the dimension is zero, whatever the power
+    rc, out, _ = run(capsys, "char", "decompose-ext", "3", "0", "--power", "1000")
+    assert (rc, out) == (0, "0\n")
 
 
 def test_concomitant_list_and_type(capsys):
@@ -267,6 +313,38 @@ def test_ideal_fuzz(action, locus, degree, primes):
     argv = ["ideal", action, "--locus", locus, "--degree", degree]
     for p in primes:
         argv += ["--prime", p]
+    rc, err = fuzz_main(argv)
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+# negative, small, huge and non-numeric; the small ones answer well inside the
+# deadline, the huge ones are refused by a work bound or answered in closed form
+SMALL_INTS = st.one_of(st.integers(-3, -1), st.integers(0, 6), st.integers(10 ** 3, 10 ** 12),
+                       st.sampled_from(["x", "", "2.5", "1e3"])).map(str)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(action=st.sampled_from(["dim", "decompose-sym", "decompose-ext", "tensor"]),
+       weights=st.lists(SMALL_INTS, min_size=2, max_size=4),
+       power=st.one_of(st.none(), st.integers(-2, 4).map(str), SMALL_INTS))
+def test_char_fuzz(action, weights, power):
+    # every input either answers or exits 2 with a message, never a traceback
+    argv = ["char", action, *weights, *([] if power is None else ["--power", power])]
+    rc, err = fuzz_main(argv)
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=2000)
+@given(action=st.sampled_from(["count", "list"]),
+       shape=st.lists(st.one_of(st.integers(-3, -1), st.integers(0, 20),
+                                st.integers(10 ** 3, 10 ** 12),
+                                st.sampled_from(["x", "", "2.5"])).map(str),
+                      min_size=1, max_size=3))
+def test_tableau_fuzz(action, shape):
+    # every input either answers or exits 2 with a message, never a traceback
+    argv = ["tableau", action, *shape]
     rc, err = fuzz_main(argv)
     assert rc in (0, 2), (argv, err)
     assert "Traceback" not in err

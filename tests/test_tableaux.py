@@ -1,17 +1,20 @@
 """Two-row tableaux, harmonic projection, and the invariant pairing."""
 
+import ast
 import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ternary_cubics import brackets as br
 from ternary_cubics import characters as ch
 from ternary_cubics import linalg
 from ternary_cubics import tableaux as tb
-from ternary_cubics.poly import Poly, monomial
+from ternary_cubics.poly import Poly, mono_mul, monomial
 
 
 def ssyt_count(m, n):
@@ -220,3 +223,99 @@ def test_harmonic_representatives_golden():
     for (dx, du), digest in HARMONIC_REPRESENTATIVES_SHA256.items():
         harm = tb.harmonic_representatives(dx, du)
         assert _sha256([sorted(h.terms.items()) for h in harm]) == digest, (dx, du)
+
+
+def _reference_harmonic_project(p):
+    """harmonic_project by a per-term loop over the Fraction projection table."""
+    if not p:
+        return [], (), Poly()
+    dx = du = None
+    for mo in p.terms:
+        ddx = sum(e for v, e in mo if v[0] == "x")
+        ddu = sum(e for v, e in mo if v[0] == "u")
+        if dx is None:
+            dx, du = ddx, ddu
+        elif (dx, du) != (ddx, ddu):
+            raise ValueError("input not bihomogeneous")
+    tabs, gamma, rest = tb._projection_table(dx, du)
+    coeffs = [[] for _ in tabs]
+    remainder = []
+    for mo, c in p.terms.items():
+        inner = tuple((v, e) for v, e in mo if v[0] in ("x", "u"))
+        outer = tuple((v, e) for v, e in mo if v[0] not in ("x", "u"))
+        for acc, g in zip(coeffs, gamma[inner]):
+            if g:
+                acc.append((outer, c * g))
+        remainder.extend((mono_mul(outer, sm), c * r) for sm, r in rest[inner].terms.items())
+    return [Poly(acc) for acc in coeffs], tabs, Poly(remainder)
+
+
+def _assert_projects_as_reference(p):
+    coeffs, tabs, rem = tb.harmonic_project(p)
+    ref_coeffs, ref_tabs, ref_rem = _reference_harmonic_project(p)
+    assert tabs == ref_tabs
+    assert coeffs == ref_coeffs
+    assert rem == ref_rem
+    assert all(type(c) is Fraction for f in [*coeffs, rem] for c in f.terms.values())
+
+
+# SHA-256 of the projection of every catalog concomitant, by name: the
+# tableaux, each coefficient's sorted terms and the remainder's sorted terms
+PROJECTED_CATALOG_SHA256 = "30c97f79dd34f0c90e58f434f73e22c9be1e38dc1ac6424c962cea5cc968be45"
+
+
+def test_catalog_projects_as_the_reference():
+    got = []
+    for name in sorted(br.CATALOG):
+        p = br.catalog_concomitant(name).poly
+        _assert_projects_as_reference(p)
+        coeffs, tabs, rem = tb.harmonic_project(p)
+        got.append((name, tabs, [sorted(c.terms.items()) for c in coeffs],
+                    sorted(rem.terms.items())))
+    assert _sha256(got) == PROJECTED_CATALOG_SHA256
+
+
+OUTER_VARS = ("a0", "a4", "a9", "y1", "y3", "v2")
+COEFFS = st.one_of(st.integers(-50, 50).filter(bool),
+                   st.fractions(max_denominator=12).filter(bool),
+                   st.integers(2 ** 63, 2 ** 70) | st.integers(-2 ** 70, -2 ** 63))
+
+
+@st.composite
+def bihomogeneous(draw):
+    """A polynomial in x and u of one bidegree, with coefficients in a, y and v."""
+    dx, du = draw(st.sampled_from([(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2),
+                                   (1, 4), (0, 3)]))
+    inner = tb._xu_monomials(dx, du)
+    outer = st.lists(st.tuples(st.sampled_from(OUTER_VARS), st.integers(1, 2)), max_size=3)
+    terms = draw(st.lists(st.tuples(st.sampled_from(inner), outer, COEFFS), max_size=40))
+    return Poly((monomial(list(i) + o), c) for i, o, c in terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=bihomogeneous())
+def test_harmonic_project_matches_the_reference(p):
+    _assert_projects_as_reference(p)
+
+
+def test_coefficients_past_int64_are_exact():
+    # sum |c| * max |T| passes 2^63, so the product runs on Python ints
+    big = 2 ** 70 + 1
+    p = Poly({monomial([("a0", 1), ("x1", 1), ("u1", 1)]): big,
+              monomial([("x2", 1), ("u2", 1)]): Fraction(-big, 7)})
+    _assert_projects_as_reference(p)
+    coeffs, _, rem = tb.harmonic_project(p)
+    assert max(abs(c) for f in [*coeffs, rem] for c in f.terms.values()) > 2 ** 63
+
+
+def test_projection_has_one_path():
+    """_projection_table is read only by _integer_table: harmonic_project
+    reads the integer table alone, and no per-term Fraction loop remains."""
+    readers = set()
+    for path in sorted(Path(tb.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (getattr(node, "id", None) == "_projection_table"
+                        or getattr(node, "attr", None) == "_projection_table"):
+                    readers.add((path.stem, getattr(top, "name", "<module>")))
+    assert readers == {("tableaux", "_integer_table")}
