@@ -35,7 +35,7 @@ def main():
     conc = brackets.catalog_concomitant("Phi222")
     pt = loci.sample("equiv", seed=1, p=p)
     print(f"  Phi222 vanishes at a random cube sample mod {p}: "
-          f"{brackets.vanishes_at_cubic(conc, pt, p)}")
+          f"{brackets.vanishes_at_cubics(conc, [pt], p)[0]}")
 
 
 if __name__ == "__main__":

@@ -24,12 +24,19 @@ Grammar (ASCII):
     atom   := '(' sym sym sym ')' | sym '_' pvar ;
     sym    := 'alpha'|'beta'|'gamma'|'delta'|'epsilon'|'zeta'|'eta'|'theta'|'u'|'v' ;
     pvar   := 'x'|'y' ;
+
+A concomitant is evaluated at a cubic, given by its 10 integer coefficients
+a0..a9, in two ways.  evaluate_at_cubic substitutes them exactly and returns
+a Poly in the remaining variables.  vanishes_at_cubics asks, for many cubics
+at once, whether that Poly vanishes mod a prime: one int64 array pass over
+an evaluation table cached on the Concomitant.  The exact evaluator is its
+oracle in the tests.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import factorial, gcd, lcm
 
@@ -41,6 +48,7 @@ from .poly import A_INDEX, Poly, _mono_sort_key, generic_cubic, monomial
 GREEK = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
 LINE_VARS = ("u", "v")
 POINT_VARS = ("x", "y")
+_A_VARS = {f"a{r}": r for r in range(10)}
 
 
 class BracketSyntaxError(ValueError):
@@ -91,6 +99,33 @@ class Concomitant:
         self.poly = poly
         self.ctype = ctype
         self.is_zero = not poly
+
+    @cached_property
+    def _evaluation_table(self):
+        """(exponents, coefficients, starts, largest) for vanishes_at_cubics.
+
+        One row per term, the terms that share their remaining (x, u, y, v)
+        monomial contiguous: exponents is the (T, 10) int64 array of their
+        a0..a9 exponents and coefficients the list of their exact ints.
+        starts holds the first row of each group, largest the size of the
+        largest group.
+        """
+        groups = {}
+        for mo, c in self.poly.terms.items():
+            exps = [0] * 10
+            rest = []
+            for v, e in mo:
+                r = _A_VARS.get(v)
+                if r is None:
+                    rest.append((v, e))
+                else:
+                    exps[r] = e
+            groups.setdefault(tuple(rest), []).append((exps, c))
+        rows = [row for group in groups.values() for row in group]
+        sizes = [len(group) for group in groups.values()]
+        exponents = np.array([exps for exps, _ in rows], np.int64).reshape(-1, 10)
+        starts = np.cumsum([0] + sizes[:-1])
+        return exponents, [c for _, c in rows], starts, max(sizes, default=0)
 
 
 # Each is matched where the last match ended, after optional whitespace.  A
@@ -435,15 +470,29 @@ def hessian_oracle(a_values):
     return det
 
 
-_A_VARS = {f"a{r}": r for r in range(10)}
+def _cubic_point(a_values):
+    """a_values as a tuple of 10 ints, the coefficients a0..a9 of a cubic.
+
+    Anything else (another length, a float entry, not a sequence) raises
+    ValueError, rather than being evaluated as far as it goes.
+    """
+    try:
+        point = tuple(a_values)
+    except TypeError:
+        point = ()
+    if len(point) != 10 or not all(isinstance(a, (int, np.integer)) for a in point):
+        raise ValueError(f"a cubic point is 10 integer coefficients a0..a9, got {a_values!r}")
+    return tuple(map(int, point))
 
 
 def evaluate_at_cubic(conc, a_values):
     """Substitute numeric a-values into a concomitant; Poly in the rest.
 
     One pass over the terms: each term's a-part becomes a number, and the
-    numbers are summed per remaining (x, u, ...) monomial, exactly.
+    numbers are summed per remaining (x, u, ...) monomial, exactly.  The
+    exact evaluator, and the oracle for vanishes_at_cubics.
     """
+    a_values = _cubic_point(a_values)
     terms = []
     for mo, c in conc.poly.terms.items():
         rest = []
@@ -457,8 +506,34 @@ def evaluate_at_cubic(conc, a_values):
     return Poly(terms)
 
 
-def vanishes_at_cubic(conc, a_values, p):
-    """Whether every (x, u, ...)-coefficient of conc vanishes at a_values mod p."""
+def vanishes_at_cubics(conc, points, p):
+    """One bool per point: whether every (x, u, ...)-coefficient of conc
+    vanishes mod p at that cubic.
+
+    All points are evaluated at once, in int64 arrays, from the concomitant's
+    evaluation table.  The points and the coefficients are reduced mod p, each
+    point gets a table of the powers of its a_r, and a term's value at a
+    point is its coefficient times one power per a_r, reduced after each
+    product.  np.add.reduceat sums the values of each group of terms that
+    share their remaining monomial, and a coefficient vanishes when its sum
+    does mod p.
+
+    int64 bound: residues lie below p < 2^27, so every product is below
+    2^54; a group of n terms sums to at most n (p - 1), which must stay below
+    2^63.  A concomitant with a group too large for p raises ValueError.
+    """
     p = linalg.check_prime(p)
-    value = evaluate_at_cubic(conc, [a % p for a in a_values])
-    return all(c % p == 0 for c in value.terms.values())
+    a = np.array([[x % p for x in _cubic_point(pt)] for pt in points], np.int64).reshape(-1, 10)
+    exps, coeffs, starts, largest = conc._evaluation_table
+    if largest * (p - 1) >= _INT64_BOUND:
+        raise ValueError(f"a coefficient sums {largest} terms: n (p - 1) reaches 2^63 at p = {p}")
+    if not coeffs:
+        return [True] * len(a)
+    powers = np.ones((len(a), 10, int(exps.max()) + 1), np.int64)
+    for e in range(1, powers.shape[2]):
+        powers[:, :, e] = powers[:, :, e - 1] * a % p
+    values = np.array([c % p for c in coeffs], np.int64)
+    for r in range(10):
+        values = values * powers[:, r, exps[:, r]] % p
+    sums = np.add.reduceat(values, starts, axis=1)
+    return (sums % p == 0).all(axis=1).tolist()

@@ -329,11 +329,10 @@ def _check_isotypic(name, lid, deg, config):
 
 def _check_vanishing(name, lid, config):
     p = config["primes"][0]
-    conc = brackets.catalog_concomitant(name)
-    for k in range(50):
-        pt = loci.sample(lid, seed=(config["seed"], name, k), p=p)
-        if not brackets.vanishes_at_cubic(conc, pt, p):
-            return False, f"{name} = 0 on {lid}", f"nonzero at sample {k}"
+    points = [loci.sample(lid, seed=(config["seed"], name, k), p=p) for k in range(50)]
+    vanishes = brackets.vanishes_at_cubics(brackets.catalog_concomitant(name), points, p)
+    if not all(vanishes):
+        return False, f"{name} = 0 on {lid}", f"nonzero at sample {vanishes.index(False)}"
     return True, f"{name} = 0 on 50 samples of {lid}", "vanishes"
 
 

@@ -99,7 +99,9 @@ def _seed_key(seed):
 def sample(locus, seed, p=None):
     """A cubic point on the locus: substitute random parameters into phi.
 
-    The only source of locus points: Hilbert values evaluate at these cubics.
+    The only source of locus points: Hilbert values evaluate monomials at
+    these cubics, and the vanishing checks of verify-all evaluate
+    concomitants at them.
     Redraws on the zero vector; raises after MAX_REDRAWS failures.  Memoized,
     so a point sequence (seed, 0), (seed, 1), ... is drawn and evaluated once
     for every degree; the seed must therefore be hashable (a list raises

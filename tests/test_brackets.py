@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ternary_cubics import brackets as br
-from ternary_cubics import loci
+from ternary_cubics import cli, linalg, loci
 from ternary_cubics.poly import A_EXPS, A_INDEX, Poly, monomial
 
 
@@ -176,22 +176,68 @@ def test_evaluate_at_cubic_matches_substitution(name):
         assert br.evaluate_at_cubic(conc, a) == substituted(conc, a)
 
 
-def test_vanishes_at_cubic_matches_substitution():
-    conc = br.catalog_concomitant("Phi222")
-    p = 1000003
-    b = [2, -3, 5]
-    a = cube_coefficients(b)
-    assert br.vanishes_at_cubic(conc, a, p)
+def vanishes_exactly(conc, a, q):
+    """The exact value at a, reduced mod q: the oracle for vanishes_at_cubics."""
+    return all(c % q == 0 for c in br.evaluate_at_cubic(conc, a).terms.values())
+
+
+# the locus on which verify-all checks each concomitant's vanishing
+VANISHING_LOCI = {name: lid for name, lid, _ in cli.CONCOMITANT_LOCI}
+
+
+@pytest.mark.parametrize("name", sorted(br.CATALOG))
+def test_vanishes_at_cubics_matches_exact_value(name):
+    conc = br.catalog_concomitant(name)
+    rng = random.Random(name)
+    a1, a2 = ([rng.randint(-9, 9) for _ in range(10)] for _ in range(2))
+    cube = cube_coefficients([2, -3, 5])
+    for q in linalg.DEFAULT_PRIMES:
+        # negative entries, entries past q, multiples of q (nonzero over Z,
+        # zero mod q), the zero point, a cube, and a locus point mod q
+        points = [a1, a2, [x - q for x in a1], [q * x for x in a2], [0] * 10, cube]
+        if name in VANISHING_LOCI:
+            points.append(loci.sample(VANISHING_LOCI[name], seed=0, p=q))
+        got = br.vanishes_at_cubics(conc, points, q)
+        assert got == [vanishes_exactly(conc, a, q) for a in points], q
+        assert got[:5] == [False, False, False, True, True]
+
+
+def test_vanishes_at_cubics_keeps_the_point_order():
+    conc = br.catalog_concomitant("Phi222")      # zero on cubes, not in general
+    p = linalg.DEFAULT_PRIMES[0]
     rng = random.Random(13)
-    a2 = [rng.randint(1, 20) for _ in range(10)]
-    assert not br.vanishes_at_cubic(conc, a2, p)
-    # agreement with the exact value reduced mod q, also at a point whose
-    # value is nonzero over Z but vanishes mod q, and at negative entries
-    for q in (p, 65537):
-        for pt in (a, a2, [q * x for x in a2], [x - q for x in a2]):
-            exact = substituted(conc, pt)
-            assert br.vanishes_at_cubic(conc, pt, q) == all(
-                c % q == 0 for c in exact.terms.values())
+    points = [cube_coefficients([rng.randint(1, 9) for _ in range(3)]) if k % 3 else
+              [rng.randint(1, 20) for _ in range(10)] for k in range(10)]
+    assert br.vanishes_at_cubics(conc, points, p) == [bool(k % 3) for k in range(10)]
+    assert br.vanishes_at_cubics(conc, [], p) == []
+    zero = br.expand(br.parse("(alpha beta u)^3"))     # odd power of an alternating form
+    assert zero.is_zero and br.vanishes_at_cubics(zero, [[1] * 10], p) == [True]
+
+
+def test_vanishes_at_cubics_int64_guard(monkeypatch):
+    # a coefficient of Phi503 sums 49 terms; the guard trips once 49 (p - 1)
+    # reaches the bound
+    conc = br.catalog_concomitant("Phi503")
+    p = linalg.DEFAULT_PRIMES[0]
+    assert conc._evaluation_table[3] == 49
+    monkeypatch.setattr(br, "_INT64_BOUND", 49 * (p - 1) + 1)
+    assert br.vanishes_at_cubics(conc, [[0] * 10], p) == [True]
+    monkeypatch.setattr(br, "_INT64_BOUND", 49 * (p - 1))
+    with pytest.raises(ValueError, match="2\\^63"):
+        br.vanishes_at_cubics(conc, [[0] * 10], p)
+
+
+@pytest.mark.parametrize("point", [[1] * 9, [1] * 11, [1.0] + [1] * 9, [1.5] * 10, 7,
+                                   "1,2,3,4,5,6,7,8,9,0"])
+def test_evaluators_reject_a_point_that_is_not_10_integers(point):
+    # once [1] * 9 raised IndexError, [1] * 11 answered 25 from the first ten
+    # entries, and a float entry was evaluated as a float
+    conc = br.catalog_concomitant("Phi400")
+    with pytest.raises(ValueError, match="10 integer coefficients a0..a9"):
+        br.evaluate_at_cubic(conc, point)
+    with pytest.raises(ValueError, match="10 integer coefficients a0..a9"):
+        br.vanishes_at_cubics(conc, [[0] * 10, point], linalg.DEFAULT_PRIMES[0])
+    assert br.evaluate_at_cubic(conc, np.ones(10, np.int64)) == br.evaluate_at_cubic(conc, [1] * 10)
 
 
 def test_catalog_unknown_name():

@@ -377,6 +377,90 @@ def test_concomitant_fuzz(expanded_catalog, action, name, cubic):
     assert "Traceback" not in err and "None" not in err
 
 
+# valid, negative, huge, and ones that argparse refuses
+SEEDS = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(10 ** 18, 10 ** 40),
+                  st.integers(-10 ** 40, -10 ** 18), st.sampled_from(["x", "", "2.5"])).map(str)
+# valid, unknown and empty; None leaves the option out
+LOCI_OPTION = st.one_of(st.none(), st.sampled_from([*loci.LOCI, "bogus", ""]))
+
+
+@settings(max_examples=100, deadline=2000)
+@given(action=st.sampled_from(["dims", "sample", "tact-invariant"]),
+       locus=LOCI_OPTION, seed=st.one_of(st.none(), SEEDS))
+def test_locus_fuzz(action, locus, seed):
+    # every input either answers or exits 2 with a message, never a traceback
+    argv = ["locus", action, *([] if locus is None else [f"--locus={locus}"]),
+            *([] if seed is None else [f"--seed={seed}"])]
+    rc, err = fuzz_main(argv)
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=50, deadline=2000)
+@given(action=st.sampled_from(["table", "modules", "check", "numerator", "bogus"]),
+       locus=LOCI_OPTION)
+def test_betti_fuzz(action, locus):
+    # every input either answers or exits 2 with a message, never a traceback
+    argv = ["betti", action, *([] if locus is None else [f"--locus={locus}"])]
+    rc, err = fuzz_main(argv)
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+# "all" checks every identity at about 0.2 s a call: few examples suffice for
+# an input space this small
+@settings(max_examples=30, deadline=2000)
+@given(verb=st.sampled_from(["verify", "check", ""]),
+       name=st.one_of(st.none(), st.sampled_from([*resolution.IDENTITY_NAMES, "all",
+                                                  "Z9", ""])))
+def test_specseq_fuzz(verb, name):
+    # every input either answers or exits 2 with a message, never a traceback
+    argv = ["specseq", verb, *([] if name is None else [name])]
+    rc, err = fuzz_main(argv)
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+VANISHING_CONFIG = {"primes": (1000003, 65537), "seed": 0, "threads": 1, "lmax": 2,
+                    "timings": False}
+
+
+def first_nonzero_sample(name, lid, config):
+    """The sample the point-by-point loop stopped at: the first of the 50 at
+    which the exact value is nonzero mod p, or None."""
+    p = config["primes"][0]
+    conc = brackets.catalog_concomitant(name)
+    for k in range(50):
+        pt = loci.sample(lid, seed=(config["seed"], name, k), p=p)
+        if any(c % p for c in brackets.evaluate_at_cubic(conc, pt).terms.values()):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("name, lid", [("Phi222", "neq"), ("Phi406", "delta"),
+                                       ("Phi330", "delta")])
+def test_vanishing_check_fails_off_its_locus(name, lid):
+    # Phi222 dies on cubes only, Phi406 on L1^2 L2, and the Hessian of a
+    # triangle xyz is 2xyz: each is nonzero on the locus given
+    assert first_nonzero_sample(name, lid, VANISHING_CONFIG) == 0
+    assert cli._check_vanishing(name, lid, VANISHING_CONFIG) == (
+        False, f"{name} = 0 on {lid}", "nonzero at sample 0")
+
+
+def test_vanishing_check_reports_the_first_nonzero_sample(monkeypatch):
+    # the first three samples are cubes, on which Phi222 vanishes; the fourth
+    # is the first point off the cube locus
+    sample = loci.sample
+
+    def some_cubes(lid, seed, p=None):
+        return sample("equiv" if seed[2] < 3 else lid, seed, p)
+
+    monkeypatch.setattr(loci, "sample", some_cubes)
+    assert cli._check_vanishing("Phi222", "neq", VANISHING_CONFIG) == (
+        False, "Phi222 = 0 on neq", "nonzero at sample 3")
+    assert cli._check_vanishing("Phi222", "equiv", VANISHING_CONFIG)[0]
+
+
 def test_weyl_orbit_check():
     config = {"primes": (1000003, 65537), "seed": 0, "threads": 1, "lmax": 2,
               "timings": False}

@@ -573,5 +573,5 @@ def test_entry_points_check_the_prime():
     with pytest.raises(ValueError):
         loci.sample("delta", seed=0, p=1000000)
     with pytest.raises(ValueError):
-        brackets.vanishes_at_cubic(brackets.catalog_concomitant("Phi222"),
-                                   loci.NAMED_CUBICS["fermat"], 2 ** 64 - 59)
+        brackets.vanishes_at_cubics(brackets.catalog_concomitant("Phi222"),
+                                    [loci.NAMED_CUBICS["fermat"]], 2 ** 64 - 59)
