@@ -43,7 +43,7 @@ from math import factorial, gcd, lcm
 import numpy as np
 
 from . import linalg
-from .poly import A_INDEX, Poly, _mono_sort_key, generic_cubic, monomial
+from .poly import A_INDEX, Poly, _mono_sort_key, cubic_point, generic_cubic, monomial
 
 GREEK = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
 LINE_VARS = ("u", "v")
@@ -227,12 +227,18 @@ def validate(expr):
 # come first and take at most 8 x 6 bits, so they all lie in word 0.  Phi814
 # packs into two words: 60 bits, then the 40 bits of the a-fields.
 #
-# The factors are taken in _factor_order.  A factor's summands (3 for a
-# pairing, 6 for a determinant) are folded into a sorted accumulator one at
-# a time: the summand's delta is added to every key row, and the new rows
-# are merged with the accumulator by np.lexsort and np.add.reduceat, zero
-# sums dropped.  So at most the accumulator and N new rows are live, not all
-# 6 N rows of the factor at once.
+# The factors are taken in the order they are written, a power ^n as n
+# copies in place.  On the catalog, a greedy reordering that completed
+# letters early saved no time: Phi814's largest merge input stayed the same
+# (149,145 rows against 148,976), though its accumulator peaked lower
+# (87,222 rows against 130,746).  A test bounds the largest merge input of
+# every catalog entry, so an entry rewritten in a costlier order shows there.
+#
+# A factor's summands (3 for a pairing, 6 for a determinant) are folded into
+# a sorted accumulator one at a time: the summand's delta is added to every
+# key row, and the new rows are merged with the accumulator by np.lexsort
+# and np.add.reduceat, zero sums dropped.  So at most the accumulator and N
+# new rows are live, not all 6 N rows of the factor at once.
 #
 # A Greek letter is substituted in the same pass as the factor that consumes
 # its last occurrence: its triple (i1, i2, i3), 2 bits each, is read off the
@@ -259,24 +265,6 @@ _MONO_FIELDS = [(("a", r), f"a{r}") for r in range(10)] + \
 
 def _atom_syms(atom):
     return (atom.left, atom.right) if isinstance(atom, Pair) else atom.rows
-
-
-def _factor_order(term, greek):
-    """Factor occurrences, greedily ordered so letters complete as early as possible."""
-    remaining = [atom for atom, exp in term.factors for _ in range(exp)]
-    ordered = []
-    live = []
-    while remaining:
-        def score(atom):
-            gs = [s for s in _atom_syms(atom) if s in greek]
-            # prefer factors that touch letters already live and add few new ones
-            return (sum(1 for s in gs if s not in live),
-                    -sum(1 for s in gs if s in live))
-        best = min(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best)
-        live.extend(s for s in _atom_syms(best) if s in greek and s not in live)
-    return ordered
 
 
 def _layout(letters, counts):
@@ -342,7 +330,7 @@ def _expand_term(term):
     left = dict(greek)
     keys = np.zeros((1, words), np.int64)
     coeffs = np.ones(1, np.int64)
-    for atom in _factor_order(term, greek):
+    for atom in [atom for atom, exp in term.factors for _ in range(exp)]:
         if isinstance(atom, Pair):
             summands = [(delta([(atom.left, i), (atom.right, i)]), 1) for i in range(3)]
         else:
@@ -470,21 +458,6 @@ def hessian_oracle(a_values):
     return det
 
 
-def _cubic_point(a_values):
-    """a_values as a tuple of 10 ints, the coefficients a0..a9 of a cubic.
-
-    Anything else (another length, a float entry, not a sequence) raises
-    ValueError, rather than being evaluated as far as it goes.
-    """
-    try:
-        point = tuple(a_values)
-    except TypeError:
-        point = ()
-    if len(point) != 10 or not all(isinstance(a, (int, np.integer)) for a in point):
-        raise ValueError(f"a cubic point is 10 integer coefficients a0..a9, got {a_values!r}")
-    return tuple(map(int, point))
-
-
 def evaluate_at_cubic(conc, a_values):
     """Substitute numeric a-values into a concomitant; Poly in the rest.
 
@@ -492,7 +465,7 @@ def evaluate_at_cubic(conc, a_values):
     numbers are summed per remaining (x, u, ...) monomial, exactly.  The
     exact evaluator, and the oracle for vanishes_at_cubics.
     """
-    a_values = _cubic_point(a_values)
+    a_values = cubic_point(a_values)
     terms = []
     for mo, c in conc.poly.terms.items():
         rest = []
@@ -523,7 +496,7 @@ def vanishes_at_cubics(conc, points, p):
     2^63.  A concomitant with a group too large for p raises ValueError.
     """
     p = linalg.check_prime(p)
-    a = np.array([[x % p for x in _cubic_point(pt)] for pt in points], np.int64).reshape(-1, 10)
+    a = np.array([[x % p for x in cubic_point(pt)] for pt in points], np.int64).reshape(-1, 10)
     exps, coeffs, starts, largest = conc._evaluation_table
     if largest * (p - 1) >= _INT64_BOUND:
         raise ValueError(f"a coefficient sums {largest} terms: n (p - 1) reaches 2^63 at p = {p}")

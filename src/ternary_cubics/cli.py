@@ -33,13 +33,13 @@ from . import __version__, brackets, characters, ideals, linalg, loci, resolutio
 
 
 def _primes(args):
-    """The --prime values, or the defaults, each validated by check_prime.
+    """The --prime values as given, or the defaults, validated by check_primes.
 
     With a single distinct prime, a one-line note on stderr says that
     multi-prime agreement is not checked.
     """
-    primes = tuple(linalg.check_prime(p) for p in (args.prime or linalg.DEFAULT_PRIMES))
-    if len(set(primes)) == 1:
+    primes = tuple(args.prime or linalg.DEFAULT_PRIMES)
+    if len(linalg.check_primes(primes)) == 1:
         print(f"note: one prime ({primes[0]}); multi-prime agreement was not checked",
               file=sys.stderr)
     return primes
@@ -175,7 +175,7 @@ def cmd_ideal(args):
         print(f"{sp.dimension()} = {_fmt_modules(sp.decomposition)}")
     elif args.action == "hilbert":
         values = {p: ideals.hilbert_value(args.locus, args.degree, prime=p, seed=args.seed)
-                  for p in dict.fromkeys(primes)}
+                  for p in linalg.check_primes(primes)}
         if len(set(values.values())) > 1:
             raise linalg.UnluckyPrimeError(
                 f"H({args.locus}, {args.degree}) differs between primes: {values}")
@@ -437,11 +437,10 @@ def run_verify_all(config):
     format they had when verify-all took --threads.
     """
     # lmax < 1 would run no Hilbert value and still report "pass", and no
-    # prime would fail every modular check
+    # prime or a bad one would fail every modular check
     if config["lmax"] < 1:
         raise ValueError(f"--lmax must be at least 1, got {config['lmax']}")
-    if not config["primes"]:
-        raise ValueError("at least one prime is needed")
+    linalg.check_primes(config["primes"])
     results = []
     for cid, fn in build_checks():
         t0 = time.monotonic()

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import brackets, linalg, loci, tableaux
 from .characters import Character, decompose
-from .poly import A_EXPS, A_INDEX, Poly, monomial
+from .poly import A_EXPS, A_INDEX, Poly, cubic_point, monomial
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
 HILBERT_MARGIN = 12  # evaluation points past each block's size
@@ -281,17 +281,6 @@ def _blocks_mod(images, p):
 # the one solve path
 # ---------------------------------------------------------------------------
 
-def _check_primes(primes):
-    """The distinct primes in their given order, each validated by check_prime.
-
-    At least one is needed; a repeated prime would only repeat its work.
-    """
-    primes = tuple(dict.fromkeys(linalg.check_prime(p) for p in primes))
-    if not primes:
-        raise ValueError("at least one prime is needed")
-    return primes
-
-
 def _solve_blocks(what, primes, blocks, solve):
     """Solve every block modulo every prime, and check that the primes agree.
 
@@ -363,11 +352,14 @@ class GradedPiece(_Piece):
         return out
 
     def vanishes_at(self, point, p):
-        """Do all kernel basis vectors vanish at the cubic `point` (mod p)?"""
+        """Do all kernel basis vectors vanish at the cubic `point` (mod p)?
+
+        The point is 10 integer coefficients a0..a9, as poly.cubic_point checks.
+        """
         p = linalg.check_prime(p)
         if p not in self.bases:
             raise ValueError(f"no kernel basis modulo {p}; have {sorted(self.bases)}")
-        pv = [int(x) % p for x in point]
+        pv = [x % p for x in cubic_point(point)]
         # Python ints: the dot products are exact, whatever their length
         for monos, B in self.bases[p].values():
             vals = np.array([math.prod(pv[r] for r in m) for m in monos], dtype=object)
@@ -387,7 +379,7 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     independently modulo every prime in `primes` and must agree; a
     disagreement raises UnluckyPrimeError naming the block.
     """
-    primes = _check_primes(primes)
+    primes = linalg.check_primes(primes)
     key = (locus, degree, primes)
     if key not in _KERNEL_CACHE:
         # one image build over Z serves every prime; basis vectors as rows
@@ -408,7 +400,7 @@ def full_block_nullities(locus, degree, primes):
     of a non-dominant block from its dominant block instead.  One image
     build over Z serves every prime, and the primes must agree.
     """
-    primes = _check_primes(primes)
+    primes = linalg.check_primes(primes)
     images = _image_blocks(locus, degree, dominant_only=False)
     return _solve_blocks(f"all blocks of {locus} degree {degree}", primes,
                          lambda p: _blocks_mod(images, p), linalg.nullity_mod)[1]

@@ -25,7 +25,8 @@ the default primes), and a reduced run ends with one reduction of the whole
 matrix.
 
 Every modular entry point validates its prime with check_prime: a prime in
-the range where the int64 arithmetic is exact, or a ValueError.
+the range where the int64 arithmetic is exact, or a ValueError.  A set of
+primes, for the callers that compare primes, is validated by check_primes.
 
 Pivoting is deterministic (first nonzero entry scanning columns left to
 right), so reduced bases are reproducible across runs.
@@ -76,6 +77,17 @@ def check_prime(p):
         else:
             raise ValueError(f"{p} is not prime")
     return p
+
+
+def check_primes(primes):
+    """The distinct primes in their given order, each validated by check_prime.
+
+    At least one is needed; a repeated prime would only repeat its work.
+    """
+    primes = tuple(dict.fromkeys(check_prime(p) for p in primes))
+    if not primes:
+        raise ValueError("at least one prime is needed")
+    return primes
 
 
 def _headroom(p):

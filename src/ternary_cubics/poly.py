@@ -25,6 +25,7 @@ a1 <-> x1^2 x2, ..., a9 <-> x3^3.
 
 from fractions import Fraction
 from itertools import chain
+from numbers import Integral
 
 # Degree-3 exponent triples in graded-lex order; A_EXPS[r] is the x-monomial
 # (and u-monomial weight) of a_r.
@@ -33,6 +34,22 @@ A_EXPS = [
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 ]
 A_INDEX = {e: r for r, e in enumerate(A_EXPS)}
+
+
+def cubic_point(a_values):
+    """a_values as a tuple of 10 ints, the coefficients a0..a9 of a cubic.
+
+    Anything else (another length, a float entry, not a sequence) raises
+    ValueError, rather than being evaluated as far as it goes.
+    """
+    try:
+        point = tuple(a_values)
+    except TypeError:
+        point = ()
+    if len(point) != 10 or not all(isinstance(a, Integral) for a in point):
+        raise ValueError(f"a cubic point is 10 integer coefficients a0..a9, got {a_values!r}")
+    return tuple(map(int, point))
+
 
 # q1..q6 index the conic Q = q1 x1^2 + q2 x2^2 + q3 x1x2 + q4 x1x3
 # + q5 x2x3 + q6 x3^2 (its affine form sets x3 = 1).

@@ -6,6 +6,7 @@ complete.  Every criterion reuses the library entry points that back the
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ CONFIG = {"primes": linalg.DEFAULT_PRIMES, "seed": 0, "threads": 1,
           "lmax": 8, "timings": False}
 # the checks exactly as verify-all runs them, by id
 CHECKS = dict(cli.build_checks())
+# the default report in each format, as committed
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def report(cid, ok, detail=""):
@@ -132,7 +135,11 @@ def test_criterion_12_verify_all_deterministic():
     text1 = cli.format_report(r1, "json")
     text2 = cli.format_report(r2, "json")
     bad = [c["id"] for c in r1["checks"] if c["status"] != "pass"]
+    # the default report, byte for byte, in every format
+    changed = [fmt for fmt in ("json", "md", "csv")
+               if cli.format_report(r1, fmt).encode() != (GOLDEN / f"verify_all.{fmt}").read_bytes()]
     report("criterion-12 verify-all",
-           not bad and text1 == text2 and elapsed < 900.0,
+           not bad and text1 == text2 and not changed and elapsed < 900.0,
            f"{len(r1['checks'])} checks, failures {bad or 'none'}, "
-           f"deterministic={text1 == text2}, {elapsed:.0f}s")
+           f"deterministic={text1 == text2}, differs from golden in {changed or 'none'}, "
+           f"{elapsed:.0f}s")

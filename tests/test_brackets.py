@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ternary_cubics import brackets as br
-from ternary_cubics import cli, linalg, loci
+from ternary_cubics import cli, ideals, linalg, loci
 from ternary_cubics.poly import A_EXPS, A_INDEX, Poly, monomial
 
 
@@ -231,13 +231,19 @@ def test_vanishes_at_cubics_int64_guard(monkeypatch):
                                    "1,2,3,4,5,6,7,8,9,0"])
 def test_evaluators_reject_a_point_that_is_not_10_integers(point):
     # once [1] * 9 raised IndexError, [1] * 11 answered 25 from the first ten
-    # entries, and a float entry was evaluated as a float
+    # entries, and a float entry was evaluated as a float; a kernel's
+    # vanishes_at truncated float entries and answered for [1] * 11
+    p = linalg.DEFAULT_PRIMES[0]
     conc = br.catalog_concomitant("Phi400")
     with pytest.raises(ValueError, match="10 integer coefficients a0..a9"):
         br.evaluate_at_cubic(conc, point)
     with pytest.raises(ValueError, match="10 integer coefficients a0..a9"):
-        br.vanishes_at_cubics(conc, [[0] * 10, point], linalg.DEFAULT_PRIMES[0])
+        br.vanishes_at_cubics(conc, [[0] * 10, point], p)
     assert br.evaluate_at_cubic(conc, np.ones(10, np.int64)) == br.evaluate_at_cubic(conc, [1] * 10)
+    gp = ideals.graded_kernel("equiv", 2, primes=(p,))
+    with pytest.raises(ValueError, match="10 integer coefficients a0..a9"):
+        gp.vanishes_at(point, p)
+    assert gp.vanishes_at(np.zeros(10, np.int64), p) and not gp.vanishes_at([1] * 10, p)
 
 
 def test_catalog_unknown_name():
@@ -451,6 +457,32 @@ def test_object_coefficients_keep_every_digest(monkeypatch):
         items = sorted(br.expand(br.catalog(name)).poly.terms.items())
         assert hashlib.sha256(repr(items).encode()).hexdigest() == digest, name
     assert dtypes == {np.dtype(object)}
+
+
+# the largest merge input, in rows, of each catalog expansion with its
+# factors folded in the order written
+MERGE_ROWS = {
+    "Phi222": 135, "Phi303": 184, "Phi330": 152, "Phi400": 133, "Phi406": 1423,
+    "Phi406_dualcurve": 1423, "Phi441": 1378, "Phi503": 1324, "Phi600": 1064,
+    "Phi814": 148976, "Psi21": 108, "Psi42": 416, "Psi51": 432, "Psi54": 504,
+}
+
+
+def test_catalog_fold_sizes_stay_bounded(monkeypatch):
+    """No catalog entry is written in an order that makes its fold costly:
+    each largest merge input stays within 1.25 times its measured size."""
+    largest = dict.fromkeys(br.CATALOG, 0)
+    merge = br._merge
+
+    def spy(keys, coeffs):
+        largest[name] = max(largest[name], len(keys))
+        return merge(keys, coeffs)
+
+    monkeypatch.setattr(br, "_merge", spy)
+    for name in br.CATALOG:
+        br.expand(br.catalog(name))
+    assert set(largest) == set(MERGE_ROWS)
+    assert {n: k for n, k in largest.items() if k > 1.25 * MERGE_ROWS[n]} == {}
 
 
 def test_coefficients_past_int64_are_exact():

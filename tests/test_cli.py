@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternary_cubics import brackets, cli, loci, resolution, tableaux
+from ternary_cubics import brackets, cli, linalg, loci, resolution, tableaux
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 2 ** 30
@@ -547,6 +548,20 @@ def test_run_verify_all_rejects_no_primes(monkeypatch):
         cli.run_verify_all(config)
 
 
+@pytest.mark.parametrize("primes,message", [
+    ((1000000,), "1000000 is not prime"),
+    ((1000003, 65537, 101), "outside"),
+    ((65537, 1000003.0), "must be an integer"),
+])
+def test_run_verify_all_rejects_bad_primes(monkeypatch, primes, message):
+    # (1000000,) once ran every check and reported 35 failed rows of
+    # "ValueError: 1000000 is not prime"
+    monkeypatch.setattr(cli, "build_checks", lambda: pytest.fail("ran checks"))
+    config = {"primes": primes, "seed": 0, "lmax": 1, "timings": False}
+    with pytest.raises(ValueError, match=message):
+        cli.run_verify_all(config)
+
+
 def test_verify_all_runs_serially(capsys, monkeypatch):
     # verify-all takes no --threads, and its report carries a fixed "threads": 1
     with pytest.raises(SystemExit) as exc:
@@ -600,6 +615,47 @@ def test_verify_all_single_prime_notice(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify-all")
     assert rc == 0 and err == ""
     assert json.loads(out)["config"]["primes"] == list(cli.linalg.DEFAULT_PRIMES)
+
+
+VERIFY_INTS = st.one_of(st.integers(-3, 0), st.integers(1, 9), st.integers(10 ** 9, 10 ** 30),
+                       st.sampled_from(["x", "", "2.5", "1e3"])).map(str)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(primes=st.lists(IDEAL_PRIMES, max_size=3), seed=st.one_of(st.none(), VERIFY_INTS),
+       lmax=st.one_of(st.none(), VERIFY_INTS),
+       fmt=st.one_of(st.none(), st.sampled_from(["json", "csv", "md", "xml", ""])),
+       out=st.one_of(st.none(), st.sampled_from(["r.out", "missing/r.out", ".", ""])))
+def test_verify_all_fuzz(primes, seed, lmax, fmt, out):
+    # every input either runs the checks and exits 0, or exits 2 with a
+    # message before any check runs; never a traceback
+    runs = []
+
+    def stub(config):
+        runs.append(config)
+        return True, "e", "a"
+
+    argv = ["verify-all"]
+    for p in primes:
+        argv += ["--prime", p]
+    for flag, value in (("--seed", seed), ("--lmax", lmax), ("--format", fmt)):
+        if value is not None:
+            argv += [flag, value]
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(cli, "build_checks", lambda: [("stub", stub)])
+        if out is not None:
+            argv += ["--out", os.path.join(tmp, out) if out else ""]
+        rc, err = fuzz_main(argv)
+        assert rc in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        assert len(runs) == (rc == 0), (argv, err)
+        if rc == 0:
+            assert runs[0]["lmax"] >= 1 and runs[0]["primes"]
+            assert all(linalg.check_prime(p) for p in runs[0]["primes"])
+            if out:
+                assert os.path.isfile(argv[-1])
+        else:
+            assert "error: " in err.splitlines()[-1], (argv, err)
 
 
 def test_verdict_is_spelled_once():

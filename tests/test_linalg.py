@@ -185,6 +185,15 @@ def test_check_prime_range_ends():
         linalg.check_prime(1000003.0)
 
 
+def test_check_primes_keeps_the_distinct_primes_in_order():
+    assert linalg.check_primes([65537, np.int64(1000003), 65537]) == (65537, 1000003)
+    assert all(type(p) is int for p in linalg.check_primes([np.int64(1000003)]))
+    with pytest.raises(ValueError, match="at least one prime"):
+        linalg.check_primes(())
+    with pytest.raises(ValueError, match="1000000 is not prime"):
+        linalg.check_primes((1000003, 1000000))
+
+
 def test_modular_entry_points_check_the_prime():
     A = np.eye(2, dtype=np.int64)
     for fn in (linalg.rank_mod, linalg.nullspace_mod, linalg.nullity_mod):
