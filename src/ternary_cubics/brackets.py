@@ -34,11 +34,12 @@ oracle in the tests.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
@@ -227,12 +228,24 @@ def validate(expr):
 # come first and take at most 8 x 6 bits, so they all lie in word 0.  Phi814
 # packs into two words: 60 bits, then the 40 bits of the a-fields.
 #
-# The factors are taken in the order they are written, a power ^n as n
-# copies in place.  On the catalog, a greedy reordering that completed
-# letters early saved no time: Phi814's largest merge input stayed the same
-# (149,145 rows against 148,976), though its accumulator peaked lower
-# (87,222 rows against 130,746).  A test bounds the largest merge input of
-# every catalog entry, so an entry rewritten in a costlier order shows there.
+# The fold order is a contraction order, planned per term by _fold_order
+# with a dynamic programme over the sets L of eliminated Greek letters
+# (Pfeifer, Haegeman and Verstraete, Phys. Rev. E 90, 033315, 2014).  The
+# step that eliminates a letter folds every occurrence touching it not folded
+# yet; once all letters are eliminated the occurrences with no Greek letter
+# (u_x, v_y, ...) follow.  After the step to L the accumulator holds at most
+#
+#     C(c + 9, 9) x prod C(k_g + 2, 2) x prod C(n_s + 2, 2)
+#
+# rows: c letters completed, k_g occurrences folded of each open letter g,
+# n_s of each symbol s in u, v, x, y.  The plan is the chain of sets
+# {} < L1 < ... < all letters, one letter at a time, that minimizes the sum
+# of this bound; it is evaluated once per set, at most 2^8 = 256 times.
+# Ties go to the earlier letter names, and the occurrences of a step are
+# folded sorted by content, so the plan depends only on the factor
+# multiset, not on the order written.  Phi814 written in any order peaks at
+# 36,406 merge rows (148,976 in its written order).  A test bounds the
+# largest merge input of every catalog entry.
 #
 # A factor's summands (3 for a pairing, 6 for a determinant) are folded into
 # a sorted accumulator one at a time: the summand's delta is added to every
@@ -302,6 +315,44 @@ def _merge(keys, coeffs):
     return keys[starts[keep]], coeffs[keep]
 
 
+def _row_bound(folded, greek):
+    """A bound on the accumulator's rows once the occurrences in folded are in.
+
+    greek counts each letter's occurrences in the whole term.  A completed
+    letter adds one a-index (C(c + 9, 9) monomials of degree c), an open
+    letter or u, v, x, y symbol met k times an exponent triple of sum k.
+    """
+    met = Counter(s for atom in folded for s in _atom_syms(atom))
+    rows = comb(sum(met[g] == k for g, k in greek.items()) + 9, 9)
+    for s, k in met.items():
+        if greek.get(s) != k:
+            rows *= comb(k + 2, 2)
+    return rows
+
+
+def _fold_order(term, greek):
+    """The term's factor occurrences, a power ^n as n copies, in the order
+    of the cheapest letter-elimination chain (see the comment above)."""
+    atoms = sorted((atom for atom, exp in term.factors for _ in range(exp)),
+                   key=lambda atom: (isinstance(atom, Det3), _atom_syms(atom)))
+    letters = sorted(greek)
+    masks = [sum(1 << i for i, g in enumerate(letters) if g in _atom_syms(atom))
+             for atom in atoms]
+    # best[L]: (summed bound, letters in elimination order) of the cheapest chain to L
+    best = [(0, ())]
+    for L in range(1, 1 << len(letters)):
+        rows = _row_bound([atom for atom, m in zip(atoms, masks) if m & L], greek)
+        cost, chain = min((best[L ^ 1 << i][0], best[L ^ 1 << i][1] + (g,))
+                          for i, g in enumerate(letters) if L >> i & 1)
+        best.append((cost + rows, chain))
+    order, done = [], 0
+    for g in best[-1][1]:
+        step = done | 1 << letters.index(g)
+        order += [atom for atom, m in zip(atoms, masks) if m & step and not m & done]
+        done = step
+    return order + [atom for atom, m in zip(atoms, masks) if not m]
+
+
 def _expand_term(term):
     """Expand one product term; returns {Poly monomial: int coeff}."""
     greek, counts = _term_counts(term)
@@ -330,7 +381,7 @@ def _expand_term(term):
     left = dict(greek)
     keys = np.zeros((1, words), np.int64)
     coeffs = np.ones(1, np.int64)
-    for atom in [atom for atom, exp in term.factors for _ in range(exp)]:
+    for atom in _fold_order(term, greek):
         if isinstance(atom, Pair):
             summands = [(delta([(atom.left, i), (atom.right, i)]), 1) for i in range(3)]
         else:

@@ -460,29 +460,94 @@ def test_object_coefficients_keep_every_digest(monkeypatch):
 
 
 # the largest merge input, in rows, of each catalog expansion with its
-# factors folded in the order written
+# factors folded in the order _fold_order plans
 MERGE_ROWS = {
-    "Phi222": 135, "Phi303": 184, "Phi330": 152, "Phi400": 133, "Phi406": 1423,
-    "Phi406_dualcurve": 1423, "Phi441": 1378, "Phi503": 1324, "Phi600": 1064,
-    "Phi814": 148976, "Psi21": 108, "Psi42": 416, "Psi51": 432, "Psi54": 504,
+    "Phi222": 135, "Phi303": 184, "Phi330": 152, "Phi400": 133, "Phi406": 1378,
+    "Phi406_dualcurve": 1378, "Phi441": 1378, "Phi503": 1324, "Phi600": 1064,
+    "Phi814": 36406, "Psi21": 108, "Psi42": 416, "Psi51": 324, "Psi54": 504,
 }
 
 
-def test_catalog_fold_sizes_stay_bounded(monkeypatch):
-    """No catalog entry is written in an order that makes its fold costly:
-    each largest merge input stays within 1.25 times its measured size."""
-    largest = dict.fromkeys(br.CATALOG, 0)
+def _largest_merge(monkeypatch, expr):
+    """(expansion digest, largest merge input) of a parsed expression."""
+    largest = [0]
     merge = br._merge
 
     def spy(keys, coeffs):
-        largest[name] = max(largest[name], len(keys))
+        largest[0] = max(largest[0], len(keys))
         return merge(keys, coeffs)
 
     monkeypatch.setattr(br, "_merge", spy)
-    for name in br.CATALOG:
-        br.expand(br.catalog(name))
+    items = sorted(br.expand(expr).poly.terms.items())
+    monkeypatch.setattr(br, "_merge", merge)
+    return hashlib.sha256(repr(items).encode()).hexdigest(), largest[0]
+
+
+def test_catalog_fold_sizes_stay_bounded(monkeypatch):
+    """No catalog entry is planned into a costly fold: each largest merge
+    input stays within 1.25 times its measured size."""
+    largest = {name: _largest_merge(monkeypatch, br.catalog(name))[1] for name in br.CATALOG}
     assert set(largest) == set(MERGE_ROWS)
     assert {n: k for n, k in largest.items() if k > 1.25 * MERGE_ROWS[n]} == {}
+
+
+def test_fold_plan_ignores_the_written_order(monkeypatch):
+    """Phi814 written forwards, reversed or shuffled is planned into one
+    order, with one expansion and one largest merge input."""
+    (term,) = br.catalog("Phi814").terms
+    shuffled = list(term.factors)
+    random.Random(814).shuffle(shuffled)
+    orders, results = [], set()
+    for factors in (term.factors, term.factors[::-1], tuple(shuffled)):
+        written = br.Term(term.coeff, factors)
+        orders.append(br._fold_order(written, br._term_counts(written)[0]))
+        results.add(_largest_merge(monkeypatch, br.BracketExpr((written,))))
+    assert orders[0] == orders[1] == orders[2]
+    assert results == {(CATALOG_SHA256["Phi814"], MERGE_ROWS["Phi814"])}
+
+
+def _check_fold_order(term):
+    order = br._fold_order(term, br._term_counts(term)[0])
+    assert Counter(order) == Counter(atom for atom, exp in term.factors for _ in range(exp))
+    greek = [any(s in br.GREEK for s in br._atom_syms(atom)) for atom in order]
+    # the occurrences with no Greek letter come last
+    assert greek == sorted(greek, reverse=True)
+
+
+def test_fold_order_is_a_permutation_with_slots_last():
+    for src in br.CATALOG.values():
+        (term,) = br.parse(src).terms
+        _check_fold_order(term)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_products())
+def test_fold_order_of_drawn_products(src):
+    (term,) = br.parse(src).terms
+    _check_fold_order(term)
+
+
+def test_fold_order_skips_zeroth_powers():
+    (term,) = br.parse("alpha_x^3 (alpha u v)^0 u_y v_x^0").terms
+    assert br._fold_order(term, br._term_counts(term)[0]) == \
+        [br.Pair("alpha", "x")] * 3 + [br.Pair("u", "y")]
+
+
+def test_fold_plan_bounds_at_most_one_letter_set_each(monkeypatch):
+    """Planning an 8-letter term evaluates the row bound at most 2^8 times."""
+    calls = []
+    bound = br._row_bound
+
+    def spy(folded, greek):
+        calls.append(len(folded))
+        return bound(folded, greek)
+
+    monkeypatch.setattr(br, "_row_bound", spy)
+    (term,) = br.catalog("Phi814").terms
+    greek = br._term_counts(term)[0]
+    assert len(greek) == 8
+    br._fold_order(term, greek)
+    assert 0 < len(calls) <= 2 ** 8
 
 
 def test_coefficients_past_int64_are_exact():
