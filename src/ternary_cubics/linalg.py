@@ -9,10 +9,11 @@ fractions.Fraction) is kept for small systems and as an independent
 cross-check.
 
 There is one echelon routine per field, each reducing in place and returning
-the pivot columns: _rref_mod over F_p, behind the four modular entry points
-and their shared prologue _residues, and _rref_frac over Q.  The rank,
-nullity and row-span tests ask _rref_mod for forward elimination only; the
-kernel basis needs the reduced form.
+the pivot columns: _rref_mod over F_p and _rref_frac over Q.  Only rank_mod
+and nullspace_mod call _rref_mod, each after the shared prologue _residues:
+rank_mod for forward elimination only, nullspace_mod for the reduced form
+the kernel basis needs.  The nullity and row-span tests count ranks through
+rank_mod.
 
 _rref_mod delays its modular reductions.  A pivot step reduces the pivot
 column and the pivot row, then subtracts multiplier times pivot row from the
@@ -172,14 +173,13 @@ def nullspace_mod(A, p):
 
 def nullity_mod(A, p):
     B, p = _residues(A, p)
-    return B.shape[1] - len(_rref_mod(B, p, reduced=False))
+    return B.shape[1] - rank_mod(B, p)
 
 
 def in_rowspan_mod(A, v, p):
     """Whether v lies in the row span of A, mod p."""
     B, p = _residues(np.vstack([A, np.asarray(v)[None, :]]), p)
-    return (len(_rref_mod(B[:-1].copy(), p, reduced=False))
-            == len(_rref_mod(B, p, reduced=False)))
+    return rank_mod(B[:-1], p) == rank_mod(B, p)
 
 
 def _rref_frac(A, ncols=None):

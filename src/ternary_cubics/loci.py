@@ -136,19 +136,6 @@ def sample_params(locus, rng, p):
 # Tact invariant
 # ---------------------------------------------------------------------------
 
-def _affine_conic():
-    """Q = q1 x1^2 + q2 x2^2 + q3 x1x2 + q4 x1 + q5 x2 + q6 (x3 = 1 chart)."""
-    q = [Poly.var(f"q{i}") for i in range(1, 7)]
-    x1, x2 = Poly.var("x1"), Poly.var("x2")
-    return q[0] * x1 * x1 + q[1] * x2 * x2 + q[2] * x1 * x2 + q[3] * x1 + q[4] * x2 + q[5]
-
-
-def _affine_line():
-    b = [Poly.var(f"b{i}") for i in range(1, 4)]
-    x1, x2 = Poly.var("x1"), Poly.var("x2")
-    return b[0] * x1 + b[1] * x2 + b[2]
-
-
 def _coeffs_in(pl, var, maxdeg):
     out = [[] for _ in range(maxdeg + 1)]
     for mo, c in pl.terms.items():
@@ -164,8 +151,9 @@ def tact_polynomial():
     Res(Q, L; x2) for Q quadratic and L linear in x2 is A2 B0^2 - A1 B0 B1
     + A0 B1^2; its x1-discriminant is divisible by b2^2, and the quotient is T.
     """
-    Q = _affine_conic()
-    L = _affine_line()
+    # the generic conic and line in the chart x3 = 1
+    Q = generic_quadric().substitute({"x3": 1})
+    L = linear_form("b").substitute({"x3": 1})
     A = _coeffs_in(Q, "x2", 2)   # A[k]: coefficient of x2^k (Poly in x1, q)
     B = _coeffs_in(L, "x2", 1)
     res = A[2] * B[0] * B[0] - A[1] * B[0] * B[1] + A[0] * B[1] * B[1]

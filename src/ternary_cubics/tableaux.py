@@ -15,11 +15,11 @@ arbitrary monomials on the tableau basis.
 The module works in x and u only.  A caller whose polynomial lives in other
 copies of the point and line variables (the y and v of the syzygy
 concomitants) renames them to x and u before projecting.  Every Fraction
-system here is built by _as_columns and solved by one linalg._rref_frac call
-per bidegree, right-hand sides riding along as an augmented block.  The
-projection itself does no Fraction arithmetic per term: _integer_table turns
-each bidegree's solved table into one integer matrix over one denominator,
-and harmonic_project is one integer array product with it.
+system here is solved by _solve, one linalg._rref_frac call per bidegree with
+the right-hand sides riding along as an augmented block.  The projection
+itself does no Fraction arithmetic per term: _projection_table holds each
+bidegree's solution as one integer matrix over one denominator, and
+harmonic_project is one integer array product with it.
 """
 
 from fractions import Fraction
@@ -85,67 +85,49 @@ def _xu_monomials(dx, du):
     return out
 
 
-def _as_columns(polys, monos):
-    """Rows of the Fraction matrix whose column j holds the coefficients of polys[j] on monos."""
+def _solve(columns, rhs, monos):
+    """Coordinates of each Poly in rhs on the Polys in columns, exactly over Q.
+
+    Every Poly lives on the monomials monos.  [columns | rhs] is row-reduced
+    once; the columns must be independent, so the pivots are 0..n-1 and row
+    i holds coordinate i.  Raises RuntimeError if the columns are dependent
+    or some right-hand side is outside their span.  Returns one coordinate
+    list per right-hand side.
+    """
     index = {mo: i for i, mo in enumerate(monos)}
+    polys = [*columns, *rhs]
     A = [[Fraction(0)] * len(polys) for _ in monos]
     for j, p in enumerate(polys):
         for mo, c in p.terms.items():
             A[index[mo]][j] = Fraction(c)
-    return A
+    n = len(columns)
+    if len(linalg._rref_frac(A, n)) != n:
+        raise RuntimeError("the columns are dependent")
+    if any(x for row in A[n:] for x in row[n:]):
+        raise RuntimeError("a right-hand side is outside the span of the columns")
+    return [[row[n + k] for row in A[:n]] for k in range(len(rhs))]
 
 
 @lru_cache(maxsize=None)
 def _projection_table(dx, du):
-    """For each bidegree-(dx, du) monomial, its coordinates on the X_T basis.
+    """Each bidegree-(dx, du) monomial's coordinates as one integer matrix T
+    over one denominator D.
 
     Solves mono = sum_T gamma_T X_T + trace * rest exactly over Q.  Returns
-    (tableaux, {monomial: tuple of gamma}, {monomial: rest as Poly}).
+    (tableaux, smaller monomials, {monomial: row}, T, D).  Row i of T is D
+    times the coordinates of the i-th monomial of bidegree (dx, du): its
+    gamma on the tableaux, then its rest on the smaller monomials of
+    bidegree (dx - 1, du - 1).
     """
     tabs = enumerate_tableaux(du, dx)
     monos = _xu_monomials(dx, du)
     smaller = _xu_monomials(dx - 1, du - 1) if dx and du else []
     trace = trace_poly()
-
-    # Solve [X_T | trace * smaller] * coords = mono for every monomial at
-    # once: row-reduce it augmented by the monomials themselves (the identity).
-    ncols = len(tabs) + len(smaller)
-    A = _as_columns([tableau_poly(T) for T in tabs]
-                    + [trace * Poly({sm: 1}) for sm in smaller]
-                    + [Poly({mo: 1}) for mo in monos], monos)
-    piv = linalg._rref_frac(A, ncols)
-    if len(piv) != ncols:
-        raise RuntimeError("tableau + trace columns are not independent")
-    # consistency: rows beyond rank must be zero on the identity part too
-    if any(x != 0 for row in A[ncols:] for x in row[ncols:]):
-        raise RuntimeError("tableau + trace columns do not span the bidegree space")
-    gamma = {}
-    rest = {}
-    ntabs = len(tabs)
-    for kk, mo in enumerate(monos):
-        coords = [Fraction(0)] * ncols
-        for i, c in enumerate(piv):
-            coords[c] = A[i][ncols + kk]
-        gamma[mo] = tuple(coords[:ntabs])
-        rest[mo] = Poly(zip(smaller, coords[ntabs:]))
-    return tabs, gamma, rest
-
-
-@lru_cache(maxsize=None)
-def _integer_table(dx, du):
-    """_projection_table(dx, du) as one integer matrix T over one denominator D.
-
-    Returns (tableaux, smaller monomials, {monomial: row}, T, D).
-    Row i of T is D times the coordinates of the i-th monomial of bidegree
-    (dx, du): its gamma on the tableaux, then its remainder on the smaller
-    monomials of bidegree (dx - 1, du - 1).
-    """
-    tabs, gamma, rest = _projection_table(dx, du)
-    smaller = _xu_monomials(dx - 1, du - 1) if dx and du else []
-    rows = [gamma[mo] + tuple(rest[mo].terms.get(sm, 0) for sm in smaller) for mo in gamma]
-    D = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    rows = _solve([tableau_poly(T) for T in tabs] + [trace * Poly({sm: 1}) for sm in smaller],
+                  [Poly({mo: 1}) for mo in monos], monos)
+    D = lcm(*(x.denominator for row in rows for x in row))
     T = np.array([[int(x * D) for x in row] for row in rows], dtype=np.int64)
-    return tabs, smaller, {mo: i for i, mo in enumerate(gamma)}, T, D
+    return tabs, smaller, {mo: i for i, mo in enumerate(monos)}, T, D
 
 
 def harmonic_project(p):
@@ -170,7 +152,7 @@ def harmonic_project(p):
     first = next(iter(p.terms))
     dx = sum(e for v, e in first if v[0] == "x")
     du = sum(e for v, e in first if v[0] == "u")
-    tabs, smaller, row_of, T, D = _integer_table(dx, du)
+    tabs, smaller, row_of, T, D = _projection_table(dx, du)
     outer_of = {}
     rows, outer_ids = [], []
     for mo in p.terms:
@@ -234,16 +216,11 @@ def harmonic_representatives(dx, du):
     monos = _xu_monomials(dx - 1, du - 1)
     trace = trace_poly()
     X = [tableau_poly(T) for T in tabs]
-    # Solve M g_T = omega(X_T) for every T at once, where column j of M is
-    # omega(trace * monos[j]): row-reduce [M | omega(X_T) for every T].
-    n = len(monos)
-    A = _as_columns([omega(trace * Poly({m: 1})) for m in monos]
-                    + [omega(x) for x in X], monos)
-    if len(linalg._rref_frac(A, n)) != n:
-        raise RuntimeError("the trace contraction is singular")
+    # g_T solves omega(trace * g_T) = omega(X_T), for every T at once
+    G = _solve([omega(trace * Poly({m: 1})) for m in monos], [omega(x) for x in X], monos)
     out = []
-    for k, x in enumerate(X):
-        h = x - trace * Poly((m, A[i][n + k]) for i, m in enumerate(monos))
+    for x, g in zip(X, G):
+        h = x - trace * Poly(zip(monos, g))
         if omega(h):
             raise RuntimeError("harmonic representative still has trace part")
         out.append(h)

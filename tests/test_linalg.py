@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -201,3 +204,23 @@ def test_modular_entry_points_check_the_prime():
             fn(A, 1000000)
     with pytest.raises(ValueError):
         linalg.in_rowspan_mod(A, np.array([1, 0]), 4294967311)
+
+
+def test_rref_mod_has_two_callers():
+    # every forward elimination goes through rank_mod, so a hook on rank_mod
+    # and nullspace_mod sees all modular elimination
+    callers = set()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_rref_mod" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add((path.stem, getattr(top, "name", "<module>")))
+    assert callers == {("linalg", "rank_mod"), ("linalg", "nullspace_mod")}
+
+
+def test_empty_input_reads_as_zero_by_zero():
+    p = 1000003
+    assert linalg.rank_mod([], p) == 0
+    assert linalg.nullity_mod([], p) == 0
+    assert linalg.nullity_mod(np.zeros((0, 4), dtype=np.int64), p) == 4

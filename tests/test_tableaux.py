@@ -203,11 +203,21 @@ def _sha256(x):
     return hashlib.sha256(repr(x).encode()).hexdigest()
 
 
+def _fraction_table(dx, du):
+    """_projection_table(dx, du) read as Fractions: (tableaux, {monomial: tuple
+    of gamma}, {monomial: rest as Poly})."""
+    tabs, smaller, row_of, T, D = tb._projection_table(dx, du)
+    n = len(tabs)
+    coords = {mo: [Fraction(int(x), D) for x in T[i]] for mo, i in row_of.items()}
+    return (tabs, {mo: tuple(c[:n]) for mo, c in coords.items()},
+            {mo: Poly(zip(smaller, c[n:])) for mo, c in coords.items()})
+
+
 def test_projection_tables_golden():
     orders = {t[1:] for t in br.CATALOG_TYPES.values()}
     assert {k[:2] for k in PROJECTION_TABLE_SHA256 if k[2] == "x"} == orders
     for (dx, du, point, line), digest in PROJECTION_TABLE_SHA256.items():
-        tabs, gamma, rest = tb._projection_table(dx, du)
+        tabs, gamma, rest = _fraction_table(dx, du)
         names = {"x": point, "u": line}
 
         def renamed(mo):
@@ -226,7 +236,7 @@ def test_harmonic_representatives_golden():
 
 
 def _reference_harmonic_project(p):
-    """harmonic_project by a per-term loop over the Fraction projection table."""
+    """harmonic_project by a per-term loop over the projection table read as Fractions."""
     if not p:
         return [], (), Poly()
     dx = du = None
@@ -237,7 +247,7 @@ def _reference_harmonic_project(p):
             dx, du = ddx, ddu
         elif (dx, du) != (ddx, ddu):
             raise ValueError("input not bihomogeneous")
-    tabs, gamma, rest = tb._projection_table(dx, du)
+    tabs, gamma, rest = _fraction_table(dx, du)
     coeffs = [[] for _ in tabs]
     remainder = []
     for mo, c in p.terms.items():
@@ -257,6 +267,11 @@ def _assert_projects_as_reference(p):
     assert coeffs == ref_coeffs
     assert rem == ref_rem
     assert all(type(c) is Fraction for f in [*coeffs, rem] for c in f.terms.values())
+    # the reference reads the same table; reassembly does not
+    rebuilt = tb.trace_poly() * rem
+    for c, T in zip(coeffs, tabs):
+        rebuilt = rebuilt + c * tb.tableau_poly(T)
+    assert rebuilt == p
 
 
 # SHA-256 of the projection of every catalog concomitant, by name: the
@@ -309,8 +324,8 @@ def test_coefficients_past_int64_are_exact():
 
 
 def test_projection_has_one_path():
-    """_projection_table is read only by _integer_table: harmonic_project
-    reads the integer table alone, and no per-term Fraction loop remains."""
+    """_projection_table is read only by harmonic_project: no per-term
+    Fraction loop remains."""
     readers = set()
     for path in sorted(Path(tb.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -318,4 +333,14 @@ def test_projection_has_one_path():
                 if (getattr(node, "id", None) == "_projection_table"
                         or getattr(node, "attr", None) == "_projection_table"):
                     readers.add((path.stem, getattr(top, "name", "<module>")))
-    assert readers == {("tableaux", "_integer_table")}
+    assert readers == {("tableaux", "harmonic_project")}
+
+
+def test_solve_rejects_dependent_columns_and_rhs_outside_their_span():
+    monos = tb._xu_monomials(1, 0)
+    x1, x2 = Poly.var("x1"), Poly.var("x2")
+    assert tb._solve([x1, x2], [3 * x1 - x2], monos) == [[3, -1]]
+    with pytest.raises(RuntimeError, match="dependent"):
+        tb._solve([x1, 2 * x1], [x1], monos)
+    with pytest.raises(RuntimeError, match="outside the span"):
+        tb._solve([x1, x2], [Poly.var("x3")], monos)
