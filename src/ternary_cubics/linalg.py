@@ -4,9 +4,9 @@ Everything downstream reduces to kernels of integer matrices.  The default
 route is modular: reduce mod a large prime, row-reduce with numpy int64
 arithmetic, and confirm the nullity with a second prime.  The primes are
 compared by the callers: ideals._solve_blocks for every weight-blocked
-elimination, and the cli's `ideal hilbert` (cmd_ideal) for Hilbert values.  Exact rational elimination (via
-fractions.Fraction) is kept for small systems and as an independent
-cross-check.
+elimination, and the cli's `ideal hilbert` (cmd_ideal) for Hilbert values.
+Exact rational elimination (via fractions.Fraction) is kept for small
+systems and as an independent cross-check.
 
 There is one echelon routine per field, each reducing in place and returning
 the pivot columns: _rref_mod over F_p and _rref_frac over Q.  Only rank_mod
@@ -16,14 +16,21 @@ the kernel basis needs.  The nullity and row-span tests count ranks through
 rank_mod.
 
 _rref_mod delays its modular reductions.  A pivot step reduces the pivot
-column and the pivot row, then subtracts multiplier times pivot row from the
-columns it touches without reducing: each entry of the trailing block falls
-by at most one product of two residues, (p - 1)^2.  An entry reduced into
-[0, p) therefore stays inside int64 for _headroom(p) unreduced steps, the
-largest h with p + h (p - 1)^2 < 2^63; the trailing block is reduced again
-only after that many steps (512 at the greatest allowed prime, millions at
-the default primes), and a reduced run ends with one reduction of the whole
-matrix.
+column and takes its first nonzero entry at or below the current row as the
+pivot.  When no other row has a nonzero entry in that column, the step does
+no update.  Otherwise forward elimination reduces the pivot row right of the
+pivot, takes the multipliers as the entries below the pivot times the
+pivot's inverse mod p, and subtracts multiplier times pivot row from the
+rows below and the columns right of the pivot; the entries below the pivot
+are never cleared, as nothing reads them again.  The reduced form normalizes
+the pivot row and subtracts it from every other row, so the pivot column
+becomes a unit vector.  The update itself is not reduced: each entry of the
+trailing block falls by at most one product of two residues, (p - 1)^2.  An
+entry reduced into [0, p) therefore stays inside int64 for _headroom(p)
+unreduced steps, the largest h with p + h (p - 1)^2 < 2^63; the trailing
+block is reduced again only after that many steps (512 at the greatest
+allowed prime, millions at the default primes), and a reduced run ends with
+one reduction of the whole matrix.
 
 Every modular entry point validates its prime with check_prime: a prime in
 the range where the int64 arithmetic is exact, or a ValueError.  A set of
@@ -101,8 +108,8 @@ def _rref_mod(A, p, *, reduced):
     """Row echelon form of residues mod p, in place.  Returns the pivot columns.
 
     With `reduced`, A ends in reduced row echelon form with entries in
-    [0, p).  Without it, elimination only clears the entries below each
-    pivot: the pivots are the whole result, and A is left unreduced.
+    [0, p).  Without it, elimination runs forward only and the pivots are
+    the whole result: A is left in an unspecified state.
     """
     rows, cols = A.shape
     headroom = _headroom(p)
@@ -112,19 +119,30 @@ def _rref_mod(A, p, *, reduced):
         if r == rows:
             break
         lo = 0 if reduced else r
-        A[lo:, c] %= p
-        hits = A[r:, c].nonzero()[0]
-        if hits.size == 0:
+        col = A[lo:, c]
+        col %= p
+        # every row the update touches; the pivot is the first at or below r
+        hits = col.nonzero()[0]
+        k = int(hits.searchsorted(r)) if reduced else 0
+        if k == hits.size:
             continue
-        i = r + int(hits[0])
+        i = lo + int(hits[k])
         if i != r:
-            # columns left of c are zero in both rows
-            A[[r, i], c:] = A[[i, r], c:]
-        A[r, c:] = A[r, c:] % p * pow(int(A[r, c]), p - 2, p) % p
-        f = A[lo:, c].copy()
-        f[r - lo] = 0
-        if f.any():
-            A[lo:, c:] -= f[:, None] * A[r, c:]
+            # swap rows r and i, the two rows of r:i + 1:i - r; columns left
+            # of c are zero in both
+            A[r:i + 1:i - r, c:] = A[r:i + 1:i - r, c:][::-1]
+        inv = pow(int(A[r, c]), -1, p)
+        if reduced:
+            A[r, c:] = A[r, c:] % p * inv % p
+        if hits.size > 1:
+            if reduced:
+                f = col.copy()
+                f[r] = 0
+                A[:, c:] -= f[:, None] * A[r, c:]
+            else:
+                row = A[r, c + 1:]
+                row %= p
+                A[r + 1:, c + 1:] -= (A[r + 1:, c] * inv % p)[:, None] * row
             steps += 1
             if steps == headroom:
                 A[lo:, c + 1:] %= p
@@ -150,6 +168,7 @@ def _residues(A, p):
 
 
 def rank_mod(A, p):
+    """Rank of A mod p, by forward elimination only; A is left untouched."""
     B, p = _residues(A, p)
     return len(_rref_mod(B, p, reduced=False))
 
@@ -172,6 +191,7 @@ def nullspace_mod(A, p):
 
 
 def nullity_mod(A, p):
+    """Nullity of A mod p, by forward elimination only; A is left untouched."""
     B, p = _residues(A, p)
     return B.shape[1] - rank_mod(B, p)
 

@@ -1,5 +1,7 @@
 import ast
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +125,90 @@ def test_headroom_keeps_entries_inside_int64(p):
     # the least and the greatest allowed prime; h is the largest safe count
     h = linalg._headroom(p)
     assert p + h * (p - 1) ** 2 < 2 ** 63 <= p + (h + 1) * (p - 1) ** 2
+
+
+def _reference_rref_mod(A, p, *, reduced):
+    """The Gauss-Jordan step that _rref_mod replaced: every step normalizes
+    the pivot row and clears the pivot column below it (and, with `reduced`,
+    above it).  Kept verbatim but for reading _headroom from linalg, so that
+    a patched headroom reaches both routines."""
+    rows, cols = A.shape
+    headroom = linalg._headroom(p)
+    pivots = []
+    r = steps = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        lo = 0 if reduced else r
+        A[lo:, c] %= p
+        hits = A[r:, c].nonzero()[0]
+        if hits.size == 0:
+            continue
+        i = r + int(hits[0])
+        if i != r:
+            # columns left of c are zero in both rows
+            A[[r, i], c:] = A[[i, r], c:]
+        A[r, c:] = A[r, c:] % p * pow(int(A[r, c]), p - 2, p) % p
+        f = A[lo:, c].copy()
+        f[r - lo] = 0
+        if f.any():
+            A[lo:, c:] -= f[:, None] * A[r, c:]
+            steps += 1
+            if steps == headroom:
+                A[lo:, c + 1:] %= p
+                steps = 0
+        pivots.append(c)
+        r += 1
+    if reduced:
+        A %= p
+    return pivots
+
+
+@st.composite
+def echelon_cases(draw):
+    """(residues mod p, p): dense, low-rank, sparse, or with leading zeros
+    that force row swaps; tall (3:1), wide, or with no rows or no columns."""
+    p = draw(st.sampled_from([65537, 1000003, BIG_PRIME]))
+    shape = draw(st.sampled_from(["tall", "wide", "empty"]))
+    if shape == "tall":
+        cols = draw(st.integers(1, 13))
+        rows = 3 * cols
+    elif shape == "wide":
+        rows = draw(st.integers(1, 40))
+        cols = draw(st.integers(rows, 40))
+    else:
+        rows, cols = draw(st.permutations([0, draw(st.integers(0, 40))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dense", "low rank", "sparse", "leading zeros"]))
+    A = rng.integers(0, p, size=(rows, cols))
+    if kind == "low rank":
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        L = rng.integers(0, p, size=(rows, k)).astype(object)
+        U = rng.integers(0, p, size=(k, cols)).astype(object)
+        A = (L @ U % p).astype(np.int64)
+    elif kind == "sparse":
+        A[rng.random((rows, cols)) < rng.uniform(0.7, 1.0)] = 0
+    elif kind == "leading zeros":
+        A[np.arange(cols) < rng.integers(0, cols + 1, size=(rows, 1))] = 0
+    return A, p
+
+
+@pytest.mark.parametrize("headroom", [None, 1, 2])
+@settings(max_examples=150, deadline=None)
+@given(echelon_cases())
+def test_rref_mod_matches_the_gauss_jordan_reference(headroom, case):
+    # a headroom of 1 or 2 steps reduces the trailing block mid-run even on
+    # these small matrices
+    A, p = case
+    patch = (mock.patch.object(linalg, "_headroom", lambda p: headroom) if headroom
+             else nullcontext())
+    with patch:
+        for reduced in (False, True):
+            B, R = A.copy(), A.copy()
+            pivots = linalg._rref_mod(B, p, reduced=reduced)
+            assert pivots == _reference_rref_mod(R, p, reduced=reduced)
+            if reduced:
+                assert np.array_equal(B, R)
 
 
 @st.composite
