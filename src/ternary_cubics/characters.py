@@ -8,9 +8,9 @@ representable.
 
 Irreducibles are labelled by dominant pairs (a, b) with a >= b >= 0; the pair
 (a, b) names the module with highest weight (a, b, 0), of dimension
-(m+1)(n+1)(m+n+2)/2 where m = a-b, n = b.  Symmetric/exterior powers of
-arbitrary characters go through Adams operations and Newton recurrences; hook
-shapes (a, 1^b) are the only other plethysms ever needed.
+(m+1)(n+1)(m+n+2)/2 where m = a-b, n = b.  Symmetric and exterior powers are
+the terms of generating products (Macdonald, Symmetric Functions and Hall
+Polynomials, I.2); hook shapes (a, 1^b) are the only other plethysms needed.
 
 The tensor product is a vectorized convolution.  A normalized weight w is the
 lattice point (w0 - w2, w1 - w2), and lattice points add under the product,
@@ -23,19 +23,20 @@ partial sum; otherwise it is object, with exact Python ints.
 
 The accumulator spans the bounding box of the sum's lattice points, so the
 product assumes operands that are dense in their boxes, as every Weyl
-character, symmetric power and hook is, or whose boxes are small, as for
-the Adams images inside the Newton recurrence (the largest box in the
-spectral identities and decompose-sym 20 0 --power 3 has 14,641 entries).
-A product whose box exceeds both _BOX_FLOOR entries and _BOX_PER_PAIR
-entries per weight pair (sparse weights far apart) raises ValueError rather
-than allocating the box.
+character, symmetric power and hook is.  A product whose box exceeds both
+_BOX_FLOOR entries and _BOX_PER_PAIR entries per weight pair (sparse weights
+far apart) raises ValueError rather than allocating the box, and so do
+powers whose one dense array (see _powers) would pass _BOX_FLOOR entries.
+That array's entries are nonnegative partial sums, int64 while every power's
+dimension is below 2^63, else exact Python ints.
 
 decompose peels each irreducible from one working dict in place.  Cached
-weyl_character and _h results are only read.
+weyl_character results are only read.
 """
 
 from functools import lru_cache
 from itertools import chain
+from math import comb
 
 import numpy as np
 
@@ -119,11 +120,6 @@ class Character(dict):
             return Character()
         return Character._filled((w, k * m) for w, m in self.items())
 
-    def exact_div(self, k):
-        if any(m % k for m in self.values()):
-            raise ValueError(f"character not divisible by {k}")
-        return Character._filled((w, m // k) for w, m in self.items())
-
     def __mul__(self, other):
         """Tensor product: convolution of weight multiplicities.
 
@@ -148,11 +144,8 @@ class Character(dict):
         acc = np.zeros(width * height, dtype)
         np.add.at(acc, (ka[:, None] + kb).ravel(), np.outer(ma, mb).ravel())
         keys = np.flatnonzero(acc)
-        x = keys // height + (x0a + x0b)
-        y = keys % height + (y0a + y0b)
-        low = np.minimum(np.minimum(x, y), 0)
-        weights = zip((x - low).tolist(), (y - low).tolist(), (-low).tolist())
-        return Character._filled(zip(weights, acc[keys].tolist()))
+        return _from_lattice(keys // height + (x0a + x0b), keys % height + (y0a + y0b),
+                             acc[keys])
 
     def dual(self):
         return Character._filled((normalize((-w[0], -w[1], -w[2])), m)
@@ -160,6 +153,13 @@ class Character(dict):
 
     def is_genuine(self):
         return all(m >= 0 for m in self.values())
+
+
+def _from_lattice(x, y, m):
+    """The Character with multiplicities m at the distinct lattice points (x, y)."""
+    low = np.minimum(np.minimum(x, y), 0)
+    weights = zip((x - low).tolist(), (y - low).tolist(), (-low).tolist())
+    return Character._filled(zip(weights, m.tolist()))
 
 
 def char_trivial():
@@ -180,23 +180,19 @@ def dual_weight(a, b):
 
 
 @lru_cache(maxsize=None)
-def _h(k):
-    """Character of Sym^k of the standard 3-dimensional module."""
-    c = Character()
-    if k < 0:
-        return c
-    for i in range(k + 1):
-        for j in range(k - i + 1):
-            c.add((i, j, k - i - j), 1)
-    return c
-
-
-@lru_cache(maxsize=None)
 def weyl_character(a, b=0):
-    """Character of the irreducible (a, b), by Jacobi-Trudi: h_a h_b - h_{a+1} h_{b-1}."""
+    """Character of the irreducible (a, b): the weight mu, |mu| = a + b, has the
+    Kostka number of tableaux of shape (a, b) and content mu, one for each count
+    x of first-row 2s, max(0, mu2 - mu1, b - mu1, mu2 - b) <= x <= min(mu2, a - mu1)."""
     if not (a >= b >= 0):
         raise ValueError("need a >= b >= 0")
-    return _h(a) * _h(b) - _h(a + 1) * _h(b - 1)
+    n = a + b
+    mu1, mu2 = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    mu3 = n - mu1 - mu2
+    low = np.maximum(np.maximum(mu2 - mu1, b - mu1), np.maximum(mu2 - b, 0))
+    kostka = np.minimum(mu2, a - mu1) - low + 1
+    keep = (mu3 >= 0) & (kostka > 0)
+    return _from_lattice((mu1 - mu3)[keep], (mu2 - mu3)[keep], kostka[keep])
 
 
 def decompose(c):
@@ -239,53 +235,56 @@ def from_modules(pairs):
     return c
 
 
-def adams(k, c):
-    """k-th Adams operation: every weight w scaled to k*w."""
-    if k < 1:
-        raise ValueError("k >= 1")
-    return Character._filled(((k * w[0], k * w[1], k * w[2]), m) for w, m in c.items())
-
-
-def _newton(kmax, c, alternating):
-    """[x_0, ..., x_kmax] from k x_k = sum_i s_i psi^i(c) x_{k-i}, x_0 = 1.
-
-    With s_i = 1 the x_k are the symmetric powers of c; with the alternating
-    signs s_i = (-1)^(i+1) they are the exterior powers.
-    """
-    xs = [char_trivial()]
-    psums = [None] + [adams(i, c) for i in range(1, kmax + 1)]
-    for k in range(1, kmax + 1):
-        acc = Character()
-        for i in range(1, k + 1):
-            _axpy(acc, psums[i] * xs[k - i], -1 if alternating and i % 2 == 0 else 1)
-        xs.append(acc.exact_div(k))
-    return xs
+def _powers(kmax, c, alternating):
+    """[Sym^0 c, ..., Sym^kmax c], or the wedge^k when alternating: the t^k terms of
+    prod_w (1 - t z^w)^(-m_w), or prod_w (1 + t z^w)^m_w (Macdonald, I.2), as layers
+    P[k] over the lattice points (w0 - w2, w1 - w2) - k (x0, y0), (x0, y0) least in c.
+    A weight at shift (i, j) multiplies by sum_r C(m+r-1, r) (t z^w)^r, or
+    sum_r C(m, r) (t z^w)^r: for k descending, P[k] gains C P[k-r] moved by r (i, j).
+    The wedge^k past the dimension are zero and take no layer."""
+    if kmax < 0 or not c.is_genuine():
+        raise ValueError(f"powers need k >= 0 and a genuine character, got k = {kmax}")
+    if not c:
+        return [char_trivial()] + [Character() for _ in range(kmax)]
+    dim = c.dimension()
+    top = min(kmax, dim) if alternating else kmax
+    bound = comb(dim, min(top, dim // 2)) if alternating else comb(dim + top - 1, top)
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    x, y, _ = _lattice(c, object)
+    x0, y0 = int(x.min()), int(y.min())
+    width, height = top * int(x.max() - x0) + 1, top * int(y.max() - y0) + 1
+    if (top + 1) * width * height > _BOX_FLOOR:
+        raise ValueError(f"powers up to {top} need a {top + 1} x {width} x {height} box; "
+                         f"weights too far apart")
+    P = np.zeros((top + 1, width, height), dtype)
+    P[0, 0, 0] = 1
+    for i, j, m in zip((x - x0).tolist(), (y - y0).tolist(), c.values()):
+        coef = [comb(m, r) if alternating else comb(m + r - 1, r) for r in range(top + 1)]
+        for k in range(top, 0, -1):
+            for r in range(1, min(k, m) + 1 if alternating else k + 1):
+                P[k, r * i:, r * j:] += coef[r] * P[k - r, :width - r * i, :height - r * j]
+    layers = enumerate(map(np.nonzero, P))
+    return ([_from_lattice(X + k * x0, Y + k * y0, P[k, X, Y]) for k, (X, Y) in layers]
+            + [Character() for _ in range(kmax - top)])
 
 
 def sym_powers(lmax, c):
-    """Characters of Sym^0..Sym^lmax of a genuine character, by Newton recurrence."""
-    if not c.is_genuine():
-        raise ValueError("sym_power needs a genuine (nonvirtual) character")
-    return _newton(lmax, c, alternating=False)
+    """Characters of Sym^0..Sym^lmax of a genuine character."""
+    return _powers(lmax, c, alternating=False)
 
 
 def sym_power(ell, c):
-    if ell < 0:
-        raise ValueError("ell >= 0")
     return sym_powers(ell, c)[ell]
 
 
 def ext_powers(kmax, c):
-    """Characters of wedge^0..wedge^kmax, by the elementary Newton recurrence."""
-    return _newton(kmax, c, alternating=True)
+    """Characters of wedge^0..wedge^kmax of a genuine character."""
+    return _powers(kmax, c, alternating=True)
 
 
 def ext_power(k, c):
-    if k < 0:
-        raise ValueError("k >= 0")
-    if k > c.dimension():
-        return Character()
-    return ext_powers(k, c)[k]
+    zero = c.is_genuine() and k > c.dimension()     # wedge^k vanishes past the dimension
+    return Character() if zero else ext_powers(k, c)[k]
 
 
 def hook_schur(a, b, c):

@@ -90,7 +90,7 @@ def cmd_char(args):
         top = args.a    # the exterior power is zero
     else:
         # Sym^k (a, b) has highest weight (ka, kb), and wedge^k's is no
-        # greater; the Newton recurrence takes k steps even for a = 0
+        # greater; the generating product fills k + 1 layers even for a = 0
         top = max(args.a, args.power * max(args.a, 1))
     candidates = (top + 1) * (top + 2) // 2
     if candidates > _MAX_CANDIDATE_WEIGHTS:

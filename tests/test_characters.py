@@ -6,6 +6,9 @@ formula for plethysm dimensions.
 """
 
 import hashlib
+from functools import lru_cache
+from itertools import count
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -219,7 +222,7 @@ def test_product_of_sparse_weights():
 
 
 def test_cached_characters_stay_unchanged():
-    s3, h4 = ch.weyl_character(3, 0), ch._h(4)
+    s3, h4 = ch.weyl_character(3, 0), ch.weyl_character(4, 0)
     before = dict(s3), dict(h4)
     assert before[1] == {ch.normalize((i, j, 4 - i - j)): 1
                          for i in range(5) for j in range(5 - i)}
@@ -228,22 +231,17 @@ def test_cached_characters_stay_unchanged():
     ch.decompose(s3 * h4 - h4.scale(2))
     ch.decompose(ch.from_modules([(3, 0), (3, 0), (4, 2)]))
     ch.hook_schur(2, 1, s3)
-    assert (dict(ch.weyl_character(3, 0)), dict(ch._h(4))) == before
+    assert (dict(ch.weyl_character(3, 0)), dict(ch.weyl_character(4, 0))) == before
     assert ch.weyl_character(3, 0) is s3
 
 
 def test_derived_characters_keep_normalized_keys():
     c = ch.weyl_character(2, 1) - ch.weyl_character(1, 0).scale(2)
     for derived, expect in [(-c, {w: -m for w, m in c.items()}),
-                            (c.scale(3), {w: 3 * m for w, m in c.items()}),
-                            (c.scale(3).exact_div(3), dict(c)),
-                            (ch.adams(2, c), {tuple(2 * t for t in w): m
-                                              for w, m in c.items()})]:
+                            (c.scale(3), {w: 3 * m for w, m in c.items()})]:
         assert isinstance(derived, ch.Character) and dict(derived) == expect
     assert c.scale(0) == {}
     assert c.dual() == ch.Character({(-w[0], -w[1], -w[2]): m for w, m in c.items()})
-    with pytest.raises(ValueError, match="not divisible"):
-        c.exact_div(2)
 
 
 def _sha256(x):
@@ -283,6 +281,148 @@ def test_decompose_sym_20_0_cube_golden(capsys):
     out = capsys.readouterr().out
     assert out.startswith("(60,0) + (58,2) + (57,3) + ")
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_SYM_20_0_3_SHA256
+
+
+@lru_cache(maxsize=None)
+def _reference_h(k):
+    """Character of Sym^k of the standard 3-dimensional module."""
+    c = ch.Character()
+    if k < 0:
+        return c
+    for i in range(k + 1):
+        for j in range(k - i + 1):
+            c.add((i, j, k - i - j), 1)
+    return c
+
+
+def _reference_weyl_character(a, b=0):
+    """Character of the irreducible (a, b), by Jacobi-Trudi: h_a h_b - h_{a+1} h_{b-1}.
+
+    The former weyl_character, kept verbatim as the oracle for the tableau
+    count (its helper _h is _reference_h here).
+    """
+    if not (a >= b >= 0):
+        raise ValueError("need a >= b >= 0")
+    return _reference_h(a) * _reference_h(b) - _reference_h(a + 1) * _reference_h(b - 1)
+
+
+def test_weyl_character_matches_jacobi_trudi():
+    for a in range(31):
+        for b in range(a + 1):
+            got = ch.weyl_character(a, b)
+            assert dict(got) == dict(_reference_weyl_character(a, b)), (a, b)
+            assert all(type(m) is int for m in got.values())
+            assert all(type(t) is int and min(w) == 0 for w in got for t in w)
+            assert got.dimension() == ch.dim_irrep(a, b)
+
+
+def _reference_adams(k, c):
+    """k-th Adams operation: every weight w scaled to k*w."""
+    if k < 1:
+        raise ValueError("k >= 1")
+    return ch.Character._filled(((k * w[0], k * w[1], k * w[2]), m) for w, m in c.items())
+
+
+def _reference_newton(kmax, c, alternating):
+    """[x_0, ..., x_kmax] from k x_k = sum_i s_i psi^i(c) x_{k-i}, x_0 = 1.
+
+    With s_i = 1 the x_k are the symmetric powers of c; with the alternating
+    signs s_i = (-1)^(i+1) they are the exterior powers.
+
+    The former characters._newton (and adams, as _reference_adams), kept
+    verbatim but for dividing by k inline where it called the deleted
+    Character.exact_div.
+    """
+    xs = [ch.char_trivial()]
+    psums = [None] + [_reference_adams(i, c) for i in range(1, kmax + 1)]
+    for k in range(1, kmax + 1):
+        acc = ch.Character()
+        for i in range(1, k + 1):
+            ch._axpy(acc, psums[i] * xs[k - i], -1 if alternating and i % 2 == 0 else 1)
+        assert not any(m % k for m in acc.values())
+        xs.append(ch.Character._filled((w, m // k) for w, m in acc.items()))
+    return xs
+
+
+_irreducible_sums = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             min_size=1, max_size=3).map(
+    lambda abs_: ch.from_modules([(a, min(a, b)) for a, b in abs_]))
+_weight_multisets = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3),
+                                    st.integers(1, 3), min_size=1, max_size=6).map(ch.Character)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(_irreducible_sums, _weight_multisets), st.integers(0, 6))
+def test_powers_match_the_newton_reference(c, kmax):
+    d = c.dimension()
+    for alternating, powers in ((False, ch.sym_powers), (True, ch.ext_powers)):
+        got = powers(kmax, c)
+        assert got == _reference_newton(kmax, c, alternating)
+        assert all(type(m) is int for x in got for m in x.values())
+        for k, x in enumerate(got):
+            assert x.dimension() == (comb(d, k) if alternating else comb(d + k - 1, k))
+
+
+def test_exterior_powers_past_the_dimension_are_zero():
+    v = ch.weyl_character(1, 0)
+    got = ch.ext_powers(12, v)
+    assert got == _reference_newton(12, v, alternating=True)
+    assert got[4:] == [{}] * 9 and all(isinstance(x, ch.Character) for x in got)
+    # (5, 0) has dimension 21; layers up to 40 would fill a 41 x 401 x 401 box
+    got = ch.ext_powers(40, ch.weyl_character(5, 0))
+    assert [x.dimension() for x in got] == [comb(21, k) for k in range(41)]
+    # (7, 0) has dimension 36; layers up to 40 would fill a 41 x 561 x 561 box
+    assert ch.ext_power(40, ch.weyl_character(7, 0)) == {}
+    assert ch.ext_power(10 ** 12, ch.weyl_character(20, 10)) == {}
+
+
+def test_powers_of_virtual_characters_raise():
+    c = ch.weyl_character(2, 1) - ch.weyl_character(1, 0)
+    for power in (ch.sym_powers, ch.ext_powers, ch.sym_power, ch.ext_power):
+        with pytest.raises(ValueError, match="genuine"):
+            power(2, c)
+    # past the dimension, too: the check comes before the zero answer
+    with pytest.raises(ValueError, match="genuine"):
+        ch.ext_power(10, c)
+
+
+def test_powers_of_far_apart_weights_raise_before_allocating(monkeypatch):
+    c = ch.Character({(0, 0, 0): 1, (1000, 0, 0): 1})
+    assert ch.sym_power(3, c) == {(3000 - 1000 * i, 0, 0): 1 for i in range(4)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+    monkeypatch.setattr(ch.np, "zeros", refuse)
+    # 101 layers of 100,001 x 1 entries, past the floor of 2^22
+    with pytest.raises(ValueError, match="too far apart"):
+        ch.sym_power(100, c)
+    # wedge^0..wedge^9: 10 layers of 9,001 x 9,001 entries
+    c = ch.Character({(0, 0, 0): 1, (1000, 0, 0): 1, (0, 1000, 0): 3})
+    with pytest.raises(ValueError, match="too far apart"):
+        ch.ext_powers(9, c)
+
+
+def test_power_entries_stay_exact_past_int64():
+    # Sym^2 and wedge^2 of m copies of the trivial weight are C(m+1, 2) and
+    # C(m, 2) copies; m is the last value whose dimension is below 2^63
+    m = next(m for m in count(4_294_967_000) if comb(m + 2, 2) >= 2 ** 63)
+    for m, kind in ((m, "int64"), (m + 1, "object")):
+        c = ch.Character({(0, 0, 0): m})
+        assert ch.sym_power(2, c) == {(0, 0, 0): comb(m + 1, 2)}, kind
+    m = next(m for m in count(4_294_967_000) if comb(m + 1, 2) >= 2 ** 63)
+    for m, kind in ((m, "int64"), (m + 1, "object")):
+        c = ch.Character({(0, 0, 0): m})
+        assert ch.ext_power(2, c) == {(0, 0, 0): comb(m, 2)}, kind
+    # wedge^k of 70 copies: the widest layer, C(70, 35) > 2^63, sits mid-way
+    c = ch.Character({(0, 0, 0): 70})
+    assert ch.ext_powers(70, c) == [{(0, 0, 0): comb(70, k)} for k in range(71)]
+    # a multiplicity of 10**6 enters as one binomial series, not 10**6 factors
+    c = ch.Character({(0, 0, 0): 10 ** 6, (1, 0, 0): 2, (0, 1, 0): 1})
+    for alternating, powers in ((False, ch.sym_powers), (True, ch.ext_powers)):
+        got = powers(4, c)
+        assert got == _reference_newton(4, c, alternating)
+        assert got[4].dimension() == (comb(10 ** 6 + 3, 4) if alternating
+                                      else comb(10 ** 6 + 6, 4))
 
 
 def test_sym_powers_of_cubics():

@@ -97,6 +97,10 @@ def test_char_work_bound_admits_highest_weight_60(capsys):
     # an exterior power past the dimension is zero, whatever the power
     rc, out, _ = run(capsys, "char", "decompose-ext", "3", "0", "--power", "1000")
     assert (rc, out) == (0, "0\n")
+    # also where the layers up to the power would pass the box floor
+    for a, b, power in (("7", "0", "40"), ("6", "3", "100"), ("20", "10", "5000")):
+        rc, out, _ = run(capsys, "char", "decompose-ext", a, b, "--power", power)
+        assert (rc, out) == (0, "0\n"), (a, b, power)
 
 
 def test_concomitant_list_and_type(capsys):
