@@ -241,6 +241,8 @@ def _powers(kmax, c, alternating):
     P[k] over the lattice points (w0 - w2, w1 - w2) - k (x0, y0), (x0, y0) least in c.
     A weight at shift (i, j) multiplies by sum_r C(m+r-1, r) (t z^w)^r, or
     sum_r C(m, r) (t z^w)^r: for k descending, P[k] gains C P[k-r] moved by r (i, j).
+    Layer k starts at the sums of its k least shifts, each shift taken at most m
+    times for a wedge, so P spans the widest layer, not k times the span of c.
     The wedge^k past the dimension are zero and take no layer."""
     if kmax < 0 or not c.is_genuine():
         raise ValueError(f"powers need k >= 0 and a genuine character, got k = {kmax}")
@@ -252,20 +254,43 @@ def _powers(kmax, c, alternating):
     dtype = np.int64 if bound < _INT64_BOUND else object
     x, y, _ = _lattice(c, object)
     x0, y0 = int(x.min()), int(y.min())
-    width, height = top * int(x.max() - x0) + 1, top * int(y.max() - y0) + 1
+    xs, ys = (x - x0).tolist(), (y - y0).tolist()
+    caps = [min(m, top) if alternating else top for m in c.values()]
+    (lox, width), (loy, height) = _layer_extents(xs, caps, top), _layer_extents(ys, caps, top)
     if (top + 1) * width * height > _BOX_FLOOR:
         raise ValueError(f"powers up to {top} need a {top + 1} x {width} x {height} box; "
                          f"weights too far apart")
     P = np.zeros((top + 1, width, height), dtype)
     P[0, 0, 0] = 1
-    for i, j, m in zip((x - x0).tolist(), (y - y0).tolist(), c.values()):
+    for i, j, m in zip(xs, ys, c.values()):
         coef = [comb(m, r) if alternating else comb(m + r - 1, r) for r in range(top + 1)]
         for k in range(top, 0, -1):
             for r in range(1, min(k, m) + 1 if alternating else k + 1):
-                P[k, r * i:, r * j:] += coef[r] * P[k - r, :width - r * i, :height - r * j]
+                # nonzero entries land inside layer k; the cut drops only zeros
+                (a, b), (e, f) = (_cut(r * i + lox[k - r] - lox[k], width),
+                                  _cut(r * j + loy[k - r] - loy[k], height))
+                P[k, a, e] += coef[r] * P[k - r, b, f]
     layers = enumerate(map(np.nonzero, P))
-    return ([_from_lattice(X + k * x0, Y + k * y0, P[k, X, Y]) for k, (X, Y) in layers]
+    return ([_from_lattice(X + lox[k] + k * x0, Y + loy[k] + k * y0, P[k, X, Y])
+             for k, (X, Y) in layers]
             + [Character() for _ in range(kmax - top)])
+
+
+def _layer_extents(shifts, caps, top):
+    """([least sum of k shifts, k = 0..top], the widest layer's span + 1), each
+    shift taken at most its cap times."""
+    def least(values):
+        out = [0]
+        for v, cap in sorted(zip(values, caps)):
+            out += [out[-1] + v * t for t in range(1, min(cap, top + 1 - len(out)) + 1)]
+        return out
+    lo, hi = least(shifts), [-v for v in least([-v for v in shifts])]
+    return lo, max(h - l for l, h in zip(lo, hi)) + 1
+
+
+def _cut(shift, size):
+    """(target, source) slices of one axis moving entries by `shift` inside [0, size)."""
+    return slice(max(shift, 0), size + min(shift, 0)), slice(max(-shift, 0), size - max(shift, 0))
 
 
 def sym_powers(lmax, c):

@@ -32,19 +32,25 @@ reaches 2^63 raises ValueError.  Below _MAX_MONOMIALS none does (L <= 12 and
 degree <= 14: 12^14 < 2^51).
 
 Every weight-blocked elimination (kernels, syzygies, the all-block
-cross-check, Hilbert values) takes one path, _solve_blocks: for each prime it
-builds the blocks one at a time and hands each to one linalg entry, then
-compares the primes.  It is the one place here that compares primes; a
+cross-check, highest-weight vectors, Hilbert values) takes one path,
+_solve_blocks: for each prime it builds the blocks one at a time and hands
+each to one linalg entry, then compares the primes, and an exact count
+where one is known.  It is the one place here that compares counts; a
 disagreement raises UnluckyPrimeError naming the weight block and its count
 modulo each prime.
 
-Hilbert function values come from evaluation instead: the rank of the matrix
-of monomial values at random points of the locus, on each dominant block,
-counted once per weight of its orbit.  The points are the cubics of the
-memoized loci.sample, so one seeded point sequence is drawn once and shared
-by every degree.  Each block's matrix is built from its monomial list at its
-own n + HILBERT_MARGIN points, so no value is computed that the rank does
-not read.
+Hilbert function values are read one irreducible at a time.  The
+multiplicity of V_lam in R_l/I_l lives in the highest-weight space of the
+dominant block lam, the common kernel of the two raising derivations, of
+dimension m_lam (the plethysm coefficient of V_lam in Sym^l(S^3), at most
+4 for l <= 8 against blocks of up to 331 monomials).  highest_weight_bases
+eliminates each block's raising map once per (degree, prime), for every
+locus, and checks each count against decompose(sym_power(l, S^3)).
+hilbert_value then takes, for each lam, the rank of the basis times the
+values of the block's monomials at m_lam + HILBERT_MARGIN random points of
+the locus, and sums dim V_lam times the ranks.  The points are the cubics
+of the memoized loci.sample, so one seeded point sequence is drawn once and
+shared by every degree.
 
 Syzygies among the degree-j generators are the kernel of the multiplication
 map (generators) x (linear forms) -> R_{j+1}; this needs no substitution
@@ -57,11 +63,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, permutations
+from operator import add
 
 import numpy as np
 
 from . import brackets, linalg, loci, tableaux
-from .characters import Character, decompose
+from .characters import Character, decompose, dim_irrep, sym_power, weyl_character
 from .poly import A_EXPS, A_INDEX, Poly, cubic_point, monomial
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
@@ -281,7 +288,7 @@ def _blocks_mod(images, p):
 # the one solve path
 # ---------------------------------------------------------------------------
 
-def _solve_blocks(what, primes, blocks, solve):
+def _solve_blocks(what, primes, blocks, solve, exact=None):
     """Solve every block modulo every prime, and check that the primes agree.
 
     blocks(p) yields (weight, int64 matrix mod p), one block at a time, and
@@ -289,15 +296,20 @@ def _solve_blocks(what, primes, blocks, solve):
     ({p: {weight: result}}, {weight: count}), where a count is the result
     itself (a rank or a nullity) or its number of rows (a kernel basis), and
     zero counts are left out.  Primes that disagree raise UnluckyPrimeError
-    naming the first weight block whose counts differ.
+    naming the first weight block whose counts differ.  `exact`, a
+    {weight: count} known in advance, takes part in the comparison as one
+    more source, named 'exact'.
     """
     results, counts = {}, {}
     for p in primes:
         results[p] = {w: solve(A, p) for w, A in blocks(p)}
         n = {w: len(r) if isinstance(r, np.ndarray) else r for w, r in results[p].items()}
         counts[p] = {w: k for w, k in n.items() if k}
-    for w in sorted(set().union(*counts.values())):
-        got = {p: c.get(w, 0) for p, c in counts.items()}
+    sources = dict(counts)
+    if exact is not None:
+        sources["exact"] = {w: k for w, k in exact.items() if k}
+    for w in sorted(set().union(*sources.values())):
+        got = {s: c.get(w, 0) for s, c in sources.items()}
         if len(set(got.values())) > 1:
             raise linalg.UnluckyPrimeError(
                 f"{what}: weight block {w} has nullity {got} by prime")
@@ -407,40 +419,112 @@ def full_block_nullities(locus, degree, primes):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert function values by evaluation
+# highest-weight vectors and Hilbert function values
 # ---------------------------------------------------------------------------
 
-def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
-    """H(locus, degree): rank of the monomial evaluation matrix at random points.
+# the raising derivations D1, D2 as (weight step, exponent read): D a_s is
+# (e_s[read] + 1) a_{s + step}, the pullbacks of x1 -> x1 + t x2 and x2 -> x2 + t x3
+_RAISING = (((1, -1, 0), 0), ((0, 1, -1), 1))
 
-    The rank is taken on each dominant block and counted once for every
-    weight of its orbit.  The k-th point is the cubic loci.sample(locus,
-    (seed, k), prime); sample is memoized, so every degree shares one drawn
-    sequence.  A block of n monomials is evaluated, from its list in
-    monomials_by_weight, at the first n + HILBERT_MARGIN points and at no
-    others, so every block has its own margin of HILBERT_MARGIN points past
-    its size.  Monte Carlo (one-sided): the result is a lower bound, equal to
-    the true value when the points are generic for every dominant block; the
-    margin makes an undercount vanishingly unlikely.
+
+@lru_cache(maxsize=32)
+def highest_weight_bases(degree, p):
+    """{dominant weight: basis rows mod p} of the highest-weight vectors of R_degree.
+
+    The highest-weight vectors of block w are the common kernel, on the
+    block, of the raising derivations D1 a_s = (e_s[0] + 1) a_{s+(1,-1,0)} and
+    D2 a_s = (e_s[1] + 1) a_{s+(0,1,-1)}, extended to monomials by Leibniz:
+    one nullspace of the two maps stacked.  Every block's count is compared
+    with its exact multiplicity in decompose(sym_power(degree, S^3)), the
+    label of w being (w0 - w2, w1 - w2); a mismatch raises UnluckyPrimeError
+    and caches nothing.  The mod-p kernel holds the reduction of the rational
+    one, so equal counts prove that the basis is that reduction.  Blocks
+    with no highest-weight vector are left out.  No locus enters.
+    """
+    p = linalg.check_prime(p)
+    blocks, index = monomials_by_weight(degree)
+    dominant = [w for w in blocks if is_dominant(w)]
+    mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
+    exact = {w: mults.get((w[0] - w[2], w[1] - w[2]), 0) for w in dominant}
+
+    def raising(_):
+        # rows: the images in block w + step of each map in turn; entries are
+        # at most 3 degree, so they are residues already
+        for w in dominant:
+            targets = [tuple(map(add, w, step)) for step, _ in _RAISING]
+            offsets = np.cumsum([0] + [len(index.get(t, ())) for t in targets])
+            A = np.zeros((offsets[-1], len(blocks[w])), dtype=np.int64)
+            for col, m in enumerate(blocks[w]):
+                for s in set(m):
+                    e, k = A_EXPS[s], m.index(s)
+                    for (step, read), t, at in zip(_RAISING, targets, offsets):
+                        up = A_INDEX.get(tuple(map(add, e, step)))
+                        if up is not None:
+                            # Leibniz: a_s^c goes to c (e_s[read] + 1) a_s^(c-1) a_up
+                            raised = tuple(sorted(m[:k] + (up,) + m[k + 1:]))
+                            A[at + index[t][raised], col] = m.count(s) * (e[read] + 1)
+            yield w, A
+
+    results, _ = _solve_blocks(f"highest-weight vectors of degree {degree}", (p,), raising,
+                               lambda A, q: linalg.nullspace_mod(A, q).T.copy(), exact=exact)
+    bases = {w: B for w, B in results[p].items() if len(B)}
+    for B in bases.values():
+        B.flags.writeable = False     # cached: every caller shares these arrays
+    return bases
+
+
+def _product_mod(B, E, p):
+    """B @ E mod p for residues B, E, exact in int64: the inner sum is cut
+    into runs of at most (2^63 - 1) // (p - 1)^2 products, each run's sum
+    reduced before it is added."""
+    run = (2 ** 63 - 1) // (p - 1) ** 2
+    out = np.zeros((B.shape[0], E.shape[1]), dtype=np.int64)
+    for lo in range(0, B.shape[1], run):
+        out = (out + B[:, lo:lo + run] @ E[lo:lo + run] % p) % p
+    return out
+
+
+def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
+    """H(locus, degree) = sum over irreducibles V_lam of dim V_lam times an evaluation rank.
+
+    For each dominant weight lam whose highest-weight space HW_lam(R_degree)
+    has dimension m > 0, the rank is that of B E mod `prime`: B the m basis
+    rows of highest_weight_bases(degree, prime), E the values of the
+    block's monomials (in the order of monomials_by_weight) at the first
+    m + HILBERT_MARGIN points and at no others, so every irreducible has its
+    own margin of HILBERT_MARGIN points past its size.  The k-th point is the
+    cubic loci.sample(locus, (seed, k), prime); sample is memoized, so every
+    degree shares one drawn sequence.
+
+    Monte Carlo (one-sided): the result is a lower bound.  The ideal is
+    GL3-stable, so (R/I)_degree holds V_lam with multiplicity mult_lam =
+    m - k, k the dimension of HW_lam(R_degree) cap I.  That space has an
+    integer basis whose reductions mod `prime` are independent, lie in the
+    span of B (the count check of highest_weight_bases makes B the reduction
+    of HW_lam(R_degree)) and vanish at every point of the locus.  So the left
+    kernel of B E has dimension at least k, and each rank is at most
+    mult_lam.  It equals mult_lam when the points are generic for the block;
+    the margin makes an undercount vanishingly unlikely.
     """
     prime = linalg.check_prime(prime)
+    bases = highest_weight_bases(degree, prime)
     blocks, _ = monomials_by_weight(degree)
-    npoints = max(len(ms) for ms in blocks.values()) + HILBERT_MARGIN
+    npoints = max(map(len, bases.values())) + HILBERT_MARGIN
     phival = np.array([loci.sample(locus, (seed, k), prime) for k in range(npoints)],
                       dtype=np.int64).T
 
     def evaluations(p):
-        # row i, column k: the block's i-th monomial at the k-th point
-        for w, ms in blocks.items():
-            if is_dominant(w):
-                vals = phival[:, :len(ms) + HILBERT_MARGIN]
-                A = np.ones((len(ms), vals.shape[1]), dtype=np.int64)
-                for col in np.array(ms, dtype=np.intp).reshape(len(ms), degree).T:
-                    A = A * vals[col] % p
-                yield w, A
+        # B times E, E's row i, column k the block's i-th monomial at the k-th point
+        for w, B in bases.items():
+            ms = blocks[w]
+            vals = phival[:, :len(B) + HILBERT_MARGIN]
+            E = np.ones((len(ms), vals.shape[1]), dtype=np.int64)
+            for col in np.array(ms, dtype=np.intp).reshape(len(ms), degree).T:
+                E = E * vals[col] % p
+            yield w, _product_mod(B, E, p)
 
     _, ranks = _solve_blocks(f"H({locus}, {degree})", (prime,), evaluations, linalg.rank_mod)
-    return sum(_fill_orbits(ranks).values())
+    return sum(dim_irrep(w[0] - w[2], w[1] - w[2]) * r for w, r in ranks.items())
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,17 @@ def test_exterior_powers_past_the_dimension_are_zero():
     assert ch.ext_power(10 ** 12, ch.weyl_character(20, 10)) == {}
 
 
+def test_exterior_power_layers_span_their_own_weights():
+    # wedge^k lies between the sums of the k least and the k greatest weights:
+    # every wedge of the 36-dimensional (7, 0) fits, wedge^36 on one weight
+    v = ch.weyl_character(7, 0)
+    powers = ch.ext_powers(36, v)
+    assert [x.dimension() for x in powers] == [comb(36, k) for k in range(37)]
+    assert powers[36] == ch.ext_power(36, v) == {(0, 0, 0): 1}
+    # wedge^35 = V* (x) wedge^36, the dual (7, 7)
+    assert powers[35] == ch.ext_power(35, v) == ch.weyl_character(7, 7)
+
+
 def test_powers_of_virtual_characters_raise():
     c = ch.weyl_character(2, 1) - ch.weyl_character(1, 0)
     for power in (ch.sym_powers, ch.ext_powers, ch.sym_power, ch.ext_power):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from ternary_cubics import brackets, ideals, linalg, loci, resolution
-from ternary_cubics.characters import dim_irrep
+from ternary_cubics.characters import decompose, dim_irrep, sym_power, weyl_character
+from ternary_cubics.poly import A_EXPS
 
 PRIMES = (1000003, 65537)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -498,37 +499,48 @@ def test_repeated_primes_are_eliminated_once(monkeypatch):
 
 @pytest.mark.parametrize("lid", loci.LOCI)
 def test_hilbert_blocks_are_point_evaluations(lid, monkeypatch):
-    # row i, column k of a block is its i-th monomial at the k-th sample point
-    p, deg = linalg.DEFAULT_PRIMES[0], 3
+    # rank_mod sees B E mod p for each irreducible: B the block's
+    # highest-weight basis, E's row i, column k the block's i-th monomial at
+    # the k-th sample point, one matrix of m x (m + margin) per lam with m > 0
+    p, deg = linalg.DEFAULT_PRIMES[0], 5
     rank = linalg.rank_mod
     seen = []
     monkeypatch.setattr(linalg, "rank_mod", lambda A, q: seen.append(A.copy()) or rank(A, q))
     ideals.hilbert_value(lid, deg, seed=0)
     blocks, _ = ideals.monomials_by_weight(deg)
-    dominant = [w for w in blocks if ideals.is_dominant(w)]
-    assert len(seen) == len(dominant)
+    mults = dict(decompose(sym_power(deg, weyl_character(3, 0))))
+    bases = ideals.highest_weight_bases(deg, p)
+    assert len(seen) == len(bases) == len(mults)
     phi = loci.substitution_map(lid).phi
     points = {}
-    for w, A in zip(dominant, seen):
-        monos = blocks[w]
-        assert A.shape == (len(monos), len(monos) + ideals.HILBERT_MARGIN)
+    for (w, B), A in zip(bases.items(), seen):
+        m = mults[(w[0] - w[2], w[1] - w[2])]
+        assert A.shape == (m, m + ideals.HILBERT_MARGIN)
         for k in range(A.shape[1]):
             if k not in points:
                 params = loci.sample_params(lid, random.Random(repr((0, k))), p)
                 points[k] = [phi_r.evaluate(params, p) for phi_r in phi]
-            assert A[:, k].tolist() == [math.prod(points[k][r] for r in m) % p for m in monos]
+            values = [math.prod(points[k][r] for r in mono) for mono in blocks[w]]
+            assert A[:, k].tolist() == [sum(b * v for b, v in zip(row, values)) % p
+                                        for row in B.tolist()]
+    assert max(A.shape[0] for A in seen) == 2
 
 
 def test_hilbert_points_are_drawn_once(monkeypatch):
-    # H(locus, 1..6) reads the first 103 + HILBERT_MARGIN points of one
-    # sequence; every degree shares them, so each is drawn once
+    # H(locus, 1..6) reads the first max m + HILBERT_MARGIN points of one
+    # sequence, m the dimension of a highest-weight space; every degree
+    # shares them, so each is drawn once
+    p = linalg.DEFAULT_PRIMES[0]
+    npoints = max(len(B) for deg in range(1, 7)
+                  for B in ideals.highest_weight_bases(deg, p).values()) + ideals.HILBERT_MARGIN
+    assert npoints == 14
     draw = loci.sample_params
     draws = []
     monkeypatch.setattr(loci, "sample_params", lambda *a: draws.append(a[0]) or draw(*a))
     loci.sample.cache_clear()
     for lid in loci.LOCI:
         assert all(r["ok"] for r in resolution.hilbert_consistency(lid, 6, seed=0))
-    assert [draws.count(lid) for lid in loci.LOCI] == [115] * len(loci.LOCI)
+    assert [draws.count(lid) for lid in loci.LOCI] == [npoints] * len(loci.LOCI)
 
 
 def test_one_sampler_of_locus_points():
@@ -575,3 +587,136 @@ def test_entry_points_check_the_prime():
     with pytest.raises(ValueError):
         brackets.vanishes_at_cubics(brackets.catalog_concomitant("Phi222"),
                                     [loci.NAMED_CUBICS["fermat"]], 2 ** 64 - 59)
+
+
+# ---------------------------------------------------------------------------
+# highest-weight vectors
+# ---------------------------------------------------------------------------
+
+def _raised(vector, monos, step, read, p):
+    """D(vector) mod p as {monomial: coefficient}, D a_s = (e_s[read] + 1) a_{s+step}
+    applied to each factor of each monomial in turn."""
+    out = {}
+    for c, m in zip(vector, monos):
+        for k, s in enumerate(m):
+            e = A_EXPS[s]
+            up = tuple(e[i] + step[i] for i in range(3))
+            if min(up) >= 0:
+                t = tuple(sorted(m[:k] + (A_EXPS.index(up),) + m[k + 1:]))
+                out[t] = (out.get(t, 0) + c * (e[read] + 1)) % p
+    return {t: c for t, c in out.items() if c}
+
+
+@pytest.mark.parametrize("p", linalg.DEFAULT_PRIMES)
+def test_highest_weight_counts_are_plethysm_coefficients(p):
+    for deg in range(9):
+        bases = ideals.highest_weight_bases(deg, p)
+        assert all(ideals.is_dominant(w) for w in bases)
+        assert ({(w[0] - w[2], w[1] - w[2]): len(B) for w, B in bases.items()}
+                == dict(decompose(sym_power(deg, weyl_character(3, 0)))))
+
+
+def test_highest_weight_vectors_are_killed_by_both_raising_maps():
+    p = linalg.DEFAULT_PRIMES[0]
+    for deg in range(9):
+        blocks, _ = ideals.monomials_by_weight(deg)
+        for w, B in ideals.highest_weight_bases(deg, p).items():
+            assert linalg.rank_mod(B, p) == len(B)
+            for v in B.tolist():
+                assert _raised(v, blocks[w], (1, -1, 0), 0, p) == {}
+                assert _raised(v, blocks[w], (0, 1, -1), 1, p) == {}
+
+
+def test_a_missing_highest_weight_vector_raises_and_caches_nothing(monkeypatch):
+    # a prime no other test builds a basis for, so the call cannot hit the cache
+    p, deg = 999983, 4
+    before = ideals.highest_weight_bases.cache_info().currsize
+    nullspace = linalg.nullspace_mod
+    dropped = []
+
+    def drop_one(A, q):
+        N = nullspace(A, q)
+        if N.shape[1] and not dropped:
+            dropped.append(N.shape)
+            return N[:, :-1]
+        return N
+
+    monkeypatch.setattr(linalg, "nullspace_mod", drop_one)
+    with pytest.raises(linalg.UnluckyPrimeError) as err:
+        ideals.highest_weight_bases(deg, p)
+    got = re.fullmatch(r"highest-weight vectors of degree 4: weight block \((\d+), (\d+), (\d+)\) "
+                       r"has nullity \{999983: (\d+), 'exact': (\d+)\} by prime", str(err.value))
+    assert got and int(got[4]) + 1 == int(got[5]) == dropped[0][1]
+    w = tuple(int(x) for x in got.groups()[:3])
+    assert len(ideals.monomials_by_weight(deg)[0][w]) == dropped[0][0]
+    assert ideals.highest_weight_bases.cache_info().currsize == before
+    monkeypatch.setattr(linalg, "nullspace_mod", nullspace)
+    assert len(ideals.highest_weight_bases(deg, p)[w]) == int(got[5])
+
+
+def test_products_mod_p_are_exact_past_one_run():
+    # 2000 products of residues near 2^27 sum past 2^63 in one run
+    p = 134217689
+    rng = np.random.default_rng(0)
+    B = rng.integers(p - 1000, p, size=(3, 2000), dtype=np.int64)
+    E = rng.integers(p - 1000, p, size=(2000, 4), dtype=np.int64)
+    want = [[sum(int(b) * int(e) for b, e in zip(row, col)) % p for col in E.T] for row in B]
+    assert ideals._product_mod(B, E, p).tolist() == want
+
+
+def _reference_hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
+    """The former ideals.hilbert_value, kept verbatim: the rank of each
+    dominant block's n x (n + HILBERT_MARGIN) evaluation matrix, counted once
+    for every weight of its orbit."""
+    prime = linalg.check_prime(prime)
+    blocks, _ = ideals.monomials_by_weight(degree)
+    npoints = max(len(ms) for ms in blocks.values()) + ideals.HILBERT_MARGIN
+    phival = np.array([loci.sample(locus, (seed, k), prime) for k in range(npoints)],
+                      dtype=np.int64).T
+
+    def evaluations(p):
+        # row i, column k: the block's i-th monomial at the k-th point
+        for w, ms in blocks.items():
+            if ideals.is_dominant(w):
+                vals = phival[:, :len(ms) + ideals.HILBERT_MARGIN]
+                A = np.ones((len(ms), vals.shape[1]), dtype=np.int64)
+                for col in np.array(ms, dtype=np.intp).reshape(len(ms), degree).T:
+                    A = A * vals[col] % p
+                yield w, A
+
+    _, ranks = ideals._solve_blocks(f"H({locus}, {degree})", (prime,), evaluations,
+                                    linalg.rank_mod)
+    return sum(ideals._fill_orbits(ranks).values())
+
+
+@pytest.mark.parametrize("lid", loci.LOCI)
+def test_hilbert_values_match_the_full_block_reference(lid):
+    for seed in (0, 1):
+        for ell in range(1, 7):
+            assert (ideals.hilbert_value(lid, ell, seed=seed)
+                    == _reference_hilbert_value(lid, ell, seed=seed))
+
+
+def test_degree_8_hilbert_values_at_the_largest_prime():
+    # the largest prime below 2^27, where a product of residues nears 2^54
+    p = 134217689
+    assert linalg.check_prime(p) == p
+    for q in range(p + 1, linalg.PRIME_LIMIT):
+        with pytest.raises(ValueError, match="not prime"):
+            linalg.check_prime(q)
+    for lid in loci.LOCI:
+        assert ideals.hilbert_value(lid, 8, prime=p) == resolution.hilbert_from_numerator(lid, 8)
+
+
+def test_hilbert_values_are_lower_bounds(monkeypatch):
+    # at one repeated point every rank is at most 1: the values can fall,
+    # never rise.  Below degree 5 every highest-weight space has dimension 1,
+    # so one point of the locus still gives every value; at degree 5 the
+    # block (9, 4, 2) has two, and tact and empty keep both in R/I
+    p = linalg.DEFAULT_PRIMES[0]
+    point = {lid: loci.sample(lid, (0, 0), p) for lid in loci.LOCI}
+    monkeypatch.setattr(loci, "sample", lambda locus, seed, q=None: point[locus])
+    gaps = {(lid, ell): resolution.hilbert_from_numerator(lid, ell)
+            - ideals.hilbert_value(lid, ell, prime=p) for lid in loci.LOCI for ell in range(1, 6)}
+    assert min(gaps.values()) >= 0
+    assert {k for k, gap in gaps.items() if gap} == {("tact", 5), ("empty", 5)}
