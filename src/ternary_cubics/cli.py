@@ -323,7 +323,7 @@ def _check_concomitant_types(config):
 
 
 def _check_isotypic(name, lid, deg, config):
-    ok = ideals.isotypic_match(name, lid, deg, config["primes"])
+    ok = ideals.isotypic_match(name, lid)
     return ok, f"{name} inside kernel({lid},{deg})", "member" if ok else "not a member"
 
 

@@ -56,11 +56,14 @@ Syzygies among the degree-j generators are the kernel of the multiplication
 map (generators) x (linear forms) -> R_{j+1}; this needs no substitution
 images in degree j+1, only monomial bookkeeping, and again only the dominant
 blocks of R_{j+1} are eliminated.
+
+Concomitant membership is exact, over Z: a concomitant's x1^dx u3^du
+coefficient h (its source, Roberts' theorem) generates its irreducible
+coefficient span, which lies in the ideal exactly when h's image is zero.
 """
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, permutations
 from operator import add
@@ -593,34 +596,30 @@ def concomitant_coefficients(name):
     return coeffs, tabs
 
 
-def isotypic_match(name, locus, degree, primes=linalg.DEFAULT_PRIMES):
-    """Does the coefficient span of a concomitant lie in the degree-j kernel?
+def isotypic_match(name, locus):
+    """Does the coefficient span of a catalog concomitant lie in the ideal I of `locus`?
 
-    Each tableau coefficient is reduced to its weight-block vectors, and
-    those of dominant weight are tested for membership in the block's kernel
-    row span, over every prime.  The coefficient span is a GL3-module, so
-    its other blocks are permutations of the dominant ones.
-    The vectors are reduced exactly mod p; a prime that divides a
-    coefficient's denominator raises ValueError.
+    Exact, from h, the x1^dx u3^du coefficient of Phi of type (d, dx, du): an
+    integer polynomial in a of one dominant weight w.  Phi's harmonic
+    coefficients span W, the image of the irreducible harmonic space under an
+    equivariant map, so W is irreducible or zero.  h is the coefficient on the
+    tableau T0 = (2^dx 3^du | 3^dx), as no monomial of trace * R is x1^dx u3^du.
+    A nonzero vector generates an irreducible module and I is GL3-stable, so W
+    lies in I exactly when h does: when h(phi) = 0 over Z, that is when the
+    integer block _image_blocks(locus, d)[w] sends h's vector to zero, computed
+    in Python ints with no prime, kernel or projection.  A zero h raises ValueError.
     """
-    gp = graded_kernel(locus, degree, primes)
-    coeffs, tabs = concomitant_coefficients(name)
-    vectors = [(w, vec) for f in coeffs if f
-               for w, vec in poly_to_block_vectors(f, degree).items() if is_dominant(w)]
-    for p in gp.primes:
-        for w, vec in vectors:
-            v = np.array([_residue(x, p) for x in vec], dtype=np.int64)
-            if not linalg.in_rowspan_mod(gp.dominant_bases[p][w], v, p):
-                return False
-    return True
-
-
-def _residue(x, p):
-    """The rational x reduced mod p; ValueError if p divides its denominator."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise ValueError(f"coefficient {x} has no residue mod {p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
+    c = brackets.catalog_concomitant(name)
+    d, dx, du = c.ctype.as_tuple()
+    h = c.poly.collect({"x", "u"}).get(monomial([("x1", dx), ("u3", du)]))
+    if h is None:
+        raise ValueError(f"{name} has a zero x1^{dx} u3^{du} coefficient; it proves nothing")
+    ((w, vec),) = poly_to_block_vectors(h, d).items()
+    shape, rows, cols, coeffs = _image_blocks(locus, d)[w]
+    image = [0] * shape[0]
+    for r, j, a in zip(rows.tolist(), cols.tolist(), coeffs.tolist()):
+        image[r] += a * vec[j]
+    return not any(image)
 
 
 def syzygy_relation_check():

@@ -12,8 +12,8 @@ There is one echelon routine per field, each reducing in place and returning
 the pivot columns: _rref_mod over F_p and _rref_frac over Q.  Only rank_mod
 and nullspace_mod call _rref_mod, each after the shared prologue _residues:
 rank_mod for forward elimination only, nullspace_mod for the reduced form
-the kernel basis needs.  The nullity and row-span tests count ranks through
-rank_mod.
+the kernel basis needs.  The nullity test and the row-span test (the tests'
+mod-p reference for ideals.isotypic_match) count ranks through rank_mod.
 
 _rref_mod delays its modular reductions.  A pivot step reduces the pivot
 column and takes its first nonzero entry at or below the current row as the

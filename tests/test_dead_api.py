@@ -29,6 +29,10 @@ TEST_ORACLES = {
     # torus weight of a Poly: the check that every substitution map
     # preserves weight, which the weight-block split rests on
     "weight",
+    # the mod-p row-span test: the reference of the exact membership test
+    # ideals.isotypic_match in tests/test_ideals.py, and a traced name in
+    # perfbench/tracer.py, which wraps it by name
+    "in_rowspan_mod",
 }
 
 UNSET_OPTIONS = {

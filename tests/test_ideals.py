@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ternary_cubics import brackets, ideals, linalg, loci, resolution
+from ternary_cubics import brackets, ideals, linalg, loci, resolution, tableaux
 from ternary_cubics.characters import decompose, dim_irrep, sym_power, weyl_character
-from ternary_cubics.poly import A_EXPS
+from ternary_cubics.poly import A_EXPS, Poly, monomial
 
 PRIMES = (1000003, 65537)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,25 +96,11 @@ def test_syzygy_neq():
 
 
 def test_isotypic_match():
-    assert ideals.isotypic_match("Phi222", "equiv", 2, primes=(1000003,))
-    assert ideals.isotypic_match("Phi303", "neq", 3, primes=(1000003,))
+    assert ideals.isotypic_match("Phi222", "equiv")
+    assert ideals.isotypic_match("Phi303", "neq")
     # negative control: the (5,1)-isotypic triangle concomitant cannot lie in
     # the one-dimensional invariant kernel of the tangency locus
-    assert not ideals.isotypic_match("Phi441", "tact", 4, primes=(1000003,))
-
-
-def test_isotypic_match_reduces_fractions_exactly(monkeypatch):
-    # scaling the coefficients keeps their span over Q; a residue taken by
-    # truncating each Fraction to an int would not
-    coeffs, tabs = ideals.concomitant_coefficients("Phi222")
-    for scale in (Fraction(1, 3), Fraction(1, 2)):
-        monkeypatch.setattr(ideals, "concomitant_coefficients",
-                            lambda name, s=scale: ([f * s for f in coeffs], tabs))
-        assert ideals.isotypic_match("Phi222", "equiv", 2, primes=(1000003,))
-    monkeypatch.setattr(ideals, "concomitant_coefficients",
-                        lambda name: ([f * Fraction(1, 1000003) for f in coeffs], tabs))
-    with pytest.raises(ValueError, match="mod 1000003"):
-        ideals.isotypic_match("Phi222", "equiv", 2, primes=(1000003,))
+    assert not ideals.isotypic_match("Phi441", "tact")
 
 
 def test_concomitant_coefficients_shape():
@@ -447,8 +433,7 @@ def test_weyl_orbit_check_reports_the_disagreeing_block(monkeypatch):
 
 @pytest.mark.parametrize("compute", [
     ideals.graded_kernel, ideals.syzygy_kernel, ideals.full_block_nullities,
-    lambda locus, degree, primes: ideals.isotypic_match("Phi222", locus, degree, primes),
-], ids=["graded_kernel", "syzygy_kernel", "full_block_nullities", "isotypic_match"])
+], ids=["graded_kernel", "syzygy_kernel", "full_block_nullities"])
 def test_empty_prime_sets_are_rejected(compute, monkeypatch):
     # no prime used to fail on an empty list index, or to agree vacuously
     monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
@@ -720,3 +705,109 @@ def test_hilbert_values_are_lower_bounds(monkeypatch):
             - ideals.hilbert_value(lid, ell, prime=p) for lid in loci.LOCI for ell in range(1, 6)}
     assert min(gaps.values()) >= 0
     assert {k for k, gap in gaps.items() if gap} == {("tact", 5), ("empty", 5)}
+
+
+# ---------------------------------------------------------------------------
+# exact concomitant membership
+# ---------------------------------------------------------------------------
+
+def _reference_residue(x, p):
+    """The rational x reduced mod p; ValueError if p divides its denominator."""
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ValueError(f"coefficient {x} has no residue mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _reference_isotypic_match(name, locus, degree, primes=linalg.DEFAULT_PRIMES):
+    """The former ideals.isotypic_match, kept verbatim: every tableau
+    coefficient's dominant block vectors, reduced mod p, tested against the
+    row span of the mod-p kernel basis of their block, over every prime."""
+    gp = ideals.graded_kernel(locus, degree, primes)
+    coeffs, tabs = ideals.concomitant_coefficients(name)
+    vectors = [(w, vec) for f in coeffs if f
+               for w, vec in ideals.poly_to_block_vectors(f, degree).items()
+               if ideals.is_dominant(w)]
+    for p in gp.primes:
+        for w, vec in vectors:
+            v = np.array([_reference_residue(x, p) for x in vec], dtype=np.int64)
+            if not linalg.in_rowspan_mod(gp.dominant_bases[p][w], v, p):
+                return False
+    return True
+
+
+# the verify-all pairs, the two y pairs, and four pairs that are not members
+MEMBERSHIP_CASES = [*cli.CONCOMITANT_LOCI, ("Phi303", "y", 3), ("Phi330", "y", 3),
+                    ("Phi330", "delta", 3), ("Phi222", "neq", 2), ("Phi406", "delta", 4),
+                    ("Phi441", "tact", 4)]
+
+
+@pytest.mark.parametrize("name,lid,deg", MEMBERSHIP_CASES,
+                         ids=[f"{n}-{lid}" for n, lid, _ in MEMBERSHIP_CASES])
+def test_isotypic_match_agrees_with_the_modular_reference(name, lid, deg):
+    member = ideals.isotypic_match(name, lid)
+    assert member == _reference_isotypic_match(name, lid, deg)
+    assert member == ((name, lid, deg) in cli.CONCOMITANT_LOCI or lid == "y")
+
+
+def _source(c):
+    """The coefficient of x1^dx u3^du in a concomitant of type (d, dx, du)."""
+    _, dx, du = c.ctype.as_tuple()
+    key = monomial([("x1", dx), ("u3", du)])
+    return key, c.poly.collect({"x", "u"})[key]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in brackets.CATALOG if n.startswith("Phi")))
+def test_source_coefficient_is_the_top_tableau_coefficient(name):
+    # h is f_T0 on T0 = (2^dx 3^du | 3^dx), and mod p it is a highest-weight vector
+    c = brackets.catalog_concomitant(name)
+    d, dx, du = c.ctype.as_tuple()
+    _, h = _source(c)
+    coeffs, tabs, _ = tableaux.harmonic_project(c.poly)
+    assert h == coeffs[tabs.index(((2,) * dx + (3,) * du, (3,) * dx))]
+    assert all(type(x) is int for x in h.terms.values())
+    ((w, vec),) = ideals.poly_to_block_vectors(h, d).items()
+    p = linalg.DEFAULT_PRIMES[0]
+    assert linalg.in_rowspan_mod(ideals.highest_weight_bases(d, p)[w],
+                                 np.array(vec, dtype=object) % p, p)
+
+
+def _patched_source(monkeypatch, name, change):
+    """Patch brackets.catalog_concomitant so that `name`'s x1^dx u3^du
+    coefficient h becomes change(h)."""
+    c = brackets.catalog_concomitant(name)
+    key, h = _source(c)
+    poly = Poly([*((mo, x) for mo, x in c.poly.terms.items()
+                   if tuple(ve for ve in mo if ve[0][0] in "xu") != key),
+                 *((monomial(mo + key), x) for mo, x in change(h).terms.items())])
+    catalog = brackets.catalog_concomitant
+    monkeypatch.setattr(brackets, "catalog_concomitant",
+                        lambda n: brackets.Concomitant(poly, c.ctype) if n == name
+                        else catalog(n))
+
+
+def test_a_perturbed_source_coefficient_is_not_a_member(monkeypatch):
+    assert ideals.isotypic_match("Phi814", "empty")
+    _patched_source(monkeypatch, "Phi814",
+                    lambda h: h + Poly({next(iter(h.terms)): 1}))
+    assert not ideals.isotypic_match("Phi814", "empty")
+
+
+def test_a_zero_source_coefficient_raises(monkeypatch):
+    _patched_source(monkeypatch, "Phi222", lambda h: Poly())
+    with pytest.raises(ValueError, match="zero x1\\^2 u3\\^2 coefficient"):
+        ideals.isotypic_match("Phi222", "equiv")
+
+
+def test_isotypic_match_eliminates_nothing(monkeypatch):
+    # no modular elimination, kernel, harmonic projection or Fraction
+    def fail(*args, **kwargs):
+        pytest.fail("isotypic_match left the exact integer route")
+
+    for fn in ("rank_mod", "nullspace_mod", "nullity_mod", "in_rowspan_mod"):
+        monkeypatch.setattr(linalg, fn, fail)
+    monkeypatch.setattr(tableaux, "harmonic_project", fail)
+    monkeypatch.setattr(ideals, "graded_kernel", fail)
+    assert "Fraction" not in vars(ideals)
+    for name, lid, _ in cli.CONCOMITANT_LOCI:
+        assert ideals.isotypic_match(name, lid)
