@@ -44,13 +44,16 @@ multiplicity of V_lam in R_l/I_l lives in the highest-weight space of the
 dominant block lam, the common kernel of the two raising derivations, of
 dimension m_lam (the plethysm coefficient of V_lam in Sym^l(S^3), at most
 4 for l <= 8 against blocks of up to 331 monomials).  highest_weight_bases
-eliminates each block's raising map once per (degree, prime), for every
-locus, and checks each count against decompose(sym_power(l, S^3)).
-hilbert_value then takes, for each lam, the rank of the basis times the
-values of the block's monomials at m_lam + HILBERT_MARGIN random points of
-the locus, and sums dim V_lam times the ranks.  The points are the cubics
-of the memoized loci.sample, so one seeded point sequence is drawn once and
-shared by every degree.
+solves, once per (degree, prime) and for every locus, only the blocks with
+m_lam > 0 in decompose(sym_power(l, S^3)): the kernel K of the first raising
+map, then the kernel of the second restricted to K, each count checked
+against m_lam.  The raising matrices are filled by array operations on the
+monomial lists.  hilbert_value then evaluates the monomials of all these
+blocks at the random points of the locus in one array pass, takes for each
+lam the rank of the basis times its block's values at the first
+m_lam + HILBERT_MARGIN points, and sums dim V_lam times the ranks.  The
+points are the cubics of the memoized loci.sample, so one seeded point
+sequence is drawn once and shared by every degree.
 
 Syzygies among the degree-j generators are the kernel of the multiplication
 map (generators) x (linear forms) -> R_{j+1}; this needs no substitution
@@ -295,7 +298,9 @@ def _solve_blocks(what, primes, blocks, solve, exact=None):
     """Solve every block modulo every prime, and check that the primes agree.
 
     blocks(p) yields (weight, int64 matrix mod p), one block at a time, and
-    solve(A, p) is the linalg entry for the job.  Returns
+    solve(A, p) is the linalg entry for the job (for highest-weight vectors,
+    A is the pair of raising matrices and solve calls nullspace_mod twice,
+    see _common_kernel).  Returns
     ({p: {weight: result}}, {weight: count}), where a count is the result
     itself (a rank or a nullity) or its number of rows (a kernel basis), and
     zero counts are left out.  Primes that disagree raise UnluckyPrimeError
@@ -430,6 +435,60 @@ def full_block_nullities(locus, degree, primes):
 _RAISING = (((1, -1, 0), 0), ((0, 1, -1), 1))
 
 
+def _monomial_array(monos, degree):
+    """The index tuples `monos` of one degree as an (n, degree) int64 array."""
+    return np.array(monos, dtype=np.int64).reshape(len(monos), degree)
+
+
+def _raising_maps(degree, w):
+    """(D1, D2) on block w: int64 matrices from its monomials to block w + step.
+
+    Column j is the image of the block's j-th monomial, by Leibniz: a factor
+    a_s of multiplicity c goes to c (e_s[read] + 1) a_{s + step} times the
+    rest.  A raised monomial is found in its block by its code, the exponent
+    vector in base degree + 1 with a0's exponent the leading digit, which
+    falls strictly along each list of monomials_by_weight.  Where no factor
+    can be raised the matrix has no rows.  Entries are at most 3 degree,
+    residues for every allowed prime.
+    """
+    blocks, _ = monomials_by_weight(degree)
+    power = (degree + 1) ** np.arange(9, -1, -1, dtype=np.int64)
+    monos = _monomial_array(blocks[w], degree)
+    codes = power[monos].sum(axis=1)
+    # the first factor of each run of equal factors of a monomial
+    first = np.ones(monos.shape, dtype=bool)
+    first[:, 1:] = monos[:, 1:] != monos[:, :-1]
+    maps = []
+    for step, read in _RAISING:
+        # the index of a_{s + step} for each s (-1 where there is none), and e_s[read] + 1
+        up = np.array([A_INDEX.get(tuple(map(add, e, step)), -1) for e in A_EXPS])
+        factor = np.array([e[read] + 1 for e in A_EXPS])
+        target = _monomial_array(blocks.get(tuple(map(add, w, step)), []), degree)
+        D = np.zeros((len(target), len(monos)), dtype=np.int64)
+        # (col, k): a factor a_s of the col-th monomial that can be raised
+        col, k = np.nonzero(first & (up[monos] >= 0))
+        s = monos[col, k]
+        raised = codes[col] - power[s] + power[up[s]]
+        # codes fall along the target's list, so their negatives are sorted
+        rows = np.searchsorted(-power[target].sum(axis=1), -raised)
+        D[rows, col] = (monos[col] == s[:, None]).sum(axis=1) * factor[s]
+        maps.append(D)
+    return tuple(maps)
+
+
+def _common_kernel(maps, p, nullspace):
+    """Rows spanning ker D1 cap ker D2 mod p: K = ker D1, N = ker(D2 K), then (K N)^T.
+
+    K's columns are independent, so the columns of K N are a basis of the
+    vectors of ker D1 that D2 kills, the same space as the kernel of the two
+    maps stacked.  `nullspace` is the linalg entry, passed in by the caller.
+    """
+    D1, D2 = maps
+    K = nullspace(D1, p)
+    N = nullspace(_product_mod(D2, K, p), p)
+    return _product_mod(K, N, p).T.copy()
+
+
 @lru_cache(maxsize=32)
 def highest_weight_bases(degree, p):
     """{dominant weight: basis rows mod p} of the highest-weight vectors of R_degree.
@@ -437,40 +496,24 @@ def highest_weight_bases(degree, p):
     The highest-weight vectors of block w are the common kernel, on the
     block, of the raising derivations D1 a_s = (e_s[0] + 1) a_{s+(1,-1,0)} and
     D2 a_s = (e_s[1] + 1) a_{s+(0,1,-1)}, extended to monomials by Leibniz:
-    one nullspace of the two maps stacked.  Every block's count is compared
-    with its exact multiplicity in decompose(sym_power(degree, S^3)), the
-    label of w being (w0 - w2, w1 - w2); a mismatch raises UnluckyPrimeError
-    and caches nothing.  The mod-p kernel holds the reduction of the rational
-    one, so equal counts prove that the basis is that reduction.  Blocks
-    with no highest-weight vector are left out.  No locus enters.
+    K = ker D1, then the kernel of D2 restricted to it (_common_kernel).
+    Only the blocks w whose label (w0 - w2, w1 - w2) has a nonzero exact
+    multiplicity m_w in decompose(sym_power(degree, S^3)) are solved; no
+    Hilbert value reads the others.  Every count is compared with m_w; a
+    mismatch raises UnluckyPrimeError and caches nothing.  The mod-p kernel
+    holds the reduction of the rational one, so equal counts prove that the
+    basis is that reduction.  No locus enters.
     """
     p = linalg.check_prime(p)
-    blocks, index = monomials_by_weight(degree)
-    dominant = [w for w in blocks if is_dominant(w)]
+    blocks, _ = monomials_by_weight(degree)
     mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
-    exact = {w: mults.get((w[0] - w[2], w[1] - w[2]), 0) for w in dominant}
-
-    def raising(_):
-        # rows: the images in block w + step of each map in turn; entries are
-        # at most 3 degree, so they are residues already
-        for w in dominant:
-            targets = [tuple(map(add, w, step)) for step, _ in _RAISING]
-            offsets = np.cumsum([0] + [len(index.get(t, ())) for t in targets])
-            A = np.zeros((offsets[-1], len(blocks[w])), dtype=np.int64)
-            for col, m in enumerate(blocks[w]):
-                for s in set(m):
-                    e, k = A_EXPS[s], m.index(s)
-                    for (step, read), t, at in zip(_RAISING, targets, offsets):
-                        up = A_INDEX.get(tuple(map(add, e, step)))
-                        if up is not None:
-                            # Leibniz: a_s^c goes to c (e_s[read] + 1) a_s^(c-1) a_up
-                            raised = tuple(sorted(m[:k] + (up,) + m[k + 1:]))
-                            A[at + index[t][raised], col] = m.count(s) * (e[read] + 1)
-            yield w, A
-
-    results, _ = _solve_blocks(f"highest-weight vectors of degree {degree}", (p,), raising,
-                               lambda A, q: linalg.nullspace_mod(A, q).T.copy(), exact=exact)
-    bases = {w: B for w, B in results[p].items() if len(B)}
+    exact = {w: m for w in blocks if is_dominant(w)
+             if (m := mults.get((w[0] - w[2], w[1] - w[2]), 0))}
+    results, _ = _solve_blocks(f"highest-weight vectors of degree {degree}", (p,),
+                               lambda _: ((w, _raising_maps(degree, w)) for w in exact),
+                               lambda maps, q: _common_kernel(maps, q, linalg.nullspace_mod),
+                               exact=exact)
+    bases = results[p]
     for B in bases.values():
         B.flags.writeable = False     # cached: every caller shares these arrays
     return bases
@@ -495,9 +538,10 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     rows of highest_weight_bases(degree, prime), E the values of the
     block's monomials (in the order of monomials_by_weight) at the first
     m + HILBERT_MARGIN points and at no others, so every irreducible has its
-    own margin of HILBERT_MARGIN points past its size.  The k-th point is the
-    cubic loci.sample(locus, (seed, k), prime); sample is memoized, so every
-    degree shares one drawn sequence.
+    own margin of HILBERT_MARGIN points past its size.  The values of all
+    these blocks' monomials are computed in one array pass, and each block
+    takes its slice.  The k-th point is the cubic loci.sample(locus, (seed,
+    k), prime); sample is memoized, so every degree shares one drawn sequence.
 
     Monte Carlo (one-sided): the result is a lower bound.  The ideal is
     GL3-stable, so (R/I)_degree holds V_lam with multiplicity mult_lam =
@@ -515,16 +559,16 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     npoints = max(map(len, bases.values())) + HILBERT_MARGIN
     phival = np.array([loci.sample(locus, (seed, k), prime) for k in range(npoints)],
                       dtype=np.int64).T
+    # E's row i, column k: the i-th monomial of the blocks in turn at the k-th point
+    monos = [m for w in bases for m in blocks[w]]
+    E = np.ones((len(monos), npoints), dtype=np.int64)
+    for col in _monomial_array(monos, degree).T:
+        E = E * phival[col] % prime
+    bounds = np.cumsum([0] + [len(blocks[w]) for w in bases])
 
     def evaluations(p):
-        # B times E, E's row i, column k the block's i-th monomial at the k-th point
-        for w, B in bases.items():
-            ms = blocks[w]
-            vals = phival[:, :len(B) + HILBERT_MARGIN]
-            E = np.ones((len(ms), vals.shape[1]), dtype=np.int64)
-            for col in np.array(ms, dtype=np.intp).reshape(len(ms), degree).T:
-                E = E * vals[col] % p
-            yield w, _product_mod(B, E, p)
+        for (w, B), lo, hi in zip(bases.items(), bounds, bounds[1:]):
+            yield w, _product_mod(B, E[lo:hi, :len(B) + HILBERT_MARGIN], p)
 
     _, ranks = _solve_blocks(f"H({locus}, {degree})", (prime,), evaluations, linalg.rank_mod)
     return sum(dim_irrep(w[0] - w[2], w[1] - w[2]) * r for w, r in ranks.items())
@@ -611,8 +655,11 @@ def isotypic_match(name, locus):
     """
     c = brackets.catalog_concomitant(name)
     d, dx, du = c.ctype.as_tuple()
-    h = c.poly.collect({"x", "u"}).get(monomial([("x1", dx), ("u3", du)]))
-    if h is None:
+    key = monomial([("x1", dx), ("u3", du)])
+    # the terms whose (x, u) part is the key, split as harmonic_project splits them
+    h = Poly((tuple(ve for ve in mo if ve[0][0] not in "xu"), x)
+             for mo, x in c.poly.terms.items() if tuple(ve for ve in mo if ve[0][0] in "xu") == key)
+    if not h:
         raise ValueError(f"{name} has a zero x1^{dx} u3^{du} coefficient; it proves nothing")
     ((w, vec),) = poly_to_block_vectors(h, d).items()
     shape, rows, cols, coeffs = _image_blocks(locus, d)[w]

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from ternary_cubics import brackets, ideals, linalg, loci, resolution, tableaux
 from ternary_cubics.characters import decompose, dim_irrep, sym_power, weyl_character
-from ternary_cubics.poly import A_EXPS, Poly, monomial
+from ternary_cubics.poly import A_EXPS, A_INDEX, Poly, monomial
 
 PRIMES = (1000003, 65537)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -639,6 +640,139 @@ def test_a_missing_highest_weight_vector_raises_and_caches_nothing(monkeypatch):
     assert len(ideals.highest_weight_bases(deg, p)[w]) == int(got[5])
 
 
+# the raising derivations as (weight step, exponent read), as in ideals
+_RAISING_STEPS = (((1, -1, 0), 0), ((0, 1, -1), 1))
+
+
+def _reference_raising_maps(degree, w):
+    """The former per-monomial loop that filled the raising matrices of
+    ideals.highest_weight_bases, kept verbatim but for returning D1 and D2
+    apart: column col is the image of the block's col-th monomial."""
+    blocks, index = ideals.monomials_by_weight(degree)
+    maps = []
+    for step, read in _RAISING_STEPS:
+        t = tuple(map(add, w, step))
+        A = np.zeros((len(index.get(t, ())), len(blocks[w])), dtype=np.int64)
+        for col, m in enumerate(blocks[w]):
+            for s in set(m):
+                e, k = A_EXPS[s], m.index(s)
+                up = A_INDEX.get(tuple(map(add, e, step)))
+                if up is not None:
+                    # Leibniz: a_s^c goes to c (e_s[read] + 1) a_s^(c-1) a_up
+                    raised = tuple(sorted(m[:k] + (up,) + m[k + 1:]))
+                    A[index[t][raised], col] = m.count(s) * (e[read] + 1)
+        maps.append(A)
+    return tuple(maps)
+
+
+def _reference_highest_weight_bases(degree, p):
+    """The former ideals.highest_weight_bases: one nullspace of the two raising
+    maps stacked, for every dominant block, each count checked against its
+    plethysm coefficient."""
+    p = linalg.check_prime(p)
+    blocks, _ = ideals.monomials_by_weight(degree)
+    dominant = [w for w in blocks if ideals.is_dominant(w)]
+    mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
+    exact = {w: mults.get((w[0] - w[2], w[1] - w[2]), 0) for w in dominant}
+
+    def raising(_):
+        for w in dominant:
+            yield w, np.vstack(_reference_raising_maps(degree, w))
+
+    results, _ = ideals._solve_blocks(f"highest-weight vectors of degree {degree}", (p,),
+                                      raising, lambda A, q: linalg.nullspace_mod(A, q).T.copy(),
+                                      exact=exact)
+    return {w: B for w, B in results[p].items() if len(B)}
+
+
+def _solved_weights(degree):
+    """The dominant weights of R_degree whose plethysm coefficient is nonzero."""
+    blocks, _ = ideals.monomials_by_weight(degree)
+    mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
+    return [w for w in blocks
+            if ideals.is_dominant(w) and mults.get((w[0] - w[2], w[1] - w[2]))]
+
+
+@pytest.mark.parametrize("p", linalg.DEFAULT_PRIMES)
+def test_highest_weight_bases_span_the_stacked_kernel(p):
+    for deg in range(9):
+        reference = _reference_highest_weight_bases(deg, p)
+        bases = ideals.highest_weight_bases(deg, p)
+        assert list(bases) == list(reference)
+        for w, B in bases.items():
+            assert linalg.rank_mod(B, p) == len(B) == len(reference[w])
+            assert linalg.rank_mod(np.vstack([reference[w], B]), p) == len(B)
+
+
+def test_raising_maps_match_the_per_monomial_loop():
+    for deg in range(9):
+        for w in _solved_weights(deg):
+            got, want = ideals._raising_maps(deg, w), _reference_raising_maps(deg, w)
+            assert [D.shape for D in got] == [D.shape for D in want]
+            assert all(np.array_equal(D, R) for D, R in zip(got, want))
+
+
+def _recording_solves(monkeypatch, nullspace):
+    """Patch _solve_blocks to note the weight of the block being solved, and
+    linalg.nullspace_mod to nullspace(A, q, weight)."""
+    solve_blocks = ideals._solve_blocks
+    current = []
+
+    def recording(what, primes, blocks, solve, exact=None):
+        def tagged(p):
+            for w, A in blocks(p):
+                current[:] = [w]
+                yield w, A
+        return solve_blocks(what, primes, tagged, solve, exact)
+
+    monkeypatch.setattr(ideals, "_solve_blocks", recording)
+    monkeypatch.setattr(linalg, "nullspace_mod", lambda A, q: nullspace(A, q, current[0]))
+
+
+def test_blocks_without_an_irreducible_are_not_solved(monkeypatch):
+    # nullspace_mod sees each block with m_lam > 0 twice (ker D1, then D2 on
+    # it), in order, and no other block
+    nullspace, seen = linalg.nullspace_mod, []
+    _recording_solves(monkeypatch, lambda A, q, w: seen.append(w) or nullspace(A, q))
+    skipped = 0
+    for deg in range(9):
+        seen.clear()
+        ideals.highest_weight_bases.__wrapped__(deg, linalg.DEFAULT_PRIMES[1])
+        assert seen == [w for w in _solved_weights(deg) for _ in range(2)]
+        blocks, _ = ideals.monomials_by_weight(deg)
+        skipped += sum(map(ideals.is_dominant, blocks)) - len(_solved_weights(deg))
+    assert skipped > 0
+
+
+def test_a_vector_dropped_from_the_second_stage_raises_and_caches_nothing(monkeypatch):
+    # drop one vector of ker(D2 K) in the last block of degree 4, (4, 4, 4):
+    # its 25 monomials hold one highest-weight vector inside a larger ker D1.
+    # A prime no other test builds a basis for, so the call cannot hit the cache
+    p, deg = 999979, 4
+    w = _solved_weights(deg)[-1]
+    assert w == (4, 4, 4)
+    before = ideals.highest_weight_bases.cache_info().currsize
+    nullspace, calls, dropped = linalg.nullspace_mod, [], []
+
+    def drop_in_stage_two(A, q, at):
+        calls.append(at)
+        N = nullspace(A, q)
+        if at == w and calls.count(w) == 2:
+            dropped.append(N.shape)
+            return N[:, :-1]
+        return N
+
+    _recording_solves(monkeypatch, drop_in_stage_two)
+    with pytest.raises(linalg.UnluckyPrimeError) as err:
+        ideals.highest_weight_bases(deg, p)
+    assert str(err.value) == ("highest-weight vectors of degree 4: weight block (4, 4, 4) "
+                              "has nullity {999979: 0, 'exact': 1} by prime")
+    assert dropped[0][0] > dropped[0][1] == 1
+    assert ideals.highest_weight_bases.cache_info().currsize == before
+    monkeypatch.undo()
+    assert len(ideals.highest_weight_bases(deg, p)[w]) == 1
+
+
 def test_products_mod_p_are_exact_past_one_run():
     # 2000 products of residues near 2^27 sum past 2^63 in one run
     p = 134217689
@@ -758,8 +892,9 @@ def _source(c):
 
 
 @pytest.mark.parametrize("name", sorted(n for n in brackets.CATALOG if n.startswith("Phi")))
-def test_source_coefficient_is_the_top_tableau_coefficient(name):
-    # h is f_T0 on T0 = (2^dx 3^du | 3^dx), and mod p it is a highest-weight vector
+def test_source_coefficient_is_the_top_tableau_coefficient(name, monkeypatch):
+    # h is f_T0 on T0 = (2^dx 3^du | 3^dx), and mod p it is a highest-weight vector;
+    # isotypic_match reads the same h as Poly.collect does
     c = brackets.catalog_concomitant(name)
     d, dx, du = c.ctype.as_tuple()
     _, h = _source(c)
@@ -770,6 +905,10 @@ def test_source_coefficient_is_the_top_tableau_coefficient(name):
     p = linalg.DEFAULT_PRIMES[0]
     assert linalg.in_rowspan_mod(ideals.highest_weight_bases(d, p)[w],
                                  np.array(vec, dtype=object) % p, p)
+    split, read = ideals.poly_to_block_vectors, []
+    monkeypatch.setattr(ideals, "poly_to_block_vectors", lambda f, deg: read.append(f) or split(f, deg))
+    ideals.isotypic_match(name, "equiv")
+    assert read == [h]
 
 
 def _patched_source(monkeypatch, name, change):
