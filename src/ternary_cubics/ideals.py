@@ -3,17 +3,25 @@
 The degree-j piece of the ideal of a locus is the kernel of the substitution
 map R_j -> k[params]: send each degree-j monomial in a0..a9 to its image under
 a_r -> phi_r(params).  The map preserves torus weight, so the kernel splits
-into weight blocks; each block is a small exact nullspace mod p, and the block
-nullities assemble into the character of the graded piece.
+into weight blocks, and the block nullities are the character of the graded
+piece.
 
-Every locus is GL3-stable.  Permuting x1, x2, x3 permutes the a_r without
+Every locus is GL3-stable, so each graded piece is a sum of irreducibles
+V_lam, and graded_kernel reads its character one irreducible at a time: the
+multiplicity of V_lam is a nullity mod p of the image block lam times its
+m_lam highest-weight vectors (see below), a matrix of m_lam columns (at most
+4 below degree 9), and the block nullities follow from the irreducible
+characters.  No kernel basis is eliminated for a dimension or a type.
+
+Kernel bases are eliminated only when read (GradedPiece.dominant_bases, for
+syzygies and evaluation).  Permuting x1, x2, x3 permutes the a_r without
 scalars and maps the block of weight w onto the block of the permuted weight,
 kernel onto kernel.  So only the dominant blocks (w0 >= w1 >= w2) are
-eliminated, and every other block is filled from its S3 orbit: its nullity is
-that of its dominant block, and its kernel basis, when asked for, is the
-dominant basis with the a-indices permuted (basis transport), never a second
-elimination.  The verify-all check weyl-orbits-delta-5 eliminates every block
-of one kernel and confirms that nullity is constant on each orbit.
+eliminated, each an exact nullspace mod p checked against the multiplicity
+route, and every other block's basis is its dominant block's basis with the
+a-indices permuted (basis transport), never a second elimination.  The
+verify-all check weyl-orbits-delta-5 eliminates every block of one kernel and
+compares each block nullity with graded_kernel's, two independent routes.
 
 Monomials in the a-variables are nondecreasing index tuples (a0 a0 a3 =
 (0, 0, 3)), listed once per degree in lexicographic order by
@@ -31,29 +39,32 @@ largest sum of |coefficients| of one phi_r, and a build where that bound
 reaches 2^63 raises ValueError.  Below _MAX_MONOMIALS none does (L <= 12 and
 degree <= 14: 12^14 < 2^51).
 
-Every weight-blocked elimination (kernels, syzygies, the all-block
-cross-check, highest-weight vectors, Hilbert values) takes one path,
-_solve_blocks: for each prime it builds the blocks one at a time and hands
+Every weight-blocked elimination (kernel multiplicities and bases,
+syzygies, the all-block cross-check, highest-weight vectors, Hilbert values)
+takes one path, _solve_blocks: for each prime it builds the blocks one at a
+time and hands
 each to one linalg entry, then compares the primes, and an exact count
 where one is known.  It is the one place here that compares counts; a
 disagreement raises UnluckyPrimeError naming the weight block and its count
 modulo each prime.
 
-Hilbert function values are read one irreducible at a time.  The
-multiplicity of V_lam in R_l/I_l lives in the highest-weight space of the
-dominant block lam, the common kernel of the two raising derivations, of
-dimension m_lam (the plethysm coefficient of V_lam in Sym^l(S^3), at most
-4 for l <= 8 against blocks of up to 331 monomials).  highest_weight_bases
-solves, once per (degree, prime) and for every locus, only the blocks with
-m_lam > 0 in decompose(sym_power(l, S^3)): the kernel K of the first raising
-map, then the kernel of the second restricted to K, each count checked
-against m_lam.  The raising matrices are filled by array operations on the
-monomial lists.  hilbert_value then evaluates the monomials of all these
-blocks at the random points of the locus in one array pass, takes for each
-lam the rank of the basis times its block's values at the first
-m_lam + HILBERT_MARGIN points, and sums dim V_lam times the ranks.  The
-points are the cubics of the memoized loci.sample, so one seeded point
-sequence is drawn once and shared by every degree.
+Hilbert function values and kernel multiplicities are read one irreducible
+at a time.  The multiplicity of V_lam in I_l, and so in R_l/I_l, lives in the
+highest-weight space of the dominant block lam, the common kernel of the two
+raising derivations, of dimension m_lam (the plethysm coefficient of V_lam in
+Sym^l(S^3), at most 4 for l <= 8 against blocks of up to 331 monomials).
+highest_weight_bases solves, once per (degree, prime) and for every locus,
+only the blocks with m_lam > 0 in decompose(sym_power(l, S^3)): the kernel K
+of the first raising map, then the kernel of the second restricted to K, each
+count checked against m_lam.  The raising matrices are filled by array
+operations on the monomial lists.  graded_kernel builds the image blocks of
+these lam only and takes the nullity of each one times the transposed basis.
+hilbert_value evaluates the monomials of all these blocks at the random
+points of the locus in one array pass, takes for each lam the rank of the
+basis times its block's values at the first m_lam + HILBERT_MARGIN points,
+and sums dim V_lam times the ranks.  The points are the cubics of the
+memoized loci.sample, so one seeded point sequence is drawn once and shared
+by every degree.
 
 Syzygies among the degree-j generators are the kernel of the multiplication
 map (generators) x (linear forms) -> R_{j+1}; this needs no substitution
@@ -74,7 +85,8 @@ from operator import add
 import numpy as np
 
 from . import brackets, linalg, loci, tableaux
-from .characters import Character, decompose, dim_irrep, sym_power, weyl_character
+from .characters import (Character, decompose, dim_irrep, normalize, sym_power,
+                         weyl_character)
 from .poly import A_EXPS, A_INDEX, Poly, cubic_point, monomial
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
@@ -225,16 +237,16 @@ def _times_phi(image, parents, lasts, phi):
     return tuple(map(np.concatenate, zip(*out)))
 
 
-def _image_blocks(locus, degree, dominant_only=True):
+def _image_blocks(locus, degree, weights):
     """Per-weight substitution matrices over Z, transposed for nullspace extraction.
 
-    Returns {weight: (shape, rows, cols, coeffs)} for the dominant weights, or
-    for every weight without `dominant_only`: the sparse integer matrix of
-    shape (n_param_keys, n_monos) as int64 arrays, which _blocks_mod reduces
-    modulo a prime.  The columns are the block's monomials (in the order of
-    monomials_by_weight), so nullspace vectors are ideal elements; the rows
-    are the block's packed parameter keys in increasing order.  Entries come
-    sorted by column, then row.
+    Returns {weight: (shape, rows, cols, coeffs)} for the given weights of
+    degree-`degree` blocks, in their given order, and builds no other block:
+    the sparse integer matrix of shape (n_param_keys, n_monos) as int64
+    arrays, which _blocks_mod reduces modulo a prime.  The columns are the
+    block's monomials (in the order of monomials_by_weight), so nullspace
+    vectors are ideal elements; the rows are the block's packed parameter
+    keys in increasing order.  Entries come sorted by column, then row.
 
     The images of the distinct prefixes of the chosen monomials are built
     level by level, each level one batched product with phi (_times_phi);
@@ -248,7 +260,7 @@ def _image_blocks(locus, degree, dominant_only=True):
     if bound >= 2 ** 63:
         raise ValueError(f"images of {locus} in degree {degree} have coefficients up to "
                          f"{bound:,}, past int64")
-    chosen = [w for w in blocks if is_dominant(w) or not dominant_only]
+    chosen = list(weights)
     if degree == 0:
         zero = np.zeros(1, dtype=np.intp)
         return {w: ((1, 1), zero, zero, np.ones(1, dtype=np.int64)) for w in chosen}
@@ -330,7 +342,7 @@ def _solve_blocks(what, primes, blocks, solve, exact=None):
 
 @dataclass
 class _Piece:
-    """A graded piece: its block nullities, filled over every S3 orbit."""
+    """A graded piece: the nullity of every nonzero weight block, dominant or not."""
     locus: str
     degree: int
     primes: tuple
@@ -344,10 +356,30 @@ class _Piece:
         return sum(self.block_nullities.values())
 
 
-@dataclass
 class GradedPiece(_Piece):
-    # prime -> {dominant weight: basis rows}, as cached by graded_kernel
-    dominant_bases: dict = field(repr=False, compare=False)
+    """A graded piece of an ideal, whose kernel bases are eliminated on first read."""
+
+    @cached_property
+    def dominant_bases(self):
+        """prime -> {dominant weight: basis rows}, eliminated on first read.
+
+        Builds every dominant image block and eliminates its kernel modulo
+        each prime (nullspace_mod).  The block nullities of graded_kernel are
+        the exact source of that _solve_blocks call, so the two routes check
+        each other: a disagreement raises UnluckyPrimeError naming the block,
+        and nothing is cached.  The bases are cached per (locus, degree, primes).
+        """
+        key = (self.locus, self.degree, self.primes)
+        if key not in _BASIS_CACHE:
+            blocks, _ = monomials_by_weight(self.degree)
+            dominant = [w for w in blocks if is_dominant(w)]
+            images = _image_blocks(self.locus, self.degree, dominant)
+            _BASIS_CACHE[key], _ = _solve_blocks(
+                f"kernel bases of {self.locus} degree {self.degree}", self.primes,
+                lambda p: _blocks_mod(images, p),
+                lambda A, p: linalg.nullspace_mod(A, p).T.copy(),
+                exact={w: self.block_nullities.get(w, 0) for w in dominant})
+        return _BASIS_CACHE[key]
 
     @cached_property
     def bases(self):
@@ -388,40 +420,67 @@ class GradedPiece(_Piece):
         return True
 
 
-_KERNEL_CACHE = {}   # (locus, degree, primes) -> the result of _solve_blocks
+_KERNEL_CACHE = {}   # (locus, degree, primes) -> {dominant weight: multiplicity}
+_BASIS_CACHE = {}    # (locus, degree, primes) -> {prime: {dominant weight: basis rows}}
 
 
 def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
-    """The degree-`degree` piece of the ideal of `locus`.
+    """The degree-`degree` piece of the ideal of `locus`, one irreducible at a time.
 
-    Only the dominant weight blocks are eliminated; every other block has the
-    nullity of its dominant block.  Block nullities are computed
-    independently modulo every prime in `primes` and must agree; a
-    disagreement raises UnluckyPrimeError naming the block.
+    I = I_degree is GL3-stable, so it holds each V_lam some mult_lam times,
+    and the nullity of its weight block w is the sum over lam of mult_lam
+    times the multiplicity of the weight w in V_lam (weyl_character).  For
+    each dominant lam with m_lam > 0 (the plethysm coefficient of V_lam in
+    Sym^degree(S^3)), mult_lam is read in lam's highest-weight space: it is
+    k_lam = nullity of A_lam B_lam^T mod p, A_lam the image block of lam and
+    B_lam the m_lam rows of highest_weight_bases(degree, p) (m_lam <= 4 below
+    degree 9).  Only these image blocks are built.  The k_lam are computed
+    independently modulo every prime in `primes` and must agree
+    (_solve_blocks); a disagreement raises UnluckyPrimeError naming the block.
+
+    One-sided, like a block nullity mod p: k_lam >= mult_lam over Q.  The
+    space HW_lam(R_degree) cap I has dimension mult_lam and an integer basis
+    whose reductions mod p are independent, lie in the span of B_lam (the
+    count check of highest_weight_bases makes B_lam the reduction of
+    HW_lam(R_degree)) and are killed by A_lam.  Their coordinates on B_lam are
+    then mult_lam independent kernel vectors of A_lam B_lam^T.
+
+    No kernel basis is eliminated here; GradedPiece.dominant_bases does that
+    on first read.
     """
     primes = linalg.check_primes(primes)
     key = (locus, degree, primes)
     if key not in _KERNEL_CACHE:
-        # one image build over Z serves every prime; basis vectors as rows
-        # over the block's monomials.  A bad locus or degree raises in the
-        # build, and a disagreement in the solve, before anything is stored.
-        images = _image_blocks(locus, degree)
-        _KERNEL_CACHE[key] = _solve_blocks(
-            f"kernel of {locus} degree {degree}", primes, lambda p: _blocks_mod(images, p),
-            lambda A, p: linalg.nullspace_mod(A, p).T.copy())
-    bases, dominant = _KERNEL_CACHE[key]
-    return GradedPiece(locus, degree, primes, _fill_orbits(dominant), bases)
+        # one image build over Z serves every prime.  A bad locus or degree
+        # raises in the build, and a disagreement in the solve, before
+        # anything is stored.
+        images = _image_blocks(locus, degree, _highest_weights(degree))
+
+        def products(p):
+            bases = highest_weight_bases(degree, p)
+            for w, A in _blocks_mod(images, p):
+                yield w, _product_mod(A, bases[w].T, p)
+
+        _, _KERNEL_CACHE[key] = _solve_blocks(f"kernel of {locus} degree {degree}", primes,
+                                              products, linalg.nullity_mod)
+    char = Character()
+    for w, k in _KERNEL_CACHE[key].items():
+        char += weyl_character(w[0] - w[2], w[1] - w[2]).scale(k)
+    blocks, _ = monomials_by_weight(degree)
+    nullities = {w: n for w in blocks if (n := char.get(normalize(w), 0))}
+    return GradedPiece(locus, degree, primes, nullities)
 
 
 def full_block_nullities(locus, degree, primes):
     """{weight: nullity} of every block, dominant or not, each eliminated.
 
-    The cross-check of the orbit reduction: graded_kernel takes the nullity
-    of a non-dominant block from its dominant block instead.  One image
+    The cross-check of graded_kernel, which reads the nullities from
+    highest-weight spaces and the irreducible characters instead.  One image
     build over Z serves every prime, and the primes must agree.
     """
     primes = linalg.check_primes(primes)
-    images = _image_blocks(locus, degree, dominant_only=False)
+    blocks, _ = monomials_by_weight(degree)
+    images = _image_blocks(locus, degree, list(blocks))
     return _solve_blocks(f"all blocks of {locus} degree {degree}", primes,
                          lambda p: _blocks_mod(images, p), linalg.nullity_mod)[1]
 
@@ -489,6 +548,17 @@ def _common_kernel(maps, p, nullspace):
     return _product_mod(K, N, p).T.copy()
 
 
+@lru_cache(maxsize=16)
+def _highest_weights(degree):
+    """{dominant weight w: m_w} for every block with m_w > 0, in the order of
+    monomials_by_weight: m_w is the multiplicity of V_(w0 - w2, w1 - w2) in
+    decompose(sym_power(degree, S^3)).  Read only: the dict is cached."""
+    blocks, _ = monomials_by_weight(degree)
+    mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
+    return {w: m for w in blocks if is_dominant(w)
+            if (m := mults.get((w[0] - w[2], w[1] - w[2]), 0))}
+
+
 @lru_cache(maxsize=32)
 def highest_weight_bases(degree, p):
     """{dominant weight: basis rows mod p} of the highest-weight vectors of R_degree.
@@ -498,17 +568,15 @@ def highest_weight_bases(degree, p):
     D2 a_s = (e_s[1] + 1) a_{s+(0,1,-1)}, extended to monomials by Leibniz:
     K = ker D1, then the kernel of D2 restricted to it (_common_kernel).
     Only the blocks w whose label (w0 - w2, w1 - w2) has a nonzero exact
-    multiplicity m_w in decompose(sym_power(degree, S^3)) are solved; no
-    Hilbert value reads the others.  Every count is compared with m_w; a
-    mismatch raises UnluckyPrimeError and caches nothing.  The mod-p kernel
-    holds the reduction of the rational one, so equal counts prove that the
-    basis is that reduction.  No locus enters.
+    multiplicity m_w in decompose(sym_power(degree, S^3)) are solved
+    (_highest_weights); no Hilbert value or kernel multiplicity reads the
+    others.  Every count is compared with m_w; a mismatch raises
+    UnluckyPrimeError and caches nothing.  The mod-p kernel holds the
+    reduction of the rational one, so equal counts prove that the basis is
+    that reduction.  No locus enters.
     """
     p = linalg.check_prime(p)
-    blocks, _ = monomials_by_weight(degree)
-    mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
-    exact = {w: m for w in blocks if is_dominant(w)
-             if (m := mults.get((w[0] - w[2], w[1] - w[2]), 0))}
+    exact = _highest_weights(degree)
     results, _ = _solve_blocks(f"highest-weight vectors of degree {degree}", (p,),
                                lambda _: ((w, _raising_maps(degree, w)) for w in exact),
                                lambda maps, q: _common_kernel(maps, q, linalg.nullspace_mod),
@@ -662,7 +730,7 @@ def isotypic_match(name, locus):
     if not h:
         raise ValueError(f"{name} has a zero x1^{dx} u3^{du} coefficient; it proves nothing")
     ((w, vec),) = poly_to_block_vectors(h, d).items()
-    shape, rows, cols, coeffs = _image_blocks(locus, d)[w]
+    shape, rows, cols, coeffs = _image_blocks(locus, d, [w])[w]
     image = [0] * shape[0]
     for r, j, a in zip(rows.tolist(), cols.tolist(), coeffs.tolist()):
         image[r] += a * vec[j]

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from ternary_cubics import brackets, ideals, linalg, loci, resolution, tableaux
-from ternary_cubics.characters import decompose, dim_irrep, sym_power, weyl_character
+from ternary_cubics.characters import (Character, decompose, dim_irrep, sym_power,
+                                      weyl_character)
 from ternary_cubics.poly import A_EXPS, A_INDEX, Poly, monomial
 
 PRIMES = (1000003, 65537)
@@ -191,6 +192,16 @@ from ternary_cubics import cli, resolution  # noqa: E402
 SMALL_ANCHORS = [(lid, deg) for lid, deg, _, _ in cli.KERNEL_ANCHORS if deg < 8]
 
 
+def _dominant_weights(degree):
+    """The dominant block weights of one degree, in the order of monomials_by_weight."""
+    return [w for w in ideals.monomials_by_weight(degree)[0] if ideals.is_dominant(w)]
+
+
+def _all_weights(degree):
+    """Every block weight of one degree, in the order of monomials_by_weight."""
+    return list(ideals.monomials_by_weight(degree)[0])
+
+
 @pytest.mark.parametrize("lid,deg", SMALL_ANCHORS,
                          ids=[f"{l}-{d}" for l, d in SMALL_ANCHORS])
 def test_dominant_nullities_equal_all_block_nullities(lid, deg):
@@ -210,7 +221,7 @@ def test_transported_bases_are_kernels(lid, deg):
     gp = ideals.graded_kernel(lid, deg, primes=(p,))
     basis = gp.bases[p]
     assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
-    matrices = dict(ideals._blocks_mod(ideals._image_blocks(lid, deg, dominant_only=False), p))
+    matrices = dict(ideals._blocks_mod(ideals._image_blocks(lid, deg, _all_weights(deg)), p))
     moved = [w for w in basis if not ideals.is_dominant(w)]
     assert moved
     for w in moved:
@@ -263,11 +274,11 @@ def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
 # rows, cols and coeffs as lists.  The kernel-basis digests pin the bases, not
 # the row order of the images they come from.
 IMAGE_CASES = {
-    "delta-5-all": [("delta", 5, False)],
-    "tact-5": [("tact", 5, True)],
-    "empty-6": [("empty", 6, True)],
-    "degrees-0-1": [(lid, deg, dominant_only) for lid in loci.LOCI for deg in (0, 1)
-                    for dominant_only in (True, False)],
+    "delta-5-all": [("delta", 5, _all_weights)],
+    "tact-5": [("tact", 5, _dominant_weights)],
+    "empty-6": [("empty", 6, _dominant_weights)],
+    "degrees-0-1": [(lid, deg, weights) for lid in loci.LOCI for deg in (0, 1)
+                    for weights in (_dominant_weights, _all_weights)],
 }
 IMAGE_DIGESTS = {
     "delta-5-all": "d2fda4bc6979bcc1a345ae6dacf6695a3ff74b6724a05741f4acdded17afa872",
@@ -280,8 +291,8 @@ IMAGE_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(IMAGE_CASES))
 def test_image_blocks_are_pinned(case):
     h = hashlib.sha256()
-    for lid, deg, dominant_only in IMAGE_CASES[case]:
-        for w, (shape, rows, cols, coeffs) in ideals._image_blocks(lid, deg, dominant_only).items():
+    for lid, deg, weights in IMAGE_CASES[case]:
+        for w, (shape, rows, cols, coeffs) in ideals._image_blocks(lid, deg, weights(deg)).items():
             h.update(repr((w, shape, rows.tolist(), cols.tolist(), coeffs.tolist())).encode())
     assert h.hexdigest() == IMAGE_DIGESTS[case]
 
@@ -302,7 +313,7 @@ def _reference_phi(locus):
     return out
 
 
-def _reference_image_blocks(locus, degree, dominant_only=True):
+def _reference_image_blocks(locus, degree, weights):
     """The images by a dict loop over Python ints, rows by first appearance.
 
     Returns {weight: (shape, rows, cols, coeffs, {packed key: row})}.
@@ -310,7 +321,7 @@ def _reference_image_blocks(locus, degree, dominant_only=True):
     phi = _reference_phi(locus)
     blocks, _ = ideals.monomials_by_weight(degree)
     # weight -> ({packed param key: row index}, rows, cols, coeffs)
-    built = {w: ({}, [], [], []) for w in blocks if ideals.is_dominant(w) or not dominant_only}
+    built = {w: ({}, [], [], []) for w in weights}
     path, prev = [{0: 1}], ()    # path[i]: the image of the first i indices
     for mono, w, j in sorted((m, w, j) for w in built for j, m in enumerate(blocks[w])):
         shared = next((i for i, (r, q) in enumerate(zip(mono, prev)) if r != q), 0)
@@ -333,17 +344,18 @@ def _reference_image_blocks(locus, degree, dominant_only=True):
 
 
 REFERENCE_CASES = {
-    **{lid: [(lid, deg, dominant_only) for deg in range(6) for dominant_only in (True, False)]
+    **{lid: [(lid, deg, weights) for deg in range(6)
+             for weights in (_dominant_weights, _all_weights)]
        for lid in loci.LOCI},
-    "empty-8-dominant": [("empty", 8, True)],
+    "empty-8-dominant": [("empty", 8, _dominant_weights)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_image_blocks_match_the_dict_reference(case):
-    for lid, deg, dominant_only in REFERENCE_CASES[case]:
-        got = ideals._image_blocks(lid, deg, dominant_only)
-        ref = _reference_image_blocks(lid, deg, dominant_only)
+    for lid, deg, weights in REFERENCE_CASES[case]:
+        got = ideals._image_blocks(lid, deg, weights(deg))
+        ref = _reference_image_blocks(lid, deg, weights(deg))
         assert list(got) == list(ref)
         for w, (shape, rows, cols, coeffs) in got.items():
             ref_shape, ref_rows, ref_cols, ref_coeffs, keys = ref[w]
@@ -365,17 +377,26 @@ def test_image_coefficients_past_int64_raise(monkeypatch):
     monkeypatch.setattr(ideals, "_encoded_phi", lambda locus: (keys, coeffs))
     # (2^40)^2 would wrap in int64
     with pytest.raises(ValueError, match="past int64"):
-        ideals._image_blocks("delta", 2)
+        ideals._image_blocks("delta", 2, _dominant_weights(2))
     # degree 1 stays inside, and keeps the coefficient exactly
-    assert 2 ** 40 in ideals._image_blocks("delta", 1)[(3, 0, 0)][3].tolist()
+    assert 2 ** 40 in ideals._image_blocks("delta", 1, [(3, 0, 0)])[(3, 0, 0)][3].tolist()
 
 
 def test_walk_prunes_to_dominant_blocks():
+    # the build returns the blocks asked for, in their order, and a block
+    # built alone equals the same block built with all the others
     blocks, _ = ideals.monomials_by_weight(5)
-    dominant = [w for w in blocks if ideals.is_dominant(w)]
-    assert list(ideals._image_blocks("delta", 5)) == dominant and len(dominant) == 27
-    assert list(ideals._image_blocks("delta", 5, dominant_only=False)) == list(blocks)
+    dominant = _dominant_weights(5)
+    assert list(ideals._image_blocks("delta", 5, dominant)) == dominant and len(dominant) == 27
+    every = ideals._image_blocks("delta", 5, _all_weights(5))
+    assert list(every) == list(blocks)
     assert len(blocks) == 136
+    some = dominant[::-4]
+    alone = ideals._image_blocks("delta", 5, some)
+    assert list(alone) == some
+    for w in some:
+        (shape, *arrays), (shape_all, *arrays_all) = alone[w], every[w]
+        assert shape == shape_all and all(map(np.array_equal, arrays, arrays_all))
 
 
 def test_vanishes_at_separates_points_modulo_its_prime():
@@ -392,13 +413,13 @@ def test_vanishes_at_separates_points_modulo_its_prime():
 
 def test_kernel_disagreement_names_the_block(monkeypatch):
     monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
-    nullspace = linalg.nullspace_mod
+    nullity = linalg.nullity_mod
 
     def drop_one(A, p):
-        N = nullspace(A, p)
-        return N[:, :-1] if p == 65537 and N.shape[1] else N
+        k = nullity(A, p)
+        return k - 1 if p == 65537 and k else k
 
-    monkeypatch.setattr(linalg, "nullspace_mod", drop_one)
+    monkeypatch.setattr(linalg, "nullity_mod", drop_one)
     with pytest.raises(linalg.UnluckyPrimeError,
                        match=r"weight block \(\d+, \d+, \d+\) has nullity "
                              r"\{1000003: (\d+), 65537: (?!\1)\d+\}"):
@@ -419,6 +440,8 @@ def test_syzygy_disagreement_names_the_block(monkeypatch):
 
 
 def test_weyl_orbit_check_reports_the_disagreeing_block(monkeypatch):
+    # the piece's multiplicities come through nullity_mod too: computed first
+    ideals.graded_kernel("delta", 5, PRIMES)
     nullity = linalg.nullity_mod
     monkeypatch.setattr(linalg, "nullity_mod",
                         lambda A, p: nullity(A, p) + (p == 65537))
@@ -468,7 +491,8 @@ def test_weight_blocks_are_solved_in_one_place():
 
 
 def test_repeated_primes_are_eliminated_once(monkeypatch):
-    # (65537, 65537) used to eliminate every block twice
+    # (65537, 65537) used to eliminate every block twice; a basis read
+    # eliminates each of the 19 dominant blocks once per distinct prime
     nullspace = linalg.nullspace_mod
     calls = []
     monkeypatch.setattr(linalg, "nullspace_mod",
@@ -476,8 +500,10 @@ def test_repeated_primes_are_eliminated_once(monkeypatch):
     counts = {}
     for primes in ((65537,), (65537, 65537), (1000003, 65537, 1000003)):
         monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
-        calls.clear()
+        monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
         gp = ideals.graded_kernel("delta", 4, primes)
+        calls.clear()
+        assert gp.bases
         counts[primes] = len(calls)
         assert gp.primes == tuple(dict.fromkeys(primes))
     assert counts == {(65537,): 19, (65537, 65537): 19, (1000003, 65537, 1000003): 38}
@@ -950,3 +976,113 @@ def test_isotypic_match_eliminates_nothing(monkeypatch):
     assert "Fraction" not in vars(ideals)
     for name, lid, _ in cli.CONCOMITANT_LOCI:
         assert ideals.isotypic_match(name, lid)
+
+
+def test_isotypic_match_builds_one_image_block(monkeypatch):
+    # only the block of h's weight is built, not every dominant block
+    image_blocks, asked = ideals._image_blocks, []
+    monkeypatch.setattr(ideals, "_image_blocks", lambda locus, d, weights:
+                        asked.append(list(weights)) or image_blocks(locus, d, weights))
+    for name, lid, deg in cli.CONCOMITANT_LOCI:
+        asked.clear()
+        assert ideals.isotypic_match(name, lid)
+        (w,) = ideals.poly_to_block_vectors(_source(brackets.catalog_concomitant(name))[1], deg)
+        assert asked == [[w]]
+
+
+# ---------------------------------------------------------------------------
+# kernel multiplicities on highest-weight vectors
+# ---------------------------------------------------------------------------
+
+def _reference_graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
+    """The former ideals.graded_kernel, kept verbatim but for returning the
+    block nullities: every dominant image block eliminated by nullspace_mod
+    modulo every prime, and every other block filled from its S3 orbit."""
+    primes = linalg.check_primes(primes)
+    images = ideals._image_blocks(locus, degree, _dominant_weights(degree))
+    _, dominant = ideals._solve_blocks(
+        f"kernel of {locus} degree {degree}", primes, lambda p: ideals._blocks_mod(images, p),
+        lambda A, p: linalg.nullspace_mod(A, p).T.copy())
+    return ideals._fill_orbits(dominant)
+
+
+KERNEL_REFERENCE_CASES = [(lid, deg) for lid, deg, _, _ in cli.KERNEL_ANCHORS] + [
+    ("neq", 4), ("y", 4), ("delta", 5), ("empty", 6), ("tact", 6), ("empty", 7)]
+
+
+@pytest.mark.parametrize("primes", [linalg.DEFAULT_PRIMES, (65537, 1048573)],
+                         ids=["default", "65537-1048573"])
+@pytest.mark.parametrize("lid,deg", KERNEL_REFERENCE_CASES,
+                         ids=[f"{lid}-{deg}" for lid, deg in KERNEL_REFERENCE_CASES])
+def test_graded_kernel_matches_the_block_elimination_reference(lid, deg, primes):
+    gp = ideals.graded_kernel(lid, deg, primes)
+    reference = _reference_graded_kernel(lid, deg, primes)
+    assert gp.block_nullities == reference
+    assert gp.decomposition == decompose(Character(reference))
+
+
+def test_kernel_dimensions_eliminate_nothing(monkeypatch):
+    # given the highest-weight bases, a piece's dimension and type take one
+    # nullity of an n x m_lam product per irreducible, built only for the
+    # blocks with m_lam > 0, and no kernel basis
+    expected = {(lid, deg): _reference_graded_kernel(lid, deg, PRIMES)
+                for lid, deg in (("tact", 5), ("empty", 6))}
+    for deg in (5, 6):
+        for p in PRIMES:
+            ideals.highest_weight_bases(deg, p)
+    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
+    monkeypatch.setattr(linalg, "nullspace_mod", lambda *a: pytest.fail("eliminated a basis"))
+    nullity, image_blocks, shapes, asked = linalg.nullity_mod, ideals._image_blocks, [], []
+    monkeypatch.setattr(linalg, "nullity_mod", lambda A, p: shapes.append(A.shape) or nullity(A, p))
+    monkeypatch.setattr(ideals, "_image_blocks", lambda locus, d, weights:
+                        asked.append(list(weights)) or image_blocks(locus, d, weights))
+    for (lid, deg), reference in expected.items():
+        shapes.clear()
+        asked.clear()
+        gp = ideals.graded_kernel(lid, deg, PRIMES)
+        assert gp.block_nullities == reference
+        assert gp.dimension() == math.comb(deg + 9, 9) - resolution.hilbert_from_numerator(lid, deg)
+        assert gp.decomposition == decompose(Character(reference))
+        weights = _solved_weights(deg)
+        assert asked == [weights]
+        mults = ideals.highest_weight_bases(deg, PRIMES[0])
+        assert [cols for _, cols in shapes] == [len(mults[w]) for w in weights] * len(PRIMES)
+    assert ideals._BASIS_CACHE == {}
+    assert ideals.graded_kernel("tact", 5, PRIMES).decomposition == [((3, 3), 1), ((3, 0), 1)]
+
+
+def test_a_bases_read_eliminates_each_dominant_block_once_per_prime(monkeypatch):
+    monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
+    gp = ideals.graded_kernel("tact", 5, PRIMES)
+    nullspace, seen = linalg.nullspace_mod, []
+    _recording_solves(monkeypatch, lambda A, q, w: seen.append((w, q)) or nullspace(A, q))
+    assert {w: len(B) for w, (_, B) in gp.bases[PRIMES[1]].items()} == gp.block_nullities
+    assert seen == [(w, p) for p in PRIMES for w in _dominant_weights(5)]
+    seen.clear()
+    assert ideals.graded_kernel("tact", 5, PRIMES).bases and seen == []
+
+
+def test_a_basis_vector_dropped_at_one_prime_raises_and_caches_nothing(monkeypatch):
+    monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
+    gp = ideals.graded_kernel("delta", 4, PRIMES)
+    nullspace, dropped = linalg.nullspace_mod, []
+
+    def drop_one(A, q, w):
+        N = nullspace(A, q)
+        if q == PRIMES[1] and N.shape[1] and not dropped:
+            dropped.append(w)
+            return N[:, :-1]
+        return N
+
+    _recording_solves(monkeypatch, drop_one)
+    with pytest.raises(linalg.UnluckyPrimeError) as err:
+        gp.bases
+    (w,) = dropped
+    n = gp.block_nullities[w]
+    assert str(err.value) == (f"kernel bases of delta degree 4: weight block {w} has nullity "
+                              f"{{1000003: {n}, 65537: {n - 1}, 'exact': {n}}} by prime")
+    assert ideals._BASIS_CACHE == {}
+    assert "dominant_bases" not in vars(gp) and "bases" not in vars(gp)
+    monkeypatch.undo()
+    assert len(gp.bases[PRIMES[1]][w][1]) == n
