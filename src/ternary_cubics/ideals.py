@@ -13,15 +13,13 @@ m_lam highest-weight vectors (see below), a matrix of m_lam columns (at most
 4 below degree 9), and the block nullities follow from the irreducible
 characters.  No kernel basis is eliminated for a dimension or a type.
 
-Kernel bases are eliminated only when read (GradedPiece.dominant_bases, for
-syzygies and evaluation).  Permuting x1, x2, x3 permutes the a_r without
-scalars and maps the block of weight w onto the block of the permuted weight,
-kernel onto kernel.  So only the dominant blocks (w0 >= w1 >= w2) are
-eliminated, each an exact nullspace mod p checked against the multiplicity
-route, and every other block's basis is its dominant block's basis with the
-a-indices permuted (basis transport), never a second elimination.  The
-verify-all check weyl-orbits-delta-5 eliminates every block of one kernel and
-compares each block nullity with graded_kernel's, two independent routes.
+Kernel bases are built only when read (GradedPiece.bases, for syzygies and
+evaluation): the piece is generated by its highest-weight vectors, which the
+kernels of the products above give, and every block is spanned by their
+images under the lowering derivations, its count checked against its
+nullity.  No block is eliminated for its kernel.  The verify-all check
+weyl-orbits-delta-5 eliminates every block of one kernel and compares each
+block nullity with graded_kernel's, two independent routes.
 
 Monomials in the a-variables are nondecreasing index tuples (a0 a0 a3 =
 (0, 0, 3)), listed once per degree in lexicographic order by
@@ -134,28 +132,9 @@ def is_dominant(w):
     return w[0] >= w[1] >= w[2]
 
 
-def orbit(w):
-    """The distinct permutations of a weight, sorted."""
-    return sorted(set(permutations(w)))
-
-
 def _fill_orbits(dominant):
     """Extend {dominant weight: value} to every weight of each orbit."""
-    return {w: v for d, v in dominant.items() for w in orbit(d)}
-
-
-@lru_cache(maxsize=4096)
-def _transport(degree, d, w):
-    """Positions in block w of the images of block d's monomials, in order.
-
-    The permutation of x1, x2, x3 that takes weight d to w permutes the a_r
-    without scalars and maps block d onto block w.
-    """
-    blocks, index = monomials_by_weight(degree)
-    sigma = next(s for s in permutations(range(3)) if tuple(d[i] for i in s) == w)
-    amap = [A_INDEX[tuple(A_EXPS[r][i] for i in sigma)] for r in range(10)]
-    iw = index[w]
-    return [iw[tuple(sorted(amap[r] for r in m))] for m in blocks[d]]
+    return {w: v for d, v in dominant.items() for w in sorted(set(permutations(d)))}
 
 
 def poly_to_block_vectors(pl, degree):
@@ -261,7 +240,7 @@ def _image_blocks(locus, degree, weights):
         raise ValueError(f"images of {locus} in degree {degree} have coefficients up to "
                          f"{bound:,}, past int64")
     chosen = list(weights)
-    if degree == 0:
+    if degree == 0 or not chosen:
         zero = np.zeros(1, dtype=np.intp)
         return {w: ((1, 1), zero, zero, np.ones(1, dtype=np.int64)) for w in chosen}
     mono = np.array([m for w in chosen for m in blocks[w]], dtype=np.int8)
@@ -357,51 +336,37 @@ class _Piece:
 
 
 class GradedPiece(_Piece):
-    """A graded piece of an ideal, whose kernel bases are eliminated on first read."""
-
-    @cached_property
-    def dominant_bases(self):
-        """prime -> {dominant weight: basis rows}, eliminated on first read.
-
-        Builds every dominant image block and eliminates its kernel modulo
-        each prime (nullspace_mod).  The block nullities of graded_kernel are
-        the exact source of that _solve_blocks call, so the two routes check
-        each other: a disagreement raises UnluckyPrimeError naming the block,
-        and nothing is cached.  The bases are cached per (locus, degree, primes).
-        """
-        key = (self.locus, self.degree, self.primes)
-        if key not in _BASIS_CACHE:
-            blocks, _ = monomials_by_weight(self.degree)
-            dominant = [w for w in blocks if is_dominant(w)]
-            images = _image_blocks(self.locus, self.degree, dominant)
-            _BASIS_CACHE[key], _ = _solve_blocks(
-                f"kernel bases of {self.locus} degree {self.degree}", self.primes,
-                lambda p: _blocks_mod(images, p),
-                lambda A, p: linalg.nullspace_mod(A, p).T.copy(),
-                exact={w: self.block_nullities.get(w, 0) for w in dominant})
-        return _BASIS_CACHE[key]
+    """A graded piece of an ideal, whose kernel bases are built on first read."""
 
     @cached_property
     def bases(self):
-        """prime -> {weight: (monos, basis ndarray)} for every nonzero block.
+        """prime -> {weight: (monos, basis rows)} for every nonzero block, built on first read.
 
-        Built on first read from the dominant bases by basis transport: a
-        non-dominant block's basis is its dominant block's basis with the
-        a-indices permuted (see _transport), not a second elimination.  So a
-        piece whose bases nobody reads pays nothing for them.
+        The highest-weight kernel vectors, N^T B_lam with N the kernel of
+        A_lam B_lam^T mod p, are found for the lam with k_lam > 0 and checked
+        against k_lam; _lowered spans every block from them, each checked
+        against block_nullities.  A shortfall raises UnluckyPrimeError naming
+        the block and caches nothing.  Cached per (locus, degree, primes).
         """
+        key = (self.locus, self.degree, self.primes)
+        if key not in _BASIS_CACHE:
+            what = f"of {self.locus} degree {self.degree}"
+            images = _image_blocks(self.locus, self.degree, _KERNEL_CACHE[key])
+            tops, _ = _solve_blocks(
+                f"highest-weight kernel vectors {what}", self.primes,
+                lambda p: _hw_products(images, self.degree, p),
+                lambda AB, p: _product_mod(linalg.nullspace_mod(AB[0], p).T, AB[1], p),
+                exact=_KERNEL_CACHE[key])
+            # top down: F1 and F2 each lower 2 w0 + w1 by one
+            order = sorted(self.block_nullities, key=lambda w: -2 * w[0] - w[1])
+            maps = {w: _weight_maps(self.degree, w, _LOWERING) for w in order}
+            _BASIS_CACHE[key], _ = _solve_blocks(
+                f"kernel bases {what}", self.primes,
+                lambda p: _lowered(tops[p], maps, p, linalg.rowbasis_mod),
+                lambda B, p: B, exact=self.block_nullities)
         blocks, _ = monomials_by_weight(self.degree)
-        out = {}
-        for p, dominant in self.dominant_bases.items():
-            out[p] = {}
-            for d, B in dominant.items():
-                if not len(B):
-                    continue
-                for w in orbit(d):
-                    Bw = np.empty_like(B)
-                    Bw[:, _transport(self.degree, d, w)] = B
-                    out[p][w] = (blocks[w], Bw)
-        return out
+        return {p: {w: (blocks[w], B) for w, B in bases.items()}
+                for p, bases in _BASIS_CACHE[key].items()}
 
     def vanishes_at(self, point, p):
         """Do all kernel basis vectors vanish at the cubic `point` (mod p)?
@@ -421,7 +386,32 @@ class GradedPiece(_Piece):
 
 
 _KERNEL_CACHE = {}   # (locus, degree, primes) -> {dominant weight: multiplicity}
-_BASIS_CACHE = {}    # (locus, degree, primes) -> {prime: {dominant weight: basis rows}}
+_BASIS_CACHE = {}    # (locus, degree, primes) -> {prime: {weight: basis rows}}, nonzero blocks
+
+
+def _lowered(tops, maps, p, rowbasis):
+    """Yield (weight, basis rows mod p) of every block of `maps`, in its order.
+
+    A graded piece is U(n-) applied to its highest-weight vectors, `tops`
+    (Fulton-Harris, Lectures 12-13).  maps: {weight: (F1, F2)} for every
+    nonzero block, in decreasing order of 2 w0 + w1.  A block's rows are its
+    tops and the F1, F2 images of the blocks above, reduced by `rowbasis`.
+    """
+    found = {w: [B] for w, B in tops.items()}
+    for w, fs in maps.items():
+        B = rowbasis(np.vstack(found.pop(w)), p)
+        yield w, B
+        for F, (step, _) in zip(fs, _LOWERING):
+            if (t := tuple(map(add, w, step))) in maps:
+                found.setdefault(t, []).append(_product_mod(B, F.T, p))
+
+
+def _hw_products(images, degree, p):
+    """Yield (lam, (A_lam B_lam^T mod p, B_lam)) for each image block lam, B_lam
+    the rows of highest_weight_bases(degree, p) in block lam."""
+    hw = highest_weight_bases(degree, p)
+    for w, A in _blocks_mod(images, p):
+        yield w, (_product_mod(A, hw[w].T, p), hw[w])
 
 
 def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
@@ -445,8 +435,8 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     HW_lam(R_degree)) and are killed by A_lam.  Their coordinates on B_lam are
     then mult_lam independent kernel vectors of A_lam B_lam^T.
 
-    No kernel basis is eliminated here; GradedPiece.dominant_bases does that
-    on first read.
+    No kernel basis is built here; GradedPiece.bases lowers the highest-weight
+    kernel vectors on first read.
     """
     primes = linalg.check_primes(primes)
     key = (locus, degree, primes)
@@ -455,14 +445,9 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
         # raises in the build, and a disagreement in the solve, before
         # anything is stored.
         images = _image_blocks(locus, degree, _highest_weights(degree))
-
-        def products(p):
-            bases = highest_weight_bases(degree, p)
-            for w, A in _blocks_mod(images, p):
-                yield w, _product_mod(A, bases[w].T, p)
-
         _, _KERNEL_CACHE[key] = _solve_blocks(f"kernel of {locus} degree {degree}", primes,
-                                              products, linalg.nullity_mod)
+                                              lambda p: _hw_products(images, degree, p),
+                                              lambda AB, p: linalg.nullity_mod(AB[0], p))
     char = Character()
     for w, k in _KERNEL_CACHE[key].items():
         char += weyl_character(w[0] - w[2], w[1] - w[2]).scale(k)
@@ -489,9 +474,11 @@ def full_block_nullities(locus, degree, primes):
 # highest-weight vectors and Hilbert function values
 # ---------------------------------------------------------------------------
 
-# the raising derivations D1, D2 as (weight step, exponent read): D a_s is
-# (e_s[read] + 1) a_{s + step}, the pullbacks of x1 -> x1 + t x2 and x2 -> x2 + t x3
+# the raising derivations D1, D2 and the lowering ones F1, F2 as (weight step,
+# exponent read): D a_s is (e_s[read] + 1) a_{s + step}, the pullbacks of
+# x1 -> x1 + t x2 and x2 -> x2 + t x3, and of x2 -> x2 + t x1 and x3 -> x3 + t x2
 _RAISING = (((1, -1, 0), 0), ((0, 1, -1), 1))
+_LOWERING = (((-1, 1, 0), 1), ((0, -1, 1), 2))
 
 
 def _monomial_array(monos, degree):
@@ -499,16 +486,16 @@ def _monomial_array(monos, degree):
     return np.array(monos, dtype=np.int64).reshape(len(monos), degree)
 
 
-def _raising_maps(degree, w):
-    """(D1, D2) on block w: int64 matrices from its monomials to block w + step.
+def _weight_maps(degree, w, derivations):
+    """The `derivations` on block w: int8 matrices from its monomials to block w + step.
 
     Column j is the image of the block's j-th monomial, by Leibniz: a factor
     a_s of multiplicity c goes to c (e_s[read] + 1) a_{s + step} times the
-    rest.  A raised monomial is found in its block by its code, the exponent
+    rest.  An image monomial is found in its block by its code, the exponent
     vector in base degree + 1 with a0's exponent the leading digit, which
     falls strictly along each list of monomials_by_weight.  Where no factor
-    can be raised the matrix has no rows.  Entries are at most 3 degree,
-    residues for every allowed prime.
+    can take the step the matrix has no rows.  Entries are at most 3 degree
+    (42 at the largest listed degree, 14), residues for every allowed prime.
     """
     blocks, _ = monomials_by_weight(degree)
     power = (degree + 1) ** np.arange(9, -1, -1, dtype=np.int64)
@@ -518,18 +505,18 @@ def _raising_maps(degree, w):
     first = np.ones(monos.shape, dtype=bool)
     first[:, 1:] = monos[:, 1:] != monos[:, :-1]
     maps = []
-    for step, read in _RAISING:
+    for step, read in derivations:
         # the index of a_{s + step} for each s (-1 where there is none), and e_s[read] + 1
         up = np.array([A_INDEX.get(tuple(map(add, e, step)), -1) for e in A_EXPS])
         factor = np.array([e[read] + 1 for e in A_EXPS])
         target = _monomial_array(blocks.get(tuple(map(add, w, step)), []), degree)
-        D = np.zeros((len(target), len(monos)), dtype=np.int64)
-        # (col, k): a factor a_s of the col-th monomial that can be raised
+        D = np.zeros((len(target), len(monos)), dtype=np.int8)
+        # (col, k): a factor a_s of the col-th monomial that can take the step
         col, k = np.nonzero(first & (up[monos] >= 0))
         s = monos[col, k]
-        raised = codes[col] - power[s] + power[up[s]]
+        moved = codes[col] - power[s] + power[up[s]]
         # codes fall along the target's list, so their negatives are sorted
-        rows = np.searchsorted(-power[target].sum(axis=1), -raised)
+        rows = np.searchsorted(-power[target].sum(axis=1), -moved)
         D[rows, col] = (monos[col] == s[:, None]).sum(axis=1) * factor[s]
         maps.append(D)
     return tuple(maps)
@@ -578,7 +565,7 @@ def highest_weight_bases(degree, p):
     p = linalg.check_prime(p)
     exact = _highest_weights(degree)
     results, _ = _solve_blocks(f"highest-weight vectors of degree {degree}", (p,),
-                               lambda _: ((w, _raising_maps(degree, w)) for w in exact),
+                               lambda _: ((w, _weight_maps(degree, w, _RAISING)) for w in exact),
                                lambda maps, q: _common_kernel(maps, q, linalg.nullspace_mod),
                                exact=exact)
     bases = results[p]

@@ -10,10 +10,10 @@ systems and as an independent cross-check.
 
 There is one echelon routine per field, each reducing in place and returning
 the pivot columns: _rref_mod over F_p and _rref_frac over Q.  Only rank_mod
-and nullspace_mod call _rref_mod, each after the shared prologue _residues:
-rank_mod for forward elimination only, nullspace_mod for the reduced form
-the kernel basis needs.  The nullity test and the row-span test (the tests'
-mod-p reference for ideals.isotypic_match) count ranks through rank_mod.
+(forward elimination only), nullspace_mod and rowbasis_mod (the reduced form)
+call _rref_mod, each after the shared prologue _residues.  The nullity test
+and the row-span test (the tests' mod-p reference for ideals.isotypic_match)
+count ranks through rank_mod.
 
 _rref_mod delays its modular reductions.  A pivot step reduces the pivot
 column and takes its first nonzero entry at or below the current row as the
@@ -188,6 +188,16 @@ def nullspace_mod(A, p):
     basis[free, np.arange(len(free))] = 1
     basis[pivots] = -B[:len(pivots), free] % p
     return basis
+
+
+def rowbasis_mod(A, p):
+    """Row span basis mod p, shape (rank, cols), in nullspace_mod's form: each
+    row ends in a 1 where every other row is 0, rows in order of that column.
+    It is the reduced echelon form of A's columns reversed, read back reversed."""
+    B, p = _residues(A, p)
+    B = B[:, ::-1].copy()
+    rank = len(_rref_mod(B, p, reduced=True))
+    return B[:rank][::-1, ::-1].copy()
 
 
 def nullity_mod(A, p):

@@ -1,6 +1,7 @@
 """Graded kernels, Hilbert values, syzygies, and concomitant membership."""
 
 import ast
+import functools
 import hashlib
 import itertools
 import math
@@ -216,29 +217,32 @@ def test_hilbert_value_matches_numerator(lid):
 
 
 @pytest.mark.parametrize("lid,deg", [("equiv", 2), ("neq", 3), ("delta", 4), ("tact", 5)])
-def test_transported_bases_are_kernels(lid, deg):
-    p = PRIMES[0]
-    gp = ideals.graded_kernel(lid, deg, primes=(p,))
-    basis = gp.bases[p]
-    assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
-    matrices = dict(ideals._blocks_mod(ideals._image_blocks(lid, deg, _all_weights(deg)), p))
-    moved = [w for w in basis if not ideals.is_dominant(w)]
-    assert moved
-    for w in moved:
-        monos, B = basis[w]
-        A = matrices[w]
-        assert monos == ideals.monomials_by_weight(deg)[0][w]
-        assert not np.any((A @ B.T) % p)
-        assert linalg.rank_mod(B, p) == len(B)
+def test_lowered_bases_are_kernels(lid, deg):
+    # every block, dominant or not, is killed by its own image block, has
+    # full rank, and is that block's reduced kernel basis
+    gp = ideals.graded_kernel(lid, deg, primes=PRIMES)
+    images = ideals._image_blocks(lid, deg, _all_weights(deg))
+    for p in PRIMES:
+        basis = gp.bases[p]
+        assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
+        assert any(not ideals.is_dominant(w) for w in basis)
+        for w, A in ideals._blocks_mod(images, p):
+            if w in basis:
+                monos, B = basis[w]
+                assert monos == ideals.monomials_by_weight(deg)[0][w]
+                assert not np.any((A @ B.T) % p)
+                assert linalg.rank_mod(B, p) == len(B)
+                assert np.array_equal(B, linalg.nullspace_mod(A, p).T)
 
 
 # SHA-256 over the kernel basis bytes, primes and weights in sorted order.
-# A reduced echelon basis is unique for a fixed column order, so a change to
-# the elimination must leave these digests as they are.
+# Every block holds the reduced basis of its own kernel, unique for a fixed
+# column order, so a change to the elimination must leave these digests as
+# they are.
 KERNEL_BASIS_DIGESTS = {
-    ("tact", 5): "9e7c235897c517912413438cb18d73aca006d02f737948cef088181fe19c7b14",
-    ("delta", 4): "b6259d8da99ac7c6c4ddda72ffec2678263ee9e0f729180823a394d8d2505c41",
-    ("neq", 4): "a492d7d7e5f7dbab7a45fea5c7aad6ae72743e9addf8e3453dc00cf13cf36898",
+    ("tact", 5): "e5260a469062dde9712fd308cd3999153bc45c14302e4c06c70633875586d5d2",
+    ("delta", 4): "29d66c04fc7de35fd83e4aeda36cd4d41edb2f0146f5bbf9a3d1b2c7eaff952d",
+    ("neq", 4): "63de647c5eca597810f61ccea0de14d7f1990506f8bb20e985e3cd32831a9f0c",
 }
 
 
@@ -343,9 +347,15 @@ def _reference_image_blocks(locus, degree, weights):
             for w, (ki, rows, cols, coeffs) in built.items()}
 
 
+def _no_weights(degree):
+    """No block at all: the build returns {} at every degree."""
+    return []
+
+
 REFERENCE_CASES = {
     **{lid: [(lid, deg, weights) for deg in range(6)
              for weights in (_dominant_weights, _all_weights)]
+       + [(lid, deg, _no_weights) for deg in range(4)]
        for lid in loci.LOCI},
     "empty-8-dominant": [("empty", 8, _dominant_weights)],
 }
@@ -488,25 +498,6 @@ def test_weight_blocks_are_solved_in_one_place():
               and node.exc is not None and "UnluckyPrimeError" in ast.unparse(node.exc)]
     assert helper and raises
     assert [node.lineno for node in raises if id(node) not in inside] == []
-
-
-def test_repeated_primes_are_eliminated_once(monkeypatch):
-    # (65537, 65537) used to eliminate every block twice; a basis read
-    # eliminates each of the 19 dominant blocks once per distinct prime
-    nullspace = linalg.nullspace_mod
-    calls = []
-    monkeypatch.setattr(linalg, "nullspace_mod",
-                        lambda A, p: calls.append(p) or nullspace(A, p))
-    counts = {}
-    for primes in ((65537,), (65537, 65537), (1000003, 65537, 1000003)):
-        monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
-        monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
-        gp = ideals.graded_kernel("delta", 4, primes)
-        calls.clear()
-        assert gp.bases
-        counts[primes] = len(calls)
-        assert gp.primes == tuple(dict.fromkeys(primes))
-    assert counts == {(65537,): 19, (65537, 65537): 19, (1000003, 65537, 1000003): 38}
 
 
 @pytest.mark.parametrize("lid", loci.LOCI)
@@ -666,17 +657,19 @@ def test_a_missing_highest_weight_vector_raises_and_caches_nothing(monkeypatch):
     assert len(ideals.highest_weight_bases(deg, p)[w]) == int(got[5])
 
 
-# the raising derivations as (weight step, exponent read), as in ideals
+# the raising and lowering derivations as (weight step, exponent read), as in ideals
 _RAISING_STEPS = (((1, -1, 0), 0), ((0, 1, -1), 1))
+_LOWERING_STEPS = (((-1, 1, 0), 1), ((0, -1, 1), 2))
 
 
-def _reference_raising_maps(degree, w):
+def _reference_raising_maps(degree, w, steps=_RAISING_STEPS):
     """The former per-monomial loop that filled the raising matrices of
-    ideals.highest_weight_bases, kept verbatim but for returning D1 and D2
-    apart: column col is the image of the block's col-th monomial."""
+    ideals.highest_weight_bases, kept verbatim but for returning the maps
+    apart and taking the (step, read) pairs: column col is the image of the
+    block's col-th monomial."""
     blocks, index = ideals.monomials_by_weight(degree)
     maps = []
-    for step, read in _RAISING_STEPS:
+    for step, read in steps:
         t = tuple(map(add, w, step))
         A = np.zeros((len(index.get(t, ())), len(blocks[w])), dtype=np.int64)
         for col, m in enumerate(blocks[w]):
@@ -731,11 +724,16 @@ def test_highest_weight_bases_span_the_stacked_kernel(p):
 
 
 def test_raising_maps_match_the_per_monomial_loop():
-    for deg in range(9):
-        for w in _solved_weights(deg):
-            got, want = ideals._raising_maps(deg, w), _reference_raising_maps(deg, w)
-            assert [D.shape for D in got] == [D.shape for D in want]
-            assert all(np.array_equal(D, R) for D, R in zip(got, want))
+    # raising on the blocks that hold an irreducible, as highest_weight_bases
+    # reads it, and lowering on every block, as GradedPiece.bases may read it
+    cases = [(ideals._RAISING, _RAISING_STEPS, deg, w)
+             for deg in range(9) for w in _solved_weights(deg)]
+    cases += [(ideals._LOWERING, _LOWERING_STEPS, deg, w)
+              for deg in range(9) for w in _all_weights(deg)]
+    for derivations, steps, deg, w in cases:
+        got, want = ideals._weight_maps(deg, w, derivations), _reference_raising_maps(deg, w, steps)
+        assert [D.shape for D in got] == [D.shape for D in want]
+        assert all(np.array_equal(D, R) for D, R in zip(got, want))
 
 
 def _recording_solves(monkeypatch, nullspace):
@@ -880,10 +878,12 @@ def _reference_residue(x, p):
 
 
 def _reference_isotypic_match(name, locus, degree, primes=linalg.DEFAULT_PRIMES):
-    """The former ideals.isotypic_match, kept verbatim: every tableau
-    coefficient's dominant block vectors, reduced mod p, tested against the
-    row span of the mod-p kernel basis of their block, over every prime."""
+    """The former ideals.isotypic_match, kept verbatim but for reading the
+    bases of _reference_kernel_bases: every tableau coefficient's dominant
+    block vectors, reduced mod p, tested against the row span of the mod-p
+    kernel basis of their block, over every prime."""
     gp = ideals.graded_kernel(locus, degree, primes)
+    bases = _reference_kernel_bases(locus, degree, gp.primes)
     coeffs, tabs = ideals.concomitant_coefficients(name)
     vectors = [(w, vec) for f in coeffs if f
                for w, vec in ideals.poly_to_block_vectors(f, degree).items()
@@ -891,7 +891,9 @@ def _reference_isotypic_match(name, locus, degree, primes=linalg.DEFAULT_PRIMES)
     for p in gp.primes:
         for w, vec in vectors:
             v = np.array([_reference_residue(x, p) for x in vec], dtype=np.int64)
-            if not linalg.in_rowspan_mod(gp.dominant_bases[p][w], v, p):
+            # a zero block has no basis rows
+            B = bases[p].get(w, np.zeros((0, len(v)), dtype=np.int64))
+            if not linalg.in_rowspan_mod(B, v, p):
                 return False
     return True
 
@@ -1052,37 +1054,146 @@ def test_kernel_dimensions_eliminate_nothing(monkeypatch):
     assert ideals.graded_kernel("tact", 5, PRIMES).decomposition == [((3, 3), 1), ((3, 0), 1)]
 
 
-def test_a_bases_read_eliminates_each_dominant_block_once_per_prime(monkeypatch):
+# ---------------------------------------------------------------------------
+# kernel bases lowered from the highest-weight kernel vectors
+# ---------------------------------------------------------------------------
+
+def _reference_transport(degree, d, w):
+    """The former ideals._transport, kept verbatim: positions in block w of
+    the images of block d's monomials, in order.  The permutation of x1, x2,
+    x3 that takes weight d to w permutes the a_r without scalars and maps
+    block d onto block w."""
+    blocks, index = ideals.monomials_by_weight(degree)
+    sigma = next(s for s in itertools.permutations(range(3)) if tuple(d[i] for i in s) == w)
+    amap = [A_INDEX[tuple(A_EXPS[r][i] for i in sigma)] for r in range(10)]
+    iw = index[w]
+    return [iw[tuple(sorted(amap[r] for r in m))] for m in blocks[d]]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_kernel_bases(locus, degree, primes):
+    """The former GradedPiece.dominant_bases and bases, kept verbatim but for
+    returning {prime: {weight: basis rows}} of the nonzero blocks: every
+    dominant image block eliminated by nullspace_mod modulo every prime,
+    checked against graded_kernel's block nullities, and every other block
+    given its dominant block's basis with the a-indices permuted (basis
+    transport).  Cached: the callers only read the arrays."""
+    gp = ideals.graded_kernel(locus, degree, primes)
+    dominant = _dominant_weights(degree)
+    images = ideals._image_blocks(locus, degree, dominant)
+    results, _ = ideals._solve_blocks(
+        f"kernel bases of {locus} degree {degree}", gp.primes,
+        lambda p: ideals._blocks_mod(images, p),
+        lambda A, p: linalg.nullspace_mod(A, p).T.copy(),
+        exact={w: gp.block_nullities.get(w, 0) for w in dominant})
+    out = {}
+    for p, bases in results.items():
+        out[p] = {}
+        for d, B in bases.items():
+            if not len(B):
+                continue
+            for w in sorted(set(itertools.permutations(d))):
+                Bw = np.empty_like(B)
+                Bw[:, _reference_transport(degree, d, w)] = B
+                out[p][w] = Bw
+    return out
+
+
+@pytest.mark.parametrize("primes", [linalg.DEFAULT_PRIMES, (65537, 1048573)],
+                         ids=["default", "65537-1048573"])
+@pytest.mark.parametrize("lid,deg", KERNEL_REFERENCE_CASES,
+                         ids=[f"{lid}-{deg}" for lid, deg in KERNEL_REFERENCE_CASES])
+def test_lowered_bases_span_the_eliminated_kernels(lid, deg, primes):
+    # the same rows in every nonzero block, and byte for byte the same
+    # reduced basis in every dominant one
+    gp = ideals.graded_kernel(lid, deg, primes)
+    reference = _reference_kernel_bases(lid, deg, primes)
+    assert list(gp.bases) == list(reference) == list(primes)
+    for p, bases in gp.bases.items():
+        assert sorted(bases) == sorted(reference[p]) == sorted(gp.block_nullities)
+        for w, (monos, B) in bases.items():
+            R = reference[p][w]
+            assert B.dtype == R.dtype and B.shape == R.shape
+            assert linalg.rank_mod(np.vstack([B, R]), p) == len(R) == linalg.rank_mod(B, p)
+            if ideals.is_dominant(w):
+                assert B.tobytes() == R.tobytes()
+
+
+@pytest.mark.parametrize("lid,deg", [("tact", 5), ("delta", 4), ("empty", 8)])
+def test_a_bases_read_eliminates_only_the_highest_weight_products(lid, deg, monkeypatch):
+    # nullspace_mod sees the m_lam-column product of each lam with k_lam > 0,
+    # once per prime, and no image block but these is built: a structural
+    # guard on the degree-8 read rather than a timer
+    gp = ideals.graded_kernel(lid, deg, PRIMES)
+    mults = ideals._KERNEL_CACHE[(lid, deg, PRIMES)]
+    for p in PRIMES:
+        ideals.highest_weight_bases(deg, p)     # cached before nullspace_mod is watched
     monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
-    gp = ideals.graded_kernel("tact", 5, PRIMES)
     nullspace, seen = linalg.nullspace_mod, []
-    _recording_solves(monkeypatch, lambda A, q, w: seen.append((w, q)) or nullspace(A, q))
-    assert {w: len(B) for w, (_, B) in gp.bases[PRIMES[1]].items()} == gp.block_nullities
-    assert seen == [(w, p) for p in PRIMES for w in _dominant_weights(5)]
+    _recording_solves(monkeypatch, lambda A, q, w: seen.append((w, q, A.shape[1]))
+                      or nullspace(A, q))
+    image_blocks, asked = ideals._image_blocks, []
+    monkeypatch.setattr(ideals, "_image_blocks", lambda locus, d, weights:
+                        asked.append(list(weights)) or image_blocks(locus, d, weights))
+    for p in PRIMES:
+        assert {w: len(B) for w, (_, B) in gp.bases[p].items()} == gp.block_nullities
+    assert asked == [list(mults)]
+    assert seen == [(w, p, len(ideals.highest_weight_bases(deg, p)[w]))
+                    for p in PRIMES for w in mults]
+    assert all(cols <= 4 for _, _, cols in seen)
     seen.clear()
-    assert ideals.graded_kernel("tact", 5, PRIMES).bases and seen == []
+    assert ideals.graded_kernel(lid, deg, PRIMES).bases and seen == []
+
+
+def test_repeated_primes_are_eliminated_once(monkeypatch):
+    # (65537, 65537) used to eliminate every block twice; a basis read
+    # eliminates the product of delta-4's one irreducible, V_(5,1), once per
+    # distinct prime
+    nullspace = linalg.nullspace_mod
+    calls = []
+    monkeypatch.setattr(linalg, "nullspace_mod",
+                        lambda A, p: calls.append(p) or nullspace(A, p))
+    counts = {}
+    for primes in ((65537,), (65537, 65537), (1000003, 65537, 1000003)):
+        monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
+        monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
+        gp = ideals.graded_kernel("delta", 4, primes)
+        calls.clear()
+        assert gp.bases
+        counts[primes] = len(calls)
+        assert gp.primes == tuple(dict.fromkeys(primes))
+    assert ideals._KERNEL_CACHE[("delta", 4, (1000003, 65537))] == {(7, 3, 2): 1}
+    assert counts == {(65537,): 1, (65537, 65537): 1, (1000003, 65537, 1000003): 2}
 
 
 def test_a_basis_vector_dropped_at_one_prime_raises_and_caches_nothing(monkeypatch):
+    # drop one row of the last block the walk reduces at the second prime, a
+    # block of lowered vectors only, at the bottom of 2 w0 + w1
     monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
     gp = ideals.graded_kernel("delta", 4, PRIMES)
-    nullspace, dropped = linalg.nullspace_mod, []
+    rowbasis, calls, dropped = linalg.rowbasis_mod, [], []
 
-    def drop_one(A, q, w):
-        N = nullspace(A, q)
-        if q == PRIMES[1] and N.shape[1] and not dropped:
-            dropped.append(w)
-            return N[:, :-1]
-        return N
+    def drop_one(A, q):
+        B = rowbasis(A, q)
+        calls.append(q)
+        if calls.count(PRIMES[1]) == len(gp.block_nullities) and q == PRIMES[1]:
+            dropped.append(B.shape)
+            return B[:-1]
+        return B
 
-    _recording_solves(monkeypatch, drop_one)
+    monkeypatch.setattr(linalg, "rowbasis_mod", drop_one)
     with pytest.raises(linalg.UnluckyPrimeError) as err:
         gp.bases
-    (w,) = dropped
+    got = re.fullmatch(r"kernel bases of delta degree 4: weight block \((\d+), (\d+), (\d+)\) "
+                       r"has nullity \{1000003: (\d+), 65537: (\d+), 'exact': (\d+)\} by prime",
+                       str(err.value))
+    assert got, str(err.value)
+    w = tuple(int(x) for x in got.groups()[:3])
     n = gp.block_nullities[w]
-    assert str(err.value) == (f"kernel bases of delta degree 4: weight block {w} has nullity "
-                              f"{{1000003: {n}, 65537: {n - 1}, 'exact': {n}}} by prime")
+    assert [int(x) for x in got.groups()[3:]] == [n, n - 1, n]
+    assert dropped == [(n, len(ideals.monomials_by_weight(4)[0][w]))]
+    assert 2 * w[0] + w[1] == min(2 * u[0] + u[1] for u in gp.block_nullities)
     assert ideals._BASIS_CACHE == {}
-    assert "dominant_bases" not in vars(gp) and "bases" not in vars(gp)
+    assert "bases" not in vars(gp)
     monkeypatch.undo()
     assert len(gp.bases[PRIMES[1]][w][1]) == n

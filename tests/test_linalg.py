@@ -211,6 +211,22 @@ def test_rref_mod_matches_the_gauss_jordan_reference(headroom, case):
                 assert np.array_equal(B, R)
 
 
+@settings(max_examples=150, deadline=None)
+@given(echelon_cases())
+def test_rowbasis_mod_reads_a_kernel_back_byte_for_byte(case):
+    # nullspace_mod's kernel rows are already in rowbasis_mod's form, and a
+    # row basis has rank_mod rows spanning A's rows
+    A, p = case
+    before = A.copy()
+    N = linalg.nullspace_mod(A, p).T.copy()
+    R = linalg.rowbasis_mod(N, p)
+    assert R.dtype == N.dtype and R.shape == N.shape and R.tobytes() == N.tobytes()
+    B = linalg.rowbasis_mod(A, p)
+    assert B.shape == (linalg.rank_mod(A, p), A.shape[1])
+    assert linalg.rank_mod(np.vstack([A, B]), p) == len(B)
+    assert np.array_equal(A, before)
+
+
 @st.composite
 def square_systems(draw, max_size=5, bound=9):
     n = draw(st.integers(1, max_size))
@@ -285,16 +301,16 @@ def test_check_primes_keeps_the_distinct_primes_in_order():
 
 def test_modular_entry_points_check_the_prime():
     A = np.eye(2, dtype=np.int64)
-    for fn in (linalg.rank_mod, linalg.nullspace_mod, linalg.nullity_mod):
+    for fn in (linalg.rank_mod, linalg.nullspace_mod, linalg.nullity_mod, linalg.rowbasis_mod):
         with pytest.raises(ValueError):
             fn(A, 1000000)
     with pytest.raises(ValueError):
         linalg.in_rowspan_mod(A, np.array([1, 0]), 4294967311)
 
 
-def test_rref_mod_has_two_callers():
-    # every forward elimination goes through rank_mod, so a hook on rank_mod
-    # and nullspace_mod sees all modular elimination
+def test_rref_mod_has_three_callers():
+    # every forward elimination goes through rank_mod, so a hook on rank_mod,
+    # nullspace_mod and rowbasis_mod sees all modular elimination
     callers = set()
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -302,7 +318,8 @@ def test_rref_mod_has_two_callers():
                 if isinstance(node, ast.Call) and "_rref_mod" in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add((path.stem, getattr(top, "name", "<module>")))
-    assert callers == {("linalg", "rank_mod"), ("linalg", "nullspace_mod")}
+    assert callers == {("linalg", "rank_mod"), ("linalg", "nullspace_mod"),
+                       ("linalg", "rowbasis_mod")}
 
 
 def test_empty_input_reads_as_zero_by_zero():
@@ -310,3 +327,5 @@ def test_empty_input_reads_as_zero_by_zero():
     assert linalg.rank_mod([], p) == 0
     assert linalg.nullity_mod([], p) == 0
     assert linalg.nullity_mod(np.zeros((0, 4), dtype=np.int64), p) == 4
+    assert linalg.rowbasis_mod([], p).shape == (0, 0)
+    assert linalg.rowbasis_mod(np.zeros((0, 4), dtype=np.int64), p).shape == (0, 4)
