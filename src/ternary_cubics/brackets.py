@@ -38,13 +38,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 
 import numpy as np
 
 from . import linalg
-from .poly import A_INDEX, Poly, _mono_sort_key, cubic_point, generic_cubic, monomial
+from .poly import A_INDEX, Poly, cubic_point, generic_cubic, monomial
 
 GREEK = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
 LINE_VARS = ("u", "v")
@@ -243,15 +242,15 @@ def validate(expr):
 # of this bound; it is evaluated once per set, at most 2^8 = 256 times.
 # Ties go to the earlier letter names, and the occurrences of a step are
 # folded sorted by content, so the plan depends only on the factor
-# multiset, not on the order written.  Phi814 written in any order peaks at
-# 36,406 merge rows (148,976 in its written order).  A test bounds the
-# largest merge input of every catalog entry.
+# multiset, not on the order written.  A test bounds the largest merge
+# input of every catalog entry.
 #
-# A factor's summands (3 for a pairing, 6 for a determinant) are folded into
-# a sorted accumulator one at a time: the summand's delta is added to every
-# key row, and the new rows are merged with the accumulator by np.lexsort
-# and np.add.reduceat, zero sums dropped.  So at most the accumulator and N
-# new rows are live, not all 6 N rows of the factor at once.
+# A factor with s summands (3 for a pairing, 6 for a determinant) is folded
+# by one merge: each summand's delta is added to the N key rows, all s N
+# rows at once, the completed letters are substituted, and the rows are
+# merged by np.lexsort and np.add.reduceat, zero sums dropped.  So s N rows
+# and their sorted copy are live at once: Phi814 takes 10 merges, the
+# largest of 145,512 rows (784,476 folded in the order written).
 #
 # A Greek letter is substituted in the same pass as the factor that consumes
 # its last occurrence: its triple (i1, i2, i3), 2 bits each, is read off the
@@ -354,7 +353,9 @@ def _fold_order(term, greek):
 
 
 def _expand_term(term):
-    """Expand one product term; returns {Poly monomial: int coeff}."""
+    """Expand one product term: (exponents, coefficients), a row per monomial
+    of its exponents in _MONO_FIELDS order in a narrow unsigned dtype, and
+    its exact nonzero integer coefficient, int64 or, past the bound, object."""
     greek, counts = _term_counts(term)
     fields, words = _layout(sorted(greek), counts)
 
@@ -386,6 +387,7 @@ def _expand_term(term):
             summands = [(delta([(atom.left, i), (atom.right, i)]), 1) for i in range(3)]
         else:
             summands = [(delta(zip(atom.rows, perm)), sgn) for perm, sgn in _DET_PERMS]
+        deltas, signs = map(np.array, zip(*summands))
         done = []
         for s in _atom_syms(atom):
             if s in left:
@@ -395,25 +397,22 @@ def _expand_term(term):
         bound = int(np.abs(coeffs).sum()) * len(summands) * 6 ** len(done)
         if coeffs.dtype != object and bound >= _INT64_BOUND:
             coeffs = coeffs.astype(object)
-        acc_keys, acc_coeffs = keys[:0], coeffs[:0]
-        for d, sgn in summands:
-            k = keys + d
-            c = coeffs if sgn > 0 else -coeffs
-            for word, low, shifts, weights in done:
-                code = k[:, word] >> low & 63
-                k += shifts[code]
-                c = c * weights[code]
-            acc_keys, acc_coeffs = _merge(np.concatenate((acc_keys, k)),
-                                          np.concatenate((acc_coeffs, c)))
-        keys, coeffs = acc_keys, acc_coeffs
+        keys = (keys + deltas[:, None]).reshape(-1, words)
+        coeffs = (signs[:, None] * coeffs).ravel()
+        for word, low, shifts, weights in done:
+            code = keys[:, word] >> low & 63
+            keys += shifts[code]
+            coeffs = coeffs * weights[code]
+        keys, coeffs = _merge(keys, coeffs)
 
     # every letter is substituted: only the a, x, y, u and v fields remain
-    present = [(var, fields[f]) for f, var in _MONO_FIELDS if f in fields]
-    names = [var for var, _ in present]
-    exps = np.stack([keys[:, word] >> shift & (1 << width) - 1
-                     for _, (word, shift, width) in present], axis=1)
-    monos = [tuple(compress(zip(names, row), row)) for row in exps.tolist()]
-    return dict(zip(monos, coeffs.tolist()))
+    largest = max(len(greek), *counts.values())   # no exponent is larger
+    exps = np.zeros((len(keys), len(_MONO_FIELDS)), np.min_scalar_type(largest))
+    for col, (f, _) in enumerate(_MONO_FIELDS):
+        if f in fields:
+            word, shift, width = fields[f]
+            exps[:, col] = keys[:, word] >> shift & (1 << width) - 1
+    return exps, coeffs
 
 
 def expand(expr):
@@ -424,20 +423,39 @@ def expand(expr):
     term in graded-lex order is positive.  A zero result is legal (the
     expression "vanishes identically after substitution") and is flagged on
     the Concomitant.
+
+    All but the final Poly runs on the arrays of _expand_term: the scaled
+    coefficients (int64 under the bound), one _merge of the terms, the gcd
+    and the leading row, by np.lexsort.
     """
     ctype = validate(expr)
     denom = lcm(*(t.coeff.denominator for t in expr.terms))
-    pairs = []
-    for t in expr.terms:
-        scale = (t.coeff * denom).numerator
-        pairs += ((m, c * scale) for m, c in _expand_term(t).items())
-    acc = Poly(pairs)
-    if acc:
-        g = gcd(*acc.terms.values())
-        if acc.terms[min(acc.terms, key=_mono_sort_key)] < 0:
-            g = -g
-        acc = Poly((m, c // g) for m, c in acc.terms.items())
-    return Concomitant(acc, ctype)
+    # a term that expands to zero is dropped: its scale may not fit int64
+    parts = [(*_expand_term(t), (t.coeff * denom).numerator) for t in expr.terms]
+    parts = [part for part in parts if len(part[1])]
+    if parts:
+        bound = sum(int(np.abs(c).sum()) * abs(scale) for _, c, scale in parts)
+        dtype = np.int64 if bound < _INT64_BOUND else object
+        exps = np.concatenate([e for e, _, _ in parts])
+        coeffs = np.concatenate([c.astype(dtype) * scale for _, c, scale in parts])
+        if len(parts) > 1:
+            exps, coeffs = _merge(exps, coeffs)
+    if not parts or not len(coeffs):
+        return Concomitant(Poly(), ctype)
+    # graded-lex leading row: the highest degree, then the largest exponents
+    # in _MONO_FIELDS order, which is poly.VAR_ORDER's
+    lead = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))[-1]
+    g = np.gcd.reduce(coeffs)
+    coeffs = coeffs // (g if coeffs[lead] > 0 else -g)
+    # the monomials share their (variable, exponent) pairs; row i's are
+    # flat[ends[i - 1]:ends[i]]
+    top = int(exps.max()) + 1
+    pairs = np.fromiter(((var, e) for _, var in _MONO_FIELDS for e in range(top)), object)
+    rows, cols = np.nonzero(exps)
+    flat = pairs[cols * top + exps[rows, cols]].tolist()
+    ends = np.cumsum(np.count_nonzero(exps, axis=1)).tolist()
+    monos = [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+    return Concomitant(Poly(zip(monos, coeffs.tolist())), ctype)
 
 
 # ---------------------------------------------------------------------------

@@ -322,9 +322,9 @@ def _check_concomitant_types(config):
     return True, "all catalog entries nonzero of declared type", "all ok"
 
 
-def _check_isotypic(name, lid, deg, config):
+def _check_isotypic(name, lid, config):
     ok = ideals.isotypic_match(name, lid)
-    return ok, f"{name} inside kernel({lid},{deg})", "member" if ok else "not a member"
+    return ok, f"{name} in I({lid}) over Z", "member" if ok else "not a member"
 
 
 def _check_vanishing(name, lid, config):
@@ -418,8 +418,8 @@ def build_checks():
                                       "published dual symmetries", "all match")))
     checks.append(("numerator-codimension", _check_codim))
     checks.append(("concomitant-types", _check_concomitant_types))
-    for name, lid, deg in CONCOMITANT_LOCI:
-        checks.append((f"isotypic-{name}-{lid}", partial(_check_isotypic, name, lid, deg)))
+    for name, lid, _deg in CONCOMITANT_LOCI:
+        checks.append((f"isotypic-{name}-{lid}", partial(_check_isotypic, name, lid)))
     for name, lid, _deg in CONCOMITANT_LOCI:
         checks.append((f"vanishing-{name}-{lid}", partial(_check_vanishing, name, lid)))
     checks.append(("hessian-oracle", _check_hessian))

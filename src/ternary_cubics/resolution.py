@@ -181,13 +181,17 @@ def eagon_northcott_check():
 # spectral-sequence character identities
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _row_powers():
+    """Sym^0..15 V, Sym^0..14 S_3, wedge^0..9 S_3: built once, only read."""
+    s3 = weyl_character(*S3)
+    return sym_powers(15, weyl_character(1, 0)), sym_powers(14, s3), ext_powers(9, s3)
+
+
 def _row_sum(ell):
     """sum_{p=-9}^{-3} (-1)^p dual(sym_{-(2p+3)}V) (x) dual(sym_{-(p+3)}V)
-    (x) hook(ell, -p)(char S_3)."""
-    vs = sym_powers(15, weyl_character(1, 0))
-    s3 = weyl_character(*S3)
-    hs = sym_powers(ell + 9, s3)
-    es = ext_powers(9, s3)
+    (x) hook(ell, -p)(char S_3), for ell <= 5."""
+    vs, hs, es = _row_powers()
     total = Character()
     for p in range(-9, -2):
         term = (vs[-(2 * p + 3)].dual()

@@ -14,12 +14,12 @@ arbitrary monomials on the tableau basis.
 
 The module works in x and u only.  A caller whose polynomial lives in other
 copies of the point and line variables (the y and v of the syzygy
-concomitants) renames them to x and u before projecting.  Every Fraction
-system here is solved by _solve, one linalg._rref_frac call per bidegree with
-the right-hand sides riding along as an augmented block.  The projection
-itself does no Fraction arithmetic per term: _projection_table holds each
-bidegree's solution as one integer matrix over one denominator, and
-harmonic_project is one integer array product with it.
+concomitants) renames them to x and u before projecting.  The trace is monic
+in x1 u1, so _projection_table writes each bidegree's table down in closed
+form, integer and with no system solved, and harmonic_project adds each
+term's few nonzero table entries into one integer accumulator.  The
+trace-free representatives are solved by _solve, one linalg._rref_frac call
+per bidegree with the right-hand sides riding along as an augmented block.
 """
 
 from fractions import Fraction
@@ -110,24 +110,33 @@ def _solve(columns, rhs, monos):
 
 @lru_cache(maxsize=None)
 def _projection_table(dx, du):
-    """Each bidegree-(dx, du) monomial's coordinates as one integer matrix T
-    over one denominator D.
+    """Each bidegree-(dx, du) monomial's coordinates as one integer matrix T.
 
-    Solves mono = sum_T gamma_T X_T + trace * rest exactly over Q.  Returns
-    (tableaux, smaller monomials, {monomial: row}, T, D).  Row i of T is D
-    times the coordinates of the i-th monomial of bidegree (dx, du): its
-    gamma on the tableaux, then its rest on the smaller monomials of
-    bidegree (dx - 1, du - 1).
+    mono = sum_T gamma_T X_T + trace * rest.  Returns (tableaux, smaller
+    monomials, {monomial: row}, T): row i of T holds the i-th monomial's gamma
+    on the tableaux, then its rest on the smaller monomials of bidegree
+    (dx - 1, du - 1).  T is the normal form modulo the trace, monic in x1 u1
+    (Sturmfels, Algorithms in Invariant Theory, 1.2 and 3.1): up to sign the
+    X_T are the monomials prime to x1 u1, and any other is x1 u1 m = trace m
+    - x2 u2 m - x3 u3 m.  No system is solved; every entry is an integer.
     """
     tabs = enumerate_tableaux(du, dx)
     monos = _xu_monomials(dx, du)
     smaller = _xu_monomials(dx - 1, du - 1) if dx and du else []
-    trace = trace_poly()
-    rows = _solve([tableau_poly(T) for T in tabs] + [trace * Poly({sm: 1}) for sm in smaller],
-                  [Poly({mo: 1}) for mo in monos], monos)
-    D = lcm(*(x.denominator for row in rows for x in row))
-    T = np.array([[int(x * D) for x in row] for row in rows], dtype=np.int64)
-    return tabs, smaller, {mo: i for i, mo in enumerate(monos)}, T, D
+    row_of = {mo: i for i, mo in enumerate(monos)}
+    own = {mo: (j, sign) for j, (mo, sign) in enumerate(map(tableau_monomial, tabs))}
+    T = np.zeros((len(monos), len(tabs) + len(smaller)), np.int64)
+    # reversed, the powers of x1 ascend: a row reads only rows already filled
+    for mo in reversed(monos):
+        row = T[row_of[mo]]
+        if mo in own:
+            row[own[mo][0]] = own[mo][1]
+        else:
+            m = monomial(mo + (("x1", -1), ("u1", -1)))
+            row[len(tabs) + smaller.index(m)] = 1
+            for i in (2, 3):
+                row -= T[row_of[mono_mul(m, ((f"x{i}", 1), (f"u{i}", 1)))]]
+    return tabs, smaller, row_of, T
 
 
 def harmonic_project(p):
@@ -139,11 +148,11 @@ def harmonic_project(p):
     Returns (coeffs, tableaux, remainder) where coeffs[i] is the Poly
     coefficient of X_{T_i}; every coefficient is a Fraction.
 
-    Each term splits once into its (x, u) monomial, a row of the integer
-    table T, and its outer monomial in the other variables.  The terms,
-    scaled to integers by the lcm of their denominators, fill a matrix C of
-    (outer, row) coefficients, and the single product C @ T holds every
-    outer monomial's coordinates on the tableaux and the remainder.  It is
+    Each term splits in one pass into its (x, u) monomial, a row of the
+    integer table T, and its outer monomial in the other variables.  Scaled
+    to an integer by the lcm of the denominators, it is added times each
+    nonzero entry of its row into the (outer, column) sums: every outer
+    monomial's coordinates on the tableaux and the remainder.  They are
     int64 while sum |c| * max |T| < 2^63, which bounds every partial sum,
     and exact Python ints in object arrays past that.
     """
@@ -152,29 +161,33 @@ def harmonic_project(p):
     first = next(iter(p.terms))
     dx = sum(e for v, e in first if v[0] == "x")
     du = sum(e for v, e in first if v[0] == "u")
-    tabs, smaller, row_of, T, D = _projection_table(dx, du)
+    tabs, smaller, row_of, T = _projection_table(dx, du)
     outer_of = {}
     rows, outer_ids = [], []
     for mo in p.terms:
-        row = row_of.get(tuple(ve for ve in mo if ve[0][0] in "xu"))
+        inner, outer = [], []
+        for ve in mo:
+            (inner if ve[0][0] in "xu" else outer).append(ve)
+        row = row_of.get(tuple(inner))
         if row is None:
             raise ValueError("input not bihomogeneous")
         rows.append(row)
-        outer_ids.append(outer_of.setdefault(tuple(ve for ve in mo if ve[0][0] not in "xu"),
-                                             len(outer_of)))
+        outer_ids.append(outer_of.setdefault(tuple(outer), len(outer_of)))
     den = lcm(*(c.denominator for c in p.terms.values()))
     nums = [c.numerator * (den // c.denominator) for c in p.terms.values()]
     dtype = np.int64 if sum(map(abs, nums)) * int(np.abs(T).max()) < _INT64_BOUND else object
-    C = np.zeros((len(outer_of), len(row_of)), dtype)
-    C[outer_ids, rows] = nums
-    acc = C @ T.astype(dtype, copy=False)
+    # each row's nonzero columns first, cut to the most any row has (zeros pad)
+    nz_cols = np.argsort(T == 0, axis=1, kind="stable")[:, :(T != 0).sum(axis=1).max()]
+    nz_vals = np.take_along_axis(T, nz_cols, axis=1).astype(dtype)
+    acc = np.zeros((len(outer_of), T.shape[1]), dtype)
+    np.add.at(acc, (np.array(outer_ids)[:, None], nz_cols[rows]),
+              np.array(nums, dtype)[:, None] * nz_vals[rows])
 
     outers = list(outer_of)
-    scale = D * den
     cols = [[] for _ in range(acc.shape[1])]
     o, j = acc.nonzero()
     for oi, ji, v in zip(o.tolist(), j.tolist(), acc[o, j].tolist()):
-        cols[ji].append((outers[oi], Fraction(v, scale)))
+        cols[ji].append((outers[oi], Fraction(v, den)))
     ntabs = len(tabs)
     remainder = ((mono_mul(outer, sm), c) for sm, col in zip(smaller, cols[ntabs:])
                  for outer, c in col)

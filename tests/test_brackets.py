@@ -6,7 +6,7 @@ import random
 import string
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import factorial, gcd
 from pathlib import Path
 
@@ -350,10 +350,21 @@ def _reference_expand_term(term):
     return {k: c for k, c in out.items() if c}
 
 
-def test_expand_normalizes_rational_sums():
-    """A sum with rational coefficients expands to its primitive integer
-    multiple, with a positive leading term in graded-lex order."""
-    src = "alpha_x^3 beta_y^3 - 3/2 alpha_x^2 alpha_y beta_x beta_y^2"
+def _expanded_term(term):
+    """_expand_term(term) read off its arrays as {Poly monomial: int coeff},
+    the form _reference_expand_term returns."""
+    exps, coeffs = br._expand_term(term)
+    assert exps.shape == (len(coeffs), len(br._MONO_FIELDS))
+    assert exps.dtype.kind == "u" and exps.dtype.itemsize == 1
+    names = [var for _, var in br._MONO_FIELDS]
+    monos = [tuple(compress(zip(names, row), row)) for row in exps.tolist()]
+    assert len(set(monos)) == len(monos) and all(coeffs)
+    return dict(zip(monos, coeffs.tolist()))
+
+
+def _normalized_expansion(src):
+    """expand(parse(src)).poly, checked to be the primitive integer multiple
+    of the reference sum with a positive leading term in graded-lex order."""
     expr = br.parse(src)
     want = Poly((m, t.coeff * c) for t in expr.terms
                 for m, c in _reference_expand_term(t).items())
@@ -363,9 +374,28 @@ def test_expand_normalizes_rational_sums():
     assert got.sorted_terms()[0][1] > 0
     mono = next(iter(want.terms))
     assert got * (want.terms[mono] / Fraction(got.terms[mono])) == want
+    return got
+
+
+def test_expand_normalizes_rational_sums():
+    """A sum with rational coefficients expands to its primitive integer
+    multiple, with a positive leading term in graded-lex order."""
+    got = _normalized_expansion("alpha_x^3 beta_y^3 - 3/2 alpha_x^2 alpha_y beta_x beta_y^2")
     # a negative rational multiple of the sum expands to the same polynomial
     scaled = "-5/3 alpha_x^3 beta_y^3 + 5/2 alpha_x^2 alpha_y beta_x beta_y^2"
-    assert br.expand(br.parse(scaled)).poly == got
+    assert _normalized_expansion(scaled) == got
+    # one term with a negative leading coefficient: no merge in expand
+    single = _normalized_expansion("alpha_x^3 beta_y^3")
+    assert _normalized_expansion("-7/2 alpha_x^3 beta_y^3") == single
+    # a scale that pushes the summed coefficients past int64 keeps them exact
+    big = 3 ** 40
+    wide = _normalized_expansion(f"{big} alpha_x^3 beta_y^3 - 3/2 alpha_x^2 alpha_y beta_x beta_y^2")
+    assert max(map(abs, wide.terms.values())) >= 1 << 63
+    # terms that cancel leave the others: a sum with one term written twice
+    # with opposite signs expands as the term left over
+    assert _normalized_expansion("alpha_x^3 beta_y^3 - 3/2 alpha_x^2 alpha_y beta_x beta_y^2"
+                                 " + 2 alpha_x^2 alpha_y beta_x beta_y^2"
+                                 " - 2 alpha_x^2 alpha_y beta_x beta_y^2") == got
     # a sum that cancels is the flagged zero
     zero = br.expand(br.parse(br.CATALOG["Phi406"] + " - " + br.CATALOG["Phi406_dualcurve"]))
     assert zero.is_zero and zero.poly == Poly()
@@ -403,7 +433,7 @@ def test_packed_expansion_matches_reference(src):
     expr = br.parse(src)
     br.validate(expr)
     (term,) = expr.terms
-    assert br._expand_term(term) == _reference_expand_term(term)
+    assert _expanded_term(term) == _reference_expand_term(term)
 
 
 def test_key_layout_fits_every_field():
@@ -430,7 +460,7 @@ def test_key_layout_fits_every_field():
         spans = sorted((shift, width) for word, shift, width in fields.values() if word == w)
         assert all(a + n <= b for (a, n), (b, _) in zip(spans, spans[1:]))
     # every exponent of the expansion fits its field
-    raw = br._expand_term(term)
+    raw = _expanded_term(term)
     for mono in raw:
         for v, e in mono:
             field = ("a", int(v[1:])) if v[0] == "a" else (v[0], int(v[1:]) - 1)
@@ -460,11 +490,12 @@ def test_object_coefficients_keep_every_digest(monkeypatch):
 
 
 # the largest merge input, in rows, of each catalog expansion with its
-# factors folded in the order _fold_order plans
+# factors folded in the order _fold_order plans, one merge per factor: all
+# of a factor's summands at once
 MERGE_ROWS = {
-    "Phi222": 135, "Phi303": 184, "Phi330": 152, "Phi400": 133, "Phi406": 1378,
-    "Phi406_dualcurve": 1378, "Phi441": 1378, "Phi503": 1324, "Phi600": 1064,
-    "Phi814": 36406, "Psi21": 108, "Psi42": 416, "Psi51": 324, "Psi54": 504,
+    "Phi222": 189, "Phi303": 612, "Phi330": 252, "Phi400": 612, "Phi406": 5760,
+    "Phi406_dualcurve": 5760, "Phi441": 2214, "Phi503": 5256, "Phi600": 5256,
+    "Phi814": 145512, "Psi21": 108, "Psi42": 432, "Psi51": 324, "Psi54": 567,
 }
 
 
@@ -489,6 +520,23 @@ def test_catalog_fold_sizes_stay_bounded(monkeypatch):
     largest = {name: _largest_merge(monkeypatch, br.catalog(name))[1] for name in br.CATALOG}
     assert set(largest) == set(MERGE_ROWS)
     assert {n: k for n, k in largest.items() if k > 1.25 * MERGE_ROWS[n]} == {}
+
+
+def test_one_merge_per_factor(monkeypatch):
+    """A factor occurrence is folded by one merge of all its summands, and
+    expand merges only across terms: Phi814's 10 factors take 10 merges."""
+    calls = []
+    merge = br._merge
+    monkeypatch.setattr(br, "_merge", lambda keys, coeffs: calls.append(len(keys))
+                        or merge(keys, coeffs))
+    for name in br.CATALOG:
+        calls.clear()
+        (term,) = br.catalog(name).terms
+        br.expand(br.catalog(name))
+        assert len(calls) == sum(exp for _, exp in term.factors), name
+    calls.clear()
+    br.expand(br.parse("alpha_x^3 beta_y^3 - 3/2 alpha_x^2 alpha_y beta_x beta_y^2"))
+    assert len(calls) == 6 + 6 + 1
 
 
 def test_fold_plan_ignores_the_written_order(monkeypatch):
@@ -553,7 +601,7 @@ def test_fold_plan_bounds_at_most_one_letter_set_each(monkeypatch):
 def test_coefficients_past_int64_are_exact():
     # (u_x)^45 has multinomial coefficients up to 45! / 15!^3 > 2^63
     (term,) = br.parse("alpha_x^3 u_x^45").terms
-    got = br._expand_term(term)
+    got = _expanded_term(term)
     assert max(map(abs, got.values())) >= 1 << 63
     assert got == _reference_expand_term(term)
 
@@ -686,5 +734,5 @@ def test_expansion_matches_tensor_contraction(src, rng):
     # the unnormalized expansion carries 3! per letter, as 6 T does
     (term,) = br.parse(src).terms
     a, vecs, values = random_point(rng)
-    raw = Poly(br._expand_term(term))
+    raw = Poly(_expanded_term(term))
     assert raw.evaluate(values) == contract(term, a, vecs)

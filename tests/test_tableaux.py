@@ -4,6 +4,7 @@ import ast
 import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -206,11 +207,61 @@ def _sha256(x):
 def _fraction_table(dx, du):
     """_projection_table(dx, du) read as Fractions: (tableaux, {monomial: tuple
     of gamma}, {monomial: rest as Poly})."""
-    tabs, smaller, row_of, T, D = tb._projection_table(dx, du)
+    tabs, smaller, row_of, T = tb._projection_table(dx, du)
     n = len(tabs)
-    coords = {mo: [Fraction(int(x), D) for x in T[i]] for mo, i in row_of.items()}
+    coords = {mo: [Fraction(int(x)) for x in T[i]] for mo, i in row_of.items()}
     return (tabs, {mo: tuple(c[:n]) for mo, c in coords.items()},
             {mo: Poly(zip(smaller, c[n:])) for mo, c in coords.items()})
+
+
+def _reference_projection_table(dx, du):
+    """The table solved over Q: mono = sum_T gamma_T X_T + trace * rest by one
+    Fraction elimination, returned as (tableaux, smaller monomials,
+    {monomial: row}, T, D) with T the integer matrix D times the solution."""
+    tabs = tb.enumerate_tableaux(du, dx)
+    monos = tb._xu_monomials(dx, du)
+    smaller = tb._xu_monomials(dx - 1, du - 1) if dx and du else []
+    trace = tb.trace_poly()
+    rows = tb._solve([tb.tableau_poly(T) for T in tabs] + [trace * Poly({sm: 1}) for sm in smaller],
+                     [Poly({mo: 1}) for mo in monos], monos)
+    D = lcm(*(x.denominator for row in rows for x in row))
+    T = np.array([[int(x * D) for x in row] for row in rows], dtype=np.int64)
+    return tabs, smaller, {mo: i for i, mo in enumerate(monos)}, T, D
+
+
+def test_projection_tables_match_the_fraction_solve():
+    """The closed-form tables equal the solved ones byte for byte, with
+    denominator 1, at every bidegree of total degree at most 8."""
+    for dx in range(9):
+        for du in range(9 - dx):
+            tabs, smaller, row_of, T = tb._projection_table(dx, du)
+            ref_tabs, ref_smaller, ref_row_of, ref_T, D = _reference_projection_table(dx, du)
+            assert D == 1, (dx, du)
+            assert (tabs, smaller, row_of) == (ref_tabs, ref_smaller, ref_row_of), (dx, du)
+            assert T.dtype == ref_T.dtype and T.shape == ref_T.shape, (dx, du)
+            assert T.tobytes() == ref_T.tobytes(), (dx, du)
+
+
+def test_projection_builds_without_a_fraction_solve(monkeypatch):
+    """With the rational elimination patched to raise, the table of every
+    catalog bidegree builds and every catalog concomitant projects as
+    before."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a projection table ran a Fraction solve")
+
+    monkeypatch.setattr(linalg, "_rref_frac", refuse)
+    tb._projection_table.cache_clear()
+    try:
+        for dx, du in {key[:2] for key in PROJECTION_TABLE_SHA256}:
+            tb._projection_table(dx, du)
+        got = []
+        for name in sorted(br.CATALOG):
+            coeffs, tabs, rem = tb.harmonic_project(br.catalog_concomitant(name).poly)
+            got.append((name, tabs, [sorted(c.terms.items()) for c in coeffs],
+                        sorted(rem.terms.items())))
+    finally:
+        tb._projection_table.cache_clear()
+    assert _sha256(got) == PROJECTED_CATALOG_SHA256
 
 
 def test_projection_tables_golden():
