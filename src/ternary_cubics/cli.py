@@ -271,7 +271,7 @@ def _check_weyl_orbits(lid, deg, config):
     expected = "nullity constant on each S3 orbit"
     piece = ideals.graded_kernel(lid, deg, config["primes"])
     full = ideals.full_block_nullities(lid, deg, config["primes"])
-    blocks, _ = ideals.monomials_by_weight(deg)
+    blocks = ideals.monomials_by_weight(deg)
     for w in sorted(blocks):
         d = tuple(sorted(w, reverse=True))
         got = (full.get(w, 0), full.get(d, 0), piece.block_nullities.get(w, 0))

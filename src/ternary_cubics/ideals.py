@@ -13,21 +13,24 @@ m_lam highest-weight vectors (see below), a matrix of m_lam columns (at most
 4 below degree 9), and the block nullities follow from the irreducible
 characters.  No kernel basis is eliminated for a dimension or a type.
 
-Kernel bases are built only when read (GradedPiece.bases, for syzygies and
-evaluation): the piece is generated by its highest-weight vectors, which the
-kernels of the products above give, and every block is spanned by their
-images under the lowering derivations, its count checked against its
-nullity.  No block is eliminated for its kernel.  The verify-all check
-weyl-orbits-delta-5 eliminates every block of one kernel and compares each
-block nullity with graded_kernel's, two independent routes.
+graded_kernel caches each piece whole, in the one dict _PIECES keyed by
+(locus, degree, primes), with its multiplicities {lam: k_lam > 0}.  Kernel
+bases are built only when read (the cached property GradedPiece.bases, for
+syzygies and evaluation): the piece is generated by its highest-weight
+vectors, which the kernels of the products above give, and every block is
+spanned by their images under the lowering derivations, its count checked
+against its nullity.  No block is eliminated for its kernel.  The
+verify-all check weyl-orbits-delta-5 eliminates every block of one kernel
+and compares each block nullity with graded_kernel's, two independent routes.
 
 Monomials in the a-variables are nondecreasing index tuples (a0 a0 a3 =
 (0, 0, 3)), listed once per degree in lexicographic order by
 monomials_by_weight; every block of every kind is built from those cached
-lists.  A monomial's substitution image is its prefix's image times one
-phi_r.  _image_blocks builds the images of the distinct prefixes of the
-chosen monomials level by level, prefix length 1, 2, ..., in lexicographic
-order, so each is computed once: a level is one batched numpy product of its
+lists, and a position in a block is looked up only where it is read.  A
+monomial's substitution image is its prefix's image times one phi_r.
+_image_blocks builds the images of the distinct prefixes of the chosen
+monomials level by level, prefix length 1, 2, ..., in lexicographic order,
+so each is computed once: a level is one batched numpy product of its
 parents' terms with phi, merged by a sort on packed (prefix, parameter key)
 and np.add.reduceat.  The last level is the monomials' own images, and each
 block's rows are its parameter keys in increasing order.  The images are
@@ -66,8 +69,9 @@ by every degree.
 
 Syzygies among the degree-j generators are the kernel of the multiplication
 map (generators) x (linear forms) -> R_{j+1}; this needs no substitution
-images in degree j+1, only monomial bookkeeping, and again only the dominant
-blocks of R_{j+1} are eliminated.
+images in degree j+1, and no list of its monomials either: each product
+g a_r is coded as an exponent vector, and a block's rows are the distinct
+codes hit.  Again only the dominant blocks of R_{j+1} are eliminated.
 
 Concomitant membership is exact, over Z: a concomitant's x1^dx u3^du
 coefficient h (its source, Roberts' theorem) generates its irreducible
@@ -101,20 +105,24 @@ _MAX_MONOMIALS = 10 ** 6
 # monomial lists and their S3 orbits
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def monomials_by_weight(degree):
-    """Degree-`degree` monomials in a0..a9 grouped by weight.
-
-    Returns ({weight: [index-tuple, ...]}, {weight: {index-tuple: position}}).
-    Tuples are nondecreasing and, within and across blocks, in lexicographic order.
-    A negative degree, or one of more than _MAX_MONOMIALS monomials, raises ValueError.
-    """
+def _check_degree(degree):
+    """Raise ValueError for a negative degree or one of more than _MAX_MONOMIALS monomials."""
     if degree < 0:
         raise ValueError(f"degree must be at least 0, got {degree}")
     n = math.comb(degree + 9, 9)
     if n > _MAX_MONOMIALS:
         raise ValueError(f"degree {degree} has C({degree + 9}, 9) = {n:,} monomials, "
                          f"more than the bound of {_MAX_MONOMIALS:,}")
+
+
+@lru_cache(maxsize=16)
+def monomials_by_weight(degree):
+    """Degree-`degree` monomials in a0..a9 grouped by weight: {weight: [index-tuple, ...]}.
+
+    Tuples are nondecreasing and, within and across blocks, in lexicographic order.
+    A degree that _check_degree refuses raises ValueError before any is listed.
+    """
+    _check_degree(degree)
     # the weights (w0, w1, 3 degree - w0 - w1) of the monomials, packed as
     # w0 * base + w1 and summed in the same order as the index tuples
     base = 3 * degree + 1
@@ -122,10 +130,8 @@ def monomials_by_weight(degree):
     by_key = {}
     for m, k in zip(combinations_with_replacement(range(10), degree), packed):
         by_key.setdefault(k, []).append(m)
-    blocks = {(k // base, k % base, 3 * degree - k // base - k % base): ms
-              for k, ms in by_key.items()}
-    index = {w: {m: i for i, m in enumerate(ms)} for w, ms in blocks.items()}
-    return blocks, index
+    return {(k // base, k % base, 3 * degree - k // base - k % base): ms
+            for k, ms in by_key.items()}
 
 
 def is_dominant(w):
@@ -138,9 +144,13 @@ def _fill_orbits(dominant):
 
 
 def poly_to_block_vectors(pl, degree):
-    """Split an a-polynomial into {weight: dense coefficient list} vectors."""
-    blocks, index = monomials_by_weight(degree)
-    out = {}
+    """Split an a-polynomial into {weight: dense coefficient list} vectors.
+
+    A monomial's position is its index in its block's list; the positions
+    are looked up only in the blocks the polynomial has terms in.
+    """
+    blocks = monomials_by_weight(degree)
+    out, index = {}, {}
     for mo, c in pl.terms.items():
         idxs = []
         for v, e in mo:
@@ -153,6 +163,7 @@ def poly_to_block_vectors(pl, degree):
         w = tuple(sum(A_EXPS[r][i] for r in mono) for i in range(3))
         if w not in out:
             out[w] = [0] * len(blocks[w])
+            index[w] = {m: i for i, m in enumerate(blocks[w])}
         out[w][index[w][mono]] += c
     return out
 
@@ -234,7 +245,7 @@ def _image_blocks(locus, degree, weights):
     one phi_r; a bound past int64 raises ValueError.
     """
     phi = _encoded_phi(locus)
-    blocks, _ = monomials_by_weight(degree)
+    blocks = monomials_by_weight(degree)
     bound = int(np.abs(phi[1]).sum(axis=1).max()) ** degree
     if bound >= 2 ** 63:
         raise ValueError(f"images of {locus} in degree {degree} have coefficients up to "
@@ -335,38 +346,37 @@ class _Piece:
         return sum(self.block_nullities.values())
 
 
+@dataclass
 class GradedPiece(_Piece):
     """A graded piece of an ideal, whose kernel bases are built on first read."""
+    multiplicities: dict             # dominant weight lam -> k_lam > 0
 
     @cached_property
     def bases(self):
         """prime -> {weight: (monos, basis rows)} for every nonzero block, built on first read.
 
         The highest-weight kernel vectors, N^T B_lam with N the kernel of
-        A_lam B_lam^T mod p, are found for the lam with k_lam > 0 and checked
-        against k_lam; _lowered spans every block from them, each checked
-        against block_nullities.  A shortfall raises UnluckyPrimeError naming
-        the block and caches nothing.  Cached per (locus, degree, primes).
+        A_lam B_lam^T mod p, are found for the lam of `multiplicities` and
+        checked against k_lam; _lowered spans every block from them, each
+        checked against block_nullities.  A shortfall raises UnluckyPrimeError
+        naming the block and caches nothing.
         """
-        key = (self.locus, self.degree, self.primes)
-        if key not in _BASIS_CACHE:
-            what = f"of {self.locus} degree {self.degree}"
-            images = _image_blocks(self.locus, self.degree, _KERNEL_CACHE[key])
-            tops, _ = _solve_blocks(
-                f"highest-weight kernel vectors {what}", self.primes,
-                lambda p: _hw_products(images, self.degree, p),
-                lambda AB, p: _product_mod(linalg.nullspace_mod(AB[0], p).T, AB[1], p),
-                exact=_KERNEL_CACHE[key])
-            # top down: F1 and F2 each lower 2 w0 + w1 by one
-            order = sorted(self.block_nullities, key=lambda w: -2 * w[0] - w[1])
-            maps = {w: _weight_maps(self.degree, w, _LOWERING) for w in order}
-            _BASIS_CACHE[key], _ = _solve_blocks(
-                f"kernel bases {what}", self.primes,
-                lambda p: _lowered(tops[p], maps, p, linalg.rowbasis_mod),
-                lambda B, p: B, exact=self.block_nullities)
-        blocks, _ = monomials_by_weight(self.degree)
-        return {p: {w: (blocks[w], B) for w, B in bases.items()}
-                for p, bases in _BASIS_CACHE[key].items()}
+        what = f"of {self.locus} degree {self.degree}"
+        images = _image_blocks(self.locus, self.degree, self.multiplicities)
+        tops, _ = _solve_blocks(
+            f"highest-weight kernel vectors {what}", self.primes,
+            lambda p: _hw_products(images, self.degree, p),
+            lambda AB, p: _product_mod(linalg.nullspace_mod(AB[0], p).T, AB[1], p),
+            exact=self.multiplicities)
+        # top down: F1 and F2 each lower 2 w0 + w1 by one
+        order = sorted(self.block_nullities, key=lambda w: -2 * w[0] - w[1])
+        maps = {w: _weight_maps(self.degree, w, _LOWERING) for w in order}
+        bases, _ = _solve_blocks(
+            f"kernel bases {what}", self.primes,
+            lambda p: _lowered(tops[p], maps, p, linalg.rowbasis_mod),
+            lambda B, p: B, exact=self.block_nullities)
+        blocks = monomials_by_weight(self.degree)
+        return {p: {w: (blocks[w], B) for w, B in bs.items()} for p, bs in bases.items()}
 
     def vanishes_at(self, point, p):
         """Do all kernel basis vectors vanish at the cubic `point` (mod p)?
@@ -385,8 +395,7 @@ class GradedPiece(_Piece):
         return True
 
 
-_KERNEL_CACHE = {}   # (locus, degree, primes) -> {dominant weight: multiplicity}
-_BASIS_CACHE = {}    # (locus, degree, primes) -> {prime: {weight: basis rows}}, nonzero blocks
+_PIECES = {}   # (locus, degree, primes) -> GradedPiece
 
 
 def _lowered(tops, maps, p, rowbasis):
@@ -435,25 +444,27 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     HW_lam(R_degree)) and are killed by A_lam.  Their coordinates on B_lam are
     then mult_lam independent kernel vectors of A_lam B_lam^T.
 
-    No kernel basis is built here; GradedPiece.bases lowers the highest-weight
-    kernel vectors on first read.
+    The piece, its {lam: k_lam > 0} as `multiplicities`, is cached in _PIECES
+    per (locus, degree, primes).  No kernel basis is built here;
+    GradedPiece.bases lowers the highest-weight kernel vectors on first read.
     """
     primes = linalg.check_primes(primes)
     key = (locus, degree, primes)
-    if key not in _KERNEL_CACHE:
+    if key not in _PIECES:
         # one image build over Z serves every prime.  A bad locus or degree
         # raises in the build, and a disagreement in the solve, before
         # anything is stored.
         images = _image_blocks(locus, degree, _highest_weights(degree))
-        _, _KERNEL_CACHE[key] = _solve_blocks(f"kernel of {locus} degree {degree}", primes,
-                                              lambda p: _hw_products(images, degree, p),
-                                              lambda AB, p: linalg.nullity_mod(AB[0], p))
-    char = Character()
-    for w, k in _KERNEL_CACHE[key].items():
-        char += weyl_character(w[0] - w[2], w[1] - w[2]).scale(k)
-    blocks, _ = monomials_by_weight(degree)
-    nullities = {w: n for w in blocks if (n := char.get(normalize(w), 0))}
-    return GradedPiece(locus, degree, primes, nullities)
+        _, mults = _solve_blocks(f"kernel of {locus} degree {degree}", primes,
+                                 lambda p: _hw_products(images, degree, p),
+                                 lambda AB, p: linalg.nullity_mod(AB[0], p))
+        char = Character()
+        for w, k in mults.items():
+            char += weyl_character(w[0] - w[2], w[1] - w[2]).scale(k)
+        nullities = {w: n for w in monomials_by_weight(degree)
+                     if (n := char.get(normalize(w), 0))}
+        _PIECES[key] = GradedPiece(locus, degree, primes, nullities, mults)
+    return _PIECES[key]
 
 
 def full_block_nullities(locus, degree, primes):
@@ -464,7 +475,7 @@ def full_block_nullities(locus, degree, primes):
     build over Z serves every prime, and the primes must agree.
     """
     primes = linalg.check_primes(primes)
-    blocks, _ = monomials_by_weight(degree)
+    blocks = monomials_by_weight(degree)
     images = _image_blocks(locus, degree, list(blocks))
     return _solve_blocks(f"all blocks of {locus} degree {degree}", primes,
                          lambda p: _blocks_mod(images, p), linalg.nullity_mod)[1]
@@ -497,7 +508,7 @@ def _weight_maps(degree, w, derivations):
     can take the step the matrix has no rows.  Entries are at most 3 degree
     (42 at the largest listed degree, 14), residues for every allowed prime.
     """
-    blocks, _ = monomials_by_weight(degree)
+    blocks = monomials_by_weight(degree)
     power = (degree + 1) ** np.arange(9, -1, -1, dtype=np.int64)
     monos = _monomial_array(blocks[w], degree)
     codes = power[monos].sum(axis=1)
@@ -540,7 +551,7 @@ def _highest_weights(degree):
     """{dominant weight w: m_w} for every block with m_w > 0, in the order of
     monomials_by_weight: m_w is the multiplicity of V_(w0 - w2, w1 - w2) in
     decompose(sym_power(degree, S^3)).  Read only: the dict is cached."""
-    blocks, _ = monomials_by_weight(degree)
+    blocks = monomials_by_weight(degree)
     mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
     return {w: m for w in blocks if is_dominant(w)
             if (m := mults.get((w[0] - w[2], w[1] - w[2]), 0))}
@@ -610,7 +621,7 @@ def hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed=0):
     """
     prime = linalg.check_prime(prime)
     bases = highest_weight_bases(degree, prime)
-    blocks, _ = monomials_by_weight(degree)
+    blocks = monomials_by_weight(degree)
     npoints = max(map(len, bases.values())) + HILBERT_MARGIN
     phival = np.array([loci.sample(locus, (seed, k), prime) for k in range(npoints)],
                       dtype=np.int64).T
@@ -645,34 +656,34 @@ def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
     The syzygy space is the kernel of (generators) (x) R_1 -> R_{degree+1},
     xi -> sum xi_{i,r} g_i a_r.  Weight-blocked: only the dominant blocks
     are eliminated, each checked over every prime, and the other blocks of
-    an orbit take its nullity.
+    an orbit take its nullity.  No monomial of degree + 1 is listed: a
+    block's rows are the distinct codes of the products g_i a_r that land in
+    it, the exponent vector in base degree + 2 as _weight_maps codes
+    monomials.  Every other row of the block is zero, so the nullity is the
+    same.  A degree + 1 that _check_degree refuses raises before any kernel.
     """
     if degree is None:
         degree = loci.GENERATOR_DEGREES[locus][0]
-    # listed first, so a degree past the bound fails before any kernel
-    _, idx_up = monomials_by_weight(degree + 1)
+    _check_degree(degree + 1)
     gp = graded_kernel(locus, degree, primes)
+    power = (degree + 2) ** np.arange(9, -1, -1, dtype=np.int64)
 
     def blocks(p):
-        # columns of the syzygy system: for each g_i and r, the vector of
-        # g_i * a_r in the block of its weight
-        basis = gp.bases[p]
-        parts = {}          # dominant weight -> [(row positions, generator rows)]
-        for w in sorted(basis):
-            monos, B = basis[w]
-            for r in range(10):
-                e = A_EXPS[r]
-                wr = (w[0] + e[0], w[1] + e[1], w[2] + e[2])
-                if is_dominant(wr):
-                    up = idx_up[wr]
-                    rows = [up[tuple(sorted(m + (r,)))] for m in monos]
-                    parts.setdefault(wr, []).append((rows, B))
+        # columns of the syzygy system: for each g_i and r, the codes of the
+        # monomials of g_i * a_r in the block of its weight
+        parts = {}          # dominant weight -> [(row codes, generator rows)]
+        for w, (monos, B) in sorted(gp.bases[p].items()):
+            codes = power[_monomial_array(monos, degree)].sum(axis=1)
+            for r, e in enumerate(A_EXPS):
+                if is_dominant(wr := tuple(map(add, w, e))):
+                    parts.setdefault(wr, []).append((codes + power[r], B))
         for wr, cols in parts.items():
-            A = np.zeros((len(idx_up[wr]), sum(len(B) for _, B in cols)), dtype=np.int64)
-            j = 0
-            for rows, B in cols:
-                A[rows, j:j + len(B)] = B.T
-                j += len(B)
+            codes, rows = np.unique(np.concatenate([c for c, _ in cols]), return_inverse=True)
+            A = np.zeros((len(codes), sum(len(B) for _, B in cols)), dtype=np.int64)
+            at = j = 0
+            for c, B in cols:
+                A[rows[at:at + len(c)], j:j + len(B)] = B.T
+                at, j = at + len(c), j + len(B)
             yield wr, A
 
     _, dominant = _solve_blocks(f"syzygies of {locus} degree {degree}", gp.primes,

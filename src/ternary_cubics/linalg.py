@@ -5,8 +5,9 @@ route is modular: reduce mod a large prime, row-reduce with numpy int64
 arithmetic, and confirm the nullity with a second prime.  The primes are
 compared by the callers: ideals._solve_blocks for every weight-blocked
 elimination, and the cli's `ideal hilbert` (cmd_ideal) for Hilbert values.
-Exact rational elimination (via fractions.Fraction) is kept for small
-systems and as an independent cross-check.
+Exact rational elimination (via fractions.Fraction, nullspace_frac) solves
+nothing in the package: it is the tests' independent oracle for the
+modular routines.
 
 There is one echelon routine per field, each reducing in place and returning
 the pivot columns: _rref_mod over F_p and _rref_frac over Q.  Only rank_mod
@@ -212,19 +213,16 @@ def in_rowspan_mod(A, v, p):
     return rank_mod(B[:-1], p) == rank_mod(B, p)
 
 
-def _rref_frac(A, ncols=None):
+def _rref_frac(A):
     """In-place reduced row echelon form of Fraction rows; returns pivot columns.
 
-    Pivots are sought in the first `ncols` columns (all by default); the row
-    operations apply to whole rows, so columns past `ncols` ride along as an
-    augmented block.  A row update skips the zero entries of the pivot row:
-    the projection and trace systems are sparse.
+    A row update skips the zero entries of the pivot row.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     pivots = []
     r = 0
-    for c in range(n if ncols is None else ncols):
+    for c in range(n):
         if r == m:
             break
         pr = next((i for i in range(r, m) if A[i][c] != 0), None)

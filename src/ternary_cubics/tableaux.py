@@ -18,8 +18,9 @@ concomitants) renames them to x and u before projecting.  The trace is monic
 in x1 u1, so _projection_table writes each bidegree's table down in closed
 form, integer and with no system solved, and harmonic_project adds each
 term's few nonzero table entries into one integer accumulator.  The
-trace-free representatives are solved by _solve, one linalg._rref_frac call
-per bidegree with the right-hand sides riding along as an augmented block.
+trace-free representatives have a closed form too, a finite sum of powers of
+the trace times powers of its contraction omega, so no system is solved
+anywhere in the module.
 """
 
 from fractions import Fraction
@@ -29,7 +30,6 @@ from math import factorial, lcm
 
 import numpy as np
 
-from . import linalg
 from .poly import Poly, linear_form, mono_mul, monomial
 
 COLUMN_SIGNS = {(2, 3): ("x1", 1), (1, 3): ("x2", -1), (1, 2): ("x3", 1)}
@@ -83,29 +83,6 @@ def _xu_monomials(dx, du):
         for cu in combinations_with_replacement((1, 2, 3), du):
             out.append(monomial([(f"x{i}", 1) for i in cx] + [(f"u{i}", 1) for i in cu]))
     return out
-
-
-def _solve(columns, rhs, monos):
-    """Coordinates of each Poly in rhs on the Polys in columns, exactly over Q.
-
-    Every Poly lives on the monomials monos.  [columns | rhs] is row-reduced
-    once; the columns must be independent, so the pivots are 0..n-1 and row
-    i holds coordinate i.  Raises RuntimeError if the columns are dependent
-    or some right-hand side is outside their span.  Returns one coordinate
-    list per right-hand side.
-    """
-    index = {mo: i for i, mo in enumerate(monos)}
-    polys = [*columns, *rhs]
-    A = [[Fraction(0)] * len(polys) for _ in monos]
-    for j, p in enumerate(polys):
-        for mo, c in p.terms.items():
-            A[index[mo]][j] = Fraction(c)
-    n = len(columns)
-    if len(linalg._rref_frac(A, n)) != n:
-        raise RuntimeError("the columns are dependent")
-    if any(x for row in A[n:] for x in row[n:]):
-        raise RuntimeError("a right-hand side is outside the span of the columns")
-    return [[row[n + k] for row in A[:n]] for k in range(len(rhs))]
 
 
 @lru_cache(maxsize=None)
@@ -223,17 +200,28 @@ def harmonic_representatives(dx, du):
 
     h_T = X_T - trace * g with omega(h_T) = 0; the quotient-basis coefficient
     extraction of harmonic_project is blind to the choice of representative,
-    but the invariant pairing below is not.
+    but the invariant pairing below is not.  In closed form, as omega,
+    multiplication by the trace and the degree form an sl2 triple
+    (omega(trace g) = trace omega(g) + (e + 3) g on g of total degree e):
+
+        h_T = sum_k (-1)^k / (k! prod_{j=1..k} (dx + du + 2 - j)) trace^k omega^k(X_T),
+
+    over 0 <= k <= min(dx, du).  With dx or du zero, h_T is X_T itself.
     """
-    tabs = enumerate_tableaux(du, dx)
-    monos = _xu_monomials(dx - 1, du - 1)
-    trace = trace_poly()
-    X = [tableau_poly(T) for T in tabs]
-    # g_T solves omega(trace * g_T) = omega(X_T), for every T at once
-    G = _solve([omega(trace * Poly({m: 1})) for m in monos], [omega(x) for x in X], monos)
+    # the scaled trace powers, k = 1..min(dx, du), shared by every T
+    scaled, power, c = [], Poly.const(1), Fraction(1)
+    for k in range(1, min(dx, du) + 1):
+        power *= trace_poly()
+        c /= -k * (dx + du + 2 - k)
+        scaled.append(c * power)
     out = []
-    for x, g in zip(X, G):
-        h = x - trace * Poly(zip(monos, g))
+    for T in enumerate_tableaux(du, dx):
+        x = term = tableau_poly(T)
+        rest = Poly()
+        for s in scaled:
+            term = omega(term)
+            rest += s * term
+        h = x + rest
         if omega(h):
             raise RuntimeError("harmonic representative still has trace part")
         out.append(h)

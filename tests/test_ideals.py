@@ -26,24 +26,46 @@ PRIMES = (1000003, 65537)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+@pytest.fixture
+def pieces(monkeypatch):
+    """An empty graded-piece cache in place of ideals._PIECES, for this test only."""
+    cache = {}
+    monkeypatch.setattr(ideals, "_PIECES", cache)
+    return cache
+
+
+def _a_poly(m):
+    """The a-monomial of the index tuple m as a Poly."""
+    return Poly({monomial([(f"a{r}", 1) for r in m]): 1})
+
+
 def test_monomials_by_weight():
-    blocks, idx = ideals.monomials_by_weight(2)
+    blocks = ideals.monomials_by_weight(2)
     total = sum(len(ms) for ms in blocks.values())
     assert total == 55          # dim Sym^2 of a 10-dim space
-    # weights are consistent and the index maps are positional
-    from ternary_cubics.poly import A_EXPS
+    # weights are consistent, and poly_to_block_vectors places each monomial
+    # at its index in its block's list
     for w, ms in blocks.items():
         for m in ms:
             got = tuple(sum(A_EXPS[r][i] for r in m) for i in range(3))
             assert got == w
-        assert idx[w] == {m: i for i, m in enumerate(ms)}
+            ((bw, vec),) = ideals.poly_to_block_vectors(_a_poly(m), 2).items()
+            assert bw == w and vec.index(1) == ms.index(m) and sum(vec) == 1
+    # a polynomial over many blocks lands in each at the listed positions
+    blocks = ideals.monomials_by_weight(4)
+    some = [m for ms in blocks.values() for m in ms[::7]]
+    vectors = ideals.poly_to_block_vectors(sum(map(_a_poly, some), Poly()), 4)
+    assert sorted(vectors) == sorted({w for w, ms in blocks.items() if ms[::7]})
+    for w, vec in vectors.items():
+        assert [i for i, c in enumerate(vec) if c] == [blocks[w].index(m) for m in some
+                                                      if m in blocks[w]]
     # the packed weights against weights summed one monomial at a time, with
     # the blocks and their monomials in lexicographic order
     for degree in range(10):
         ref = {}
         for m in itertools.combinations_with_replacement(range(10), degree):
             ref.setdefault(tuple(sum(A_EXPS[r][i] for r in m) for i in range(3)), []).append(m)
-        assert list(ideals.monomials_by_weight(degree)[0].items()) == list(ref.items())
+        assert list(ideals.monomials_by_weight(degree).items()) == list(ref.items())
 
 
 def test_graded_kernel_equiv_degree2():
@@ -162,12 +184,11 @@ def test_syzygy_bound_fails_before_any_kernel(monkeypatch):
         ideals.syzygy_kernel("delta", 14)
 
 
-def test_rejected_kernel_calls_leave_no_cache_entry(monkeypatch):
-    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
+def test_rejected_kernel_calls_leave_no_cache_entry(pieces):
     for locus, degree in (("bogus", 2), ("equiv", -1)):
         with pytest.raises(ValueError):
             ideals.graded_kernel(locus, degree, primes=PRIMES)
-    assert ideals._KERNEL_CACHE == {}
+    assert pieces == {}
 
 
 def test_unlucky_prime_guard():
@@ -195,12 +216,12 @@ SMALL_ANCHORS = [(lid, deg) for lid, deg, _, _ in cli.KERNEL_ANCHORS if deg < 8]
 
 def _dominant_weights(degree):
     """The dominant block weights of one degree, in the order of monomials_by_weight."""
-    return [w for w in ideals.monomials_by_weight(degree)[0] if ideals.is_dominant(w)]
+    return [w for w in ideals.monomials_by_weight(degree) if ideals.is_dominant(w)]
 
 
 def _all_weights(degree):
     """Every block weight of one degree, in the order of monomials_by_weight."""
-    return list(ideals.monomials_by_weight(degree)[0])
+    return list(ideals.monomials_by_weight(degree))
 
 
 @pytest.mark.parametrize("lid,deg", SMALL_ANCHORS,
@@ -229,7 +250,7 @@ def test_lowered_bases_are_kernels(lid, deg):
         for w, A in ideals._blocks_mod(images, p):
             if w in basis:
                 monos, B = basis[w]
-                assert monos == ideals.monomials_by_weight(deg)[0][w]
+                assert monos == ideals.monomials_by_weight(deg)[w]
                 assert not np.any((A @ B.T) % p)
                 assert linalg.rank_mod(B, p) == len(B)
                 assert np.array_equal(B, linalg.nullspace_mod(A, p).T)
@@ -247,8 +268,7 @@ KERNEL_BASIS_DIGESTS = {
 
 
 @pytest.mark.parametrize("lid,deg", sorted(KERNEL_BASIS_DIGESTS))
-def test_kernel_bases_are_pinned(lid, deg, monkeypatch):
-    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
+def test_kernel_bases_are_pinned(lid, deg, pieces):
     gp = ideals.graded_kernel(lid, deg)
     assert sorted(gp.bases) == sorted(linalg.DEFAULT_PRIMES)
     h = hashlib.sha256()
@@ -258,9 +278,8 @@ def test_kernel_bases_are_pinned(lid, deg, monkeypatch):
     assert h.hexdigest() == KERNEL_BASIS_DIGESTS[(lid, deg)]
 
 
-def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch):
+def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch, pieces):
     ideals.monomials_by_weight(4)     # warm the cached monomial lists
-    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
     image_blocks = ideals._image_blocks
     calls = []
 
@@ -323,7 +342,7 @@ def _reference_image_blocks(locus, degree, weights):
     Returns {weight: (shape, rows, cols, coeffs, {packed key: row})}.
     """
     phi = _reference_phi(locus)
-    blocks, _ = ideals.monomials_by_weight(degree)
+    blocks = ideals.monomials_by_weight(degree)
     # weight -> ({packed param key: row index}, rows, cols, coeffs)
     built = {w: ({}, [], [], []) for w in weights}
     path, prev = [{0: 1}], ()    # path[i]: the image of the first i indices
@@ -395,7 +414,7 @@ def test_image_coefficients_past_int64_raise(monkeypatch):
 def test_walk_prunes_to_dominant_blocks():
     # the build returns the blocks asked for, in their order, and a block
     # built alone equals the same block built with all the others
-    blocks, _ = ideals.monomials_by_weight(5)
+    blocks = ideals.monomials_by_weight(5)
     dominant = _dominant_weights(5)
     assert list(ideals._image_blocks("delta", 5, dominant)) == dominant and len(dominant) == 27
     every = ideals._image_blocks("delta", 5, _all_weights(5))
@@ -421,8 +440,7 @@ def test_vanishes_at_separates_points_modulo_its_prime():
         gp.vanishes_at(loci.sample("delta", seed=3, p=65537), 65537)
 
 
-def test_kernel_disagreement_names_the_block(monkeypatch):
-    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
+def test_kernel_disagreement_names_the_block(monkeypatch, pieces):
     nullity = linalg.nullity_mod
 
     def drop_one(A, p):
@@ -468,9 +486,8 @@ def test_weyl_orbit_check_reports_the_disagreeing_block(monkeypatch):
 @pytest.mark.parametrize("compute", [
     ideals.graded_kernel, ideals.syzygy_kernel, ideals.full_block_nullities,
 ], ids=["graded_kernel", "syzygy_kernel", "full_block_nullities"])
-def test_empty_prime_sets_are_rejected(compute, monkeypatch):
+def test_empty_prime_sets_are_rejected(compute, monkeypatch, pieces):
     # no prime used to fail on an empty list index, or to agree vacuously
-    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
     monkeypatch.setattr(ideals, "_image_blocks", lambda *a, **k: pytest.fail("walked"))
     with pytest.raises(ValueError, match="at least one prime"):
         compute("equiv", 2, ())
@@ -510,7 +527,7 @@ def test_hilbert_blocks_are_point_evaluations(lid, monkeypatch):
     seen = []
     monkeypatch.setattr(linalg, "rank_mod", lambda A, q: seen.append(A.copy()) or rank(A, q))
     ideals.hilbert_value(lid, deg, seed=0)
-    blocks, _ = ideals.monomials_by_weight(deg)
+    blocks = ideals.monomials_by_weight(deg)
     mults = dict(decompose(sym_power(deg, weyl_character(3, 0))))
     bases = ideals.highest_weight_bases(deg, p)
     assert len(seen) == len(bases) == len(mults)
@@ -622,7 +639,7 @@ def test_highest_weight_counts_are_plethysm_coefficients(p):
 def test_highest_weight_vectors_are_killed_by_both_raising_maps():
     p = linalg.DEFAULT_PRIMES[0]
     for deg in range(9):
-        blocks, _ = ideals.monomials_by_weight(deg)
+        blocks = ideals.monomials_by_weight(deg)
         for w, B in ideals.highest_weight_bases(deg, p).items():
             assert linalg.rank_mod(B, p) == len(B)
             for v in B.tolist():
@@ -651,7 +668,7 @@ def test_a_missing_highest_weight_vector_raises_and_caches_nothing(monkeypatch):
                        r"has nullity \{999983: (\d+), 'exact': (\d+)\} by prime", str(err.value))
     assert got and int(got[4]) + 1 == int(got[5]) == dropped[0][1]
     w = tuple(int(x) for x in got.groups()[:3])
-    assert len(ideals.monomials_by_weight(deg)[0][w]) == dropped[0][0]
+    assert len(ideals.monomials_by_weight(deg)[w]) == dropped[0][0]
     assert ideals.highest_weight_bases.cache_info().currsize == before
     monkeypatch.setattr(linalg, "nullspace_mod", nullspace)
     assert len(ideals.highest_weight_bases(deg, p)[w]) == int(got[5])
@@ -662,12 +679,19 @@ _RAISING_STEPS = (((1, -1, 0), 0), ((0, 1, -1), 1))
 _LOWERING_STEPS = (((-1, 1, 0), 1), ((0, -1, 1), 2))
 
 
+def _positions(degree):
+    """{weight: {monomial: position}}, the index dicts monomials_by_weight
+    used to return beside its lists."""
+    return {w: {m: i for i, m in enumerate(ms)}
+            for w, ms in ideals.monomials_by_weight(degree).items()}
+
+
 def _reference_raising_maps(degree, w, steps=_RAISING_STEPS):
     """The former per-monomial loop that filled the raising matrices of
     ideals.highest_weight_bases, kept verbatim but for returning the maps
     apart and taking the (step, read) pairs: column col is the image of the
     block's col-th monomial."""
-    blocks, index = ideals.monomials_by_weight(degree)
+    blocks, index = ideals.monomials_by_weight(degree), _positions(degree)
     maps = []
     for step, read in steps:
         t = tuple(map(add, w, step))
@@ -689,7 +713,7 @@ def _reference_highest_weight_bases(degree, p):
     maps stacked, for every dominant block, each count checked against its
     plethysm coefficient."""
     p = linalg.check_prime(p)
-    blocks, _ = ideals.monomials_by_weight(degree)
+    blocks = ideals.monomials_by_weight(degree)
     dominant = [w for w in blocks if ideals.is_dominant(w)]
     mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
     exact = {w: mults.get((w[0] - w[2], w[1] - w[2]), 0) for w in dominant}
@@ -706,7 +730,7 @@ def _reference_highest_weight_bases(degree, p):
 
 def _solved_weights(degree):
     """The dominant weights of R_degree whose plethysm coefficient is nonzero."""
-    blocks, _ = ideals.monomials_by_weight(degree)
+    blocks = ideals.monomials_by_weight(degree)
     mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
     return [w for w in blocks
             if ideals.is_dominant(w) and mults.get((w[0] - w[2], w[1] - w[2]))]
@@ -763,7 +787,7 @@ def test_blocks_without_an_irreducible_are_not_solved(monkeypatch):
         seen.clear()
         ideals.highest_weight_bases.__wrapped__(deg, linalg.DEFAULT_PRIMES[1])
         assert seen == [w for w in _solved_weights(deg) for _ in range(2)]
-        blocks, _ = ideals.monomials_by_weight(deg)
+        blocks = ideals.monomials_by_weight(deg)
         skipped += sum(map(ideals.is_dominant, blocks)) - len(_solved_weights(deg))
     assert skipped > 0
 
@@ -812,7 +836,7 @@ def _reference_hilbert_value(locus, degree, prime=linalg.DEFAULT_PRIMES[0], seed
     dominant block's n x (n + HILBERT_MARGIN) evaluation matrix, counted once
     for every weight of its orbit."""
     prime = linalg.check_prime(prime)
-    blocks, _ = ideals.monomials_by_weight(degree)
+    blocks = ideals.monomials_by_weight(degree)
     npoints = max(len(ms) for ms in blocks.values()) + ideals.HILBERT_MARGIN
     phival = np.array([loci.sample(locus, (seed, k), prime) for k in range(npoints)],
                       dtype=np.int64).T
@@ -1023,7 +1047,7 @@ def test_graded_kernel_matches_the_block_elimination_reference(lid, deg, primes)
     assert gp.decomposition == decompose(Character(reference))
 
 
-def test_kernel_dimensions_eliminate_nothing(monkeypatch):
+def test_kernel_dimensions_eliminate_nothing(monkeypatch, pieces):
     # given the highest-weight bases, a piece's dimension and type take one
     # nullity of an n x m_lam product per irreducible, built only for the
     # blocks with m_lam > 0, and no kernel basis
@@ -1032,8 +1056,6 @@ def test_kernel_dimensions_eliminate_nothing(monkeypatch):
     for deg in (5, 6):
         for p in PRIMES:
             ideals.highest_weight_bases(deg, p)
-    monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
-    monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
     monkeypatch.setattr(linalg, "nullspace_mod", lambda *a: pytest.fail("eliminated a basis"))
     nullity, image_blocks, shapes, asked = linalg.nullity_mod, ideals._image_blocks, [], []
     monkeypatch.setattr(linalg, "nullity_mod", lambda A, p: shapes.append(A.shape) or nullity(A, p))
@@ -1050,7 +1072,7 @@ def test_kernel_dimensions_eliminate_nothing(monkeypatch):
         assert asked == [weights]
         mults = ideals.highest_weight_bases(deg, PRIMES[0])
         assert [cols for _, cols in shapes] == [len(mults[w]) for w in weights] * len(PRIMES)
-    assert ideals._BASIS_CACHE == {}
+    assert len(pieces) == 2 and all("bases" not in vars(gp) for gp in pieces.values())
     assert ideals.graded_kernel("tact", 5, PRIMES).decomposition == [((3, 3), 1), ((3, 0), 1)]
 
 
@@ -1063,7 +1085,7 @@ def _reference_transport(degree, d, w):
     the images of block d's monomials, in order.  The permutation of x1, x2,
     x3 that takes weight d to w permutes the a_r without scalars and maps
     block d onto block w."""
-    blocks, index = ideals.monomials_by_weight(degree)
+    blocks, index = ideals.monomials_by_weight(degree), _positions(degree)
     sigma = next(s for s in itertools.permutations(range(3)) if tuple(d[i] for i in s) == w)
     amap = [A_INDEX[tuple(A_EXPS[r][i] for i in sigma)] for r in range(10)]
     iw = index[w]
@@ -1120,15 +1142,15 @@ def test_lowered_bases_span_the_eliminated_kernels(lid, deg, primes):
 
 
 @pytest.mark.parametrize("lid,deg", [("tact", 5), ("delta", 4), ("empty", 8)])
-def test_a_bases_read_eliminates_only_the_highest_weight_products(lid, deg, monkeypatch):
+def test_a_bases_read_eliminates_only_the_highest_weight_products(lid, deg, monkeypatch,
+                                                                  pieces):
     # nullspace_mod sees the m_lam-column product of each lam with k_lam > 0,
     # once per prime, and no image block but these is built: a structural
     # guard on the degree-8 read rather than a timer
     gp = ideals.graded_kernel(lid, deg, PRIMES)
-    mults = ideals._KERNEL_CACHE[(lid, deg, PRIMES)]
+    mults = gp.multiplicities
     for p in PRIMES:
         ideals.highest_weight_bases(deg, p)     # cached before nullspace_mod is watched
-    monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
     nullspace, seen = linalg.nullspace_mod, []
     _recording_solves(monkeypatch, lambda A, q, w: seen.append((w, q, A.shape[1]))
                       or nullspace(A, q))
@@ -1145,7 +1167,7 @@ def test_a_bases_read_eliminates_only_the_highest_weight_products(lid, deg, monk
     assert ideals.graded_kernel(lid, deg, PRIMES).bases and seen == []
 
 
-def test_repeated_primes_are_eliminated_once(monkeypatch):
+def test_repeated_primes_are_eliminated_once(monkeypatch, pieces):
     # (65537, 65537) used to eliminate every block twice; a basis read
     # eliminates the product of delta-4's one irreducible, V_(5,1), once per
     # distinct prime
@@ -1155,21 +1177,19 @@ def test_repeated_primes_are_eliminated_once(monkeypatch):
                         lambda A, p: calls.append(p) or nullspace(A, p))
     counts = {}
     for primes in ((65537,), (65537, 65537), (1000003, 65537, 1000003)):
-        monkeypatch.setattr(ideals, "_KERNEL_CACHE", {})
-        monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
+        pieces.clear()
         gp = ideals.graded_kernel("delta", 4, primes)
         calls.clear()
         assert gp.bases
         counts[primes] = len(calls)
         assert gp.primes == tuple(dict.fromkeys(primes))
-    assert ideals._KERNEL_CACHE[("delta", 4, (1000003, 65537))] == {(7, 3, 2): 1}
+    assert pieces[("delta", 4, (1000003, 65537))].multiplicities == {(7, 3, 2): 1}
     assert counts == {(65537,): 1, (65537, 65537): 1, (1000003, 65537, 1000003): 2}
 
 
-def test_a_basis_vector_dropped_at_one_prime_raises_and_caches_nothing(monkeypatch):
+def test_a_basis_vector_dropped_at_one_prime_raises_and_caches_nothing(monkeypatch, pieces):
     # drop one row of the last block the walk reduces at the second prime, a
     # block of lowered vectors only, at the bottom of 2 w0 + w1
-    monkeypatch.setattr(ideals, "_BASIS_CACHE", {})
     gp = ideals.graded_kernel("delta", 4, PRIMES)
     rowbasis, calls, dropped = linalg.rowbasis_mod, [], []
 
@@ -1191,9 +1211,77 @@ def test_a_basis_vector_dropped_at_one_prime_raises_and_caches_nothing(monkeypat
     w = tuple(int(x) for x in got.groups()[:3])
     n = gp.block_nullities[w]
     assert [int(x) for x in got.groups()[3:]] == [n, n - 1, n]
-    assert dropped == [(n, len(ideals.monomials_by_weight(4)[0][w]))]
+    assert dropped == [(n, len(ideals.monomials_by_weight(4)[w]))]
     assert 2 * w[0] + w[1] == min(2 * u[0] + u[1] for u in gp.block_nullities)
-    assert ideals._BASIS_CACHE == {}
-    assert "bases" not in vars(gp)
+    assert list(pieces.values()) == [gp] and "bases" not in vars(gp)
     monkeypatch.undo()
     assert len(gp.bases[PRIMES[1]][w][1]) == n
+
+
+# ---------------------------------------------------------------------------
+# syzygies without the monomials of the next degree
+# ---------------------------------------------------------------------------
+
+def _reference_syzygy_nullities(locus, degree, primes):
+    """The former ideals.syzygy_kernel, kept verbatim but for reading the
+    index dicts of _positions and returning the dominant nullities: every
+    block of R_{degree+1} listed, and each product g_i a_r placed in its
+    block by a {monomial: position} dict."""
+    idx_up = _positions(degree + 1)
+    gp = ideals.graded_kernel(locus, degree, primes)
+
+    def blocks(p):
+        # columns of the syzygy system: for each g_i and r, the vector of
+        # g_i * a_r in the block of its weight
+        basis = gp.bases[p]
+        parts = {}          # dominant weight -> [(row positions, generator rows)]
+        for w in sorted(basis):
+            monos, B = basis[w]
+            for r in range(10):
+                e = A_EXPS[r]
+                wr = (w[0] + e[0], w[1] + e[1], w[2] + e[2])
+                if ideals.is_dominant(wr):
+                    up = idx_up[wr]
+                    rows = [up[tuple(sorted(m + (r,)))] for m in monos]
+                    parts.setdefault(wr, []).append((rows, B))
+        for wr, cols in parts.items():
+            A = np.zeros((len(idx_up[wr]), sum(len(B) for _, B in cols)), dtype=np.int64)
+            j = 0
+            for rows, B in cols:
+                A[rows, j:j + len(B)] = B.T
+                j += len(B)
+            yield wr, A
+
+    _, dominant = ideals._solve_blocks(f"syzygies of {locus} degree {degree}", gp.primes,
+                                       blocks, linalg.nullity_mod)
+    return dominant
+
+
+SYZYGY_REFERENCE_CASES = [(lid, deg) for lid, deg, _, _ in cli.SYZYGY_ANCHORS] + [
+    ("tact", 5), ("neq", 4)]
+
+
+@pytest.mark.parametrize("primes", [linalg.DEFAULT_PRIMES, (65537, 1048573)],
+                         ids=["default", "65537-1048573"])
+@pytest.mark.parametrize("lid,deg", SYZYGY_REFERENCE_CASES,
+                         ids=[f"{lid}-{deg}" for lid, deg in SYZYGY_REFERENCE_CASES])
+def test_syzygies_match_the_dict_index_reference(lid, deg, primes):
+    sp = ideals.syzygy_kernel(lid, deg, primes)
+    dominant = {w: n for w, n in sp.block_nullities.items() if ideals.is_dominant(w)}
+    assert dominant == _reference_syzygy_nullities(lid, deg, primes)
+
+
+def test_syzygies_list_no_monomials_of_the_next_degree(monkeypatch, pieces):
+    # the rows of each block are the codes of the products g_i a_r; the list
+    # of degree-5 monomials is never asked for, not even from the lru cache
+    listed = ideals.monomials_by_weight
+
+    def refuse_degree_5(degree):
+        if degree == 5:
+            pytest.fail("listed the monomials of degree 5")
+        return listed(degree)
+
+    monkeypatch.setattr(ideals, "monomials_by_weight", refuse_degree_5)
+    sp = ideals.syzygy_kernel("delta", 4, PRIMES)
+    assert (sp.dimension(), sp.decomposition) == (119, [((6, 3), 1), ((6, 0), 1), ((4, 2), 1)])
+    assert "bases" in vars(pieces[("delta", 4, PRIMES)])

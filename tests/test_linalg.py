@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ternary_cubics import linalg
 
@@ -225,27 +225,6 @@ def test_rowbasis_mod_reads_a_kernel_back_byte_for_byte(case):
     assert B.shape == (linalg.rank_mod(A, p), A.shape[1])
     assert linalg.rank_mod(np.vstack([A, B]), p) == len(B)
     assert np.array_equal(A, before)
-
-
-@st.composite
-def square_systems(draw, max_size=5, bound=9):
-    n = draw(st.integers(1, max_size))
-    entry = st.integers(-bound, bound)
-    M = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
-    x = draw(st.lists(st.fractions(-20, 20, max_denominator=7), min_size=n, max_size=n))
-    return M, x
-
-
-@settings(max_examples=100, deadline=None)
-@given(square_systems())
-def test_rref_frac_augmented_solve_inverts_a_product(case):
-    # [M | rhs] reduced on M's columns leaves the solution in the last column
-    M, x = case
-    assume(not linalg.nullspace_frac(M))
-    n = len(M)
-    A = [[Fraction(a) for a in row] + [sum(a * b for a, b in zip(row, x))] for row in M]
-    assert linalg._rref_frac(A, n) == list(range(n))
-    assert [row[n] for row in A] == x
 
 
 def _benchmark_primes():

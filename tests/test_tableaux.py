@@ -214,6 +214,21 @@ def _fraction_table(dx, du):
             {mo: Poly(zip(smaller, c[n:])) for mo, c in coords.items()})
 
 
+def _fraction_solve(columns, rhs, monos):
+    """Coordinates of each Poly in rhs on the independent Polys in columns,
+    exactly over Q: [columns | rhs] row-reduced by linalg._rref_frac, whose
+    pivots are then the columns alone, so row i holds coordinate i."""
+    index = {mo: i for i, mo in enumerate(monos)}
+    polys = [*columns, *rhs]
+    A = [[Fraction(0)] * len(polys) for _ in monos]
+    for j, p in enumerate(polys):
+        for mo, c in p.terms.items():
+            A[index[mo]][j] = Fraction(c)
+    n = len(columns)
+    assert linalg._rref_frac(A) == list(range(n))
+    return [[row[n + k] for row in A[:n]] for k in range(len(rhs))]
+
+
 def _reference_projection_table(dx, du):
     """The table solved over Q: mono = sum_T gamma_T X_T + trace * rest by one
     Fraction elimination, returned as (tableaux, smaller monomials,
@@ -222,8 +237,9 @@ def _reference_projection_table(dx, du):
     monos = tb._xu_monomials(dx, du)
     smaller = tb._xu_monomials(dx - 1, du - 1) if dx and du else []
     trace = tb.trace_poly()
-    rows = tb._solve([tb.tableau_poly(T) for T in tabs] + [trace * Poly({sm: 1}) for sm in smaller],
-                     [Poly({mo: 1}) for mo in monos], monos)
+    rows = _fraction_solve([tb.tableau_poly(T) for T in tabs]
+                           + [trace * Poly({sm: 1}) for sm in smaller],
+                           [Poly({mo: 1}) for mo in monos], monos)
     D = lcm(*(x.denominator for row in rows for x in row))
     T = np.array([[int(x * D) for x in row] for row in rows], dtype=np.int64)
     return tabs, smaller, {mo: i for i, mo in enumerate(monos)}, T, D
@@ -284,6 +300,47 @@ def test_harmonic_representatives_golden():
     for (dx, du), digest in HARMONIC_REPRESENTATIVES_SHA256.items():
         harm = tb.harmonic_representatives(dx, du)
         assert _sha256([sorted(h.terms.items()) for h in harm]) == digest, (dx, du)
+
+
+def _reference_harmonic_representatives(dx, du):
+    """The former tb.harmonic_representatives, kept but for solving through
+    _fraction_solve: g_T solves omega(trace * g_T) = omega(X_T), for every T
+    in one Fraction elimination, and h_T = X_T - trace * g_T."""
+    monos = tb._xu_monomials(dx - 1, du - 1)
+    trace = tb.trace_poly()
+    X = [tb.tableau_poly(T) for T in tb.enumerate_tableaux(du, dx)]
+    G = _fraction_solve([tb.omega(trace * Poly({m: 1})) for m in monos],
+                        [tb.omega(x) for x in X], monos)
+    return tuple(x - trace * Poly(zip(monos, g)) for x, g in zip(X, G))
+
+
+def test_harmonic_representatives_match_the_fraction_solve():
+    """The closed form gives the solved representatives term for term, each
+    coefficient of the same type, for every 1 <= dx, du <= 4."""
+    for dx in range(1, 5):
+        for du in range(1, 5):
+            got = [sorted(h.terms.items()) for h in tb.harmonic_representatives(dx, du)]
+            want = [sorted(h.terms.items()) for h in _reference_harmonic_representatives(dx, du)]
+            assert repr(got) == repr(want), (dx, du)
+
+
+def test_harmonic_representatives_build_without_a_fraction_solve(monkeypatch):
+    """With the rational elimination patched to raise, the representatives
+    build as before, and with dx or du zero they are the X_T themselves."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a harmonic representative ran a Fraction solve")
+
+    monkeypatch.setattr(linalg, "_rref_frac", refuse)
+    tb.harmonic_representatives.cache_clear()
+    try:
+        for (dx, du), digest in HARMONIC_REPRESENTATIVES_SHA256.items():
+            harm = tb.harmonic_representatives(dx, du)
+            assert _sha256([sorted(h.terms.items()) for h in harm]) == digest, (dx, du)
+        for dx, du in ((0, 3), (3, 0)):
+            X = tuple(tb.tableau_poly(T) for T in tb.enumerate_tableaux(du, dx))
+            assert tb.harmonic_representatives(dx, du) == X and len(X) == 10
+    finally:
+        tb.harmonic_representatives.cache_clear()
 
 
 def _reference_harmonic_project(p):
@@ -385,13 +442,3 @@ def test_projection_has_one_path():
                         or getattr(node, "attr", None) == "_projection_table"):
                     readers.add((path.stem, getattr(top, "name", "<module>")))
     assert readers == {("tableaux", "harmonic_project")}
-
-
-def test_solve_rejects_dependent_columns_and_rhs_outside_their_span():
-    monos = tb._xu_monomials(1, 0)
-    x1, x2 = Poly.var("x1"), Poly.var("x2")
-    assert tb._solve([x1, x2], [3 * x1 - x2], monos) == [[3, -1]]
-    with pytest.raises(RuntimeError, match="dependent"):
-        tb._solve([x1, 2 * x1], [x1], monos)
-    with pytest.raises(RuntimeError, match="outside the span"):
-        tb._solve([x1, x2], [Poly.var("x3")], monos)
