@@ -301,8 +301,17 @@ def _layout(letters, counts):
 
 
 def _merge(keys, coeffs):
-    """The rows sorted, equal keys summed into one row, zero sums dropped."""
-    order = np.lexsort(keys.T)
+    """The rows sorted, equal keys summed into one row, zero sums dropped.
+
+    The order is np.lexsort's, the last column first, by one sort per column
+    from the first: an unstable argsort of the first column, then a stable one
+    of each later column, which keeps the order of the columns before it.
+    Equal rows may end up in any order, but they are summed into one row, and
+    the distinct rows that remain have one lexicographic order.
+    """
+    order = np.argsort(keys[:, 0])
+    for col in range(1, keys.shape[1]):
+        order = order[np.argsort(keys[order, col], kind="stable")]
     keys, coeffs = keys[order], coeffs[order]
     first = np.ones(len(keys), bool)
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)

@@ -12,14 +12,17 @@ Irreducibles are labelled by dominant pairs (a, b) with a >= b >= 0; the pair
 the terms of generating products (Macdonald, Symmetric Functions and Hall
 Polynomials, I.2); hook shapes (a, 1^b) are the only other plethysms needed.
 
-The tensor product is a vectorized convolution.  A normalized weight w is the
-lattice point (w0 - w2, w1 - w2), and lattice points add under the product,
-so each operand's points are packed into one int key, offset so that the sum
-of two keys is the packed key of the sum with no carry between fields.  All
-pair keys come from one broadcast add, all multiplicity products from
-np.outer, and np.add.at sums them into a dense array over the packed key
-range.  Its dtype is int64 when sum|m_a| * sum|m_b| < 2^63, which bounds every
-partial sum; otherwise it is object, with exact Python ints.
+Products and powers run on lattice triples (x, y, m).  A normalized weight w
+is the lattice point (w0 - w2, w1 - w2), lattice points add under the product,
+and m holds the multiplicities, int64 while sum|m| < 2^63, else exact Python
+ints.  _convolve adds any number of signed products of triples into one dense
+accumulator over the packed keys (x * height + y) of their bounding box: all
+pair keys of a product come from one broadcast add, all multiplicity products
+from np.outer, and np.add.at sums them.  The accumulator is int64 when the
+summed sum|m_a| * sum|m_b| stay below 2^63, which bounds every partial sum;
+otherwise it is object, with exact Python ints.  Character.__mul__ is one
+such product.  hook_schur and the spectral row sums of resolution add all of
+their products into one accumulator, and build one Character at the end.
 
 The accumulator spans the bounding box of the sum's lattice points, so the
 product assumes operands that are dense in their boxes, as every Weyl
@@ -28,7 +31,9 @@ _BOX_FLOOR entries and _BOX_PER_PAIR entries per weight pair (sparse weights
 far apart) raises ValueError rather than allocating the box, and so do
 powers whose one dense array (see _powers) would pass _BOX_FLOOR entries.
 That array's entries are nonnegative partial sums, int64 while every power's
-dimension is below 2^63, else exact Python ints.
+dimension is below 2^63, else exact Python ints.  A symmetric power takes
+each weight of multiplicity m as m one-step recurrence passes, or as one
+binomial series when that needs fewer slice-adds.
 
 decompose peels each irreducible from one working dict in place.  Cached
 weyl_character results are only read.
@@ -43,6 +48,7 @@ import numpy as np
 _INT64_BOUND = 1 << 63
 _BOX_FLOOR = 1 << 22      # accumulator entries always allowed (32 MB of int64)
 _BOX_PER_PAIR = 16        # beyond the floor, entries allowed per weight pair
+_EMPTY = (np.zeros(0, np.int64),) * 3    # the lattice triple of the zero character
 
 
 def normalize(w):
@@ -63,11 +69,49 @@ def _axpy(acc, c, k):
             del acc[w]
 
 
-def _lattice(c, dtype):
-    """Lattice coordinates (w0 - w2, w1 - w2) and multiplicities of c as arrays."""
+def _lattice(c):
+    """The lattice triple of c: coordinates (w0 - w2, w1 - w2) and multiplicities
+    as arrays, the multiplicities int64 while sum |m| < 2^63, else Python ints."""
     n = len(c)
     w = np.fromiter(chain.from_iterable(c), np.int64, 3 * n).reshape(n, 3)
+    dtype = np.int64 if sum(map(abs, c.values())) < _INT64_BOUND else object
     return w[:, 0] - w[:, 2], w[:, 1] - w[:, 2], np.fromiter(c.values(), dtype, n)
+
+
+def _mass(m):
+    """sum |m| of a triple's multiplicities, exact: an int64 array's is below 2^63."""
+    return int(np.abs(m).sum())
+
+
+def _convolve(products):
+    """sum_i k_i a_i b_i for [(k_i, a_i, b_i)], an int and two lattice triples each,
+    as one lattice triple.  Every product adds its pairs into one dense accumulator
+    over the bounding box of all the sums' lattice points, int64 while
+    sum_i |k_i| sum|m_a_i| sum|m_b_i| < 2^63, which bounds every partial sum, and
+    Python ints past that.  A box past both _BOX_FLOOR entries and _BOX_PER_PAIR
+    entries per weight pair raises ValueError before it is allocated."""
+    products = [(k, a, b) for k, a, b in products if k and len(a[2]) and len(b[2])]
+    if not products:
+        return _EMPTY
+    bound = sum(abs(k) * _mass(a[2]) * _mass(b[2]) for k, a, b in products)
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    x0 = int(min(a[0].min() + b[0].min() for _, a, b in products))
+    y0 = int(min(a[1].min() + b[1].min() for _, a, b in products))
+    width = int(max(a[0].max() + b[0].max() for _, a, b in products)) - x0 + 1
+    height = int(max(a[1].max() + b[1].max() for _, a, b in products)) - y0 + 1
+    pairs = sum(len(a[2]) * len(b[2]) for _, a, b in products)
+    if width * height > max(_BOX_FLOOR, _BOX_PER_PAIR * pairs):
+        raise ValueError(f"character product needs a {width} x {height} box for "
+                         f"{pairs} weight pairs; weights too sparse")
+    acc = np.zeros(width * height, dtype)
+    origin = x0 * height + y0
+    for k, (xa, ya, ma), (xb, yb, mb) in products:
+        # y stays inside [0, height) in every sum, so the packed keys carry nothing
+        keys = (xa * height + ya - origin)[:, None] + (xb * height + yb)
+        ma, mb = ma.astype(dtype, copy=False), mb.astype(dtype, copy=False)
+        np.add.at(acc, keys.ravel(), np.outer(k * ma, mb).ravel())
+    keys = np.flatnonzero(acc)
+    return keys // height + x0, keys % height + y0, acc[keys]
 
 
 class Character(dict):
@@ -121,31 +165,10 @@ class Character(dict):
         return Character._filled((w, k * m) for w, m in self.items())
 
     def __mul__(self, other):
-        """Tensor product: convolution of weight multiplicities.
-
-        Sums into a dense array over the bounding box of the sum's lattice
-        points; raises ValueError when that box is far larger than the
-        number of weight pairs (see the module docstring).
-        """
+        """Tensor product: convolution of weight multiplicities (see _convolve)."""
         if not self or not other:
             return Character()
-        bound = sum(map(abs, self.values())) * sum(map(abs, other.values()))
-        dtype = np.int64 if bound < _INT64_BOUND else object
-        xa, ya, ma = _lattice(self, dtype)
-        xb, yb, mb = _lattice(other, dtype)
-        x0a, y0a, x0b, y0b = xa.min(), ya.min(), xb.min(), yb.min()
-        height = int(ya.max() - y0a + yb.max() - y0b + 1)
-        width = int(xa.max() - x0a + xb.max() - x0b + 1)
-        if width * height > max(_BOX_FLOOR, _BOX_PER_PAIR * len(self) * len(other)):
-            raise ValueError(f"character product needs a {width} x {height} box for "
-                             f"{len(self) * len(other)} weight pairs; weights too sparse")
-        ka = (xa - x0a) * height + (ya - y0a)
-        kb = (xb - x0b) * height + (yb - y0b)
-        acc = np.zeros(width * height, dtype)
-        np.add.at(acc, (ka[:, None] + kb).ravel(), np.outer(ma, mb).ravel())
-        keys = np.flatnonzero(acc)
-        return _from_lattice(keys // height + (x0a + x0b), keys % height + (y0a + y0b),
-                             acc[keys])
+        return _from_lattice(*_convolve([(1, _lattice(self), _lattice(other))]))
 
     def dual(self):
         return Character._filled((normalize((-w[0], -w[1], -w[2])), m)
@@ -156,7 +179,7 @@ class Character(dict):
 
 
 def _from_lattice(x, y, m):
-    """The Character with multiplicities m at the distinct lattice points (x, y)."""
+    """The Character of the lattice triple (x, y, m), its points distinct."""
     low = np.minimum(np.minimum(x, y), 0)
     weights = zip((x - low).tolist(), (y - low).tolist(), (-low).tolist())
     return Character._filled(zip(weights, m.tolist()))
@@ -236,23 +259,27 @@ def from_modules(pairs):
 
 
 def _powers(kmax, c, alternating):
-    """[Sym^0 c, ..., Sym^kmax c], or the wedge^k when alternating: the t^k terms of
-    prod_w (1 - t z^w)^(-m_w), or prod_w (1 + t z^w)^m_w (Macdonald, I.2), as layers
-    P[k] over the lattice points (w0 - w2, w1 - w2) - k (x0, y0), (x0, y0) least in c.
-    A weight at shift (i, j) multiplies by sum_r C(m+r-1, r) (t z^w)^r, or
-    sum_r C(m, r) (t z^w)^r: for k descending, P[k] gains C P[k-r] moved by r (i, j).
-    Layer k starts at the sums of its k least shifts, each shift taken at most m
-    times for a wedge, so P spans the widest layer, not k times the span of c.
-    The wedge^k past the dimension are zero and take no layer."""
+    """Lattice triples of [Sym^0 c, ..., Sym^kmax c], or the wedge^k when alternating:
+    the t^k terms of prod_w (1 - t z^w)^(-m_w), or prod_w (1 + t z^w)^m_w (Macdonald,
+    I.2), as layers P[k] over the lattice points (w0 - w2, w1 - w2) - k (x0, y0),
+    (x0, y0) least in c.  Let a weight sit at shift (i, j).  For Sym, its factor
+    is m passes of the one-step recurrence P[k] += P[k-1] moved by (i, j), k
+    ascending, so that each pass divides by (1 - t z^w): m k slice-adds.  Past
+    m > (k+1)/2 the binomial series sum_r C(m+r-1, r) (t z^w)^r needs fewer, k (k+1)/2:
+    for k descending, P[k] gains C P[k-r] moved by r (i, j).  A wedge always takes
+    its series sum_r C(m, r) (t z^w)^r, r <= m.  Layer k starts at the sums of its
+    k least shifts, each shift taken at most m times for a wedge, so P spans the
+    widest layer, not k times the span of c.  The wedge^k past the dimension are
+    zero and take no layer."""
     if kmax < 0 or not c.is_genuine():
         raise ValueError(f"powers need k >= 0 and a genuine character, got k = {kmax}")
     if not c:
-        return [char_trivial()] + [Character() for _ in range(kmax)]
+        return [_lattice(char_trivial())] + [_EMPTY] * kmax
     dim = c.dimension()
     top = min(kmax, dim) if alternating else kmax
     bound = comb(dim, min(top, dim // 2)) if alternating else comb(dim + top - 1, top)
     dtype = np.int64 if bound < _INT64_BOUND else object
-    x, y, _ = _lattice(c, object)
+    x, y, _ = _lattice(c)
     x0, y0 = int(x.min()), int(y.min())
     xs, ys = (x - x0).tolist(), (y - y0).tolist()
     caps = [min(m, top) if alternating else top for m in c.values()]
@@ -262,18 +289,29 @@ def _powers(kmax, c, alternating):
                          f"weights too far apart")
     P = np.zeros((top + 1, width, height), dtype)
     P[0, 0, 0] = 1
+
+    def moved(k, r):
+        """(target in layer k, source in layer k - r) of a move by r (i, j); nonzero
+        entries land inside layer k, so the cut drops only zeros."""
+        (a, b), (e, f) = (_cut(r * i + lox[k - r] - lox[k], width),
+                          _cut(r * j + loy[k - r] - loy[k], height))
+        return P[k, a, e], P[k - r, b, f]
+
     for i, j, m in zip(xs, ys, c.values()):
+        if not alternating and 2 * m <= top + 1:
+            steps = [moved(k, 1) for k in range(1, top + 1)]
+            for _ in range(m):
+                for target, source in steps:
+                    target += source
+            continue
         coef = [comb(m, r) if alternating else comb(m + r - 1, r) for r in range(top + 1)]
         for k in range(top, 0, -1):
             for r in range(1, min(k, m) + 1 if alternating else k + 1):
-                # nonzero entries land inside layer k; the cut drops only zeros
-                (a, b), (e, f) = (_cut(r * i + lox[k - r] - lox[k], width),
-                                  _cut(r * j + loy[k - r] - loy[k], height))
-                P[k, a, e] += coef[r] * P[k - r, b, f]
+                target, source = moved(k, r)
+                target += coef[r] * source
     layers = enumerate(map(np.nonzero, P))
-    return ([_from_lattice(X + lox[k] + k * x0, Y + loy[k] + k * y0, P[k, X, Y])
-             for k, (X, Y) in layers]
-            + [Character() for _ in range(kmax - top)])
+    return ([(X + lox[k] + k * x0, Y + loy[k] + k * y0, P[k, X, Y]) for k, (X, Y) in layers]
+            + [_EMPTY] * (kmax - top))
 
 
 def _layer_extents(shifts, caps, top):
@@ -295,7 +333,7 @@ def _cut(shift, size):
 
 def sym_powers(lmax, c):
     """Characters of Sym^0..Sym^lmax of a genuine character."""
-    return _powers(lmax, c, alternating=False)
+    return [_from_lattice(*t) for t in _powers(lmax, c, alternating=False)]
 
 
 def sym_power(ell, c):
@@ -304,7 +342,7 @@ def sym_power(ell, c):
 
 def ext_powers(kmax, c):
     """Characters of wedge^0..wedge^kmax of a genuine character."""
-    return _powers(kmax, c, alternating=True)
+    return [_from_lattice(*t) for t in _powers(kmax, c, alternating=True)]
 
 
 def ext_power(k, c):
@@ -316,13 +354,11 @@ def hook_schur(a, b, c):
     """Schur functor of hook shape (a, 1^b): sum_i (-1)^i h_{a+i} e_{b-i}."""
     if a < 1 or b < 0:
         raise ValueError("hook shape needs a >= 1, b >= 0")
-    return _hook(a, b, sym_powers(a + b, c), ext_powers(b, c))
+    return _from_lattice(*_hook(a, b, _powers(a + b, c, False), _powers(b, c, True)))
 
 
 def _hook(a, b, hs, es):
-    """Hook (a, 1^b) from the lists hs[k] = Sym^k and es[k] = wedge^k of one character."""
-    acc = Character()
-    for i in range(b + 1):
-        _axpy(acc, hs[a + i] * es[b - i], (-1) ** i)
-    return acc
-
+    """The lattice triple of the hook (a, 1^b), from the lattice triples hs[k] of
+    Sym^k and es[k] of wedge^k of one character: its b + 1 products
+    (-1)^i hs[a+i] es[b-i] summed in one _convolve accumulator."""
+    return _convolve([((-1) ** i, hs[a + i], es[b - i]) for i in range(b + 1)])

@@ -89,7 +89,7 @@ import numpy as np
 from . import brackets, linalg, loci, tableaux
 from .characters import (Character, decompose, dim_irrep, normalize, sym_power,
                          weyl_character)
-from .poly import A_EXPS, A_INDEX, Poly, cubic_point, monomial
+from .poly import A_EXPS, A_INDEX, Poly, cubic_point, monomial, split_xu
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
 HILBERT_MARGIN = 12  # evaluation points past each block's size
@@ -723,8 +723,8 @@ def isotypic_match(name, locus):
     d, dx, du = c.ctype.as_tuple()
     key = monomial([("x1", dx), ("u3", du)])
     # the terms whose (x, u) part is the key, split as harmonic_project splits them
-    h = Poly((tuple(ve for ve in mo if ve[0][0] not in "xu"), x)
-             for mo, x in c.poly.terms.items() if tuple(ve for ve in mo if ve[0][0] in "xu") == key)
+    h = Poly((outer, x) for (inner, outer), x in zip(split_xu(c.poly.terms),
+                                                     c.poly.terms.values()) if inner == key)
     if not h:
         raise ValueError(f"{name} has a zero x1^{dx} u3^{du} coefficient; it proves nothing")
     ((w, vec),) = poly_to_block_vectors(h, d).items()

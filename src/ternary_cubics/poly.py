@@ -113,6 +113,16 @@ def mono_mul(m1, m2):
     return monomial(list(m1) + list(m2))
 
 
+def split_xu(monos):
+    """(the x and u part, the other variables) of each monomial in turn, both
+    in VAR_ORDER."""
+    for m in monos:
+        inner, outer = [], []
+        for ve in m:
+            (inner if ve[0][0] in "xu" else outer).append(ve)
+        yield tuple(inner), tuple(outer)
+
+
 def mono_weight(m):
     w = [0, 0, 0]
     for v, e in m:

@@ -23,9 +23,9 @@ from importlib import resources
 from math import comb
 
 from . import ideals, linalg
-from .characters import (Character, _hook, decompose, dim_irrep, dual_weight,
-                         ext_power, ext_powers, from_modules, multiplicity,
-                         sym_power, sym_powers, weyl_character)
+from .characters import (_convolve, _from_lattice, _hook, _powers, decompose, dim_irrep,
+                         dual_weight, ext_power, from_modules, multiplicity, sym_power,
+                         weyl_character)
 
 S3 = (3, 0)   # the cubics S_3 as a dominant weight
 
@@ -183,22 +183,22 @@ def eagon_northcott_check():
 
 @lru_cache(maxsize=1)
 def _row_powers():
-    """Sym^0..15 V, Sym^0..14 S_3, wedge^0..9 S_3: built once, only read."""
+    """Lattice triples of dual Sym^0..15 V, Sym^0..14 S_3 and wedge^0..9 S_3:
+    built once, only read."""
     s3 = weyl_character(*S3)
-    return sym_powers(15, weyl_character(1, 0)), sym_powers(14, s3), ext_powers(9, s3)
+    duals = [(-x, -y, m) for x, y, m in _powers(15, weyl_character(1, 0), False)]
+    return duals, _powers(14, s3, False), _powers(9, s3, True)
 
 
 def _row_sum(ell):
     """sum_{p=-9}^{-3} (-1)^p dual(sym_{-(2p+3)}V) (x) dual(sym_{-(p+3)}V)
-    (x) hook(ell, -p)(char S_3), for ell <= 5."""
-    vs, hs, es = _row_powers()
-    total = Character()
-    for p in range(-9, -2):
-        term = (vs[-(2 * p + 3)].dual()
-                * vs[-(p + 3)].dual()
-                * _hook(ell, -p, hs, es))
-        total = total + term if (-1) ** p > 0 else total - term
-    return total
+    (x) hook(ell, -p)(char S_3), for ell <= 5: the seven terms added into one
+    _convolve accumulator, on the lattice triples of _row_powers, and one
+    Character built from the sum."""
+    dvs, hs, es = _row_powers()
+    return _from_lattice(*_convolve(
+        [((-1) ** -p, _convolve([(1, dvs[-(2 * p + 3)], dvs[-(p + 3)])]), _hook(ell, -p, hs, es))
+         for p in range(-9, -2)]))
 
 
 def _sigma(*pairs):

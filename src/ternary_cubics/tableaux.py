@@ -23,6 +23,7 @@ the trace times powers of its contraction omega, so no system is solved
 anywhere in the module.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -30,7 +31,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .poly import Poly, linear_form, mono_mul, monomial
+from .poly import VAR_RANK, Poly, linear_form, mono_mul, monomial, split_xu
 
 COLUMN_SIGNS = {(2, 3): ("x1", 1), (1, 3): ("x2", -1), (1, 2): ("x3", 1)}
 _INT64_BOUND = 1 << 63
@@ -141,15 +142,12 @@ def harmonic_project(p):
     tabs, smaller, row_of, T = _projection_table(dx, du)
     outer_of = {}
     rows, outer_ids = [], []
-    for mo in p.terms:
-        inner, outer = [], []
-        for ve in mo:
-            (inner if ve[0][0] in "xu" else outer).append(ve)
-        row = row_of.get(tuple(inner))
+    for inner, outer in split_xu(p.terms):
+        row = row_of.get(inner)
         if row is None:
             raise ValueError("input not bihomogeneous")
         rows.append(row)
-        outer_ids.append(outer_of.setdefault(tuple(outer), len(outer_of)))
+        outer_ids.append(outer_of.setdefault(outer, len(outer_of)))
     den = lcm(*(c.denominator for c in p.terms.values()))
     nums = [c.numerator * (den // c.denominator) for c in p.terms.values()]
     dtype = np.int64 if sum(map(abs, nums)) * int(np.abs(T).max()) < _INT64_BOUND else object
@@ -166,8 +164,18 @@ def harmonic_project(p):
     for oi, ji, v in zip(o.tolist(), j.tolist(), acc[o, j].tolist()):
         cols[ji].append((outers[oi], Fraction(v, den)))
     ntabs = len(tabs)
-    remainder = ((mono_mul(outer, sm), c) for sm, col in zip(smaller, cols[ntabs:])
-                 for outer, c in col)
+    # an outer monomial and a smaller one share no variable, so their product
+    # is a merge in VAR_ORDER: the outer a's, the x's, the outer y's, the u's,
+    # then the rest of the outer monomial
+    x_rank, u_rank = VAR_RANK["x1"], VAR_RANK["u1"]
+    remainder = []
+    for sm, col in zip(smaller, cols[ntabs:]):
+        nx = sum(v[0] == "x" for v, _ in sm)
+        sx, su = sm[:nx], sm[nx:]
+        for mo, c in col:
+            ranks = [VAR_RANK[v] for v, _ in mo]
+            a, y = bisect_left(ranks, x_rank), bisect_left(ranks, u_rank)
+            remainder.append((mo[:a] + sx + mo[a:y] + su + mo[y:], c))
     return [Poly(col) for col in cols[:ntabs]], tabs, Poly(remainder)
 
 

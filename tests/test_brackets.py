@@ -539,6 +539,44 @@ def test_one_merge_per_factor(monkeypatch):
     assert len(calls) == 6 + 6 + 1
 
 
+def _reference_merge(keys, coeffs):
+    """The former _merge, ordered by one np.lexsort of every column."""
+    order = np.lexsort(keys.T)
+    keys, coeffs = keys[order], coeffs[order]
+    first = np.ones(len(keys), bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    if not len(starts):
+        return keys, coeffs
+    coeffs = np.add.reduceat(coeffs, starts)
+    keep = coeffs != 0
+    return keys[starts[keep]], coeffs[keep]
+
+
+@st.composite
+def merge_inputs(draw):
+    """Packed keys of 1 to 3 words, drawn from a few distinct rows so that
+    rows repeat, with coefficients that often cancel; int64 or object.  Each
+    word takes one of four values, so that rows tie in every column."""
+    words = draw(st.integers(1, 3))
+    word = st.sampled_from([0, 1, 2, 2 ** 63 - 1])
+    rows = draw(st.lists(st.tuples(*[word] * words), min_size=1, max_size=8))
+    picks = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(-2, 2)), max_size=100))
+    keys = np.array([r for r, _ in picks], np.int64).reshape(-1, words)
+    coeffs = np.array([c for _, c in picks], np.int64)
+    return keys, (coeffs.astype(object) * 2 ** 70 if draw(st.booleans()) else coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_inputs())
+def test_merge_matches_lexsort(keys_coeffs):
+    got_keys, got_coeffs = br._merge(*keys_coeffs)
+    want_keys, want_coeffs = _reference_merge(*keys_coeffs)
+    assert got_keys.tolist() == want_keys.tolist()
+    assert got_coeffs.tolist() == want_coeffs.tolist()
+    assert got_coeffs.dtype == want_coeffs.dtype and 0 not in got_coeffs.tolist()
+
+
 def test_fold_plan_ignores_the_written_order(monkeypatch):
     """Phi814 written forwards, reversed or shuffled is planned into one
     order, with one expansion and one largest merge input."""

@@ -10,6 +10,7 @@ from functools import lru_cache
 from itertools import count
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -434,6 +435,112 @@ def test_power_entries_stay_exact_past_int64():
         assert got == _reference_newton(4, c, alternating)
         assert got[4].dimension() == (comb(10 ** 6 + 3, 4) if alternating
                                       else comb(10 ** 6 + 6, 4))
+
+
+@pytest.mark.parametrize("ab,kmax", [((3, 0), 20), ((1, 0), 20), ((2, 1), 20), ((6, 3), 20),
+                                      ((20, 10), 2), ((20, 10), 3)])
+def test_powers_of_irreducibles_match_the_newton_reference(ab, kmax):
+    # (20, 10) has weight multiplicities up to 11: at k = 2 and 3 its weights of
+    # multiplicity m > (k+1)/2 take the binomial series, the others the recurrence
+    c = ch.weyl_character(*ab)
+    assert ch.sym_powers(kmax, c) == _reference_newton(kmax, c, alternating=False)
+    assert ch.ext_powers(kmax, c) == _reference_newton(kmax, c, alternating=True)
+
+
+class _CountingAdds(np.ndarray):
+    """An array that counts the in-place adds made on it and on its views."""
+    adds = 0
+
+    def __iadd__(self, other):
+        _CountingAdds.adds += 1
+        return super().__iadd__(other)
+
+
+@pytest.mark.parametrize("mults,kmax", [((1, 1, 1), 6), ((3, 4, 5), 6), ((2, 7, 1), 3),
+                                        ((10 ** 6, 2, 1), 4), ((1,), 0)])
+def test_power_slice_adds(monkeypatch, mults, kmax):
+    # a Sym weight of multiplicity m costs min(m k, k (k+1)/2) slice-adds: the
+    # one-step recurrence m times, or the binomial series when that is fewer;
+    # a wedge weight costs sum_k min(k, m), its series cut at r <= m
+    c = ch.Character({(i, 0, 0): m for i, m in enumerate(mults)})
+    top = min(kmax, c.dimension())      # the wedge^k past the dimension take no layer
+    zeros = np.zeros
+    for alternating, cost in ((False, lambda m: min(m * kmax, kmax * (kmax + 1) // 2)),
+                              (True, lambda m: sum(min(k, m) for k in range(1, top + 1)))):
+        want = _reference_newton(kmax, c, alternating)
+        monkeypatch.setattr(ch.np, "zeros", lambda *a, **k: zeros(*a, **k).view(_CountingAdds))
+        _CountingAdds.adds = 0
+        got = ch._powers(kmax, c, alternating)
+        monkeypatch.undo()
+        assert _CountingAdds.adds == sum(map(cost, mults)), alternating
+        assert [ch._from_lattice(*t) for t in got] == want
+
+
+def _reference_hook(a, b, hs, es):
+    """Hook (a, 1^b) from the lists hs[k] = Sym^k and es[k] = wedge^k of one character.
+
+    The former characters._hook, kept verbatim: it adds each product into a
+    dict accumulator.
+    """
+    acc = ch.Character()
+    for i in range(b + 1):
+        ch._axpy(acc, hs[a + i] * es[b - i], (-1) ** i)
+    return acc
+
+
+@lru_cache(maxsize=1)
+def _reference_row_powers():
+    """Sym^0..15 V, Sym^0..14 S_3, wedge^0..9 S_3: built once, only read."""
+    s3 = ch.weyl_character(3, 0)
+    return (ch.sym_powers(15, ch.weyl_character(1, 0)), ch.sym_powers(14, s3),
+            ch.ext_powers(9, s3))
+
+
+def _reference_row_sum(ell):
+    """The former resolution._row_sum (with its _row_powers as
+    _reference_row_powers), kept verbatim: one Character per product and sum."""
+    vs, hs, es = _reference_row_powers()
+    total = ch.Character()
+    for p in range(-9, -2):
+        term = (vs[-(2 * p + 3)].dual()
+                * vs[-(p + 3)].dual()
+                * _reference_hook(ell, -p, hs, es))
+        total = total + term if (-1) ** p > 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_row_sums_match_the_dict_reference(ell):
+    got = resolution._row_sum(ell)
+    assert isinstance(got, ch.Character) and got == _reference_row_sum(ell)
+    assert all(type(m) is int and m for m in got.values())
+
+
+@pytest.mark.parametrize("ab", [(1, 0), (3, 0), (2, 1)])
+def test_hook_schur_matches_the_dict_reference(ab):
+    c = ch.weyl_character(*ab)
+    for a, b in [(1, 0), (1, 3), (2, 1), (3, 2), (4, 3), (2, 6)]:
+        want = _reference_hook(a, b, ch.sym_powers(a + b, c), ch.ext_powers(b, c))
+        assert ch.hook_schur(a, b, c) == want, (a, b)
+
+
+def test_product_sums_stay_exact_past_int64():
+    # sum_i |k_i| sum|m_a| sum|m_b| = 24 m^2 for the three products of c with
+    # itself, and (1, 1, 0) gathers 8 m^2: int64 below the bound, Python ints
+    # from it on, and entries past 2^63 at m = 2^31
+    m = next(m for m in count(619_000_000) if 24 * m * m >= 2 ** 63)
+    for m, dtype in ((m - 1, np.int64), (m, object), (2 ** 31, object)):
+        c = ch.Character({(1, 0, 0): m, (0, 1, 0): m})
+        lat = ch._lattice(c)
+        x, y, got = ch._convolve([(2, lat, lat), (-1, lat, lat), (3, lat, lat)])
+        assert got.dtype == dtype
+        want = {w: 4 * k for w, k in reference_product(c, c).items()}
+        assert dict(ch._from_lattice(x, y, got)) == want
+        assert want[(1, 1, 0)] == 8 * m * m
+    # products that cancel leave the zero character
+    c = ch.Character({(2, 1, 0): 3 * 2 ** 62, (0, 0, 0): -1})
+    lat = ch._lattice(c)
+    assert ch._from_lattice(*ch._convolve([(1, lat, lat), (-1, lat, lat)])) == {}
 
 
 def test_sym_powers_of_cubics():

@@ -398,6 +398,17 @@ def test_catalog_projects_as_the_reference():
     assert _sha256(got) == PROJECTED_CATALOG_SHA256
 
 
+def test_syzygy_remainders_interleave_y_and_v():
+    # the remainder of a Psi concomitant has monomials in which its y sit
+    # between the x and the u, and its v after the u: the merge must place them
+    for name in ("Psi21", "Psi42", "Psi51", "Psi54"):
+        p = br.catalog_concomitant(name).poly
+        _assert_projects_as_reference(p)
+        _, _, rem = tb.harmonic_project(p)
+        families = {"".join(v[0] for v, _ in mo if v[0] in "xyuv") for mo in rem.terms}
+        assert any("xy" in f and "yu" in f and "uv" in f for f in families), name
+
+
 OUTER_VARS = ("a0", "a4", "a9", "y1", "y3", "v2")
 COEFFS = st.one_of(st.integers(-50, 50).filter(bool),
                    st.fractions(max_denominator=12).filter(bool),
