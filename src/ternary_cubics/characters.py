@@ -35,8 +35,9 @@ dimension is below 2^63, else exact Python ints.  A symmetric power takes
 each weight of multiplicity m as m one-step recurrence passes, or as one
 binomial series when that needs fewer slice-adds.
 
-decompose peels each irreducible from one working dict in place.  Cached
-weyl_character results are only read.
+decompose reads every multiplicity at once from the numerator of Weyl's
+character formula on one dense lattice box.  Cached weyl_character results
+are only read.
 """
 
 from functools import lru_cache
@@ -218,28 +219,43 @@ def weyl_character(a, b=0):
     return _from_lattice((mu1 - mu3)[keep], (mu2 - mu3)[keep], kostka[keep])
 
 
-def decompose(c):
-    """Greedy peel into irreducibles: list of ((a, b), multiplicity).
+# rho - w(rho) and sgn(w) for the six w of S3, in lattice coordinates
+_WEYL_SHIFTS = ((0, 0, 1), (1, -1, -1), (1, 2, -1), (3, 0, 1), (3, 3, 1), (4, 2, -1))
 
-    Repeatedly takes the lexicographically greatest dominant weight
-    (a, b, 0) of the remainder, a highest weight by Weyl symmetry, and
-    subtracts its irreducible in place.  Every other dominant weight of that
-    irreducible is lexicographically smaller, so the top strictly decreases.
-    Once nothing remains, c is by construction the sum of the peeled
-    irreducibles.  Input that is not Weyl-symmetric raises ValueError: some
-    step finds a nonzero remainder with no dominant weight.
+
+def decompose(c):
+    """Irreducible decomposition: list of ((a, b), multiplicity), sorted by (-a, -b).
+
+    By Weyl's character formula (Fulton-Harris 24.1), m_lam is the
+    coefficient of z^(lam + rho) in c times sum_w sgn(w) z^(w rho).  On c's
+    lattice points (w0 - w2, w1 - w2), in a square box D padded by one cell
+    low and four high: m(a, b) = D[a, b] - D[a+1, b-1] - D[a+1, b+2]
+    + D[a+3, b] + D[a+3, b+3] - D[a+4, b+2], kept at a >= b >= 0.  c may be
+    any {weight: multiplicity}.  Unless D equals its transpose (s1) and c(x, y)
+    equals D at (x - y, -y) (s2), raises ValueError.
     """
-    rem = dict(c)
-    out = []
-    while rem:
-        top = max((w for w in rem if w[0] >= w[1] >= w[2]), default=None)
-        if top is None:
-            raise ValueError("character is not Weyl-symmetric")
-        ab, mult = top[:2], rem[top]
-        _axpy(rem, weyl_character(*ab), -mult)
-        out.append((ab, mult))
-    out.sort(key=lambda t: (-t[0][0], -t[0][1]))
-    return out
+    if not c:
+        return []
+    x, y, m = _lattice(c)
+    lo = min(x.min(), y.min()) - 1
+    n = int(max(x.max(), y.max()) - lo) + 5
+    if n * n > max(_BOX_FLOOR, _BOX_PER_PAIR * len(m)):
+        raise ValueError(f"decompose needs a {n} x {n} box for {len(m)} weights; "
+                         f"weights too sparse")
+    D = np.zeros((n, n), m.dtype)
+    D[x - lo, y - lo] = m
+    sx, sy = x - y - lo, -y - lo
+    inside = (sx >= 0) & (sx < n) & (sy >= 0) & (sy < n)
+    if not (np.array_equal(D, D.T) and inside.all() and np.array_equal(D[sx, sy], m)):
+        raise ValueError("character is not Weyl-symmetric")
+    k = n - 5
+    # each sum reads distinct points of c, so int64 sums stay below sum|m| < 2^63
+    M = sum(s * D[1 + i:1 + i + k, 1 + j:1 + j + k] for i, j, s in _WEYL_SHIFTS)
+    i, j = np.nonzero(M)
+    a, b = i + lo + 1, j + lo + 1
+    keep = (a >= b) & (b >= 0)
+    # row-major order, reversed: a descending, then b descending
+    return list(zip(zip(a[keep].tolist(), b[keep].tolist()), M[i[keep], j[keep]].tolist()))[::-1]
 
 
 def multiplicity(c, ab):

@@ -33,11 +33,14 @@ monomials level by level, prefix length 1, 2, ..., in lexicographic order,
 so each is computed once: a level is one batched numpy product of its
 parents' terms with phi, merged by a sort on packed (prefix, parameter key)
 and np.add.reduceat.  The last level is the monomials' own images, and each
-block's rows are its parameter keys in increasing order.  The images are
-built once over Z for all the primes of a kernel, with int64 coefficients
-under one guard: a coefficient is at most L^degree in absolute value, L the
-largest sum of |coefficients| of one phi_r, and a build where that bound
-reaches 2^63 raises ValueError.  Below _MAX_MONOMIALS none does (L <= 12 and
+block's rows are its parameter keys in increasing order, only the least of
+each orbit of the parameter permutations that fix every phi_r (_symmetries).
+Such a permutation fixes every image, so the keys of one orbit have equal
+rows, and every row space, nullity, kernel and zero test is unchanged.  The
+images are built once over Z for all the primes of a kernel, with int64
+coefficients under one guard: a coefficient is at most L^degree in absolute
+value, L the largest sum of |coefficients| of one phi_r, and a build where
+that bound reaches 2^63 raises ValueError.  Below _MAX_MONOMIALS none does (L <= 12 and
 degree <= 14: 12^14 < 2^51).
 
 Every weight-blocked elimination (kernel multiplicities and bases,
@@ -55,7 +58,8 @@ highest-weight space of the dominant block lam, the common kernel of the two
 raising derivations, of dimension m_lam (the plethysm coefficient of V_lam in
 Sym^l(S^3), at most 4 for l <= 8 against blocks of up to 331 monomials).
 highest_weight_bases solves, once per (degree, prime) and for every locus,
-only the blocks with m_lam > 0 in decompose(sym_power(l, S^3)): the kernel K
+only the blocks with m_lam > 0 in the decomposition of R_l, read from its
+block sizes (_highest_weights): the kernel K
 of the first raising map, then the kernel of the second restricted to K, each
 count checked against m_lam.  The raising matrices are filled by array
 operations on the monomial lists.  graded_kernel builds the image blocks of
@@ -81,14 +85,13 @@ coefficient span, which lies in the ideal exactly when h's image is zero.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 from operator import add
 
 import numpy as np
 
 from . import brackets, linalg, loci, tableaux
-from .characters import (Character, decompose, dim_irrep, normalize, sym_power,
-                         weyl_character)
+from .characters import Character, decompose, dim_irrep, normalize, weyl_character
 from .poly import A_EXPS, A_INDEX, Poly, cubic_point, monomial, split_xu
 
 _SHIFT = 6  # exponent-vector packing: 6 bits per parameter
@@ -187,7 +190,46 @@ def _encoded_phi(locus):
     return keys, coeffs
 
 
-def _times_phi(image, parents, lasts, phi):
+def _moves(perm):
+    """A parameter permutation, perm[i] the image of parameter i, as shifts of
+    packed keys: [(source shift, mask, target shift)], one per run of
+    parameters that perm moves together."""
+    cuts = [i for i in range(1, len(perm)) if perm[i] != perm[i - 1] + 1]
+    return [(_SHIFT * lo, (1 << _SHIFT * (hi - lo)) - 1, _SHIFT * perm[lo])
+            for lo, hi in zip([0, *cuts], [*cuts, len(perm)])]
+
+
+def _permuted(keys, moves):
+    """Packed keys with their parameters permuted as _moves gives."""
+    return sum(((keys >> s) & mask) << t for s, mask, t in moves)
+
+
+@lru_cache(maxsize=None)
+def _symmetries(locus):
+    """The permutations of the parameters of `locus` that fix every phi_r,
+    identity left out, as tuples perm, perm[i] the image of parameter i: those
+    sending each family (b1..b3, s) onto one of equal size, index kept, that
+    fix every row of the tables of _encoded_phi."""
+    fams = {}
+    for i, v in enumerate(loci.substitution_map(locus).params):
+        fams.setdefault(v.rstrip("0123456789"), []).append(i)
+    fams = list(fams.values())
+    keys, coeffs = _encoded_phi(locus)
+    terms = [sorted(zip(k, c)) for k, c in zip(keys.tolist(), coeffs.tolist())]
+    out = []
+    for image in permutations(fams):
+        if list(map(len, image)) != list(map(len, fams)):
+            continue
+        perm = tuple(j for _, j in sorted(zip(chain(*fams), chain(*image))))
+        if perm == tuple(range(len(perm))):
+            continue
+        moved = _permuted(keys, _moves(perm))
+        if [sorted(zip(k, c)) for k, c in zip(moved.tolist(), coeffs.tolist())] == terms:
+            out.append(perm)
+    return tuple(out)
+
+
+def _times_phi(image, parents, lasts, phi, group=()):
     """The products image[parents[i]] * phi_{lasts[i]}, one for each owner i.
 
     `image` is (starts, keys, coeffs), owner j's terms being keys and coeffs
@@ -196,6 +238,10 @@ def _times_phi(image, parents, lasts, phi):
     owners are taken in chunks of about _CHUNK products, so the live arrays
     stay small, and of few enough owners that a chunk-local owner and a key
     pack into one int64 sort key.
+
+    `group`, parameter permutations (_symmetries) that fix every product,
+    keeps only the keys least in their orbits, k <= s(k) for every s, each
+    chunk filtered after its merge.
     """
     starts, keys, coeffs = image
     phikey, phicoef = phi
@@ -204,6 +250,7 @@ def _times_phi(image, parents, lasts, phi):
     counts = starts[parents + 1] - starts[parents]
     sizes = counts * phikey.shape[1]
     ids = np.arange(len(parents))
+    moves = [_moves(perm) for perm in group]
     chunk = (np.cumsum(sizes) - sizes) // _CHUNK
     cut = (np.diff(chunk) != 0) | (np.diff(ids >> (63 - width)) != 0)
     bounds = [0, *(np.flatnonzero(cut) + 1), len(parents)]
@@ -222,8 +269,12 @@ def _times_phi(image, parents, lasts, phi):
         first = np.flatnonzero(np.diff(packed, prepend=-1))
         c = np.add.reduceat(c, first)
         nz = c != 0
-        packed = packed[first[nz]]
-        out.append((lo + (packed >> width), packed & ((1 << width) - 1), c[nz]))
+        packed, c = packed[first[nz]], c[nz]
+        key = packed & ((1 << width) - 1)
+        if moves:
+            least = np.logical_and.reduce([key <= _permuted(key, m) for m in moves])
+            packed, key, c = packed[least], key[least], c[least]
+        out.append((lo + (packed >> width), key, c))
     return tuple(map(np.concatenate, zip(*out)))
 
 
@@ -236,13 +287,15 @@ def _image_blocks(locus, degree, weights):
     arrays, which _blocks_mod reduces modulo a prime.  The columns are the
     block's monomials (in the order of monomials_by_weight), so nullspace
     vectors are ideal elements; the rows are the block's packed parameter
-    keys in increasing order.  Entries come sorted by column, then row.
+    keys in increasing order, only the least of each orbit of
+    _symmetries(locus), whose keys have equal rows (see the module
+    docstring).  Entries come sorted by column, then row.
 
     The images of the distinct prefixes of the chosen monomials are built
     level by level, each level one batched product with phi (_times_phi);
-    the last level is the monomials' own images.  Every coefficient is at
-    most L^degree in absolute value, L the largest sum of |coefficients| of
-    one phi_r; a bound past int64 raises ValueError.
+    the last level is the monomials' own images, and only it drops keys.
+    Every coefficient is at most L^degree in absolute value, L the largest
+    sum of |coefficients| of one phi_r; a bound past int64 raises ValueError.
     """
     phi = _encoded_phi(locus)
     blocks = monomials_by_weight(degree)
@@ -273,7 +326,7 @@ def _image_blocks(locus, degree, weights):
     parent[lex] = prefix
     # the last level: the monomials themselves, in the chosen order, so a
     # block's columns are a run of owners; rows are ranked block by block
-    owner, keys, coeffs = _times_phi(image, parent, mono[:, -1], phi)
+    owner, keys, coeffs = _times_phi(image, parent, mono[:, -1], phi, _symmetries(locus))
     sizes = [len(blocks[w]) for w in chosen]
     starts = np.cumsum([0] + sizes)
     cuts = np.searchsorted(owner, starts)
@@ -550,9 +603,10 @@ def _common_kernel(maps, p, nullspace):
 def _highest_weights(degree):
     """{dominant weight w: m_w} for every block with m_w > 0, in the order of
     monomials_by_weight: m_w is the multiplicity of V_(w0 - w2, w1 - w2) in
-    decompose(sym_power(degree, S^3)).  Read only: the dict is cached."""
+    R_degree = Sym^degree(S^3), decomposed from its block sizes, the weight
+    multiplicities of R_degree.  Read only: the dict is cached."""
     blocks = monomials_by_weight(degree)
-    mults = dict(decompose(sym_power(degree, weyl_character(3, 0))))
+    mults = dict(decompose({w: len(ms) for w, ms in blocks.items()}))
     return {w: m for w in blocks if is_dominant(w)
             if (m := mults.get((w[0] - w[2], w[1] - w[2]), 0))}
 
@@ -566,7 +620,7 @@ def highest_weight_bases(degree, p):
     D2 a_s = (e_s[1] + 1) a_{s+(0,1,-1)}, extended to monomials by Leibniz:
     K = ker D1, then the kernel of D2 restricted to it (_common_kernel).
     Only the blocks w whose label (w0 - w2, w1 - w2) has a nonzero exact
-    multiplicity m_w in decompose(sym_power(degree, S^3)) are solved
+    multiplicity m_w in R_degree = Sym^degree(S^3) are solved
     (_highest_weights); no Hilbert value or kernel multiplicity reads the
     others.  Every count is compared with m_w; a mismatch raises
     UnluckyPrimeError and caches nothing.  The mod-p kernel holds the

@@ -17,6 +17,10 @@ locus X_tact through the pencil form L M + K^2 of a conic tangent to L at
 {K = L = 0}.  Both families dominate their loci, which is all the kernel
 computations need.
 
+Two products are symmetric, so permutations of their parameter families fix
+every phi_r: S3 on the lines b, c, d of delta, and (L1, s) <-> (L2, t) of y;
+ideals derives these groups and builds one image row per parameter orbit.
+
 The tact invariant of a conic and a line (the tangency condition) is computed
 from scratch: Res = Resultant(Q, L; x2), T' = Discriminant(Res, x1), and
 T = T' / b2^2 exactly as polynomials.

@@ -633,3 +633,54 @@ def test_decompose_reassembles(a, b):
     dec = ch.decompose(prod)
     rebuilt = ch.from_modules([ab for ab, m in dec for _ in range(m)])
     assert rebuilt == prod
+
+
+def _reference_decompose(c):
+    """The former greedy peel, kept verbatim as the oracle for the Weyl
+    alternating sum: take the lexicographically greatest dominant weight of
+    the remainder and subtract its irreducible."""
+    rem = dict(c)
+    out = []
+    while rem:
+        top = max((w for w in rem if w[0] >= w[1] >= w[2]), default=None)
+        if top is None:
+            raise ValueError("character is not Weyl-symmetric")
+        ab, mult = top[:2], rem[top]
+        ch._axpy(rem, ch.weyl_character(*ab), -mult)
+        out.append((ab, mult))
+    out.sort(key=lambda t: (-t[0][0], -t[0][1]))
+    return out
+
+
+@pytest.mark.parametrize("name,c", [
+    ("Sym^3 (20,0)", lambda: ch.sym_power(3, ch.weyl_character(20, 0))),
+    ("Sym^2 (20,10)", lambda: ch.sym_power(2, ch.weyl_character(20, 10))),
+    ("Sym^8 S^3", lambda: ch.sym_power(8, ch.weyl_character(3, 0))),
+    ("virtual", lambda: (ch.sym_power(4, ch.weyl_character(3, 0))
+                         - ch.weyl_character(6, 3).scale(3)
+                         + ch.weyl_character(2, 1) * ch.weyl_character(5, 5))),
+    ("trivial", ch.char_trivial),
+    ("zero", ch.Character),
+    ("past int64", lambda: ch.weyl_character(4, 2).scale(2 ** 62)
+     - ch.weyl_character(3, 3).scale(2 ** 61)),
+])
+def test_decompose_matches_the_peel_reference(name, c):
+    c = c()
+    got = ch.decompose(c)
+    assert got == _reference_decompose(c)
+    assert all(type(a) is int and type(b) is int and type(m) is int for (a, b), m in got)
+
+
+@pytest.mark.parametrize("bad", [
+    {(1, 0, 0): 1},                  # s2 fixes the lattice point (1, 0); s1 sends it to (0, 1)
+    {(2, 1, 0): 1, (1, 2, 0): 1},    # s1 swaps (2, 1) and (1, 2); s2 sends (2, 1) to (1, -1)
+])
+def test_decompose_checks_both_reflections(bad):
+    with pytest.raises(ValueError, match="not Weyl-symmetric"):
+        ch.decompose(ch.Character(bad))
+
+
+def test_decompose_of_far_apart_weights_raises_before_allocating():
+    # two weights 3000 apart would need a 3006 x 3006 box
+    with pytest.raises(ValueError, match="too sparse"):
+        ch.decompose(ch.Character({(0, 0, 0): 1, (3000, 0, 0): 1}))

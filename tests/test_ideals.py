@@ -295,7 +295,8 @@ def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch, pieces):
 
 # SHA-256 over the image blocks of each case, in order: weight, then shape,
 # rows, cols and coeffs as lists.  The kernel-basis digests pin the bases, not
-# the row order of the images they come from.
+# the row order of the images they come from.  delta and y blocks hold one row
+# per parameter orbit; tact and empty have no symmetry and keep every row.
 IMAGE_CASES = {
     "delta-5-all": [("delta", 5, _all_weights)],
     "tact-5": [("tact", 5, _dominant_weights)],
@@ -304,10 +305,10 @@ IMAGE_CASES = {
                     for weights in (_dominant_weights, _all_weights)],
 }
 IMAGE_DIGESTS = {
-    "delta-5-all": "d2fda4bc6979bcc1a345ae6dacf6695a3ff74b6724a05741f4acdded17afa872",
+    "delta-5-all": "7e4a25ed0b7d3a2c52f2d330385632ed43b49a33fc1303d8a6a50187803c83d5",
     "tact-5": "1e869359094bba9956028e0faed3767cb32ae206843819d50ddd678450691354",
     "empty-6": "f427cc12b5e9a849e0f76406194348d603d932ed4456aeded1d0081e23ebd8ad",
-    "degrees-0-1": "cc006e2a37a501aab6ef7ba0bc01ec3da29ce020ba6444ea84aaec33129882a1",
+    "degrees-0-1": "edaa391303170f615fdad59e491f7d8fbca61ea0abe35e88ce5edc2d7f70b3ab",
 }
 
 
@@ -380,23 +381,80 @@ REFERENCE_CASES = {
 }
 
 
+def _renamed(key, perm):
+    """The packed parameter key with parameter i renamed perm[i], field by field."""
+    mask = (1 << ideals._SHIFT) - 1
+    return sum(((key >> (ideals._SHIFT * i)) & mask) << (ideals._SHIFT * j)
+               for i, j in enumerate(perm))
+
+
+def _assert_matches_the_dict_reference(lid, deg, weights):
+    """The library's rows are the reference rows at the keys least in their
+    orbits under ideals._symmetries(lid), and every reference row it drops
+    equals the row of its orbit's least key."""
+    group = ideals._symmetries(lid)
+    got = ideals._image_blocks(lid, deg, weights)
+    ref = _reference_image_blocks(lid, deg, weights)
+    assert list(got) == list(ref)
+    for w, (shape, rows, cols, coeffs) in got.items():
+        ref_shape, ref_rows, ref_cols, ref_coeffs, keys = ref[w]
+        # the reference numbers its rows by first appearance: read them by key
+        key_of = {row: k for k, row in keys.items()}
+        by_key = {k: {} for k in keys}
+        for r, c, x in zip(ref_rows, ref_cols, ref_coeffs):
+            by_key[key_of[r]][c] = x
+        least = {k: min([k] + [_renamed(k, perm) for perm in group]) for k in keys}
+        kept = sorted(k for k in keys if least[k] == k)
+        assert shape == (len(kept), ref_shape[1])
+        assert sorted(zip(rows.tolist(), cols.tolist(), coeffs.tolist())) \
+            == sorted((i, c, x) for i, k in enumerate(kept) for c, x in by_key[k].items())
+        for k in keys:
+            assert by_key[k] == by_key.get(least[k]), f"{lid} {deg} {w}: row {k} dropped"
+        # entries come sorted by column, then row
+        assert np.array_equal(np.lexsort((rows, cols)), np.arange(len(rows)))
+
+
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_image_blocks_match_the_dict_reference(case):
     for lid, deg, weights in REFERENCE_CASES[case]:
-        got = ideals._image_blocks(lid, deg, weights(deg))
-        ref = _reference_image_blocks(lid, deg, weights(deg))
-        assert list(got) == list(ref)
-        for w, (shape, rows, cols, coeffs) in got.items():
-            ref_shape, ref_rows, ref_cols, ref_coeffs, keys = ref[w]
-            # the reference numbers its rows by first appearance; renumber
-            # them by sorted key
-            rank = {row: i for i, (_, row) in enumerate(sorted(keys.items()))}
-            assert shape == ref_shape
-            assert len(rows) == len(cols) == len(coeffs) == len(ref_rows)
-            assert set(zip(rows.tolist(), cols.tolist(), coeffs.tolist())) \
-                == {(rank[r], c, x) for r, c, x in zip(ref_rows, ref_cols, ref_coeffs)}
-            # entries come sorted by column, then row
-            assert np.array_equal(np.lexsort((rows, cols)), np.arange(len(rows)))
+        _assert_matches_the_dict_reference(lid, deg, weights(deg))
+
+
+SYMMETRY_COUNTS = {"equiv": 0, "neq": 0, "y": 1, "delta": 5, "tact": 0, "empty": 0}
+
+
+def test_parameter_symmetries_are_derived():
+    for lid in loci.LOCI:
+        spec = loci.substitution_map(lid)
+        group = ideals._symmetries(lid)
+        assert len(group) == SYMMETRY_COUNTS[lid]
+        identity = tuple(range(len(spec.params)))
+        # a group: no identity listed, closed under composition
+        assert identity not in group
+        for s, t in itertools.product(group, repeat=2):
+            assert tuple(t[i] for i in s) in group + (identity,)
+        # each permutation fixes every phi_r as a polynomial, read from the
+        # substitution map and not from the packed tables
+        for perm in group:
+            rename = {v: spec.params[j] for v, j in zip(spec.params, perm)}
+            for phi in spec.phi:
+                assert Poly((monomial([(rename[v], e) for v, e in mo]), c)
+                            for mo, c in phi.terms.items()) == phi
+    # delta: S3 on the lines b, c, d; y: the swap (b, s) <-> (c, t)
+    assert ideals._symmetries("y") == ((3, 4, 5, 0, 1, 2, 7, 6),)
+    assert set(ideals._symmetries("delta")) == {
+        tuple(3 * f + i for f in image for i in range(3))
+        for image in itertools.permutations(range(3))} - {tuple(range(9))}
+
+
+def test_a_false_symmetry_fails_the_dropped_row_comparison(monkeypatch):
+    # m <-> k on tact fixes no phi_r; its blocks keep full rank with half the
+    # rows gone, so no kernel anchor catches it, but the dropped rows differ
+    # from the rows of their orbits' least keys
+    swap = (0, 1, 2, 6, 7, 8, 3, 4, 5)
+    monkeypatch.setattr(ideals, "_symmetries", lambda locus: (swap,) if locus == "tact" else ())
+    with pytest.raises(AssertionError, match="dropped"):
+        _assert_matches_the_dict_reference("tact", 3, _all_weights(3))
 
 
 def test_image_coefficients_past_int64_raise(monkeypatch):
