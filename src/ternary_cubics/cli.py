@@ -68,10 +68,11 @@ def _fmt_modules(dec):
 # simple subcommands
 # ---------------------------------------------------------------------------
 
-# decompose peels the dominant weights (a, b) with a <= A, where (A, B) is the
-# highest weight of the character it decomposes: (A+1)(A+2)/2 candidates.
-# decompose-sym 20 0 --power 3 and 3 0 --power 20 (A = 60, 1,891) pass, and
-# A = 62 (2,016) and above fail before any character is built.
+# bounds the highest weight (A, B) that char decomposes by its (A+1)(A+2)/2
+# dominant candidates, and so weyl_character's (a + b + 1)^2 Kostka array for
+# an input a <= A and the weight pairs of char tensor's product, which
+# _convolve's box guard does not bound.  decompose-sym 20 0 --power 3 and
+# 3 0 --power 20 (A = 60, 1,891) pass; A = 62 (2,016) and above fail first.
 _MAX_CANDIDATE_WEIGHTS = 2000
 
 # tableau list prints at most this many tableaux; count has a closed form

@@ -7,19 +7,19 @@ into weight blocks, and the block nullities are the character of the graded
 piece.
 
 Every locus is GL3-stable, so each graded piece is a sum of irreducibles
-V_lam, and graded_kernel reads its character one irreducible at a time: the
-multiplicity of V_lam is a nullity mod p of the image block lam times its
-m_lam highest-weight vectors (see below), a matrix of m_lam columns (at most
-4 below degree 9), and the block nullities follow from the irreducible
-characters.  No kernel basis is eliminated for a dimension or a type.
+V_lam, and graded_kernel reads it one irreducible at a time: the kernel mod p
+of the image block lam times its m_lam highest-weight vectors (see below), a
+matrix of m_lam columns (at most 4 below degree 9), gives the piece's
+highest-weight vectors of weight lam, their count the multiplicity of V_lam,
+and the block nullities follow from the irreducible characters.  No image
+block is eliminated for its kernel.
 
 graded_kernel caches each piece whole, in the one dict _PIECES keyed by
-(locus, degree, primes), with its multiplicities {lam: k_lam > 0}.  Kernel
-bases are built only when read (the cached property GradedPiece.bases, for
-syzygies and evaluation): the piece is generated by its highest-weight
-vectors, which the kernels of the products above give, and every block is
-spanned by their images under the lowering derivations, its count checked
-against its nullity.  No block is eliminated for its kernel.  The
+(locus, degree, primes), with those highest-weight kernel vectors, `tops`.
+Kernel bases are built only when read (the cached property GradedPiece.bases,
+for syzygies and evaluation): the piece is the GL3-module its tops generate,
+so every block is spanned by their images under the lowering derivations,
+its count checked against its nullity.  The read builds no image block.  The
 verify-all check weyl-orbits-delta-5 eliminates every block of one kernel
 and compares each block nullity with graded_kernel's, two independent routes.
 
@@ -43,14 +43,13 @@ value, L the largest sum of |coefficients| of one phi_r, and a build where
 that bound reaches 2^63 raises ValueError.  Below _MAX_MONOMIALS none does (L <= 12 and
 degree <= 14: 12^14 < 2^51).
 
-Every weight-blocked elimination (kernel multiplicities and bases,
-syzygies, the all-block cross-check, highest-weight vectors, Hilbert values)
-takes one path, _solve_blocks: for each prime it builds the blocks one at a
-time and hands
-each to one linalg entry, then compares the primes, and an exact count
-where one is known.  It is the one place here that compares counts; a
-disagreement raises UnluckyPrimeError naming the weight block and its count
-modulo each prime.
+Every weight-blocked elimination (highest-weight vectors of R and of a
+kernel, lowered kernel bases, syzygies, the all-block cross-check, Hilbert
+values) takes one path, _solve_blocks: for each prime it builds the blocks
+one at a time and hands each to one linalg entry, then compares the primes,
+and an exact count where one is known.  It is the one place here that
+compares counts; a disagreement raises UnluckyPrimeError naming the weight
+block and its count modulo each prime.
 
 Hilbert function values and kernel multiplicities are read one irreducible
 at a time.  The multiplicity of V_lam in I_l, and so in R_l/I_l, lives in the
@@ -63,7 +62,7 @@ block sizes (_highest_weights): the kernel K
 of the first raising map, then the kernel of the second restricted to K, each
 count checked against m_lam.  The raising matrices are filled by array
 operations on the monomial lists.  graded_kernel builds the image blocks of
-these lam only and takes the nullity of each one times the transposed basis.
+these lam only and takes the kernel of each one times the transposed basis.
 hilbert_value evaluates the monomials of all these blocks at the random
 points of the locus in one array pass, takes for each lam the rank of the
 basis times its block's values at the first m_lam + HILBERT_MARGIN points,
@@ -402,34 +401,25 @@ class _Piece:
 @dataclass
 class GradedPiece(_Piece):
     """A graded piece of an ideal, whose kernel bases are built on first read."""
-    multiplicities: dict             # dominant weight lam -> k_lam > 0
+    tops: dict                       # prime -> {lam: highest-weight kernel vectors}
 
     @cached_property
     def bases(self):
-        """prime -> {weight: (monos, basis rows)} for every nonzero block, built on first read.
+        """prime -> {weight: basis rows} for every nonzero block, built on first read.
 
-        The highest-weight kernel vectors, N^T B_lam with N the kernel of
-        A_lam B_lam^T mod p, are found for the lam of `multiplicities` and
-        checked against k_lam; _lowered spans every block from them, each
-        checked against block_nullities.  A shortfall raises UnluckyPrimeError
-        naming the block and caches nothing.
+        _lowered spans every block from `tops`, each block's count checked
+        against block_nullities; no image block is built and no kernel
+        eliminated.  A shortfall raises UnluckyPrimeError naming the block
+        and caches nothing.
         """
-        what = f"of {self.locus} degree {self.degree}"
-        images = _image_blocks(self.locus, self.degree, self.multiplicities)
-        tops, _ = _solve_blocks(
-            f"highest-weight kernel vectors {what}", self.primes,
-            lambda p: _hw_products(images, self.degree, p),
-            lambda AB, p: _product_mod(linalg.nullspace_mod(AB[0], p).T, AB[1], p),
-            exact=self.multiplicities)
         # top down: F1 and F2 each lower 2 w0 + w1 by one
         order = sorted(self.block_nullities, key=lambda w: -2 * w[0] - w[1])
         maps = {w: _weight_maps(self.degree, w, _LOWERING) for w in order}
         bases, _ = _solve_blocks(
-            f"kernel bases {what}", self.primes,
-            lambda p: _lowered(tops[p], maps, p, linalg.rowbasis_mod),
+            f"kernel bases of {self.locus} degree {self.degree}", self.primes,
+            lambda p: _lowered(self.tops[p], maps, p, linalg.rowbasis_mod),
             lambda B, p: B, exact=self.block_nullities)
-        blocks = monomials_by_weight(self.degree)
-        return {p: {w: (blocks[w], B) for w, B in bs.items()} for p, bs in bases.items()}
+        return bases
 
     def vanishes_at(self, point, p):
         """Do all kernel basis vectors vanish at the cubic `point` (mod p)?
@@ -437,12 +427,13 @@ class GradedPiece(_Piece):
         The point is 10 integer coefficients a0..a9, as poly.cubic_point checks.
         """
         p = linalg.check_prime(p)
-        if p not in self.bases:
-            raise ValueError(f"no kernel basis modulo {p}; have {sorted(self.bases)}")
+        if p not in self.primes:
+            raise ValueError(f"no kernel basis modulo {p}; have {sorted(self.primes)}")
         pv = [x % p for x in cubic_point(point)]
+        blocks = monomials_by_weight(self.degree)
         # Python ints: the dot products are exact, whatever their length
-        for monos, B in self.bases[p].values():
-            vals = np.array([math.prod(pv[r] for r in m) for m in monos], dtype=object)
+        for w, B in self.bases[p].items():
+            vals = np.array([math.prod(pv[r] for r in m) for m in blocks[w]], dtype=object)
             if np.any(B.astype(object) @ vals % p):
                 return False
         return True
@@ -463,7 +454,7 @@ def _lowered(tops, maps, p, rowbasis):
     for w, fs in maps.items():
         B = rowbasis(np.vstack(found.pop(w)), p)
         yield w, B
-        for F, (step, _) in zip(fs, _LOWERING):
+        for F, (step, _, _) in zip(fs, _LOWERING):
             if (t := tuple(map(add, w, step))) in maps:
                 found.setdefault(t, []).append(_product_mod(B, F.T, p))
 
@@ -484,11 +475,12 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     times the multiplicity of the weight w in V_lam (weyl_character).  For
     each dominant lam with m_lam > 0 (the plethysm coefficient of V_lam in
     Sym^degree(S^3)), mult_lam is read in lam's highest-weight space: it is
-    k_lam = nullity of A_lam B_lam^T mod p, A_lam the image block of lam and
-    B_lam the m_lam rows of highest_weight_bases(degree, p) (m_lam <= 4 below
-    degree 9).  Only these image blocks are built.  The k_lam are computed
-    independently modulo every prime in `primes` and must agree
-    (_solve_blocks); a disagreement raises UnluckyPrimeError naming the block.
+    k_lam, the nullity of A_lam B_lam^T mod p, A_lam the image block of lam
+    and B_lam the m_lam rows of highest_weight_bases(degree, p) (m_lam <= 4
+    below degree 9), and N^T B_lam, N that kernel's basis, are the piece's
+    k_lam highest-weight vectors.  Only these image blocks are built.  Every
+    prime in `primes` must give the same k_lam, or UnluckyPrimeError names
+    the block (_solve_blocks).
 
     One-sided, like a block nullity mod p: k_lam >= mult_lam over Q.  The
     space HW_lam(R_degree) cap I has dimension mult_lam and an integer basis
@@ -497,9 +489,9 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
     HW_lam(R_degree)) and are killed by A_lam.  Their coordinates on B_lam are
     then mult_lam independent kernel vectors of A_lam B_lam^T.
 
-    The piece, its {lam: k_lam > 0} as `multiplicities`, is cached in _PIECES
-    per (locus, degree, primes).  No kernel basis is built here;
-    GradedPiece.bases lowers the highest-weight kernel vectors on first read.
+    The piece, its vectors N^T B_lam as `tops` ({prime: {lam: rows}}), is
+    cached in _PIECES per (locus, degree, primes).  No other kernel basis is
+    built here; GradedPiece.bases lowers the tops on first read.
     """
     primes = linalg.check_primes(primes)
     key = (locus, degree, primes)
@@ -508,15 +500,16 @@ def graded_kernel(locus, degree, primes=linalg.DEFAULT_PRIMES):
         # raises in the build, and a disagreement in the solve, before
         # anything is stored.
         images = _image_blocks(locus, degree, _highest_weights(degree))
-        _, mults = _solve_blocks(f"kernel of {locus} degree {degree}", primes,
-                                 lambda p: _hw_products(images, degree, p),
-                                 lambda AB, p: linalg.nullity_mod(AB[0], p))
+        tops, mults = _solve_blocks(
+            f"kernel of {locus} degree {degree}", primes,
+            lambda p: _hw_products(images, degree, p),
+            lambda AB, p: _product_mod(linalg.nullspace_mod(AB[0], p).T, AB[1], p))
         char = Character()
         for w, k in mults.items():
             char += weyl_character(w[0] - w[2], w[1] - w[2]).scale(k)
         nullities = {w: n for w in monomials_by_weight(degree)
                      if (n := char.get(normalize(w), 0))}
-        _PIECES[key] = GradedPiece(locus, degree, primes, nullities, mults)
+        _PIECES[key] = GradedPiece(locus, degree, primes, nullities, tops)
     return _PIECES[key]
 
 
@@ -538,11 +531,17 @@ def full_block_nullities(locus, degree, primes):
 # highest-weight vectors and Hilbert function values
 # ---------------------------------------------------------------------------
 
-# the raising derivations D1, D2 and the lowering ones F1, F2 as (weight step,
-# exponent read): D a_s is (e_s[read] + 1) a_{s + step}, the pullbacks of
-# x1 -> x1 + t x2 and x2 -> x2 + t x3, and of x2 -> x2 + t x1 and x3 -> x3 + t x2
-_RAISING = (((1, -1, 0), 0), ((0, 1, -1), 1))
-_LOWERING = (((-1, 1, 0), 1), ((0, -1, 1), 2))
+def _derivations(*pairs):
+    """(weight step, up, factor) for each (weight step, exponent read): D a_s =
+    factor[s] a_{up[s]}, factor[s] = e_s[read] + 1, up[s] the index of a_{s + step} or -1."""
+    return tuple((step, np.array([A_INDEX.get(tuple(map(add, e, step)), -1) for e in A_EXPS]),
+                  np.array([e[read] + 1 for e in A_EXPS])) for step, read in pairs)
+
+
+# the raising derivations D1, D2, the pullbacks of x1 -> x1 + t x2 and
+# x2 -> x2 + t x3, and the lowering ones F1, F2, of x2 -> x2 + t x1 and x3 -> x3 + t x2
+_RAISING = _derivations(((1, -1, 0), 0), ((0, 1, -1), 1))
+_LOWERING = _derivations(((-1, 1, 0), 1), ((0, -1, 1), 2))
 
 
 def _monomial_array(monos, degree):
@@ -554,10 +553,10 @@ def _weight_maps(degree, w, derivations):
     """The `derivations` on block w: int8 matrices from its monomials to block w + step.
 
     Column j is the image of the block's j-th monomial, by Leibniz: a factor
-    a_s of multiplicity c goes to c (e_s[read] + 1) a_{s + step} times the
-    rest.  An image monomial is found in its block by its code, the exponent
-    vector in base degree + 1 with a0's exponent the leading digit, which
-    falls strictly along each list of monomials_by_weight.  Where no factor
+    a_s of multiplicity c goes to c factor[s] a_{up[s]} (_derivations) times
+    the rest.  An image monomial is found in its block by its code, the
+    exponent vector in base degree + 1 with a0's exponent the leading digit,
+    which falls strictly along each list of monomials_by_weight.  Where no factor
     can take the step the matrix has no rows.  Entries are at most 3 degree
     (42 at the largest listed degree, 14), residues for every allowed prime.
     """
@@ -569,10 +568,7 @@ def _weight_maps(degree, w, derivations):
     first = np.ones(monos.shape, dtype=bool)
     first[:, 1:] = monos[:, 1:] != monos[:, :-1]
     maps = []
-    for step, read in derivations:
-        # the index of a_{s + step} for each s (-1 where there is none), and e_s[read] + 1
-        up = np.array([A_INDEX.get(tuple(map(add, e, step)), -1) for e in A_EXPS])
-        factor = np.array([e[read] + 1 for e in A_EXPS])
+    for step, up, factor in derivations:
         target = _monomial_array(blocks.get(tuple(map(add, w, step)), []), degree)
         D = np.zeros((len(target), len(monos)), dtype=np.int8)
         # (col, k): a factor a_s of the col-th monomial that can take the step
@@ -720,14 +716,15 @@ def syzygy_kernel(locus, degree=None, primes=linalg.DEFAULT_PRIMES):
         degree = loci.GENERATOR_DEGREES[locus][0]
     _check_degree(degree + 1)
     gp = graded_kernel(locus, degree, primes)
+    monos = monomials_by_weight(degree)
     power = (degree + 2) ** np.arange(9, -1, -1, dtype=np.int64)
 
     def blocks(p):
         # columns of the syzygy system: for each g_i and r, the codes of the
         # monomials of g_i * a_r in the block of its weight
         parts = {}          # dominant weight -> [(row codes, generator rows)]
-        for w, (monos, B) in sorted(gp.bases[p].items()):
-            codes = power[_monomial_array(monos, degree)].sum(axis=1)
+        for w, B in sorted(gp.bases[p].items()):
+            codes = power[_monomial_array(monos[w], degree)].sum(axis=1)
             for r, e in enumerate(A_EXPS):
                 if is_dominant(wr := tuple(map(add, w, e))):
                     parts.setdefault(wr, []).append((codes + power[r], B))

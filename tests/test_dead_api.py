@@ -175,3 +175,21 @@ def test_traced_names_exist():
                if not callable(getattr(importlib.import_module(f"ternary_cubics.{mod}"),
                                        fn, None))]
     assert missing == []
+
+
+def unused_imports(path):
+    """The names a module imports and never reads, in import order.  A name
+    counts as read where it appears as a name in the module's code; strings
+    and docstrings do not count."""
+    tree = ast.parse(path.read_text())
+    imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_is_used():
+    # a deletion that leaves an import behind leaves a dead name in the module
+    unused = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := unused_imports(path))}
+    assert unused == {}

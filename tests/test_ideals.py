@@ -245,12 +245,12 @@ def test_lowered_bases_are_kernels(lid, deg):
     images = ideals._image_blocks(lid, deg, _all_weights(deg))
     for p in PRIMES:
         basis = gp.bases[p]
-        assert {w: len(B) for w, (_, B) in basis.items()} == gp.block_nullities
+        assert {w: len(B) for w, B in basis.items()} == gp.block_nullities
         assert any(not ideals.is_dominant(w) for w in basis)
         for w, A in ideals._blocks_mod(images, p):
             if w in basis:
-                monos, B = basis[w]
-                assert monos == ideals.monomials_by_weight(deg)[w]
+                B = basis[w]
+                assert B.shape[1] == len(ideals.monomials_by_weight(deg)[w])
                 assert not np.any((A @ B.T) % p)
                 assert linalg.rank_mod(B, p) == len(B)
                 assert np.array_equal(B, linalg.nullspace_mod(A, p).T)
@@ -274,7 +274,7 @@ def test_kernel_bases_are_pinned(lid, deg, pieces):
     h = hashlib.sha256()
     for p in sorted(gp.bases):
         for w in sorted(gp.bases[p]):
-            h.update(gp.bases[p][w][1].tobytes())
+            h.update(gp.bases[p][w].tobytes())
     assert h.hexdigest() == KERNEL_BASIS_DIGESTS[(lid, deg)]
 
 
@@ -289,8 +289,8 @@ def test_graded_kernel_walks_the_tree_once_for_all_primes(monkeypatch, pieces):
 
     monkeypatch.setattr(ideals, "_image_blocks", counting_walk)
     gp = ideals.graded_kernel("delta", 4, primes=PRIMES)
-    assert calls == [4]
     assert gp.dimension() == 35 and set(gp.bases) == set(PRIMES)
+    assert calls == [4]     # the bases read builds no second image
 
 
 # SHA-256 over the image blocks of each case, in order: weight, then shape,
@@ -498,18 +498,32 @@ def test_vanishes_at_separates_points_modulo_its_prime():
         gp.vanishes_at(loci.sample("delta", seed=3, p=65537), 65537)
 
 
+def test_vanishes_at_checks_the_prime_before_building_a_basis(monkeypatch, pieces):
+    # a prime outside the piece's primes is refused before any lowering
+    gp = ideals.graded_kernel("delta", 4, primes=(PRIMES[0],))
+    monkeypatch.setattr(linalg, "rowbasis_mod", lambda *a: pytest.fail("built a basis"))
+    with pytest.raises(ValueError, match=r"no kernel basis modulo 65537; have \[1000003\]"):
+        gp.vanishes_at(loci.sample("delta", seed=3, p=65537), 65537)
+    assert "bases" not in vars(gp)
+
+
 def test_kernel_disagreement_names_the_block(monkeypatch, pieces):
-    nullity = linalg.nullity_mod
+    # one highest-weight kernel vector dropped at 65537; the highest-weight
+    # bases of R_2 are built first, so only the kernel's products see the drop
+    for p in PRIMES:
+        ideals.highest_weight_bases(2, p)
+    nullspace = linalg.nullspace_mod
 
     def drop_one(A, p):
-        k = nullity(A, p)
-        return k - 1 if p == 65537 and k else k
+        N = nullspace(A, p)
+        return N[:, :-1] if p == 65537 and N.shape[1] else N
 
-    monkeypatch.setattr(linalg, "nullity_mod", drop_one)
+    monkeypatch.setattr(linalg, "nullspace_mod", drop_one)
     with pytest.raises(linalg.UnluckyPrimeError,
-                       match=r"weight block \(\d+, \d+, \d+\) has nullity "
-                             r"\{1000003: (\d+), 65537: (?!\1)\d+\}"):
+                       match=r"kernel of equiv degree 2: weight block \(\d+, \d+, \d+\) has "
+                             r"nullity \{1000003: (\d+), 65537: (?!\1)\d+\}"):
         ideals.graded_kernel("equiv", 2, primes=PRIMES)
+    assert pieces == {}
 
 
 def test_syzygy_disagreement_names_the_block(monkeypatch):
@@ -526,7 +540,7 @@ def test_syzygy_disagreement_names_the_block(monkeypatch):
 
 
 def test_weyl_orbit_check_reports_the_disagreeing_block(monkeypatch):
-    # the piece's multiplicities come through nullity_mod too: computed first
+    # the piece is computed first, so only the all-block eliminations see the patch
     ideals.graded_kernel("delta", 5, PRIMES)
     nullity = linalg.nullity_mod
     monkeypatch.setattr(linalg, "nullity_mod",
@@ -1106,30 +1120,46 @@ def test_graded_kernel_matches_the_block_elimination_reference(lid, deg, primes)
 
 
 def test_kernel_dimensions_eliminate_nothing(monkeypatch, pieces):
-    # given the highest-weight bases, a piece's dimension and type take one
-    # nullity of an n x m_lam product per irreducible, built only for the
-    # blocks with m_lam > 0, and no kernel basis
+    # given the highest-weight bases, a piece takes one image build, one
+    # _solve_blocks call and one nullspace of an n x m_lam product per
+    # irreducible and prime, built only for the blocks with m_lam > 0, and no
+    # other elimination: no image block is eliminated for its kernel
     expected = {(lid, deg): _reference_graded_kernel(lid, deg, PRIMES)
                 for lid, deg in (("tact", 5), ("empty", 6))}
+    rows = {(lid, deg): [shape[0] for shape, *_ in
+                         ideals._image_blocks(lid, deg, _solved_weights(deg)).values()]
+            for lid, deg in expected}
     for deg in (5, 6):
         for p in PRIMES:
             ideals.highest_weight_bases(deg, p)
-    monkeypatch.setattr(linalg, "nullspace_mod", lambda *a: pytest.fail("eliminated a basis"))
-    nullity, image_blocks, shapes, asked = linalg.nullity_mod, ideals._image_blocks, [], []
-    monkeypatch.setattr(linalg, "nullity_mod", lambda A, p: shapes.append(A.shape) or nullity(A, p))
+    for fn in ("nullity_mod", "rank_mod", "rowbasis_mod"):
+        monkeypatch.setattr(linalg, fn, lambda *a: pytest.fail("eliminated past the products"))
+    nullspace, image_blocks = linalg.nullspace_mod, ideals._image_blocks
+    solve_blocks, shapes, asked, solves = ideals._solve_blocks, [], [], []
+    monkeypatch.setattr(linalg, "nullspace_mod", lambda A, p: shapes.append(A.shape)
+                        or nullspace(A, p))
     monkeypatch.setattr(ideals, "_image_blocks", lambda locus, d, weights:
                         asked.append(list(weights)) or image_blocks(locus, d, weights))
+    monkeypatch.setattr(ideals, "_solve_blocks", lambda what, *a, **k:
+                        solves.append(what) or solve_blocks(what, *a, **k))
     for (lid, deg), reference in expected.items():
         shapes.clear()
         asked.clear()
+        solves.clear()
         gp = ideals.graded_kernel(lid, deg, PRIMES)
         assert gp.block_nullities == reference
         assert gp.dimension() == math.comb(deg + 9, 9) - resolution.hilbert_from_numerator(lid, deg)
         assert gp.decomposition == decompose(Character(reference))
         weights = _solved_weights(deg)
-        assert asked == [weights]
-        mults = ideals.highest_weight_bases(deg, PRIMES[0])
-        assert [cols for _, cols in shapes] == [len(mults[w]) for w in weights] * len(PRIMES)
+        assert asked == [weights] and solves == [f"kernel of {lid} degree {deg}"]
+        mults = ideals._highest_weights(deg)
+        assert list(mults) == weights and max(mults.values()) <= 4
+        assert shapes == [(n, mults[w]) for w, n in zip(weights, rows[(lid, deg)])] * len(PRIMES)
+        # the kernel of each product holds the piece's highest-weight vectors
+        for p in PRIMES:
+            assert list(gp.tops[p]) == weights
+            assert ({(w[0] - w[2], w[1] - w[2]): len(T) for w, T in gp.tops[p].items() if len(T)}
+                    == dict(gp.decomposition))
     assert len(pieces) == 2 and all("bases" not in vars(gp) for gp in pieces.values())
     assert ideals.graded_kernel("tact", 5, PRIMES).decomposition == [((3, 3), 1), ((3, 0), 1)]
 
@@ -1191,7 +1221,7 @@ def test_lowered_bases_span_the_eliminated_kernels(lid, deg, primes):
     assert list(gp.bases) == list(reference) == list(primes)
     for p, bases in gp.bases.items():
         assert sorted(bases) == sorted(reference[p]) == sorted(gp.block_nullities)
-        for w, (monos, B) in bases.items():
+        for w, B in bases.items():
             R = reference[p][w]
             assert B.dtype == R.dtype and B.shape == R.shape
             assert linalg.rank_mod(np.vstack([B, R]), p) == len(R) == linalg.rank_mod(B, p)
@@ -1202,53 +1232,61 @@ def test_lowered_bases_span_the_eliminated_kernels(lid, deg, primes):
 @pytest.mark.parametrize("lid,deg", [("tact", 5), ("delta", 4), ("empty", 8)])
 def test_a_bases_read_eliminates_only_the_highest_weight_products(lid, deg, monkeypatch,
                                                                   pieces):
-    # nullspace_mod sees the m_lam-column product of each lam with k_lam > 0,
-    # once per prime, and no image block but these is built: a structural
-    # guard on the degree-8 read rather than a timer
+    # graded_kernel has eliminated the m_lam-column products; a read only
+    # lowers their kernel vectors: one _solve_blocks call, no image block, no
+    # kernel or nullity elimination, and one row basis per nonzero block and
+    # prime, a structural guard on the degree-8 read rather than a timer
     gp = ideals.graded_kernel(lid, deg, PRIMES)
-    mults = gp.multiplicities
+    monkeypatch.setattr(ideals, "_image_blocks", lambda *a: pytest.fail("built an image"))
+    for fn in ("nullspace_mod", "nullity_mod", "rank_mod"):
+        monkeypatch.setattr(linalg, fn, lambda *a: pytest.fail("eliminated a kernel"))
+    rowbasis, solve_blocks, seen, solves = linalg.rowbasis_mod, ideals._solve_blocks, [], []
+    monkeypatch.setattr(linalg, "rowbasis_mod", lambda A, q: seen.append(q) or rowbasis(A, q))
+    monkeypatch.setattr(ideals, "_solve_blocks", lambda what, *a, **k:
+                        solves.append(what) or solve_blocks(what, *a, **k))
     for p in PRIMES:
-        ideals.highest_weight_bases(deg, p)     # cached before nullspace_mod is watched
-    nullspace, seen = linalg.nullspace_mod, []
-    _recording_solves(monkeypatch, lambda A, q, w: seen.append((w, q, A.shape[1]))
-                      or nullspace(A, q))
-    image_blocks, asked = ideals._image_blocks, []
-    monkeypatch.setattr(ideals, "_image_blocks", lambda locus, d, weights:
-                        asked.append(list(weights)) or image_blocks(locus, d, weights))
-    for p in PRIMES:
-        assert {w: len(B) for w, (_, B) in gp.bases[p].items()} == gp.block_nullities
-    assert asked == [list(mults)]
-    assert seen == [(w, p, len(ideals.highest_weight_bases(deg, p)[w]))
-                    for p in PRIMES for w in mults]
-    assert all(cols <= 4 for _, _, cols in seen)
+        assert {w: len(B) for w, B in gp.bases[p].items()} == gp.block_nullities
+    assert solves == [f"kernel bases of {lid} degree {deg}"]
+    assert seen == [p for p in PRIMES for _ in gp.block_nullities]
     seen.clear()
     assert ideals.graded_kernel(lid, deg, PRIMES).bases and seen == []
 
 
 def test_repeated_primes_are_eliminated_once(monkeypatch, pieces):
-    # (65537, 65537) used to eliminate every block twice; a basis read
-    # eliminates the product of delta-4's one irreducible, V_(5,1), once per
-    # distinct prime
-    nullspace = linalg.nullspace_mod
+    # (65537, 65537) used to eliminate every block twice; a piece eliminates
+    # the product of each of delta-4's irreducibles once per distinct prime,
+    # and a basis read reduces each nonzero block once per distinct prime
+    for p in PRIMES:
+        ideals.highest_weight_bases(4, p)
+    nullspace, rowbasis = linalg.nullspace_mod, linalg.rowbasis_mod
     calls = []
     monkeypatch.setattr(linalg, "nullspace_mod",
-                        lambda A, p: calls.append(p) or nullspace(A, p))
+                        lambda A, p: calls.append(("nullspace", p)) or nullspace(A, p))
+    monkeypatch.setattr(linalg, "rowbasis_mod",
+                        lambda A, p: calls.append(("rowbasis", p)) or rowbasis(A, p))
     counts = {}
     for primes in ((65537,), (65537, 65537), (1000003, 65537, 1000003)):
         pieces.clear()
-        gp = ideals.graded_kernel("delta", 4, primes)
         calls.clear()
+        gp = ideals.graded_kernel("delta", 4, primes)
         assert gp.bases
-        counts[primes] = len(calls)
+        counts[primes] = (calls.count(("nullspace", 65537)), len(calls))
         assert gp.primes == tuple(dict.fromkeys(primes))
-    assert pieces[("delta", 4, (1000003, 65537))].multiplicities == {(7, 3, 2): 1}
-    assert counts == {(65537,): 1, (65537, 65537): 1, (1000003, 65537, 1000003): 2}
+    tops = pieces[("delta", 4, (1000003, 65537))].tops
+    assert all({w: len(T) for w, T in t.items() if len(T)} == {(7, 3, 2): 1}
+               for t in tops.values())
+    # 10 irreducibles in R_4 and 25 nonzero blocks, per distinct prime
+    assert (len(ideals._highest_weights(4)), len(gp.block_nullities)) == (10, 25)
+    assert counts == {(65537,): (10, 35), (65537, 65537): (10, 35),
+                      (1000003, 65537, 1000003): (10, 70)}
 
 
 def test_a_basis_vector_dropped_at_one_prime_raises_and_caches_nothing(monkeypatch, pieces):
     # drop one row of the last block the walk reduces at the second prime, a
-    # block of lowered vectors only, at the bottom of 2 w0 + w1
+    # block of lowered vectors only, at the bottom of 2 w0 + w1; the piece
+    # keeps its highest-weight kernel vectors as they were
     gp = ideals.graded_kernel("delta", 4, PRIMES)
+    tops = {p: {w: T.tobytes() for w, T in t.items()} for p, t in gp.tops.items()}
     rowbasis, calls, dropped = linalg.rowbasis_mod, [], []
 
     def drop_one(A, q):
@@ -1272,8 +1310,9 @@ def test_a_basis_vector_dropped_at_one_prime_raises_and_caches_nothing(monkeypat
     assert dropped == [(n, len(ideals.monomials_by_weight(4)[w]))]
     assert 2 * w[0] + w[1] == min(2 * u[0] + u[1] for u in gp.block_nullities)
     assert list(pieces.values()) == [gp] and "bases" not in vars(gp)
+    assert {p: {w: T.tobytes() for w, T in t.items()} for p, t in gp.tops.items()} == tops
     monkeypatch.undo()
-    assert len(gp.bases[PRIMES[1]][w][1]) == n
+    assert len(gp.bases[PRIMES[1]][w]) == n
 
 
 # ---------------------------------------------------------------------------
@@ -1294,7 +1333,7 @@ def _reference_syzygy_nullities(locus, degree, primes):
         basis = gp.bases[p]
         parts = {}          # dominant weight -> [(row positions, generator rows)]
         for w in sorted(basis):
-            monos, B = basis[w]
+            monos, B = ideals.monomials_by_weight(degree)[w], basis[w]
             for r in range(10):
                 e = A_EXPS[r]
                 wr = (w[0] + e[0], w[1] + e[1], w[2] + e[2])
