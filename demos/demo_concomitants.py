@@ -19,7 +19,7 @@ def main():
     hess = brackets.catalog_concomitant("Phi330")
     a = loci.NAMED_CUBICS["cuspidal"]
     lhs = brackets.evaluate_at_cubic(hess, a)
-    rhs = brackets.hessian_oracle(a)
+    rhs = brackets.hessian_oracle().substitute({f"a{r}": c for r, c in enumerate(a)})
     print(f"  cuspidal cubic: bracket route = {lhs.to_text() or 0}")
     print(f"  partials route = {rhs.to_text() or 0}  (ratio 1/2)")
 

@@ -438,9 +438,10 @@ def expand(expr):
     and the leading row, by np.lexsort.
     """
     ctype = validate(expr)
-    denom = lcm(*(t.coeff.denominator for t in expr.terms))
+    terms = [t for t in expr.terms if t.coeff]
+    denom = lcm(*(t.coeff.denominator for t in terms))
     # a term that expands to zero is dropped: its scale may not fit int64
-    parts = [(*_expand_term(t), (t.coeff * denom).numerator) for t in expr.terms]
+    parts = [(*_expand_term(t), (t.coeff * denom).numerator) for t in terms]
     parts = [part for part in parts if len(part[1])]
     if parts:
         bound = sum(int(np.abs(c).sum()) * abs(scale) for _, c, scale in parts)
@@ -514,12 +515,13 @@ def catalog_concomitant(name):
     return expand(catalog(name))
 
 
-def hessian_oracle(a_values):
-    """det of the 3x3 matrix of second partials of F = sum a_r x^r.
+def hessian_oracle():
+    """det of the 3x3 matrix of second partials of the generic cubic
+    F = sum a_r x^r, a Poly in (a, x) of degree 3 in each.
 
-    Independent of the bracket route; degree 3 in x.
+    Independent of the bracket route.
     """
-    F = generic_cubic().substitute({f"a{r}": Poly.const(a_values[r]) for r in range(10)})
+    F = generic_cubic()
 
     def diff(p, xv):
         return Poly((monomial(mo + ((xv, -1),)), c * e)

@@ -790,38 +790,29 @@ def syzygy_relation_check():
     """The explicit linear syzygies among the 27 cube-locus equations.
 
     The generators f_T are the tableau coefficients of the degree-2 symbolic
-    concomitant of type (2, 2, 2).  Each relation concomitant Psi, projected
-    onto the same (x, u) tableau basis and contracted with the f_T through the
-    invariant pairing on that basis (coefficient-by-coefficient contraction is
-    not equivariant: the pairing needs the Gram matrix of the trace-free
-    representatives), yields a bihomogeneous polynomial in (y, v) whose
-    harmonic coefficients all vanish identically -- one relation per tableau
-    of the (y, v) shape.  The projection works in (x, u), so y and v are
-    renamed to x and u first.  Returns {name: number of relations}; raises
-    AssertionError on a nonzero coefficient, also under python -O.
+    concomitant Phi222 of type (2, 2, 2).  Each relation concomitant Psi is
+    contracted with Phi222 over (x, u) by the apolar pairing with the
+    harmonic part of Phi222, which pairs every trace multiple to zero, so it
+    contracts Psi's tableau coefficients with the f_T invariantly.  The result
+    is a bihomogeneous polynomial in (y, v) whose harmonic coefficients all
+    vanish identically -- one relation per tableau of the (y, v) shape.  The
+    projection works in (x, u), so y and v are renamed to x and u first.
+    Returns {name: number of relations}; raises AssertionError on a nonzero
+    coefficient, also under python -O.
     """
-    f, tabs = concomitant_coefficients("Phi222")
-    G = tableaux.invariant_gram(2, 2)
-    n = len(tabs)
-    # F_i = sum_j G_ij f_j, so that sum_i c_i F_i pairs c with f
-    F = [Poly((mo, coef * G[i][j]) for j in range(n) if G[i][j]
-              for mo, coef in f[j].terms.items()) for i in range(n)]
+    phi = tableaux.harmonic_part(brackets.catalog_concomitant("Phi222").poly)
     rename = {"y": "x", "v": "u"}
     counts = {}
     for name in ("Psi54", "Psi51", "Psi42", "Psi21"):
-        c, tabs2 = concomitant_coefficients(name)
-        if tabs2 != tabs:
-            raise RuntimeError(f"{name} does not share the (x,u) shape of Phi222")
-        # R = sum_i c_i F_i, with y, v renamed to x, u in each product monomial
-        R = Poly((monomial([(rename.get(v[0], v[0]) + v[1:], e) for v, e in m1 + m2]),
-                  c1 * c2)
-                 for i in range(n) if c[i]
-                 for m1, c1 in c[i].terms.items() for m2, c2 in F[i].terms.items())
+        psi = brackets.catalog_concomitant(name)
+        R = tableaux.apolar(psi.poly, phi)
+        R = Poly((monomial([(rename.get(v[0], v[0]) + v[1:], e) for v, e in mo]), c)
+                 for mo, c in R.terms.items())
         h, _, _ = tableaux.harmonic_project(R)
         for hS in h:
             if hS:
                 raise AssertionError(f"{name}: nonzero syzygy coefficient {hS!r}")
-        dy, dv = brackets.catalog_concomitant(name).ctype.extra
+        dy, dv = psi.ctype.extra
         counts[name] = len(tableaux.enumerate_tableaux(dv, dy))
     return counts
 

@@ -133,12 +133,6 @@ def mono_weight(m):
     return tuple(w)
 
 
-def mono_degree(m, families=None):
-    if families is None:
-        return sum(e for _, e in m)
-    return sum(e for v, e in m if var_family(v) in families)
-
-
 def _mono_sort_key(m):
     # graded-lex over the fixed variable order: higher degree first, then
     # lexicographically larger exponent vector first
@@ -221,11 +215,6 @@ class Poly:
         for _ in range(n):
             out = out * self
         return out
-
-    def degree(self, families=None):
-        if not self.terms:
-            return 0
-        return max(mono_degree(m, families) for m in self.terms)
 
     def weight(self):
         """Common torus weight of all terms; raises if mixed."""

@@ -18,9 +18,12 @@ concomitants) renames them to x and u before projecting.  The trace is monic
 in x1 u1, so _projection_table writes each bidegree's table down in closed
 form, integer and with no system solved, and harmonic_project adds each
 term's few nonzero table entries into one integer accumulator.  The
-trace-free representatives have a closed form too, a finite sum of powers of
-the trace times powers of its contraction omega, so no system is solved
-anywhere in the module.
+trace-free part of a polynomial, harmonic_part, has a closed form too, a
+finite sum of powers of the trace times powers of its contraction omega, so
+no system is solved anywhere in the module.  Under the apolar pairing,
+multiplication by the trace is adjoint to omega, so a trace multiple pairs to
+zero with any trace-free polynomial: apolar(p, harmonic_part(q)) contracts p
+with q invariantly, whatever representative of p modulo the trace is given.
 """
 
 from bisect import bisect_left
@@ -72,12 +75,6 @@ def tableau_monomial(T):
     return monomial(pairs), sign
 
 
-def tableau_poly(T):
-    """X_T as a Poly."""
-    mono, sign = tableau_monomial(T)
-    return Poly({mono: sign})
-
-
 def _xu_monomials(dx, du):
     out = []
     for cx in combinations_with_replacement((1, 2, 3), dx):
@@ -117,6 +114,12 @@ def _projection_table(dx, du):
     return tabs, smaller, row_of, T
 
 
+def _bidegree(p):
+    """The degrees in x and in u of p's first term."""
+    first = next(iter(p.terms))
+    return sum(e for v, e in first if v[0] == "x"), sum(e for v, e in first if v[0] == "u")
+
+
 def harmonic_project(p):
     """Split p = (harmonic on the X_T basis) + trace * remainder.
 
@@ -136,9 +139,7 @@ def harmonic_project(p):
     """
     if not p:
         return [], (), Poly()
-    first = next(iter(p.terms))
-    dx = sum(e for v, e in first if v[0] == "x")
-    du = sum(e for v, e in first if v[0] == "u")
+    dx, du = _bidegree(p)
     tabs, smaller, row_of, T = _projection_table(dx, du)
     outer_of = {}
     rows, outer_ids = [], []
@@ -202,61 +203,54 @@ def omega(p):
     return Poly(out)
 
 
-@lru_cache(maxsize=None)
-def harmonic_representatives(dx, du):
-    """The trace-free representative of each X_T in bidegree (dx, du).
+def harmonic_part(p):
+    """The trace-free part h of p = h + trace * g, with omega(h) = 0.
 
-    h_T = X_T - trace * g with omega(h_T) = 0; the quotient-basis coefficient
-    extraction of harmonic_project is blind to the choice of representative,
-    but the invariant pairing below is not.  In closed form, as omega,
-    multiplication by the trace and the degree form an sl2 triple
-    (omega(trace g) = trace omega(g) + (e + 3) g on g of total degree e):
+    p must be bihomogeneous in the x and u variables; other variables ride
+    along as coefficients.  h is linear in p: a trace multiple has harmonic
+    part zero, and the harmonic part of X_T is its trace-free
+    representative.  In closed form, as omega, multiplication by the
+    trace and the degree form an sl2 triple (omega(trace g) = trace omega(g)
+    + (e + 3) g on g of total degree e in x and u), for p of bidegree (dx, du):
 
-        h_T = sum_k (-1)^k / (k! prod_{j=1..k} (dx + du + 2 - j)) trace^k omega^k(X_T),
+        h = sum_k (-1)^k / (k! prod_{j=1..k} (dx + du + 2 - j)) trace^k omega^k(p),
 
-    over 0 <= k <= min(dx, du).  With dx or du zero, h_T is X_T itself.
+    over 0 <= k <= min(dx, du).  With dx or du zero, h is p itself.
     """
-    # the scaled trace powers, k = 1..min(dx, du), shared by every T
-    scaled, power, c = [], Poly.const(1), Fraction(1)
+    if not p:
+        return p
+    dx, du = _bidegree(p)
+    term, rest, power, c = p, Poly(), Poly.const(1), Fraction(1)
     for k in range(1, min(dx, du) + 1):
+        term = omega(term)
         power *= trace_poly()
         c /= -k * (dx + du + 2 - k)
-        scaled.append(c * power)
-    out = []
-    for T in enumerate_tableaux(du, dx):
-        x = term = tableau_poly(T)
-        rest = Poly()
-        for s in scaled:
-            term = omega(term)
-            rest += s * term
-        h = x + rest
-        if omega(h):
-            raise RuntimeError("harmonic representative still has trace part")
-        out.append(h)
-    return tuple(out)
+        rest += c * power * term
+    h = p + rest
+    if omega(h):
+        raise RuntimeError("harmonic part still has trace part")
+    return h
 
 
-def _apolar(p1, p2):
-    """p1 with point and line variables swapped, applied to p2 as derivations."""
-    acc = Fraction(0)
-    for m1, c1 in p1.terms.items():
-        sw = monomial([("u" + v[1:], e) if v.startswith("x") else ("x" + v[1:], e)
-                       for v, e in m1])
-        c2 = p2.terms.get(sw)
-        if c2:
-            val = 1
-            for _, e in sw:
-                val *= factorial(e)
-            acc += Fraction(c1) * Fraction(c2) * val
-    return acc
+def apolar(p, q):
+    """The apolar pairing over x and u: p with its point and line variables
+    swapped, applied to q as derivations.
 
-
-@lru_cache(maxsize=None)
-def invariant_gram(dx, du):
-    """Gram matrix of the invariant pairing on the X_T quotient basis.
-
-    Computed on trace-free representatives; this is the pairing that makes
-    coefficient contraction of two tableau expansions equivariant.
+    Other variables ride along: each (x, u) monomial of p meets the same
+    monomial of q with x and u swapped, and the product of their coefficient
+    Polys, times the product of the factorials of its exponents, streams
+    into the result, a Poly in the other variables.  Multiplication by the
+    trace is adjoint to omega under this pairing (Sturmfels, Algorithms in
+    Invariant Theory, 1.2 and 3.1), so a trace multiple pairs to zero with
+    any harmonic q.
     """
-    harm = harmonic_representatives(dx, du)
-    return tuple(tuple(_apolar(h1, h2) for h2 in harm) for h1 in harm)
+    # q's terms by the monomial of p they meet, each scaled by its factorials
+    partners = {}
+    for (inner, outer), c in zip(split_xu(q.terms), q.terms.values()):
+        for _, e in inner:
+            c *= factorial(e)
+        swapped = monomial([(("u" if v[0] == "x" else "x") + v[1:], e) for v, e in inner])
+        partners.setdefault(swapped, []).append((outer, c))
+    return Poly((mono_mul(outer, o2), c * c2)
+                for (inner, outer), c in zip(split_xu(p.terms), p.terms.values())
+                for o2, c2 in partners.get(inner, ()))

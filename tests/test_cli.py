@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ternary_cubics import brackets, cli, linalg, loci, resolution, tableaux
+from ternary_cubics.poly import Poly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 2 ** 30
@@ -678,3 +680,66 @@ def test_verdict_is_spelled_once():
               for node in ast.walk(top)
               if node is not top and isinstance(node, ast.FunctionDef)]
     assert nested == []
+
+
+MUTATION_CONFIG = {"primes": (1000003, 65537), "seed": 0, "threads": 1,
+                   "lmax": 2, "timings": False}
+
+
+def _mutated_catalog(monkeypatch, name, mo, c):
+    """brackets.catalog_concomitant with the coefficient of mo in `name` set to c."""
+    own = brackets.catalog_concomitant
+    conc = own(name)
+    poly = Poly({**conc.poly.terms, mo: c})
+    monkeypatch.setattr(brackets, "catalog_concomitant",
+                        lambda n: brackets.Concomitant(poly, conc.ctype) if n == name else own(n))
+
+
+@pytest.mark.parametrize("name", ["Psi54", "Psi51", "Psi42", "Psi21"])
+def test_syzygy_relations_catch_one_doubled_coefficient(monkeypatch, name):
+    # twenty seeded terms of each Psi, each doubled alone; the unmutated check passes
+    check = dict(cli.build_checks())["syzygy-relations"]
+    assert check(MUTATION_CONFIG)[0]
+    terms = sorted(brackets.catalog_concomitant(name).poly.terms.items())
+    for mo, c in random.Random(name).sample(terms, 20):
+        with monkeypatch.context() as m:
+            _mutated_catalog(m, name, mo, 2 * c)
+            with pytest.raises(AssertionError, match=f"{name}: nonzero syzygy coefficient"):
+                check(MUTATION_CONFIG)
+
+
+def test_hessian_oracle_catches_one_changed_coefficient(monkeypatch):
+    check = dict(cli.build_checks())["hessian-oracle"]
+    assert check(MUTATION_CONFIG) == (True, "bracket Hessian = c * partials determinant",
+                                      "c = 1/2")
+    for mo, c in brackets.catalog_concomitant("Phi330").poly.terms.items():
+        with monkeypatch.context() as m:
+            _mutated_catalog(m, "Phi330", mo, c + 1)
+            assert check(MUTATION_CONFIG)[0] is False, mo
+    # a zero Phi330 is no multiple of the Hessian either
+    zero = brackets.Concomitant(Poly(), brackets.catalog_concomitant("Phi330").ctype)
+    monkeypatch.setattr(brackets, "catalog_concomitant", lambda n: zero)
+    assert check(MUTATION_CONFIG)[0] is False
+
+
+def test_hessian_and_sym8_checks_sample_and_multiply_nothing(monkeypatch):
+    # the Hessian is one exact identity, and the sym8 product's type and
+    # nonzero-ness are read off its factors: no random cubic, no product
+    checks = dict(cli.build_checks())
+    for name in ("Phi330", "Phi400", "Phi441"):
+        brackets.catalog_concomitant(name)
+    monkeypatch.setattr(cli.random, "Random", lambda *a: pytest.fail("drew a random cubic"))
+    assert checks["hessian-oracle"](MUTATION_CONFIG)[0]
+    monkeypatch.setattr(Poly, "__mul__", lambda *a: pytest.fail("multiplied Polys"))
+    assert checks["sym8-product"](MUTATION_CONFIG) == (
+        True, "mult(5,4)=mult(5,1)=1 in sym8; product of type (8,4,1)",
+        "mults=(1,1) product type (8,4,1)")
+
+
+def test_sym8_product_fails_on_a_zero_factor(monkeypatch):
+    own = brackets.catalog_concomitant
+    zero = brackets.Concomitant(Poly(), own("Phi400").ctype)
+    monkeypatch.setattr(brackets, "catalog_concomitant",
+                        lambda n: zero if n == "Phi400" else own(n))
+    ok, _, actual = dict(cli.build_checks())["sym8-product"](MUTATION_CONFIG)
+    assert not ok and actual == "mults=(1,1) product type (8,4,1)"

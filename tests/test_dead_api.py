@@ -18,7 +18,7 @@ CALLER_DIRS = ("src", "demos", "perfbench")
 
 TEST_ORACLES = {
     # exact rational nullspace: the oracle for the modular routines in
-    # tests/test_linalg.py and for nonsingular Gram matrices
+    # tests/test_linalg.py and for nonsingular pairing matrices
     "nullspace_frac",
     # the public form of characters._hook, which the spectral identities in
     # resolution call directly: tests/test_characters.py checks it
@@ -33,6 +33,10 @@ TEST_ORACLES = {
     # ideals.isotypic_match in tests/test_ideals.py, and a traced name in
     # perfbench/tracer.py, which wraps it by name
     "in_rowspan_mod",
+    # a catalog concomitant's tableau coefficients: read by the modular
+    # membership reference and the Gram-matrix syzygy reference in
+    # tests/test_ideals.py, and a traced name in perfbench/tracer.py
+    "concomitant_coefficients",
 }
 
 UNSET_OPTIONS = {

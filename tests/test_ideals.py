@@ -142,12 +142,13 @@ def test_syzygy_relation_check():
 
 
 def test_syzygy_relation_check_fails_under_python_O():
-    # Phi222's own coefficients in place of every Psi pair to a nonzero
-    # invariant; the check must say so even with assert statements stripped
+    # Phi222 itself in place of every Psi pairs with its harmonic part to a
+    # nonzero invariant; the check must say so even with assert statements
+    # stripped
     script = "\n".join([
-        "from ternary_cubics import ideals",
-        "own = ideals.concomitant_coefficients",
-        "ideals.concomitant_coefficients = lambda name: own('Phi222')",
+        "from ternary_cubics import brackets, ideals",
+        "own = brackets.catalog_concomitant",
+        "brackets.catalog_concomitant = lambda name: own('Phi222')",
         "try:",
         "    print(ideals.syzygy_relation_check())",
         "except AssertionError as exc:",
@@ -158,6 +159,59 @@ def test_syzygy_relation_check_fails_under_python_O():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("AssertionError Psi54: nonzero syzygy coefficient")
+
+
+def _reference_apolar(p1, p2):
+    """p1 with point and line variables swapped, applied to p2 as derivations:
+    a number, for p1 and p2 in x and u alone."""
+    acc = Fraction(0)
+    for m1, c1 in p1.terms.items():
+        sw = monomial([("u" + v[1:], e) if v.startswith("x") else ("x" + v[1:], e)
+                       for v, e in m1])
+        c2 = p2.terms.get(sw)
+        if c2:
+            val = 1
+            for _, e in sw:
+                val *= math.factorial(e)
+            acc += Fraction(c1) * Fraction(c2) * val
+    return acc
+
+
+def _reference_syzygy_contractions():
+    """The former syzygy contraction, through the Gram matrix G of the
+    trace-free representatives h_T of the X_T: {name: R} with R = sum_ij c_i
+    G_ij f_j, c and f the tableau coefficients of Psi and Phi222, and y, v
+    renamed to x, u."""
+    f, tabs = ideals.concomitant_coefficients("Phi222")
+    harm = [tableaux.harmonic_part(Poly({mo: sign}))
+            for mo, sign in map(tableaux.tableau_monomial, tabs)]
+    G = [[_reference_apolar(h1, h2) for h2 in harm] for h1 in harm]
+    n = len(tabs)
+    F = [Poly((mo, coef * G[i][j]) for j in range(n) if G[i][j]
+              for mo, coef in f[j].terms.items()) for i in range(n)]
+    rename = {"y": "x", "v": "u"}
+    out = {}
+    for name in ("Psi54", "Psi51", "Psi42", "Psi21"):
+        c, tabs2 = ideals.concomitant_coefficients(name)
+        assert tabs2 == tabs
+        out[name] = Poly((monomial([(rename.get(v[0], v[0]) + v[1:], e) for v, e in m1 + m2]),
+                          c1 * c2)
+                         for i in range(n) if c[i]
+                         for m1, c1 in c[i].terms.items() for m2, c2 in F[i].terms.items())
+    return out
+
+
+def test_syzygy_contractions_match_the_gram_reference(monkeypatch):
+    """The one pairing with the harmonic part of Phi222 gives, for each Psi,
+    the polynomial the Gram-matrix route gave, Poly for Poly."""
+    projected = []
+    project = tableaux.harmonic_project
+    monkeypatch.setattr(tableaux, "harmonic_project",
+                        lambda p: projected.append(p) or project(p))
+    ideals.syzygy_relation_check()
+    monkeypatch.setattr(tableaux, "harmonic_project", project)
+    assert projected == list(_reference_syzygy_contractions().values())
+    assert [len(R.terms) for R in projected] == [246, 219, 0, 0]
 
 
 def test_negative_degree_raises():

@@ -1,4 +1,4 @@
-"""Two-row tableaux, harmonic projection, and the invariant pairing."""
+"""Two-row tableaux, harmonic projection, harmonic parts and the apolar pairing."""
 
 import ast
 import hashlib
@@ -16,6 +16,17 @@ from ternary_cubics import characters as ch
 from ternary_cubics import linalg
 from ternary_cubics import tableaux as tb
 from ternary_cubics.poly import Poly, mono_mul, monomial
+
+
+def _tableau_poly(T):
+    """X_T as a Poly."""
+    mono, sign = tb.tableau_monomial(T)
+    return Poly({mono: sign})
+
+
+def _harmonic_representatives(dx, du):
+    """The trace-free representative of each X_T in bidegree (dx, du)."""
+    return tuple(tb.harmonic_part(_tableau_poly(T)) for T in tb.enumerate_tableaux(du, dx))
 
 
 def ssyt_count(m, n):
@@ -96,7 +107,7 @@ def test_harmonic_dimension_matches_character():
 def test_harmonic_project_of_tableau_basis():
     tabs = tb.enumerate_tableaux(1, 1)
     for i, T in enumerate(tabs):
-        coeffs, tabs2, rem = tb.harmonic_project(tb.tableau_poly(T))
+        coeffs, tabs2, rem = tb.harmonic_project(_tableau_poly(T))
         assert tabs2 == tabs
         assert not rem
         assert [c == (1 if j == i else 0) for j, c in enumerate(coeffs)]
@@ -109,7 +120,7 @@ def test_harmonic_project_trace_multiple():
     # reassembly: sum coeff*X_T + trace*rem == input
     rebuilt = trace * rem
     for c, T in zip(coeffs, tb.enumerate_tableaux(2, 2)):
-        rebuilt = rebuilt + c * tb.tableau_poly(T)
+        rebuilt = rebuilt + c * _tableau_poly(T)
     assert rebuilt == trace * Poly.var("x1") * Poly.var("u1")
 
 
@@ -122,7 +133,7 @@ def test_harmonic_project_reassembles_random():
     coeffs, tabs, rem = tb.harmonic_project(p)
     rebuilt = tb.trace_poly() * rem
     for c, T in zip(coeffs, tabs):
-        rebuilt = rebuilt + c * tb.tableau_poly(T)
+        rebuilt = rebuilt + c * _tableau_poly(T)
     assert rebuilt == p
 
 
@@ -131,7 +142,7 @@ def test_harmonic_project_carries_outer_variables():
     coeffs, tabs, rem = tb.harmonic_project(p)
     rebuilt = tb.trace_poly() * rem
     for c, T in zip(coeffs, tabs):
-        rebuilt = rebuilt + c * tb.tableau_poly(T)
+        rebuilt = rebuilt + c * _tableau_poly(T)
     assert rebuilt == p
     assert all((not c) or {v for m in c.terms for v, _ in m} == {"a0"} for c in coeffs)
 
@@ -152,7 +163,7 @@ def test_omega():
 
 def test_harmonic_representatives_trace_free():
     for dx, du in [(1, 1), (2, 2)]:
-        harm = tb.harmonic_representatives(dx, du)
+        harm = _harmonic_representatives(dx, du)
         tabs = tb.enumerate_tableaux(du, dx)
         assert len(harm) == len(tabs)
         for h, T in zip(harm, tabs):
@@ -164,13 +175,51 @@ def test_harmonic_representatives_trace_free():
                 Poly.const(e) for e in expect]
 
 
-def test_invariant_gram_symmetric_nonsingular():
-    G = tb.invariant_gram(2, 2)
+def test_harmonic_part_is_the_projection_along_the_trace():
+    """harmonic_part kills trace multiples, fixes trace-free polynomials and
+    carries other variables as coefficients."""
+    trace = tb.trace_poly()
+    assert not tb.harmonic_part(Poly())
+    assert not tb.harmonic_part(trace * Poly.var("x2") * Poly.var("u3"))
+    phi = br.catalog_concomitant("Phi222").poly
+    h = tb.harmonic_part(phi)
+    assert not tb.omega(h) and tb.harmonic_part(h) == h
+    coeffs, tabs, _ = tb.harmonic_project(phi)
+    assert h == sum((c * hT for c, hT in zip(coeffs, _harmonic_representatives(2, 2))), Poly())
+    with pytest.raises(RuntimeError, match="still has trace part"):
+        tb.harmonic_part(Poly.var("x1") * Poly.var("u1") + Poly.var("x1") ** 2 * Poly.var("u1"))
+
+
+def _pairing_matrix(left, right):
+    """[apolar(l, r)] over the Polys of left and right, as Fractions."""
+    return [[Fraction(tb.apolar(l, r).terms.get((), 0)) for r in right] for l in left]
+
+
+def test_apolar_pairs_tableaux_with_harmonic_parts_as_harmonic_parts():
+    """For (2, 2) the matrix apolar(X_S, harmonic_part(X_T)) equals the
+    matrix of the trace-free representatives paired with each other, and is
+    symmetric and nonsingular: one harmonic side makes the pairing invariant."""
+    tabs = tb.enumerate_tableaux(2, 2)
+    X = [_tableau_poly(T) for T in tabs]
+    harm = _harmonic_representatives(2, 2)
+    G = _pairing_matrix(X, harm)
     n = len(G)
     assert n == 27
+    assert G == _pairing_matrix(harm, harm)
     assert all(G[i][j] == G[j][i] for i in range(n) for j in range(n))
-    rows = [[G[i][j] for j in range(n)] for i in range(n)]
-    assert not linalg.nullspace_frac(rows)   # nonsingular
+    assert not linalg.nullspace_frac(G)   # nonsingular
+    # a trace multiple pairs to zero with every trace-free polynomial
+    trace = tb.trace_poly()
+    for mo in tb._xu_monomials(1, 1):
+        assert not any(tb.apolar(trace * Poly({mo: 1}), h) for h in harm)
+
+
+def test_apolar_carries_outer_variables():
+    # (x1^2 u2 a0) paired with (u1^2 x2 a4 y3) is 2! * 1! * a0 a4 y3
+    p = Poly({monomial([("a0", 1), ("x1", 2), ("u2", 1)]): 3})
+    q = Poly({monomial([("a4", 1), ("x2", 1), ("y3", 1), ("u1", 2)]): Fraction(1, 2)})
+    assert tb.apolar(p, q) == Poly({monomial([("a0", 1), ("a4", 1), ("y3", 1)]): 3})
+    assert not tb.apolar(p, Poly({monomial([("x1", 1), ("u1", 2)]): 1}))
 
 
 # SHA-256 of the projection table of (dx, du) in the (point, line) variables
@@ -191,8 +240,8 @@ PROJECTION_TABLE_SHA256 = {
     (4, 1, "y", "v"): "c668c8f0e321f0ecd3740d2c1b2e384eee79b8af20d7ee1ea50af84c400dfa97",
 }
 
-# SHA-256 of harmonic_representatives(dx, du) for the catalog bidegrees
-# with dx, du >= 1
+# SHA-256 of the harmonic parts of the X_T of bidegree (dx, du), for the
+# catalog bidegrees with dx, du >= 1
 HARMONIC_REPRESENTATIVES_SHA256 = {
     (1, 4): "8e05dbc30fbde3d62ed920d622f8602fa2cabf4695fe5c1da2b24a7c5b959dfb",
     (2, 2): "ecad111645bee934db3a8455aa4dd441c30f1ab552a050ddc4eaa56b58885f78",
@@ -237,7 +286,7 @@ def _reference_projection_table(dx, du):
     monos = tb._xu_monomials(dx, du)
     smaller = tb._xu_monomials(dx - 1, du - 1) if dx and du else []
     trace = tb.trace_poly()
-    rows = _fraction_solve([tb.tableau_poly(T) for T in tabs]
+    rows = _fraction_solve([_tableau_poly(T) for T in tabs]
                            + [trace * Poly({sm: 1}) for sm in smaller],
                            [Poly({mo: 1}) for mo in monos], monos)
     D = lcm(*(x.denominator for row in rows for x in row))
@@ -298,17 +347,17 @@ def test_projection_tables_golden():
 
 def test_harmonic_representatives_golden():
     for (dx, du), digest in HARMONIC_REPRESENTATIVES_SHA256.items():
-        harm = tb.harmonic_representatives(dx, du)
+        harm = _harmonic_representatives(dx, du)
         assert _sha256([sorted(h.terms.items()) for h in harm]) == digest, (dx, du)
 
 
 def _reference_harmonic_representatives(dx, du):
-    """The former tb.harmonic_representatives, kept but for solving through
-    _fraction_solve: g_T solves omega(trace * g_T) = omega(X_T), for every T
-    in one Fraction elimination, and h_T = X_T - trace * g_T."""
+    """The trace-free representatives solved through _fraction_solve: g_T
+    solves omega(trace * g_T) = omega(X_T), for every T in one Fraction
+    elimination, and h_T = X_T - trace * g_T."""
     monos = tb._xu_monomials(dx - 1, du - 1)
     trace = tb.trace_poly()
-    X = [tb.tableau_poly(T) for T in tb.enumerate_tableaux(du, dx)]
+    X = [_tableau_poly(T) for T in tb.enumerate_tableaux(du, dx)]
     G = _fraction_solve([tb.omega(trace * Poly({m: 1})) for m in monos],
                         [tb.omega(x) for x in X], monos)
     return tuple(x - trace * Poly(zip(monos, g)) for x, g in zip(X, G))
@@ -319,7 +368,7 @@ def test_harmonic_representatives_match_the_fraction_solve():
     coefficient of the same type, for every 1 <= dx, du <= 4."""
     for dx in range(1, 5):
         for du in range(1, 5):
-            got = [sorted(h.terms.items()) for h in tb.harmonic_representatives(dx, du)]
+            got = [sorted(h.terms.items()) for h in _harmonic_representatives(dx, du)]
             want = [sorted(h.terms.items()) for h in _reference_harmonic_representatives(dx, du)]
             assert repr(got) == repr(want), (dx, du)
 
@@ -331,16 +380,12 @@ def test_harmonic_representatives_build_without_a_fraction_solve(monkeypatch):
         raise AssertionError("a harmonic representative ran a Fraction solve")
 
     monkeypatch.setattr(linalg, "_rref_frac", refuse)
-    tb.harmonic_representatives.cache_clear()
-    try:
-        for (dx, du), digest in HARMONIC_REPRESENTATIVES_SHA256.items():
-            harm = tb.harmonic_representatives(dx, du)
-            assert _sha256([sorted(h.terms.items()) for h in harm]) == digest, (dx, du)
-        for dx, du in ((0, 3), (3, 0)):
-            X = tuple(tb.tableau_poly(T) for T in tb.enumerate_tableaux(du, dx))
-            assert tb.harmonic_representatives(dx, du) == X and len(X) == 10
-    finally:
-        tb.harmonic_representatives.cache_clear()
+    for (dx, du), digest in HARMONIC_REPRESENTATIVES_SHA256.items():
+        harm = _harmonic_representatives(dx, du)
+        assert _sha256([sorted(h.terms.items()) for h in harm]) == digest, (dx, du)
+    for dx, du in ((0, 3), (3, 0)):
+        X = tuple(_tableau_poly(T) for T in tb.enumerate_tableaux(du, dx))
+        assert _harmonic_representatives(dx, du) == X and len(X) == 10
 
 
 def _reference_harmonic_project(p):
@@ -378,7 +423,7 @@ def _assert_projects_as_reference(p):
     # the reference reads the same table; reassembly does not
     rebuilt = tb.trace_poly() * rem
     for c, T in zip(coeffs, tabs):
-        rebuilt = rebuilt + c * tb.tableau_poly(T)
+        rebuilt = rebuilt + c * _tableau_poly(T)
     assert rebuilt == p
 
 
